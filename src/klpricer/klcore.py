@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import polygamma
 
 __all__ = [
     "KlBasis",
@@ -34,9 +35,6 @@ __all__ = [
 ]
 
 _SQRT2_OVER_PI = np.sqrt(2.0) / np.pi
-
-# Terms summed explicitly when tightening the closed-form tail bound.
-_TAIL_TERMS = 1_000_000
 
 
 def _check_index(k: int) -> None:
@@ -159,49 +157,45 @@ class TruncationReport:
 
 @dataclass
 class TailBound:
-    """Closed-form and explicitly summed tail variance past index L."""
+    """Closed-form bound and exact value of the tail variance past index L."""
 
     closed_form: float
-    partial_sum: float
+    exact: float
+
+
+def _tail_exact(L: int) -> float:
+    # sum_{k>L} 1/(k - 1/2)^2 = psi_1(L + 1/2), the trigamma function
+    return float(2.0 / np.pi**2 * polygamma(1, L + 0.5))
 
 
 def tail_variance_bound(L: int) -> TailBound:
-    """Tail variance sum_{k>L} 2/((k - 1/2)^2 pi^2), bounded and summed.
+    """Tail variance sum_{k>L} 2/((k - 1/2)^2 pi^2), bounded and exact.
 
     Returns both the closed bound 2/(pi^2 L) (valid since
-    sum_{k>L} 1/(k-1/2)^2 < 1/L) and the sharper partial sum over the next
-    10^6 terms.
+    sum_{k>L} 1/(k-1/2)^2 < 1/L) and the exact value (2/pi^2) psi_1(L + 1/2).
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    k = np.arange(L + 1, L + _TAIL_TERMS + 1, dtype=float)
-    partial = float(np.sum(2.0 / ((k - 0.5) ** 2 * np.pi**2)))
-    return TailBound(closed_form=2.0 / (np.pi**2 * L), partial_sum=partial)
-
-
-def _tail_upper(L: int) -> float:
-    # Partial sum plus a remainder bound so the result is a true upper bound.
-    tb = tail_variance_bound(L)
-    return tb.partial_sum + 2.0 / (np.pi**2 * (L + _TAIL_TERMS))
+    return TailBound(closed_form=2.0 / (np.pi**2 * L), exact=_tail_exact(L))
 
 
 def truncation_index_bm(epsilon: float) -> int:
     """Smallest L whose tail variance bound is at most epsilon^2.
 
     The search brackets with the closed bound 2/(pi^2 L) <= eps^2 and then
-    bisects on the explicitly summed tail, so the returned index is the
-    exact minimizer of the summed criterion.
+    bisects on the exact trigamma tail, so the returned index is the exact
+    minimizer of the criterion.
     """
     if not (0.0 < epsilon):
         raise ValueError("epsilon must be positive")
     target = epsilon * epsilon
     hi = max(1, int(np.ceil(2.0 / (np.pi**2 * target))))
-    if _tail_upper(1) <= target:
+    if _tail_exact(1) <= target:
         return 1
     lo = 1  # invariant: tail(lo) > target, tail(hi) <= target
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _tail_upper(mid) <= target:
+        if _tail_exact(mid) <= target:
             hi = mid
         else:
             lo = mid

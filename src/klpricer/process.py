@@ -4,7 +4,18 @@ Provides clipped standard-normal coefficient draws for the smoothed-path
 series, exact sequential path generation with lognormal increments (the
 process is Markovian, so sparse grids are sampled directly), a rejection
 sampler that draws monitoring times with density proportional to the path
-value, and the envelope constant that makes the rejection step valid.
+value, and two envelopes that make the rejection step valid:
+
+* ``path_envelope`` bounds one coefficient draw's path,
+  s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)); the
+  nested estimator rejects against it, so proposals per acceptance stay
+  near the path's own sup/mean ratio.
+* ``g_max_bound`` bounds every path whose coefficients are clipped at A,
+  the single normalisation that the amplitude encodings in ``qsim`` need.
+
+The rejection sampler draws its proposals row-major from the one stream it
+is given, so the accepted times depend on the stream and the envelope, never
+on how proposals are split into batches.
 
 Randomness is counter-based and splittable: every stream is a Philox
 generator keyed by (seed, stream tag, index), so any path can be regenerated
@@ -30,6 +41,7 @@ __all__ = [
     "gbm_path_sequential",
     "rejection_sample_times",
     "g_max_bound",
+    "path_envelope",
 ]
 
 # Stream tags keep draws for different purposes out of each other's keyspace.
@@ -41,9 +53,9 @@ TAG_ANALYSIS = 8
 
 _SQRT2_OVER_PI = np.sqrt(2.0) / np.pi
 
-# Proposal batches for the rejection sampler; data-dependent but a pure
-# function of the stream, so results are reproducible.
-_MIN_BATCH = 4096
+# Proposal batches for the rejection sampler.  Their sizes change only how
+# many uniforms are drawn ahead, never which proposals are accepted.
+_MIN_BATCH = 64
 _MAX_BATCH = 1 << 20
 _STARVATION_FACTOR = 1_000_000
 
@@ -134,7 +146,9 @@ def g_max_bound(params: GbmParams, L: int, A: float = 8.0) -> GmaxBound:
 
     With every |a_k| <= A the series satisfies
     |B_L(t)| <= A (1 + (sqrt(2)/pi) sum_{k<=L} 1/k), so the returned value
-    dominates the smoothed GBM everywhere on [0, 1].
+    dominates the smoothed GBM everywhere on [0, 1].  One constant for all
+    draws is what the amplitude encodings need; a rejection step for a known
+    draw should use the tighter ``path_envelope``.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -144,6 +158,34 @@ def g_max_bound(params: GbmParams, L: int, A: float = 8.0) -> GmaxBound:
     sup_b = A * (1.0 + _SQRT2_OVER_PI * harmonic)
     value = params.s0 * np.exp(params.sigma * sup_b + max(params.effective_drift, 0.0))
     return GmaxBound(value=float(value), clip_bound=A)
+
+
+def _sup_abs_bm(coeffs: WienerCoefficients) -> float:
+    # |B_L(t)| <= |a0| + (sqrt(2)/pi) sum_k |a_k|/k for every t in [0, 1]
+    a = np.abs(coeffs.a)
+    return float(a[0] + _SQRT2_OVER_PI * np.sum(a[1:] / np.arange(1, a.size)))
+
+
+def path_envelope(params: GbmParams, coeffs: WienerCoefficients) -> GmaxBound:
+    """Envelope s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)).
+
+    Dominates the smoothed GBM of this one coefficient draw on [0, 1], and is
+    at most ``g_max_bound(params, L, coeffs.clip_bound)``.
+    """
+    log_sup = params.sigma * _sup_abs_bm(coeffs) + max(params.effective_drift, 0.0)
+    return GmaxBound(value=float(params.s0 * np.exp(log_sup)), clip_bound=coeffs.clip_bound)
+
+
+def _first_batch_rate(coeffs: WienerCoefficients, gmax: GmaxBound, params: GbmParams) -> float:
+    """Acceptance-rate guess that sizes the first proposal batch.
+
+    The path is at least gmin = s0 exp(-sigma sup|B_L| + min(drift, 0)), so
+    gmin / gmax bounds the acceptance probability from below; its square root
+    sits between that bound and 1.
+    """
+    log_inf = -params.sigma * _sup_abs_bm(coeffs) + min(params.effective_drift, 0.0)
+    log_ratio = np.log(params.s0) + log_inf - np.log(gmax.value)
+    return float(max(np.exp(0.5 * log_ratio), 1e-6))
 
 
 def sample_coefficients(rng: np.random.Generator, L: int, clip: float = 8.0) -> WienerCoefficients:
@@ -227,6 +269,11 @@ def rejection_sample_times(
     proposals consumed through the final acceptance; the expected proposals
     per acceptance is gmax / integral(G_L).
 
+    Proposals come row-major from ``rng`` in batches sized from the observed
+    acceptance rate (the first from ``_first_batch_rate``), so the result is
+    a function of the stream alone: batch sizes only decide how many
+    uniforms are drawn past the final acceptance.
+
     Raises ``RejectionStarvedError`` when 10^6 * count proposals produce
     fewer than ``count`` acceptances.
     """
@@ -245,7 +292,10 @@ def rejection_sample_times(
                 f"rejection sampler starved: {n_proposals} proposals produced "
                 f"{n_accepted}/{count} acceptances (check the envelope constant)"
             )
-        rate = max(n_accepted / n_proposals, 1e-6) if n_proposals else 1e-2
+        if n_proposals:
+            rate = max(n_accepted / n_proposals, 1e-6)
+        else:
+            rate = _first_batch_rate(coeffs, gmax, params)
         batch = int(min(max(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH, budget - n_proposals))
         u = rng.random((batch, 2))
         t = _snap_to_grid(u[:, 0], snap_to) if snap_to else u[:, 0]

@@ -87,7 +87,7 @@ class TestTruncationIndex:
             truncation_index_bm(-0.5)
 
     def test_matches_brute_oracle_on_a_grid(self):
-        for eps in (0.5, 0.2, 0.08):
+        for eps in (0.5, 0.2, 0.08, *np.geomspace(0.9, 0.01, 12)):
             L = truncation_index_bm(eps)
             assert brute_tail(L) <= eps**2
             if L > 1:
@@ -99,11 +99,12 @@ class TestTailBound:
         assert tail_variance_bound(1).closed_form == pytest.approx(2.0 / np.pi**2)
         assert tail_variance_bound(100).closed_form == pytest.approx(0.002026, abs=5e-7)
 
-    def test_partial_below_closed_and_monotone(self):
+    def test_exact_below_closed_and_monotone(self):
         prev = np.inf
         for L in (1, 4, 16, 64, 256):
             tb = tail_variance_bound(L)
-            assert tb.partial_sum < tb.closed_form
+            assert tb.exact == pytest.approx(brute_tail(L), rel=1e-12)
+            assert tb.exact < tb.closed_form
             assert tb.closed_form < prev
             prev = tb.closed_form
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2, kstest, norm
 
@@ -14,6 +16,7 @@ from klpricer.process import (
     g_max_bound,
     gbm_from_bm,
     gbm_path_sequential,
+    path_envelope,
     rejection_sample_times,
     sample_coefficients,
     stream,
@@ -176,6 +179,34 @@ class TestGmaxBound:
             g_max_bound(MARKET, 4, A=3.0)
 
 
+@st.composite
+def clipped_draws(draw):
+    L = draw(st.integers(0, 48))
+    a = draw(st.lists(st.floats(-8.0, 8.0), min_size=L + 1, max_size=L + 1))
+    params = GbmParams(
+        s0=draw(st.floats(1.0, 200.0)),
+        mu=draw(st.floats(-1.0, 1.0)),
+        sigma=draw(st.floats(0.01, 1.0)),
+    )
+    return WienerCoefficients(a=np.array(a), clip_bound=8.0), params
+
+
+class TestPathEnvelope:
+    @settings(max_examples=200, deadline=None)
+    @given(clipped_draws())
+    def test_dominates_path_on_dense_grid(self, draw):
+        coeffs, params = draw
+        t = np.linspace(0.0, 1.0, 4097)
+        g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
+        assert np.max(g) <= path_envelope(params, coeffs).value * (1.0 + 1e-12)
+
+    def test_all_coefficients_at_clip_match_global_bound(self):
+        coeffs = WienerCoefficients(a=np.full(13, -8.0), clip_bound=8.0)
+        assert path_envelope(MARKET, coeffs).value == pytest.approx(
+            g_max_bound(MARKET, 12, 8.0).value, rel=1e-12
+        )
+
+
 def target_bin_probabilities(coeffs, params, edges):
     """Quadrature oracle: normalized mass of G_L under each bin."""
     def g(t):
@@ -238,6 +269,18 @@ class TestRejectionSampler:
         huge = GmaxBound(value=1e12, clip_bound=8.0)
         with pytest.raises(process.RejectionStarvedError):
             rejection_sample_times(stream(1, 3, 8), coeffs, 1, huge, MARKET)
+
+    @pytest.mark.parametrize("snap", [None, 16])
+    def test_batch_sizes_do_not_change_result(self, monkeypatch, snap):
+        coeffs = sample_coefficients(stream(14, 3, 0), 12, 8.0)
+        env = path_envelope(MARKET, coeffs)
+        ref = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, snap_to=snap)
+        for floor, rate in ((1, 1.0), (4096, 1e-2), (100_000, 1e-4)):
+            monkeypatch.setattr(process, "_MIN_BATCH", floor)
+            monkeypatch.setattr(process, "_first_batch_rate", lambda *args, r=rate: r)
+            got = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, snap_to=snap)
+            assert got[1] == ref[1]
+            assert np.array_equal(got[0], ref[0])
 
     def test_determinism(self):
         coeffs = sample_coefficients(stream(12, 3, 9), 8, 8.0)
