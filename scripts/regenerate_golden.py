@@ -5,7 +5,16 @@ Runs a 10^7-path reference estimate of the arithmetic Asian call at the
 golden market parameters (s0=100, K=100, mu=0.05, sigma=0.2, T=64) plus the
 matching geometric closed-form value, and writes them to tests/golden.json.
 Never edit that file by hand; rerun this script instead.
+
+BLAS runs single-threaded: a multi-threaded OpenBLAS splits the payoff
+matvec differently and changes the last bits of the pinned values.  The
+thread counts are set before numpy is imported, which is when they are read.
 """
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import json
 import pathlib

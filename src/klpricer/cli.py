@@ -7,11 +7,11 @@ Two subcommands:
 * ``analyze`` runs one verification probe and writes its report as CSV plus
   a JSON summary; the exit status reflects whether every bound check passed.
 
-Exit codes: 0 success, 1 runtime failure (including failed bound checks),
-2 validation failure.  Validation errors are emitted as a single JSON line
-on stderr.  Given the same configuration and seed the JSON output is
-byte-identical up to the wall_time_ms field; the --workers flag caps
-internal parallelism and never affects results.
+Exit codes: 0 success, 1 runtime failure (including failed bound checks
+and a non-finite estimate), 2 validation failure.  Failures are emitted as a
+single JSON line on stderr; the estimate is strict JSON, never Infinity or
+NaN.  Given the same configuration and seed the JSON output is
+byte-identical up to the wall_time_ms field.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class RunConfig:
     discount_rate: float = 0.0
     seed: int = 0
     output: str | None = None
-    workers: int = 1
 
     def validate(self) -> None:
         if self.method not in PRICE_METHODS:
@@ -73,10 +72,15 @@ class RunConfig:
             raise ValidationError("epsilon must be in (0, 1)")
         if self.method in ("baseline", "subsample") and self.paths < 2:
             raise ValidationError("paths must be >= 2")
+        if self.method == "subsample":
+            try:
+                pricing._subsample_points(self.epsilon)
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from None
+        if any(m is not None and m < 2 for m in (self.m0, self.m1)):
+            raise ValidationError("M0 and M1 must be >= 2")
         if self.inner not in ("acceptance", "uniform"):
             raise ValidationError("inner mode must be 'acceptance' or 'uniform'")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
@@ -152,9 +156,12 @@ def run_price(config: RunConfig) -> dict:
         est = _qsim_check(config)
     wall_ms = (time.perf_counter() - start) * 1000.0
     discount = float(np.exp(-config.discount_rate))
+    value, std_error = est.value * discount, est.std_error * discount
+    if not (np.isfinite(value) and np.isfinite(std_error)):
+        raise FloatingPointError(f"non-finite estimate: value {value}, std_error {std_error}")
     return {
-        "value": est.value * discount,
-        "std_error": est.std_error * discount,
+        "value": value,
+        "std_error": std_error,
         "method": config.method,
         "n_outer": est.n_outer,
         "n_inner": est.n_inner,
@@ -255,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=None,
                     help="stream seed; defaults to fresh entropy, echoed in the output")
     pr.add_argument("--output", default=None, help="also write the JSON estimate here")
-    pr.add_argument("--workers", type=int, default=1,
-                    help="cap on internal parallelism; never affects results")
 
     an = sub.add_parser("analyze", help="run a bound-verification probe")
     an.add_argument("--probe", required=True, choices=PROBES)
@@ -276,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--strike", type=float, default=100.0)
     an.add_argument("--seed", type=int, default=None)
     an.add_argument("--output-dir", default=".", dest="output_dir")
-    an.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -306,17 +310,18 @@ def main(argv=None) -> int:
             discount_rate=args.discount_rate,
             seed=seed,
             output=args.output,
-            workers=args.workers,
         )
         try:
             config.validate()
         except ValidationError as exc:
             return _fail(str(exc), 2)
         try:
-            result = run_price(config)
+            # overflow surfaces as the non-finite estimate error, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = run_price(config)
         except Exception as exc:  # noqa: BLE001
             return _fail(str(exc), 1)
-        text = json.dumps(result)
+        text = json.dumps(result, allow_nan=False)
         print(text)
         if config.output:
             with open(config.output, "w") as fh:

@@ -112,6 +112,36 @@ def asian_payoff(path_values: np.ndarray, spec: AsianPayoffSpec) -> float:
     return float(max(values @ w - spec.strike, 0.0))
 
 
+def _log_path_blocks(params: GbmParams, times: np.ndarray, n_paths: int, seed: int, tag: int):
+    """Yield log(S(t)/s0) on ``times`` for n_paths exact paths, block by block.
+
+    Block i holds the first rows of stream (seed, tag, i); Philox fills
+    row-major, so drawing only the rows a block keeps gives the same paths as
+    drawing the whole block.  Every block is built in place in one reused
+    buffer, and the yielded view is overwritten by the next block.
+    """
+    n_times = times.size
+    block = _block_size(n_times)
+    dt = np.diff(times, prepend=0.0)
+    drift_leg = params.effective_drift * dt
+    vol_leg = params.sigma * np.sqrt(dt)
+    buf = np.empty((min(block, n_paths), n_times))
+    for block_idx, start in enumerate(range(0, n_paths, block)):
+        logs = buf[: min(block, n_paths - start)]
+        process.stream(seed, tag, block_idx).standard_normal(out=logs)
+        logs *= vol_leg
+        logs += drift_leg
+        np.cumsum(logs, axis=1, out=logs)
+        yield logs
+
+
+def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error from the sum and sum of squares."""
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return mean, float(np.sqrt(var / n))
+
+
 def _mean_payoff_flat(
     params: GbmParams,
     times: np.ndarray,
@@ -121,32 +151,18 @@ def _mean_payoff_flat(
     seed: int,
     tag: int,
 ) -> tuple[float, float]:
-    """Chunked flat MC: mean payoff and its standard error over n_paths."""
-    n_times = times.size
-    block = _block_size(n_times)
-    dt = np.diff(times, prepend=0.0)
-    drift_leg = params.effective_drift * dt
-    vol_leg = params.sigma * np.sqrt(dt)
+    """Flat MC: mean arithmetic-average payoff and its standard error."""
     total = 0.0
     total_sq = 0.0
-    done = 0
-    block_idx = 0
-    while done < n_paths:
-        b = min(block, n_paths - done)
-        rng = process.stream(seed, tag, block_idx)
-        z = rng.standard_normal((block, n_times))[:b]
-        logs = np.cumsum(drift_leg + vol_leg * z, axis=1)
-        pay = np.maximum(params.s0 * np.exp(logs) @ weights - strike, 0.0)
+    for logs in _log_path_blocks(params, times, n_paths, seed, tag):
+        paths = np.exp(logs, out=logs)
+        paths *= params.s0
+        pay = paths @ weights
+        pay -= strike
+        np.maximum(pay, 0.0, out=pay)
         total += float(pay.sum())
         total_sq += float(pay @ pay)
-        done += b
-        block_idx += 1
-    mean = total / n_paths
-    if n_paths > 1:
-        var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
-    else:
-        var = 0.0
-    return mean, float(np.sqrt(var / n_paths))
+    return _mean_and_se(total, total_sq, n_paths)
 
 
 def price_baseline(params: GbmParams, spec: AsianPayoffSpec, n_paths: int, seed: int) -> Estimate:
@@ -164,6 +180,14 @@ def price_baseline(params: GbmParams, spec: AsianPayoffSpec, n_paths: int, seed:
     return Estimate(mean, se, n_paths, 1, seed, "baseline")
 
 
+def _subsample_points(epsilon: float) -> int:
+    """Grid size M = ceil(1/eps^2) of the sub-sampling estimator, within the guard."""
+    m = int(np.ceil(1.0 / epsilon**2))
+    if m > _SUBSAMPLE_GRID_LIMIT:
+        raise ValueError(f"sub-sampling grid of {m} points exceeds the resource guard")
+    return m
+
+
 def price_subsample(
     params: GbmParams, spec: AsianPayoffSpec, epsilon: float, n_paths: int, seed: int
 ) -> Estimate:
@@ -177,9 +201,7 @@ def price_subsample(
         raise ValueError("n_paths must be >= 2")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    m = int(np.ceil(1.0 / epsilon**2))
-    if m > _SUBSAMPLE_GRID_LIMIT:
-        raise ValueError(f"sub-sampling grid of {m} points exceeds the resource guard")
+    m = _subsample_points(epsilon)
     times = np.arange(1, m + 1) / m
     weights = np.full(m, 1.0 / m)
     mean, se = _mean_payoff_flat(
@@ -268,9 +290,8 @@ def price_kl_nested(
         pay = max(gbar - strike, 0.0)
         total += pay
         total_sq += pay * pay
-    mean = total / M0
-    var = max(total_sq - M0 * mean * mean, 0.0) / (M0 - 1)
-    return Estimate(mean, float(np.sqrt(var / M0)), M0, M1, seed, "kl_nested")
+    mean, se = _mean_and_se(total, total_sq, M0)
+    return Estimate(mean, se, M0, M1, seed, "kl_nested")
 
 
 def _log_average_moments(params: GbmParams, points: np.ndarray) -> tuple[float, float]:
@@ -327,28 +348,15 @@ def price_geometric_mc(
         n_fixed = 1
     else:
         n_fixed = 0
-    n_times = times.size
-    m_total = n_times + n_fixed
-    dt = np.diff(times, prepend=0.0)
-    drift_leg = params.effective_drift * dt
-    vol_leg = params.sigma * np.sqrt(dt)
-    block = _block_size(n_times)
+    m_total = times.size + n_fixed
+    log_s0 = np.log(params.s0)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    block_idx = 0
-    log_s0 = np.log(params.s0)
-    while done < n_paths:
-        b = min(block, n_paths - done)
-        rng = process.stream(seed, process.TAG_GEOMETRIC, block_idx)
-        z = rng.standard_normal((block, n_times))[:b]
-        logs = np.cumsum(drift_leg + vol_leg * z, axis=1) + log_s0
+    for logs in _log_path_blocks(params, times, n_paths, seed, process.TAG_GEOMETRIC):
+        logs += log_s0
         mean_log = (logs.sum(axis=1) + n_fixed * log_s0) / m_total
         pay = np.maximum(np.exp(mean_log) - strike, 0.0)
         total += float(pay.sum())
         total_sq += float(pay @ pay)
-        done += b
-        block_idx += 1
-    mean = total / n_paths
-    var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
-    return Estimate(mean, float(np.sqrt(var / n_paths)), n_paths, 1, seed, "geometric_mc")
+    mean, se = _mean_and_se(total, total_sq, n_paths)
+    return Estimate(mean, se, n_paths, 1, seed, "geometric_mc")

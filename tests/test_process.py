@@ -264,6 +264,19 @@ class TestRejectionSampler:
         assert np.allclose(times * 16, np.round(times * 16))
         assert times.min() >= 1.0 / 16 and times.max() <= 1.0
 
+    def test_snap_mode_evaluates_path_once(self, monkeypatch):
+        points = []
+
+        def counting(coeffs, t):
+            points.append(np.size(t))
+            return wiener_eval_horner(coeffs, t)
+
+        monkeypatch.setattr(process, "wiener_eval_horner", counting)
+        coeffs = sample_coefficients(stream(8, 3, 6), 4, 8.0)
+        gmax = g_max_bound(MARKET, 4, 8.0)
+        rejection_sample_times(stream(8, 3, 7), coeffs, 5000, gmax, MARKET, snap_to=16)
+        assert sum(points) <= 16
+
     def test_starvation_guard(self):
         coeffs = WienerCoefficients(a=np.zeros(2), clip_bound=8.0)
         huge = GmaxBound(value=1e12, clip_bound=8.0)
