@@ -6,12 +6,8 @@ statevector simulator of the amplitude encodings.
 """
 
 from .klcore import (
-    KlBasis,
-    TruncationReport,
     WienerCoefficients,
-    kl_eigenfunction,
     kl_eigenvalue,
-    kl_lipschitz_constant,
     tail_variance_bound,
     truncation_index_bm,
     wiener_eval,
@@ -23,7 +19,6 @@ from .process import (
     TimeGrid,
     g_max_bound,
     gbm_from_bm,
-    gbm_path_sequential,
     rejection_sample_times,
     sample_coefficients,
     stream,

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import linregress
 
 from . import pricing, process
-from .klcore import truncation_index_bm
+from .klcore import sine_basis, truncation_index_bm
 from .process import GbmParams
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_STAT_TOLERANCE = 0.15
-
-_SQRT2_OVER_PI = np.sqrt(2.0) / np.pi
 
 
 @dataclass
@@ -110,10 +107,7 @@ def truncation_error_sweep(
     # modes at the requested L boundaries and accumulate E[tail^2] per (L, t).
     edges = L_values + [L_ref]
     bands = [(edges[i] + 1, edges[i + 1]) for i in range(len(edges) - 1)]
-    band_mats = []
-    for lo, hi in bands:
-        k = np.arange(lo, hi + 1, dtype=float)
-        band_mats.append(_SQRT2_OVER_PI * np.sin(np.pi * np.outer(k, t)) / k[:, None])
+    band_mats = [sine_basis(np.arange(lo, hi + 1, dtype=float), t) for lo, hi in bands]
 
     sumsq = np.zeros((len(L_values), t.size))
     chunk = 4096
@@ -236,7 +230,7 @@ def smoothness_probe(
     L = truncation_index_bm(epsilon)
     times = np.unique(np.asarray(pairs, dtype=float).ravel())
     k = np.arange(1, L + 1, dtype=float)
-    basis = np.vstack([times, _SQRT2_OVER_PI * np.sin(np.pi * np.outer(k, times)) / k[:, None]])
+    basis = np.vstack([times, sine_basis(k, times)])
     rng = process.stream(seed, process.TAG_ANALYSIS, 2)
     sumsq = np.zeros(len(pairs))
     idx = {t: i for i, t in enumerate(times)}
@@ -431,8 +425,8 @@ def convergence_study(
         slope, stderr = float("nan"), float("nan")
         passes = [True] * len(budgets)
     else:
-        fit = linregress(np.log(budgets), np.log(rmse))
-        slope, stderr = float(fit.slope), float(fit.stderr)
+        coef, cov = np.polyfit(np.log(budgets), np.log(rmse), 1, cov=True)
+        slope, stderr = float(coef[0]), float(np.sqrt(cov[0, 0]))
         ok = abs(slope + 0.5) <= 0.1
         passes = [ok] * len(budgets)
     c0 = rmse[0] * np.sqrt(budgets[0])

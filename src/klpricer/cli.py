@@ -32,6 +32,8 @@ __all__ = ["RunConfig", "run_price", "run_analyze", "main"]
 PRICE_METHODS = ("baseline", "kl-nested", "subsample", "geometric-cf", "qsim-check")
 PROBES = ("truncation", "mapped", "smoothness", "subsample-error", "convergence")
 
+_LOG_DBL_MAX = float(np.log(np.finfo(float).max))
+
 
 class ValidationError(ValueError):
     pass
@@ -64,6 +66,9 @@ class RunConfig:
             raise ValidationError("s0 must be positive")
         if self.sigma <= 0:
             raise ValidationError("sigma must be positive")
+        # past this about half of all paths overflow, so no run can succeed
+        if not np.log(self.s0) + self.mu - 0.5 * self.sigma**2 < _LOG_DBL_MAX:
+            raise ValidationError("median terminal price s0 exp(mu - sigma^2/2) overflows")
         if self.strike < 0:
             raise ValidationError("strike must be non-negative")
         if self.monitoring < 1:
@@ -110,22 +115,14 @@ def _qsim_check(config: RunConfig) -> pricing.Estimate:
     p0 = qsim.exact_success_probability(rotated, 0)
     # classical oracle with the same quantization
     oracle_codec = qsim.FixedPointCodec.for_range(8, gmax.value)
-    grid = qsim.gaussian_grid_values(2, 8.0)
-    pmf = qsim.prepare_gaussian_register(2, 8.0) ** 2
-    codes = qsim._coefficient_codes(2, 2)
-    times = np.arange(1, T + 1) / T
-    g = params.s0 * np.exp(
-        params.sigma * qsim._series_values(grid[codes], times)
-        + params.effective_drift * times
-    )
-    gq = oracle_codec.decode(oracle_codec.encode(g))
-    expect = float(np.prod(pmf[codes], axis=1) @ gq.mean(axis=1))
+    expect, _ = qsim.enumerated_mean(params, L=1, T=T, n=2, clip=8.0, codec=oracle_codec)
     value = p0 * gmax.value
     if abs(value - expect) > 1e-9 * max(1.0, abs(expect)):
         raise RuntimeError(
             f"statevector mean {value!r} deviates from classical enumeration {expect!r}"
         )
-    return pricing.Estimate(value, 0.0, codes.shape[0], T, config.seed, "qsim-check")
+    n_codes = 2 ** (layout.coeff_qubits * layout.n_coeff_registers)
+    return pricing.Estimate(value, 0.0, n_codes, T, config.seed, "qsim-check")
 
 
 def run_price(config: RunConfig) -> dict:

@@ -6,11 +6,20 @@ built from the sine-series form
 
     B_L(t) = a0 t + (sqrt(2)/pi) * sum_{k=1..L} (a_k / k) sin(k pi t)
 
-with i.i.d. standard-normal coefficients a_k.  ``wiener_eval`` is the direct
-trigonometric sum (the reference form); ``wiener_eval_horner`` evaluates the
-same series through a single Clenshaw recurrence in cos(pi t), using
+with i.i.d. standard-normal coefficients a_k.  ``sine_basis`` is the one
+builder of the mode functions (sqrt(2)/pi) sin(k pi t)/k; ``wiener_eval`` is
+the direct series on it (the reference form, for one coefficient row or a
+batch of rows); ``wiener_eval_horner`` evaluates the same series through a
+single Clenshaw recurrence in cos(pi t), using
 sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) with U the Chebyshev polynomials of
 the second kind.  Everything here is stateless and safe to call concurrently.
+
+Two bases meet here.  The tail bounds and the truncation index use the KL
+eigenpairs (index k - 1/2), while synthesis uses the Wiener sine series
+sin(k pi t)/k.  The Wiener tail variance past L at any t is at most
+sum_{k>L} 2/(pi^2 k^2) = (2/pi^2) psi_1(L + 1), below the KL tail
+(2/pi^2) psi_1(L + 1/2), so the KL tail dominates pointwise and the
+truncation index is conservative for synthesis.
 """
 
 from __future__ import annotations
@@ -21,13 +30,10 @@ import numpy as np
 from scipy.special import polygamma
 
 __all__ = [
-    "KlBasis",
     "WienerCoefficients",
-    "TruncationReport",
     "TailBound",
     "kl_eigenvalue",
-    "kl_eigenfunction",
-    "kl_lipschitz_constant",
+    "sine_basis",
     "truncation_index_bm",
     "tail_variance_bound",
     "wiener_eval",
@@ -35,11 +41,6 @@ __all__ = [
 ]
 
 _SQRT2_OVER_PI = np.sqrt(2.0) / np.pi
-
-
-def _check_index(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"eigenvalue index must be an integer >= 1, got {k!r}")
 
 
 def _check_unit_interval(t) -> np.ndarray:
@@ -64,51 +65,18 @@ def _cospi(u):
 
 def kl_eigenvalue(k: int) -> float:
     """Eigenvalue lambda_k = 1/((k - 1/2)^2 pi^2) of the min(s, t) kernel, k >= 1."""
-    _check_index(k)
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"eigenvalue index must be an integer >= 1, got {k!r}")
     return 1.0 / ((k - 0.5) ** 2 * np.pi**2)
 
 
-def kl_eigenfunction(k: int, t):
-    """Eigenfunction sqrt(2) sin((k - 1/2) pi t) evaluated at t in [0, 1]."""
-    _check_index(k)
-    t = _check_unit_interval(t)
-    out = np.sqrt(2.0) * np.sin((k - 0.5) * np.pi * t)
-    return float(out) if out.ndim == 0 else out
+def sine_basis(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Mode functions (sqrt(2)/pi) sin(k pi t)/k, one row per mode index in k.
 
-
-def kl_lipschitz_constant(k: int) -> float:
-    """Lipschitz constant sqrt(2) (k - 1/2) pi of the k-th eigenfunction."""
-    _check_index(k)
-    return np.sqrt(2.0) * (k - 0.5) * np.pi
-
-
-@dataclass
-class KlBasis:
-    """First ``max_index`` eigenpairs of the Brownian covariance operator.
-
-    ``eigenvalues[i]`` and ``lipschitz_constants[i]`` correspond to index
-    k = i + 1.  The product lambda_k * G(k)^2 equals 2 for every k, which is
-    the uniform constant used by the smoothness bounds downstream.
+    ``k`` is a float array of mode indices and ``t`` an array of times; the
+    result has shape (k.size, t.size).
     """
-
-    max_index: int
-    eigenvalues: np.ndarray
-    lipschitz_constants: np.ndarray
-
-    @classmethod
-    def up_to(cls, max_index: int) -> "KlBasis":
-        if max_index < 1:
-            raise ValueError("max_index must be >= 1")
-        k = np.arange(1, max_index + 1, dtype=float)
-        return cls(
-            max_index=max_index,
-            eigenvalues=1.0 / ((k - 0.5) ** 2 * np.pi**2),
-            lipschitz_constants=np.sqrt(2.0) * (k - 0.5) * np.pi,
-        )
-
-    def assumption_constant(self) -> float:
-        """max_k lambda_k G(k)^2 over the stored indices (identically 2)."""
-        return float(np.max(self.eigenvalues * self.lipschitz_constants**2))
+    return _SQRT2_OVER_PI * np.sin(np.pi * np.outer(k, t)) / k[:, None]
 
 
 @dataclass
@@ -140,19 +108,6 @@ class WienerCoefficients:
     def order(self) -> int:
         """Number of oscillatory modes L (vector length minus one)."""
         return self.a.size - 1
-
-
-@dataclass
-class TruncationReport:
-    """Measured tail error of one truncation level against its analytic bound."""
-
-    L: int
-    analytic_tail_bound: float
-    empirical_tail_mse: float
-    epsilon_target: float
-
-    def ok(self, stat_tolerance: float = 0.15) -> bool:
-        return self.empirical_tail_mse <= self.analytic_tail_bound * (1.0 + stat_tolerance)
 
 
 @dataclass
@@ -202,19 +157,19 @@ def truncation_index_bm(epsilon: float) -> int:
     return hi
 
 
-def wiener_eval(coeffs: WienerCoefficients, t):
-    """Direct sine-series evaluation of the smoothed path at t in [0, 1].
+def wiener_eval(a, t):
+    """Direct sine-series evaluation of smoothed paths at t in [0, 1].
 
-    This is the reference form: a0 t + (sqrt(2)/pi) sum_k (a_k/k) sin(k pi t).
+    This is the reference form a0 t + (sqrt(2)/pi) sum_k (a_k/k) sin(k pi t).
+    ``a`` is one coefficient row (a_0, ..., a_L) or a 2-D array of such rows;
+    the result has shape a.shape[:-1] + t.shape.
     """
     t = _check_unit_interval(t)
-    a = coeffs.a
-    out = a[0] * t
-    L = coeffs.order
-    if L > 0:
-        k = np.arange(1, L + 1, dtype=float)
-        # outer product of modes and times; fine for the oracle role
-        out = out + _SQRT2_OVER_PI * _sinpi(np.multiply.outer(t, k)) @ (a[1:] / k)
+    a = np.asarray(a, dtype=float)
+    tt = t.ravel()
+    k = np.arange(1, a.shape[-1], dtype=float)
+    out = np.multiply.outer(a[..., 0], tt) + a[..., 1:] @ sine_basis(k, tt)
+    out = out.reshape(a.shape[:-1] + t.shape)
     return float(out) if out.ndim == 0 else out
 
 

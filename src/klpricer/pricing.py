@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import process
 from .klcore import WienerCoefficients, truncation_index_bm, wiener_eval_horner
@@ -239,7 +239,6 @@ def price_kl_nested(
     L: int | None = None,
     seed: int = 0,
     inner_mode: str = "acceptance",
-    clip: float = 8.0,
     snap_to_monitoring: bool = False,
 ) -> Estimate:
     """Nested estimator over smoothed-path coefficient draws.
@@ -256,8 +255,8 @@ def price_kl_nested(
     ``snap_to_monitoring`` the payoff of the mean over the T monitoring
     points.  Both inner means are unbiased per path, so what remains is the
     O(1/M1) convexity bias of a nested estimator (the payoff is convex in
-    the inner mean) and the bias of clipping coefficients at ``clip``, whose
-    per-draw probability is below 1.3e-15 at the default 8.
+    the inner mean) and the bias of clipping coefficients at 8, whose
+    per-draw probability is below 1.3e-15.
 
     Defaults: L is the truncation index for ``epsilon`` and
     M0 = M1 = ceil(4 / eps^2).
@@ -280,7 +279,7 @@ def price_kl_nested(
     total_sq = 0.0
     for i in range(M0):
         rng = process.stream(seed, process.TAG_NESTED, i)
-        coeffs = process.sample_coefficients(rng, L, clip)
+        coeffs = process.sample_coefficients(rng, L, 8.0)
         if inner_mode == "acceptance":
             gbar = _acceptance_inner_mean(rng, coeffs, M1, params, snap)
         else:
@@ -329,7 +328,7 @@ def geometric_asian_closed_form(params: GbmParams, grid: TimeGrid, strike: float
     sd = np.sqrt(v)
     d2 = (m - np.log(strike)) / sd
     d1 = d2 + sd
-    return float(np.exp(m + 0.5 * v) * norm.cdf(d1) - strike * norm.cdf(d2))
+    return float(np.exp(m + 0.5 * v) * ndtr(d1) - strike * ndtr(d2))
 
 
 def price_geometric_mc(

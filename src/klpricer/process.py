@@ -1,10 +1,9 @@
 """Sampling machinery for geometric Brownian motion on [0, 1].
 
 Provides clipped standard-normal coefficient draws for the smoothed-path
-series, exact sequential path generation with lognormal increments (the
-process is Markovian, so sparse grids are sampled directly), a rejection
-sampler that draws monitoring times with density proportional to the path
-value, and two envelopes that make the rejection step valid:
+series, a rejection sampler that draws monitoring times with density
+proportional to the path value, and two envelopes that make the rejection
+step valid:
 
 * ``path_envelope`` bounds one coefficient draw's path,
   s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)); the
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .klcore import WienerCoefficients, wiener_eval_horner
+from .klcore import _SQRT2_OVER_PI, WienerCoefficients, wiener_eval_horner
 
 __all__ = [
     "GbmParams",
@@ -38,20 +37,16 @@ __all__ = [
     "stream",
     "sample_coefficients",
     "gbm_from_bm",
-    "gbm_path_sequential",
     "rejection_sample_times",
     "g_max_bound",
     "path_envelope",
 ]
 
 # Stream tags keep draws for different purposes out of each other's keyspace.
-TAG_COEFFS = 1
 TAG_PATHS = 2
 TAG_NESTED = 3
 TAG_GEOMETRIC = 4
 TAG_ANALYSIS = 8
-
-_SQRT2_OVER_PI = np.sqrt(2.0) / np.pi
 
 # Proposal batches for the rejection sampler.  Their sizes change only how
 # many uniforms are drawn ahead, never which proposals are accepted.
@@ -99,7 +94,6 @@ class TimeGrid:
     """Strictly increasing monitoring or sub-sampling times inside [0, 1]."""
 
     points: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=float)
@@ -115,14 +109,14 @@ class TimeGrid:
         """Monitoring times i/T for i = 1..T."""
         if T < 1:
             raise ValueError("T must be >= 1")
-        return cls(points=np.arange(1, T + 1) / T, kind="monitoring")
+        return cls(points=np.arange(1, T + 1) / T)
 
     @classmethod
     def subsample(cls, M: int) -> "TimeGrid":
         """Sub-sampling grid k/M for k = 0..M."""
         if M < 1:
             raise ValueError("M must be >= 1")
-        return cls(points=np.arange(0, M + 1) / M, kind="subsample")
+        return cls(points=np.arange(0, M + 1) / M)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -130,11 +124,10 @@ class TimeGrid:
 
 @dataclass
 class GmaxBound:
-    """Envelope constant dominating the smoothed path value, with a clamp tally."""
+    """Envelope constant dominating the smoothed path value."""
 
     value: float
     clip_bound: float
-    exceed_count: int = 0
 
     def __post_init__(self) -> None:
         if self.value <= 0:
@@ -207,45 +200,13 @@ def sample_coefficients(rng: np.random.Generator, L: int, clip: float = 8.0) -> 
     return WienerCoefficients(a=clipped, clip_bound=clip, n_clipped=n_clipped)
 
 
-def gbm_from_bm(b, t, params: GbmParams, gmax: GmaxBound | None = None):
-    """Map Brownian level b at time t to the GBM value s0 exp(sigma b + drift t).
-
-    If an envelope is supplied, values exceeding it are clamped to the
-    envelope and counted on ``gmax.exceed_count`` (overflow guard; cannot
-    trigger when b came from coefficients clipped at the envelope's bound).
-    """
+def gbm_from_bm(b, t, params: GbmParams):
+    """Map Brownian level b at time t to the GBM value s0 exp(sigma b + drift t)."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("time argument must lie in [0, 1]")
     val = params.s0 * np.exp(params.sigma * np.asarray(b, dtype=float) + params.effective_drift * t)
-    if gmax is not None:
-        over = val > gmax.value
-        n_over = int(np.count_nonzero(over))
-        if n_over:
-            gmax.exceed_count += n_over
-            val = np.where(over, gmax.value, val)
     return float(val) if val.ndim == 0 else val
-
-
-def gbm_path_sequential(rng: np.random.Generator, grid: TimeGrid, params: GbmParams) -> np.ndarray:
-    """Exact GBM path on the grid via sequential lognormal increments.
-
-    S(t_{k+1}) = S(t_k) exp(drift dt + sigma sqrt(dt) z_k) with independent
-    standard normals, so the joint law is that of the true process restricted
-    to the grid.  A leading t = 0 point is emitted as s0 without consuming a
-    draw.
-    """
-    pts = grid.points
-    lead_zero = pts[0] == 0.0
-    times = pts[1:] if lead_zero else pts
-    out_head = [params.s0] if lead_zero else []
-    if times.size == 0:
-        return np.array(out_head)
-    dt = np.diff(times, prepend=0.0)
-    z = rng.standard_normal(times.size)
-    log_increments = params.effective_drift * dt + params.sigma * np.sqrt(dt) * z
-    values = params.s0 * np.exp(np.cumsum(log_increments))
-    return np.concatenate([out_head, values]) if out_head else values
 
 
 def rejection_sample_times(

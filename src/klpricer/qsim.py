@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .klcore import wiener_eval
 from .process import GbmParams
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "prepare_gaussian_register",
     "gaussian_grid_values",
     "build_semidigital_state",
+    "enumerated_mean",
     "attach_value_rotation",
     "build_quantized_subsample_state",
     "exact_success_probability",
@@ -38,8 +40,6 @@ __all__ = [
 ]
 
 MAX_QUBITS = 26
-
-_SQRT2_OVER_PI = np.sqrt(2.0) / np.pi
 
 
 @dataclass
@@ -125,15 +125,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def dump_probabilities(self, path) -> None:
-        """CSV of (basis index, probability) for nonzero entries."""
-        probs = self.probabilities()
-        nz = np.flatnonzero(probs > 0)
-        with open(path, "w") as fh:
-            fh.write("basis_index,probability\n")
-            for i in nz:
-                fh.write(f"{i},{probs[i]!r}\n")
-
 
 def gaussian_grid_values(n: int, A: float) -> np.ndarray:
     """Grid values v(x) = 2 A x / N for x in {-N/2, ..., N/2 - 1}, N = 2^n."""
@@ -171,15 +162,31 @@ def _coefficient_codes(n_registers: int, n_qubits: int) -> np.ndarray:
     return codes
 
 
-def _series_values(a: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Truncated sine series for each coefficient row over the times."""
-    L = a.shape[1] - 1
-    out = np.outer(a[:, 0], times)
-    if L > 0:
-        k = np.arange(1, L + 1, dtype=float)
-        sines = np.sin(np.pi * np.outer(k, times)) / k[:, None]
-        out += _SQRT2_OVER_PI * (a[:, 1:] @ sines)
-    return out
+def _semidigital_values(
+    params: GbmParams, L: int, T: int, n: int, clip: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every register-code combination and its smoothed GBM value at i/T, i = 1..T."""
+    codes = _coefficient_codes(L + 1, n)
+    a = gaussian_grid_values(n, clip)[codes]
+    times = np.arange(1, T + 1) / T
+    g = params.s0 * np.exp(params.sigma * wiener_eval(a, times) + params.effective_drift * times)
+    return codes, g
+
+
+def enumerated_mean(
+    params: GbmParams, L: int, T: int, n: int, clip: float, codec: FixedPointCodec
+) -> tuple[float, float]:
+    """Classical enumeration of the semi-digital encoding's mean path value.
+
+    Weighs the time-averaged path value of every coefficient-code combination
+    by its Gaussian pmf, and returns the mean of the values after a round trip
+    through ``codec`` (what the encoding's ancilla-zero probability times gmax
+    equals) together with the unquantized mean.
+    """
+    codes, g = _semidigital_values(params, L, T, n, clip)
+    gq = codec.decode(codec.encode(g))
+    weights = np.prod(prepare_gaussian_register(n, clip)[codes] ** 2, axis=1)
+    return float(weights @ gq.mean(axis=1)), float(weights @ g.mean(axis=1))
 
 
 def build_semidigital_state(
@@ -206,16 +213,9 @@ def build_semidigital_state(
     if layout.ancilla_count != 0:
         raise ValueError("ancillas are appended by the rotation step")
     n = layout.coeff_qubits
-    amps_1 = prepare_gaussian_register(n, clip)
-    grid = gaussian_grid_values(n, clip)
-    codes = _coefficient_codes(L + 1, n)
-    a = grid[codes]
-    times = np.arange(1, T + 1) / T
-    g = params.s0 * np.exp(
-        params.sigma * _series_values(a, times) + params.effective_drift * times
-    )
+    codes, g = _semidigital_values(params, L, T, n, clip)
     vcodes = codec.encode(g)
-    joint = np.prod(amps_1[codes], axis=1)
+    joint = np.prod(prepare_gaussian_register(n, clip)[codes], axis=1)
 
     t2 = 2**layout.time_qubits
     v2 = 2**layout.value_qubits

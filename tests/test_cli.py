@@ -1,10 +1,14 @@
 """Front-end dispatch, validation exit codes, and output determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from klpricer import cli
+from klpricer import cli, process
 
 
 def run_cli(capsys, *argv):
@@ -64,10 +68,24 @@ class TestPriceCommand:
         assert (code, out) == (2, "")
         assert json.loads(err)["code"] == 2
 
-    def test_non_finite_estimate_exits_1(self, capsys):
-        # exp overflows at mu = 1000; the run must fail, not print Infinity/NaN
+    @pytest.mark.parametrize("method", ["baseline", "subsample", "kl-nested"])
+    def test_overflowing_market_exits_2_before_any_draw(self, capsys, monkeypatch, method):
+        # s0 exp(mu - sigma^2/2) overflows at mu = 1000: about half of all paths
+        # overflow, so the input is rejected before anything is drawn
+        streams = []
+        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
         code, out, err = run_cli(
-            capsys, "price", "--method", "baseline", "--mu", "1000", "--paths", "1000",
+            capsys, "price", "--method", method, "--mu", "1000", "--paths", "1000", "--seed", "1"
+        )
+        assert (code, out, streams) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == 2
+
+    def test_non_finite_estimate_exits_1(self, capsys):
+        # the median path is finite at mu = 705, but exp still overflows on
+        # some paths; the run must fail, not print Infinity/NaN
+        code, out, err = run_cli(
+            capsys, "price", "--method", "baseline", "--mu", "705", "--paths", "1000",
             "--seed", "1",
         )
         assert (code, out) == (1, "")
@@ -158,3 +176,13 @@ class TestAnalyzeCommand:
             "--seed", "1", "--output-dir", str(tmp_path),
         )
         assert code == 2
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second of import time and nothing needs it
+    code = "import sys, klpricer.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

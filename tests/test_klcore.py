@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from klpricer import klcore
 from klpricer.klcore import (
-    KlBasis,
     WienerCoefficients,
-    kl_eigenfunction,
     kl_eigenvalue,
-    kl_lipschitz_constant,
+    sine_basis,
     tail_variance_bound,
     truncation_index_bm,
     wiener_eval,
@@ -38,30 +35,10 @@ class TestEigenpairs:
     def test_index_convention(self):
         with pytest.raises(ValueError):
             kl_eigenvalue(0)
-        with pytest.raises(ValueError):
-            kl_eigenfunction(0, 0.5)
-
-    def test_eigenfunction_values(self):
-        assert kl_eigenfunction(1, 0.0) == 0.0
-        assert kl_eigenfunction(1, 0.5) == pytest.approx(1.0, rel=1e-14)
-        assert kl_eigenfunction(3, 1.0) == pytest.approx(np.sqrt(2.0), rel=1e-14)
-
-    def test_time_domain_rejected(self):
-        with pytest.raises(ValueError):
-            kl_eigenfunction(1, 1.5)
-        with pytest.raises(ValueError):
-            kl_eigenfunction(1, -0.1)
 
     def test_eigenvalues_strictly_decreasing_to_1e4(self):
-        basis = KlBasis.up_to(10_000)
-        assert np.all(np.diff(basis.eigenvalues) < 0)
-
-    def test_uniform_constant_is_two(self):
-        basis = KlBasis.up_to(10_000)
-        prod = basis.eigenvalues * basis.lipschitz_constants**2
-        assert np.allclose(prod, 2.0, rtol=1e-12)
-        assert basis.assumption_constant() == pytest.approx(2.0, rel=1e-12)
-        assert kl_eigenvalue(7) * kl_lipschitz_constant(7) ** 2 == pytest.approx(2.0)
+        eigenvalues = [kl_eigenvalue(k) for k in range(1, 10_001)]
+        assert np.all(np.diff(eigenvalues) < 0)
 
 
 class TestTruncationIndex:
@@ -108,22 +85,41 @@ class TestTailBound:
             assert tb.closed_form < prev
             prev = tb.closed_form
 
+    @pytest.mark.parametrize("L", [1, 8, 21, 82])
+    def test_kl_tail_dominates_wiener_tail(self, L):
+        # synthesis truncates the Wiener series, the index is chosen on the KL
+        # tail; sum_{k>=1} 2 sin^2(k pi t)/(pi^2 k^2) = t(1 - t), the bridge
+        # variance, gives the Wiener tail past L exactly
+        t = np.linspace(0.0, 1.0, 1025)
+        head = sine_basis(np.arange(1, L + 1, dtype=float), t)
+        wiener_tail = t * (1.0 - t) - np.sum(head**2, axis=0)
+        assert wiener_tail.min() > -1e-15
+        assert wiener_tail.max() <= tail_variance_bound(L).exact
+
 
 class TestWienerEval:
     def test_drift_mode_only(self):
         c = WienerCoefficients(a=np.array([1.0, 0.0, 0.0]), clip_bound=8.0)
         for t in (0.0, 0.25, 0.8, 1.0):
-            assert wiener_eval(c, t) == pytest.approx(t, abs=1e-15)
+            assert wiener_eval(c.a, t) == pytest.approx(t, abs=1e-15)
+
+    def test_time_domain_rejected(self):
+        c = WienerCoefficients(a=np.zeros(3), clip_bound=8.0)
+        for t in (1.5, -0.1):
+            with pytest.raises(ValueError):
+                wiener_eval(c.a, t)
+            with pytest.raises(ValueError):
+                wiener_eval_horner(c, t)
 
     def test_zero_at_origin(self):
         rng = np.random.default_rng(3)
         c = WienerCoefficients(a=np.clip(rng.standard_normal(17), -8, 8), clip_bound=8.0)
-        assert wiener_eval(c, 0.0) == 0.0
+        assert wiener_eval(c.a, 0.0) == 0.0
         assert wiener_eval_horner(c, 0.0) == 0.0
 
     def test_first_sine_mode(self):
         c = WienerCoefficients(a=np.array([0.0, 1.0]), clip_bound=8.0)
-        assert wiener_eval(c, 0.5) == pytest.approx(np.sqrt(2.0) / np.pi, rel=1e-14)
+        assert wiener_eval(c.a, 0.5) == pytest.approx(np.sqrt(2.0) / np.pi, rel=1e-14)
         assert wiener_eval_horner(c, 0.5) == pytest.approx(np.sqrt(2.0) / np.pi, rel=1e-14)
 
     def test_boundary_identities(self):
@@ -140,10 +136,21 @@ class TestWienerEval:
         t = rng.random(1000)
         a = np.clip(10.0 * rng.standard_normal(L + 1), -10, 10)
         c = WienerCoefficients(a=a, clip_bound=10.0)
-        direct = wiener_eval(c, t)
+        direct = wiener_eval(c.a, t)
         horner = wiener_eval_horner(c, t)
         rel = np.abs(horner - direct) / (1.0 + np.abs(direct))
         assert rel.max() < 1e-9
+
+    def test_direct_series_over_rows(self):
+        rng = np.random.default_rng(7)
+        a = np.clip(rng.standard_normal((5, 13)), -8, 8)
+        t = rng.random((3, 4))
+        rows = wiener_eval(a, t)
+        assert rows.shape == (5, 3, 4)
+        for row, coeffs in zip(rows, a):
+            assert np.allclose(row, wiener_eval(coeffs, t), rtol=1e-14, atol=1e-14)
+            horner = wiener_eval_horner(WienerCoefficients(a=coeffs, clip_bound=8.0), t)
+            assert np.allclose(row, horner, rtol=1e-9, atol=1e-12)
 
 
 class TestCoefficientValidation:
@@ -158,11 +165,3 @@ class TestCoefficientValidation:
     def test_order(self):
         c = WienerCoefficients(a=np.zeros(5), clip_bound=8.0)
         assert c.order == 4
-
-
-def test_truncation_report_rule():
-    rep = klcore.TruncationReport(
-        L=8, analytic_tail_bound=0.025, empirical_tail_mse=0.016, epsilon_target=0.1
-    )
-    assert rep.ok()
-    assert not klcore.TruncationReport(8, 0.025, 0.03, 0.1).ok()

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 from klpricer import pricing, process
-from klpricer.klcore import wiener_eval_horner
+from klpricer.klcore import wiener_eval, wiener_eval_horner
 from klpricer.pricing import (
     AsianPayoffSpec,
     asian_payoff,
@@ -297,8 +297,6 @@ def _nested_reference_price(params, strike, L, n_outer, seed):
     smoothed path, leaving only outer sampling error.
     """
     t = np.linspace(0.0, 1.0, 513)
-    k = np.arange(1, L + 1, dtype=float)
-    sines = (np.sqrt(2.0) / np.pi) * np.sin(np.pi * np.outer(k, t)) / k[:, None]
     total = 0.0
     chunk = 50_000
     done = 0
@@ -306,8 +304,7 @@ def _nested_reference_price(params, strike, L, n_outer, seed):
         b = min(chunk, n_outer - done)
         rng = process.stream(seed, 99, done)
         a = np.clip(rng.standard_normal((b, L + 1)), -8, 8)
-        bpaths = np.outer(a[:, 0], t) + a[:, 1:] @ sines
-        g = params.s0 * np.exp(params.sigma * bpaths + params.effective_drift * t)
+        g = params.s0 * np.exp(params.sigma * wiener_eval(a, t) + params.effective_drift * t)
         gbar = simpson(g, x=t, axis=1)
         total += float(np.maximum(gbar - strike, 0.0).sum())
         done += b
@@ -350,13 +347,10 @@ class TestPayoffMseTransfer:
         # payoff MSE is bounded by the worst per-point MSE (shared randomness)
         L, L_ref, T, n = 16, 512, 32, 20_000
         t = np.arange(1, T + 1) / T
-        k = np.arange(1, L_ref + 1, dtype=float)
-        sines = (np.sqrt(2.0) / np.pi) * np.sin(np.pi * np.outer(k, t)) / k[:, None]
         rng = process.stream(31, 98)
         a = rng.standard_normal((n, L_ref + 1))
-        drift_part = np.outer(a[:, 0], t)
-        b_ref = drift_part + a[:, 1:] @ sines
-        b_trunc = drift_part + a[:, 1 : L + 1] @ sines[:L]
+        b_ref = wiener_eval(a, t)
+        b_trunc = wiener_eval(a[:, : L + 1], t)
         s_ref = 100.0 * np.exp(MARKET.sigma * b_ref + MARKET.effective_drift * t)
         s_tr = 100.0 * np.exp(MARKET.sigma * b_trunc + MARKET.effective_drift * t)
         pay_ref = np.maximum(s_ref.mean(axis=1) - 100.0, 0.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2, kstest, norm
 
-from klpricer import process
+from klpricer import pricing, process
 from klpricer.klcore import WienerCoefficients, wiener_eval_horner
 from klpricer.process import (
     GbmParams,
@@ -15,7 +15,6 @@ from klpricer.process import (
     TimeGrid,
     g_max_bound,
     gbm_from_bm,
-    gbm_path_sequential,
     path_envelope,
     rejection_sample_times,
     sample_coefficients,
@@ -99,32 +98,8 @@ class TestGbmFromBm:
     def test_closed_value(self):
         assert gbm_from_bm(0.5, 1.0, MARKET) == pytest.approx(100.0 * np.exp(0.13), rel=1e-12)
 
-    def test_overflow_clamps_and_counts(self):
-        gmax = GmaxBound(value=150.0, clip_bound=8.0)
-        out = gbm_from_bm(np.array([0.0, 5.0]), np.array([0.0, 1.0]), MARKET, gmax=gmax)
-        assert out[1] == 150.0
-        assert gmax.exceed_count == 1
-
 
 class TestSequentialPaths:
-    def test_deterministic_degenerate_limit(self):
-        params = GbmParams(100.0, 0.05, 1e-12)
-        path = gbm_path_sequential(stream(3, 2, 0), TimeGrid.uniform_monitoring(16), params)
-        expect = 100.0 * np.exp(0.05 * np.arange(1, 17) / 16)
-        assert np.allclose(path, expect, rtol=1e-9)
-
-    def test_single_point_grid(self):
-        path = gbm_path_sequential(stream(3, 2, 1), TimeGrid(points=np.array([1.0])), MARKET)
-        assert path.shape == (1,)
-        assert path[0] > 0
-
-    def test_leading_zero_emits_s0(self):
-        path = gbm_path_sequential(stream(3, 2, 2), TimeGrid.subsample(4), MARKET)
-        assert path[0] == 100.0
-        # dropping the origin point must reproduce the same tail values
-        tail = gbm_path_sequential(stream(3, 2, 2), TimeGrid.uniform_monitoring(4), MARKET)
-        assert np.array_equal(path[1:], tail)
-
     def test_terminal_log_mean(self):
         n = 200_000
         rng = stream(9, 2, 3)
@@ -137,16 +112,11 @@ class TestSequentialPaths:
 
     @pytest.mark.parametrize("t_idx, t", [(0, 0.25), (3, 1.0)])
     def test_marginal_law_ks(self, t_idx, t):
-        n = 100_000
-        vals = np.empty(n)
-        grid = TimeGrid(points=np.array([0.25, 0.5, 0.75, 1.0]))
-        block = 10_000
-        for j in range(n // block):
-            rng = stream(17, 2, 4, j)
-            z = rng.standard_normal((block, 4))
-            dt = np.diff(grid.points, prepend=0.0)
-            logs = np.cumsum(MARKET.effective_drift * dt + MARKET.sigma * np.sqrt(dt) * z, axis=1)
-            vals[j * block : (j + 1) * block] = np.log(100.0) + logs[:, t_idx]
+        # the flat estimators' path kernel, over two blocks (one partial)
+        times = np.array([0.25, 0.5, 0.75, 1.0])
+        blocks = pricing._log_path_blocks(MARKET, times, 100_000, 17, process.TAG_PATHS)
+        vals = np.concatenate([np.log(100.0) + logs[:, t_idx] for logs in blocks])
+        assert vals.size == 100_000
         mean = np.log(100.0) + MARKET.effective_drift * t
         sd = MARKET.sigma * np.sqrt(t)
         res = kstest(vals, norm(loc=mean, scale=sd).cdf)

@@ -20,21 +20,6 @@ from klpricer.qsim import (
 MARKET = GbmParams(100.0, 0.05, 0.2)
 
 
-def enumerate_semidigital_mean(params, L, T, n, clip, codec):
-    """Classical oracle: mean quantized path value over all register codes."""
-    grid = gaussian_grid_values(n, clip)
-    pmf = prepare_gaussian_register(n, clip) ** 2
-    codes = qsim._coefficient_codes(L + 1, n)
-    times = np.arange(1, T + 1) / T
-    a = grid[codes]
-    g = params.s0 * np.exp(
-        params.sigma * qsim._series_values(a, times) + params.effective_drift * times
-    )
-    gq = codec.decode(codec.encode(g))
-    weights = np.prod(pmf[codes], axis=1)
-    return float(weights @ gq.mean(axis=1)), float(weights @ g.mean(axis=1))
-
-
 class TestGaussianRegister:
     def test_two_level_register(self):
         amps = prepare_gaussian_register(1, 5.0)
@@ -147,7 +132,7 @@ class TestValueRotation:
         rotated = attach_value_rotation(state, gmax.value)
         assert abs(rotated.norm() - 1.0) < 1e-12
         p0 = exact_success_probability(rotated, 0)
-        quantized, exact = enumerate_semidigital_mean(MARKET, 1, 4, 2, 8.0, codec)
+        quantized, exact = qsim.enumerated_mean(MARKET, 1, 4, 2, 8.0, codec)
         assert p0 * gmax.value == pytest.approx(quantized, abs=1e-10)
         # versus the unquantized mean, the codec step is the only slack
         assert abs(p0 * gmax.value - exact) <= codec.scale / 2
