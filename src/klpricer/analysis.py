@@ -276,42 +276,36 @@ def _coupled_grid_payoff_mse(
 ) -> tuple[float, float]:
     """Payoff MSE and sup per-point MSE between a path and its grid-rounding.
 
-    One Brownian path is simulated on the union of the T monitoring times
-    and the M = ceil(1/eps^2) grid; the coarse version reads the same path
-    at c(t) = floor(t M)/M.  This realizes the same joint law as refining
-    the coarse path by Brownian bridging, with the rounding coupling used by
-    the sub-sampling estimator.
+    One exact path from the flat estimators' kernel is built on the union of
+    the T monitoring times and the M = ceil(1/eps^2) grid; the coarse
+    version reads the same path at c(t) = floor(t M)/M.  This realizes the
+    same joint law as refining the coarse path by Brownian bridging, with
+    the rounding coupling used by the sub-sampling estimator.
     """
     m = int(np.ceil(1.0 / eps**2))
     tf = np.arange(1, T + 1) / T
     c = np.floor(tf * m) / m
     union = np.union1d(tf, np.unique(c))
     union = union[union > 0.0]
-    dt = np.diff(union, prepend=0.0)
     fi = np.searchsorted(union, tf)
     ci = np.searchsorted(union, c)
     zero_c = c == 0.0
-    dr = params.effective_drift
     pay_sq = 0.0
     point_sq = np.zeros(T)
-    chunk = max(1, 4_000_000 // union.size)
-    done = 0
-    block_idx = 0
-    while done < n_paths:
-        b = min(chunk, n_paths - done)
-        rng = process.stream(seed, process.TAG_ANALYSIS, 3, stream_index, block_idx)
-        z = rng.standard_normal((b, union.size))
-        bm = np.cumsum(np.sqrt(dt) * z, axis=1)
-        s = params.s0 * np.exp(params.sigma * bm + dr * union)
+    blocks = pricing._log_path_blocks(
+        params, union, n_paths, _child_seed(seed, 3, stream_index), process.TAG_ANALYSIS
+    )
+    for logs in blocks:
+        s = np.exp(logs, out=logs)
+        s *= params.s0
         s_fine = s[:, fi]
-        s_coarse = np.where(zero_c[None, :], params.s0, s[:, ci])
-        pay_f = np.maximum(s_fine.mean(axis=1) - strike, 0.0)
-        pay_c = np.maximum(s_coarse.mean(axis=1) - strike, 0.0)
-        diff = pay_f - pay_c
+        s_coarse = s[:, ci]
+        s_coarse[:, zero_c] = params.s0
+        diff = np.maximum(s_fine.mean(axis=1) - strike, 0.0)
+        diff -= np.maximum(s_coarse.mean(axis=1) - strike, 0.0)
         pay_sq += float(diff @ diff)
-        point_sq += np.einsum("ij,ij->j", s_fine - s_coarse, s_fine - s_coarse)
-        done += b
-        block_idx += 1
+        s_fine -= s_coarse
+        point_sq += np.einsum("ij,ij->j", s_fine, s_fine)
     return pay_sq / n_paths, float((point_sq / n_paths).max())
 
 

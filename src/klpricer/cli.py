@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sigma", type=float, default=0.2, help="volatility (default 0.2)")
     pr.add_argument("--strike", type=float, default=100.0, help="strike (default 100)")
     pr.add_argument("--T", type=int, default=64, dest="monitoring",
-                    help="number of monitoring points (default 64)")
+                    help="monitoring points T of baseline, kl-nested, geometric-cf (default 64)")
     pr.add_argument("--epsilon", type=float, default=0.05,
                     help="target accuracy for kl-nested/subsample (default 0.05)")
     pr.add_argument("--paths", type=int, default=100_000,

@@ -6,9 +6,10 @@ Four routes to a price are provided:
 * ``price_baseline``: exact sequential GBM paths on the monitoring grid and
   a flat Monte Carlo average (the reference estimator).
 * ``price_kl_nested``: outer sampling of smoothed-path coefficient vectors,
-  inner recovery of each path's time average from the rejection sampler's
-  acceptance rate against the path's own envelope (or from a plain
-  uniform-time average, switchable).
+  inner recovery of each path's average over the T monitoring points from
+  the rejection sampler's acceptance rate against the path's own envelope
+  (or from a plain average at uniformly drawn monitoring points,
+  switchable); its estimand is E[(T^-1 sum_i G_L(i/T) - K)^+].
 * ``price_subsample``: flat Monte Carlo on a coarser uniform grid of
   M = ceil(1/eps^2) points, exploiting that the process is fast-forwardable.
 * ``geometric_asian_closed_form``: the lognormal closed form for the
@@ -215,18 +216,18 @@ def _acceptance_inner_mean(
     coeffs: WienerCoefficients,
     M1: int,
     params: GbmParams,
-    snap: int | None,
+    T: int,
 ) -> float:
-    """Unbiased time average of one path from M1 rejection acceptances.
+    """Unbiased mean of one path over the T monitoring points from M1 acceptances.
 
     Proposals until the M1-th acceptance are negative binomial with success
-    probability p = mean(G_L) / env, and (M1 - 1)/(n_prop - 1) is unbiased
+    probability p = mean_i G_L(i/T) / env, and (M1 - 1)/(n_prop - 1) is unbiased
     for p (Haldane 1945), so env (M1 - 1)/(n_prop - 1) is unbiased for the
     mean.  The naive M1 / n_prop overstates it by a factor of about
     1 + (1 - p)/M1.
     """
     env = process.path_envelope(params, coeffs)
-    _, n_prop = process.rejection_sample_times(rng, coeffs, M1, env, params, snap_to=snap)
+    _, n_prop = process.rejection_sample_times(rng, coeffs, M1, env, params, T)
     return env.value * (M1 - 1) / (n_prop - 1)
 
 
@@ -239,24 +240,25 @@ def price_kl_nested(
     L: int | None = None,
     seed: int = 0,
     inner_mode: str = "acceptance",
-    snap_to_monitoring: bool = False,
 ) -> Estimate:
     """Nested estimator over smoothed-path coefficient draws.
 
     Outer loop: sample a coefficient vector per path.  Inner loop, default
     mode ``acceptance``: run the rejection sampler against the path's own
-    envelope (``process.path_envelope``) for M1 accepted times and recover
-    the path's time average as env (M1 - 1)/(n_prop - 1), mirroring how the
-    time average appears as a measurement probability in the amplitude
-    encoding.  Mode ``uniform`` instead averages the path value at M1
-    uniform times.  Standard error comes from outer variation only.
+    envelope (``process.path_envelope``) for M1 accepted monitoring times and
+    recover the path's monitoring average as env (M1 - 1)/(n_prop - 1),
+    mirroring how that average appears as a measurement probability in the
+    amplitude encoding.  Mode ``uniform`` instead averages the path value at
+    M1 uniformly drawn monitoring times.  Both draw their times through
+    ``process.monitoring_times``, so the series is evaluated at the
+    proposals only, whatever T is.  Standard error comes from outer
+    variation only.
 
-    Estimand: E[(int_0^1 G_L(t) dt - K)^+] for the smoothed path G_L, or with
-    ``snap_to_monitoring`` the payoff of the mean over the T monitoring
-    points.  Both inner means are unbiased per path, so what remains is the
-    O(1/M1) convexity bias of a nested estimator (the payoff is convex in
-    the inner mean) and the bias of clipping coefficients at 8, whose
-    per-draw probability is below 1.3e-15.
+    Estimand: E[(T^-1 sum_i G_L(i/T) - K)^+] for the smoothed path G_L and
+    T = ``spec.monitoring_count``.  Both inner means are unbiased per path, so
+    what remains is the O(1/M1) convexity bias of a nested estimator (the
+    payoff is convex in the inner mean) and the bias of clipping
+    coefficients at 8, whose per-draw probability is below 1.3e-15.
 
     Defaults: L is the truncation index for ``epsilon`` and
     M0 = M1 = ceil(4 / eps^2).
@@ -273,7 +275,7 @@ def price_kl_nested(
         M1 = int(np.ceil(_DEFAULT_SIZING / epsilon**2))
     if M0 < 2 or M1 < 2:
         raise ValueError("M0 and M1 must be >= 2")
-    snap = spec.monitoring_count if snap_to_monitoring else None
+    T = spec.monitoring_count
     strike = spec.strike
     total = 0.0
     total_sq = 0.0
@@ -281,10 +283,9 @@ def price_kl_nested(
         rng = process.stream(seed, process.TAG_NESTED, i)
         coeffs = process.sample_coefficients(rng, L, 8.0)
         if inner_mode == "acceptance":
-            gbar = _acceptance_inner_mean(rng, coeffs, M1, params, snap)
+            gbar = _acceptance_inner_mean(rng, coeffs, M1, params, T)
         else:
-            u = rng.random(M1)
-            t = (np.floor(u * snap) + 1.0) / snap if snap else u
+            t = process.monitoring_times(rng.random(M1), T)
             gbar = float(np.mean(process.gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)))
         pay = max(gbar - strike, 0.0)
         total += pay

@@ -1,9 +1,9 @@
 """Sampling machinery for geometric Brownian motion on [0, 1].
 
 Provides clipped standard-normal coefficient draws for the smoothed-path
-series, a rejection sampler that draws monitoring times with density
-proportional to the path value, and two envelopes that make the rejection
-step valid:
+series, a rejection sampler that draws the monitoring times i/T with
+probability proportional to the path value there, and two envelopes that
+make the rejection step valid:
 
 * ``path_envelope`` bounds one coefficient draw's path,
   s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)); the
@@ -37,6 +37,7 @@ __all__ = [
     "stream",
     "sample_coefficients",
     "gbm_from_bm",
+    "monitoring_times",
     "rejection_sample_times",
     "g_max_bound",
     "path_envelope",
@@ -209,23 +210,27 @@ def gbm_from_bm(b, t, params: GbmParams):
     return float(val) if val.ndim == 0 else val
 
 
+def monitoring_times(u, T: int) -> np.ndarray:
+    """Map uniforms u in [0, 1) to the monitoring times (floor(u T) + 1) / T."""
+    return (np.floor(u * T) + 1.0) / T
+
+
 def rejection_sample_times(
     rng: np.random.Generator,
     coeffs: WienerCoefficients,
     count: int,
     gmax: GmaxBound,
     params: GbmParams,
-    snap_to: int | None = None,
+    T: int,
 ) -> tuple[np.ndarray, int]:
-    """Draw ``count`` times with density proportional to the path value.
+    """Draw ``count`` of the monitoring times i/T with pmf G_L(i/T) / sum_j G_L(j/T).
 
-    Proposes t uniformly on [0, 1] (or snapped to the ``snap_to``-point
-    monitoring grid) together with a uniform z, and accepts t when
-    z <= G_L(a, t) / gmax.  Returns the accepted times and the number of
-    proposals consumed through the final acceptance; the expected proposals
-    per acceptance is gmax / integral(G_L).  A snapped sampler evaluates the
-    path once on the grid {1/T, ..., 1} and maps a proposal u to grid point
-    floor(u T).
+    Proposes a time ``monitoring_times(u, T)`` for a uniform u together with a
+    uniform z, and accepts it when z <= G_L(a, t) / gmax.  Returns the
+    accepted times and the number of proposals consumed through the final
+    acceptance; the expected proposals per acceptance is
+    gmax / mean_i G_L(i/T).  The series is evaluated once per proposal, so
+    the cost does not grow with T.
 
     Proposals come row-major from ``rng`` in batches sized from the observed
     acceptance rate (the first from ``_first_batch_rate``), so the result is
@@ -243,9 +248,6 @@ def rejection_sample_times(
     n_accepted = 0
     n_proposals = 0
     budget = _STARVATION_FACTOR * count
-    if snap_to:
-        grid = np.arange(1, snap_to + 1) / snap_to
-        g_grid = gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, params)
     while n_accepted < count:
         remaining = count - n_accepted
         if n_proposals >= budget:
@@ -259,12 +261,8 @@ def rejection_sample_times(
             rate = _first_batch_rate(coeffs, gmax, params)
         batch = int(min(max(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH, budget - n_proposals))
         u = rng.random((batch, 2))
-        if snap_to:
-            idx = (u[:, 0] * snap_to).astype(np.intp)
-            t, g = grid[idx], g_grid[idx]
-        else:
-            t = u[:, 0]
-            g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
+        t = monitoring_times(u[:, 0], T)
+        g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
         if np.any(g > gmax.value * (1.0 + 1e-12)):
             raise ValueError("path value exceeded the envelope; gmax contract violated")
         hits = np.flatnonzero(u[:, 1] * gmax.value <= g)

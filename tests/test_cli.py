@@ -92,6 +92,22 @@ class TestPriceCommand:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == 1
 
+    @pytest.mark.parametrize("inner", ["acceptance", "uniform"])
+    def test_kl_nested_prices_the_monitoring_points(self, capsys, inner):
+        def nested(T, seed):
+            code, out, _ = run_cli(
+                capsys, "price", "--method", "kl-nested", "--inner", inner, "--T", str(T),
+                "--epsilon", "0.2", "--m0", "50", "--m1", "50", "--seed", str(seed),
+            )
+            assert code == 0
+            data = price_fields(out)
+            return data["value"], data["std_error"]
+
+        assert nested(4, 3) != nested(64, 3)
+        if inner == "acceptance":
+            # the value test_snapped_price_pinned pins for the T = 7 average
+            assert nested(7, 2) == (6.683862017650072, 1.3923213599432533)
+
     def test_geometric_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf", "--seed", "3")
         assert code == 0
@@ -154,9 +170,11 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(
             capsys,
             "analyze", "--probe", "convergence", "--method", "baseline",
-            "--budgets", "200,400,800,1600", "--replicates", "6",
+            "--budgets", "200,400,800,1600", "--replicates", "6", "--T", "64",
             "--seed", "5", "--output-dir", str(tmp_path),
         )
+        # the probe ran (exit 1 only flags a bound check at these tiny budgets)
+        assert code in (0, 1)
         report = json.loads((tmp_path / "convergence_report.json").read_text())
         assert "slope" in report["extras"]
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 
 from klpricer import pricing, process
 from klpricer.klcore import wiener_eval, wiener_eval_horner
@@ -224,44 +224,34 @@ class TestNested:
         # unbiased, so the gap is inner noise and O(1/M1) convexity bias
         assert abs(a.value - u.value) <= 0.35
 
-    def test_snapped_mode_close_to_continuous(self):
-        kw = dict(epsilon=0.1, M0=400, M1=400, seed=10)
-        cont = price_kl_nested(MARKET, SPEC64, **kw)
-        snap = price_kl_nested(MARKET, SPEC64, snap_to_monitoring=True, **kw)
-        # continuous vs 64-point monitoring differ by an O(1/T) term plus
-        # inner noise; the shared outer draws cancel the outer noise
-        assert abs(cont.value - snap.value) <= 0.2
-
     def test_haldane_inner_ratio_is_unbiased(self):
         # one fixed path and M1 = 4, where the naive M1 / n_prop ratio is ~9% high
         coeffs = process.sample_coefficients(process.stream(31, 1, 0), 21, 8.0)
-        t = np.linspace(0.0, 1.0, 4097)
-        exact = simpson(process.gbm_from_bm(wiener_eval_horner(coeffs, t), t, MARKET), x=t)
+        t = np.arange(1, 65) / 64
+        exact = process.gbm_from_bm(wiener_eval_horner(coeffs, t), t, MARKET).mean()
         n = 4000
         inner = np.array([
-            pricing._acceptance_inner_mean(process.stream(31, 3, i), coeffs, 4, MARKET, None)
+            pricing._acceptance_inner_mean(process.stream(31, 3, i), coeffs, 4, MARKET, 64)
             for i in range(n)
         ])
         assert abs(inner.mean() - exact) <= 3.0 * inner.std(ddof=1) / np.sqrt(n)
 
     def test_snapped_price_pinned(self):
-        # the value of evaluating the series at every snapped proposal; the
-        # grid lookup must reproduce it bit for bit (T = 7 is no power of 2)
+        # the series evaluated at each proposal's monitoring time, bit for bit
+        # (T = 7 is no power of 2)
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=7)
-        est = price_kl_nested(
-            MARKET, spec, epsilon=0.2, M0=50, M1=50, seed=2, snap_to_monitoring=True
-        )
+        est = price_kl_nested(MARKET, spec, epsilon=0.2, M0=50, M1=50, seed=2)
         assert (est.value, est.std_error) == (6.683862017650072, 1.3923213599432533)
 
     def test_batch_sizes_leave_price_unchanged(self, monkeypatch):
         kw = dict(epsilon=0.2, M0=40, M1=50, seed=12)
-        runs = [dict(kw), dict(kw, snap_to_monitoring=True)]
-        ref = [price_kl_nested(MARKET, SPEC64, **r) for r in runs]
+        specs = [SPEC64, AsianPayoffSpec(strike=100.0, monitoring_count=7)]
+        ref = [price_kl_nested(MARKET, spec, **kw) for spec in specs]
         # one proposal per batch, and the old 4096 floor with a 1e-2 guess
         for floor, rate in ((1, 1.0), (4096, 1e-2)):
             monkeypatch.setattr(process, "_MIN_BATCH", floor)
             monkeypatch.setattr(process, "_first_batch_rate", lambda *args, r=rate: r)
-            assert [price_kl_nested(MARKET, SPEC64, **r) for r in runs] == ref
+            assert [price_kl_nested(MARKET, spec, **kw) for spec in specs] == ref
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -270,7 +260,7 @@ class TestNested:
             price_kl_nested(MARKET, SPEC64, epsilon=0.1, inner_mode="nope", seed=0)
 
     def test_inner_noise_shrinks_with_m1(self):
-        # MSE against a quadrature reference must decrease in M1 (3 sigma),
+        # MSE against an exact-inner reference must decrease in M1 (3 sigma),
         # holding the outer sample fixed
         reference = _nested_reference_price(MARKET, 100.0, L=8, n_outer=200_000, seed=77)
         mses, sds = [], []
@@ -291,12 +281,12 @@ class TestNested:
 
 
 def _nested_reference_price(params, strike, L, n_outer, seed):
-    """Quadrature-inner reference for the truncated-series price.
+    """Exact-inner reference for the truncated-series price at T = 64.
 
-    Replaces the sampled inner mean with a 512-point Simpson integral of the
-    smoothed path, leaving only outer sampling error.
+    Replaces the sampled inner mean with the smoothed path's mean over the 64
+    monitoring points, leaving only outer sampling error.
     """
-    t = np.linspace(0.0, 1.0, 513)
+    t = np.arange(1, 65) / 64
     total = 0.0
     chunk = 50_000
     done = 0
@@ -305,7 +295,7 @@ def _nested_reference_price(params, strike, L, n_outer, seed):
         rng = process.stream(seed, 99, done)
         a = np.clip(rng.standard_normal((b, L + 1)), -8, 8)
         g = params.s0 * np.exp(params.sigma * wiener_eval(a, t) + params.effective_drift * t)
-        gbar = simpson(g, x=t, axis=1)
+        gbar = g.mean(axis=1)
         total += float(np.maximum(gbar - strike, 0.0).sum())
         done += b
     return total / n_outer

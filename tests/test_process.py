@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.stats import chi2, kstest, norm
 
 from klpricer import pricing, process
@@ -101,14 +100,13 @@ class TestGbmFromBm:
 
 class TestSequentialPaths:
     def test_terminal_log_mean(self):
+        # terminal column of the flat estimators' path kernel: E log(S_1/s0) = drift
         n = 200_000
-        rng = stream(9, 2, 3)
-        z = rng.standard_normal(n)
-        # direct one-step simulation doubles as the marginal-law oracle
-        logs = np.log(100.0) + MARKET.effective_drift + MARKET.sigma * z
-        sample_mean = logs.mean()
-        target = np.log(100.0) + MARKET.effective_drift
-        assert abs(sample_mean - target) < 4.0 * MARKET.sigma / np.sqrt(n)
+        times = np.array([0.25, 0.5, 0.75, 1.0])
+        blocks = pricing._log_path_blocks(MARKET, times, n, 9, process.TAG_PATHS)
+        terminal = np.concatenate([logs[:, -1] for logs in blocks])
+        assert terminal.size == n
+        assert abs(terminal.mean() - MARKET.effective_drift) < 4.0 * MARKET.sigma / np.sqrt(n)
 
     @pytest.mark.parametrize("t_idx, t", [(0, 0.25), (3, 1.0)])
     def test_marginal_law_ks(self, t_idx, t):
@@ -177,14 +175,18 @@ class TestPathEnvelope:
         )
 
 
-def target_bin_probabilities(coeffs, params, edges):
-    """Quadrature oracle: normalized mass of G_L under each bin."""
-    def g(t):
-        return gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
+def grid_pmf(coeffs, params, T):
+    """Exact target of the sampler: G_L(i/T) / sum_j G_L(j/T) over i = 1..T."""
+    t = np.arange(1, T + 1) / T
+    g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
+    return g / g.sum(), float(g.mean())
 
-    total = quad(g, 0.0, 1.0, limit=200)[0]
-    masses = [quad(g, a, b, limit=200)[0] for a, b in zip(edges[:-1], edges[1:])]
-    return np.array(masses) / total, total
+
+def chi2_stat(times, pmf):
+    T = pmf.size
+    observed = np.bincount(np.rint(times * T).astype(int) - 1, minlength=T)
+    expected = times.size * pmf
+    return float(((observed - expected) ** 2 / expected).sum())
 
 
 class TestRejectionSampler:
@@ -193,82 +195,94 @@ class TestRejectionSampler:
         # flat path at s0: envelope equal to the path accepts every proposal
         flat = GbmParams(100.0, 0.0, 1e-13)
         gmax = GmaxBound(value=100.0 * (1 + 1e-10), clip_bound=8.0)
-        times, n_prop = rejection_sample_times(stream(2, 3, 0), coeffs, 20_000, gmax, flat)
+        times, n_prop = rejection_sample_times(stream(2, 3, 0), coeffs, 20_000, gmax, flat, 16)
         assert n_prop == 20_000
-        assert kstest(times, "uniform").pvalue > 1e-3
+        assert chi2_stat(times, np.full(16, 1.0 / 16)) < chi2.ppf(1.0 - 1e-3, df=16 - 1)
 
-    def test_goodness_of_fit_against_quadrature(self):
-        L = 16
+    def test_goodness_of_fit_against_grid_pmf(self):
+        L, T = 16, 50
         rng = stream(4, 3, 1)
         coeffs = sample_coefficients(rng, L, 8.0)
         gmax = g_max_bound(MARKET, L, 8.0)
         n = 50_000
-        times, n_prop = rejection_sample_times(stream(4, 3, 2), coeffs, n, gmax, MARKET)
-        edges = np.linspace(0.0, 1.0, 51)
-        probs, total = target_bin_probabilities(coeffs, MARKET, edges)
-        observed = np.histogram(times, bins=edges)[0]
-        expected = n * probs
-        stat = float(((observed - expected) ** 2 / expected).sum())
-        assert stat < chi2.ppf(1.0 - 1e-3, df=50 - 1)
-        # acceptance rate against the integral of the target over the envelope
+        times, n_prop = rejection_sample_times(stream(4, 3, 2), coeffs, n, gmax, MARKET, T)
+        pmf, mean = grid_pmf(coeffs, MARKET, T)
+        assert chi2_stat(times, pmf) < chi2.ppf(1.0 - 1e-3, df=T - 1)
+        # acceptance rate against the grid mean of the target over the envelope
         rate = n / n_prop
-        p = total / gmax.value
+        p = mean / gmax.value
         assert abs(rate - p) <= 3.0 * np.sqrt(p * (1 - p) / n_prop)
 
     def test_envelope_scaling_invariance(self):
-        L = 8
+        L, T = 8, 64
         coeffs = sample_coefficients(stream(6, 3, 3), L, 8.0)
         g1 = g_max_bound(MARKET, L, 8.0)
         g2 = GmaxBound(value=2.0 * g1.value, clip_bound=8.0)
-        t1, n1 = rejection_sample_times(stream(6, 3, 4), coeffs, 20_000, g1, MARKET)
-        t2, n2 = rejection_sample_times(stream(6, 3, 5), coeffs, 20_000, g2, MARKET)
+        t1, n1 = rejection_sample_times(stream(6, 3, 4), coeffs, 20_000, g1, MARKET, T)
+        t2, n2 = rejection_sample_times(stream(6, 3, 5), coeffs, 20_000, g2, MARKET, T)
         assert n2 / n1 == pytest.approx(2.0, rel=0.05)
-        from scipy.stats import ks_2samp
-
-        assert ks_2samp(t1, t2).pvalue > 1e-3
+        pmf, _ = grid_pmf(coeffs, MARKET, T)
+        for times in (t1, t2):
+            assert chi2_stat(times, pmf) < chi2.ppf(1.0 - 1e-3, df=T - 1)
 
     def test_snap_mode_hits_grid(self):
+        # every proposal snaps to a monitoring time i/T
         coeffs = sample_coefficients(stream(8, 3, 6), 4, 8.0)
         gmax = g_max_bound(MARKET, 4, 8.0)
-        times, _ = rejection_sample_times(stream(8, 3, 7), coeffs, 5000, gmax, MARKET, snap_to=16)
-        assert np.allclose(times * 16, np.round(times * 16))
+        times, _ = rejection_sample_times(stream(8, 3, 7), coeffs, 5000, gmax, MARKET, 16)
+        assert np.array_equal(times * 16, np.round(times * 16))
         assert times.min() >= 1.0 / 16 and times.max() <= 1.0
 
-    def test_snap_mode_evaluates_path_once(self, monkeypatch):
-        points = []
+    def test_large_T_evaluates_only_proposals(self, monkeypatch):
+        T = 1 << 20
+        evaluated = []
 
-        def counting(coeffs, t):
-            points.append(np.size(t))
+        def recording(coeffs, t):
+            evaluated.append(np.array(t))
             return wiener_eval_horner(coeffs, t)
 
-        monkeypatch.setattr(process, "wiener_eval_horner", counting)
-        coeffs = sample_coefficients(stream(8, 3, 6), 4, 8.0)
-        gmax = g_max_bound(MARKET, 4, 8.0)
-        rejection_sample_times(stream(8, 3, 7), coeffs, 5000, gmax, MARKET, snap_to=16)
-        assert sum(points) <= 16
+        class Counting(np.random.Generator):
+            drawn = 0
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                u = super().random(size, dtype=dtype, out=out)
+                Counting.drawn += u.shape[0]
+                return u
+
+        monkeypatch.setattr(process, "wiener_eval_horner", recording)
+        coeffs = sample_coefficients(stream(8, 3, 6), 12, 8.0)
+        env = path_envelope(MARKET, coeffs)
+        rng = Counting(stream(8, 3, 7).bit_generator)
+        times, n_prop = rejection_sample_times(rng, coeffs, 400, env, MARKET, T)
+        points = np.concatenate(evaluated)
+        # one series point per proposal drawn, each a monitoring time
+        assert points.size == Counting.drawn
+        assert n_prop <= points.size <= T // 1000
+        assert np.array_equal(points * T, np.round(points * T))
+        assert np.isin(times, points).all()
 
     def test_starvation_guard(self):
         coeffs = WienerCoefficients(a=np.zeros(2), clip_bound=8.0)
         huge = GmaxBound(value=1e12, clip_bound=8.0)
         with pytest.raises(process.RejectionStarvedError):
-            rejection_sample_times(stream(1, 3, 8), coeffs, 1, huge, MARKET)
+            rejection_sample_times(stream(1, 3, 8), coeffs, 1, huge, MARKET, 64)
 
-    @pytest.mark.parametrize("snap", [None, 16])
-    def test_batch_sizes_do_not_change_result(self, monkeypatch, snap):
+    @pytest.mark.parametrize("T", [16, 1 << 20])
+    def test_batch_sizes_do_not_change_result(self, monkeypatch, T):
         coeffs = sample_coefficients(stream(14, 3, 0), 12, 8.0)
         env = path_envelope(MARKET, coeffs)
-        ref = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, snap_to=snap)
+        ref = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, T)
         for floor, rate in ((1, 1.0), (4096, 1e-2), (100_000, 1e-4)):
             monkeypatch.setattr(process, "_MIN_BATCH", floor)
             monkeypatch.setattr(process, "_first_batch_rate", lambda *args, r=rate: r)
-            got = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, snap_to=snap)
+            got = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, T)
             assert got[1] == ref[1]
             assert np.array_equal(got[0], ref[0])
 
     def test_determinism(self):
         coeffs = sample_coefficients(stream(12, 3, 9), 8, 8.0)
         gmax = g_max_bound(MARKET, 8, 8.0)
-        t1, n1 = rejection_sample_times(stream(12, 3, 10), coeffs, 1000, gmax, MARKET)
-        t2, n2 = rejection_sample_times(stream(12, 3, 10), coeffs, 1000, gmax, MARKET)
+        t1, n1 = rejection_sample_times(stream(12, 3, 10), coeffs, 1000, gmax, MARKET, 64)
+        t2, n2 = rejection_sample_times(stream(12, 3, 10), coeffs, 1000, gmax, MARKET, 64)
         assert n1 == n2
         assert np.array_equal(t1, t2)
