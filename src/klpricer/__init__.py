@@ -1,8 +1,12 @@
 """Monte Carlo pricing of discretely monitored Asian options on GBM.
 
-Spectral synthesis of Brownian paths, nested and sub-sampled estimators,
-closed-form geometric oracle, bound-verification probes, and a small
-statevector simulator of the amplitude encodings.
+The package namespace is the pricing surface: spectral synthesis of Brownian
+paths (``klcore``), the GBM model and samplers (``process``), and the
+baseline, nested and sub-sampled estimators with the closed-form geometric
+oracle (``pricing``).  Importing it loads numpy and no scipy.  The
+bound-verification probes (``klpricer.analysis``) and the statevector
+simulator of the amplitude encodings (``klpricer.qsim``) are submodules,
+loaded on demand.
 """
 
 from .klcore import (
@@ -32,27 +36,6 @@ from .pricing import (
     price_geometric_mc,
     price_kl_nested,
     price_subsample,
-)
-from .analysis import (
-    BoundReport,
-    convergence_study,
-    smoothness_probe,
-    subsample_error_probe,
-    truncation_error_sweep,
-    verify_mapped_bound,
-    write_report_csv,
-    write_report_json,
-)
-from .qsim import (
-    FixedPointCodec,
-    RegisterLayout,
-    StateVector,
-    attach_value_rotation,
-    build_quantized_subsample_state,
-    build_semidigital_state,
-    exact_success_probability,
-    mle_amplitude_estimate,
-    prepare_gaussian_register,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,10 @@ and a non-finite estimate), 2 validation failure.  Failures are emitted as a
 single JSON line on stderr; the estimate is strict JSON, never Infinity or
 NaN.  Given the same configuration and seed the JSON output is
 byte-identical up to the wall_time_ms field.
+
+``price`` loads numpy only, and ``geometric-cf`` adds ``scipy.special``.
+``analysis`` (which brings ``scipy.integrate``) and ``qsim`` are imported
+only when ``analyze`` or ``qsim-check`` runs.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, pricing, process, qsim
+from . import pricing, process
 
 __all__ = ["RunConfig", "run_price", "run_analyze", "main"]
 
@@ -62,6 +66,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.method not in PRICE_METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
+        for name in ("s0", "mu", "sigma", "strike", "discount_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.s0 <= 0:
             raise ValidationError("s0 must be positive")
         if self.sigma <= 0:
@@ -103,6 +110,8 @@ def _qsim_check(config: RunConfig) -> pricing.Estimate:
     ancilla, and returns gmax times the exact ancilla-zero probability, which
     must equal the classically enumerated discretized mean.
     """
+    from . import qsim
+
     params = config.market()
     T = min(config.monitoring, 4)
     layout = qsim.RegisterLayout(
@@ -168,6 +177,8 @@ def run_price(config: RunConfig) -> dict:
 
 
 def run_analyze(args: argparse.Namespace) -> tuple[analysis.BoundReport, dict]:
+    from . import analysis
+
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     market = process.GbmParams(args.s0, args.mu, args.sigma)
     if args.probe == "truncation":

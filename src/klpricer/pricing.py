@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import process
 from .klcore import WienerCoefficients, truncation_index_bm, wiener_eval_horner
@@ -62,34 +61,16 @@ _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
 
 @dataclass
 class AsianPayoffSpec:
-    """Strike, monitoring count, and averaging weights of the Asian call.
-
-    Weights default to the uniform vector 1/T; they must be non-negative and
-    sum to one, which is what makes the payoff 1-Lipschitz in the weighted
-    path values.
-    """
+    """Strike and monitoring count T of the Asian call on the uniform 1/T average."""
 
     strike: float
     monitoring_count: int
-    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.strike < 0:
             raise ValueError("strike must be non-negative")
         if self.monitoring_count < 1:
             raise ValueError("monitoring_count must be >= 1")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1 or w.size != self.monitoring_count:
-                raise ValueError("weights length must equal monitoring_count")
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must be non-negative and sum to 1")
-            self.weights = w
-
-    def weight_vector(self) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights
-        return np.full(self.monitoring_count, 1.0 / self.monitoring_count)
 
 
 @dataclass
@@ -105,12 +86,12 @@ class Estimate:
 
 
 def asian_payoff(path_values: np.ndarray, spec: AsianPayoffSpec) -> float:
-    """Payoff (sum_i w_i S_i - K)^+ of one monitored path."""
+    """Payoff (T^-1 sum_i S_i - K)^+ of one monitored path."""
     values = np.asarray(path_values, dtype=float)
-    w = spec.weight_vector()
-    if values.shape[-1] != w.size:
-        raise ValueError("path length does not match the weight vector")
-    return float(max(values @ w - spec.strike, 0.0))
+    T = spec.monitoring_count
+    if values.shape[-1] != T:
+        raise ValueError("path length does not match the monitoring count")
+    return float(max(values @ np.full(T, 1.0 / T) - spec.strike, 0.0))
 
 
 def _log_path_blocks(params: GbmParams, times: np.ndarray, n_paths: int, seed: int, tag: int):
@@ -146,13 +127,13 @@ def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
 def _mean_payoff_flat(
     params: GbmParams,
     times: np.ndarray,
-    weights: np.ndarray,
     strike: float,
     n_paths: int,
     seed: int,
     tag: int,
 ) -> tuple[float, float]:
-    """Flat MC: mean arithmetic-average payoff and its standard error."""
+    """Flat MC: mean payoff of the uniform average over ``times``, and its standard error."""
+    weights = np.full(times.size, 1.0 / times.size)
     total = 0.0
     total_sq = 0.0
     for logs in _log_path_blocks(params, times, n_paths, seed, tag):
@@ -176,7 +157,7 @@ def price_baseline(params: GbmParams, spec: AsianPayoffSpec, n_paths: int, seed:
         raise ValueError("n_paths must be >= 2")
     grid = TimeGrid.uniform_monitoring(spec.monitoring_count)
     mean, se = _mean_payoff_flat(
-        params, grid.points, spec.weight_vector(), spec.strike, n_paths, seed, process.TAG_PATHS
+        params, grid.points, spec.strike, n_paths, seed, process.TAG_PATHS
     )
     return Estimate(mean, se, n_paths, 1, seed, "baseline")
 
@@ -204,9 +185,8 @@ def price_subsample(
         raise ValueError("epsilon must be in (0, 1)")
     m = _subsample_points(epsilon)
     times = np.arange(1, m + 1) / m
-    weights = np.full(m, 1.0 / m)
     mean, se = _mean_payoff_flat(
-        params, times, weights, spec.strike, n_paths, seed, process.TAG_PATHS
+        params, times, spec.strike, n_paths, seed, process.TAG_PATHS
     )
     return Estimate(mean, se, n_paths, 1, seed, "subsample")
 
@@ -317,8 +297,11 @@ def geometric_asian_closed_form(params: GbmParams, grid: TimeGrid, strike: float
                          - K Phi((m - ln K)/sqrt(v)).
 
     Degenerate variance collapses to the deterministic payoff and K <= 0
-    collapses to the mean of A_G.
+    collapses to the mean of A_G.  Phi is scipy's ``ndtr``, imported here so
+    that the other estimators load numpy only.
     """
+    from scipy.special import ndtr
+
     if len(grid) == 0:
         raise ValueError("grid must be non-empty")
     m, v = _log_average_moments(params, grid.points)

@@ -7,8 +7,7 @@ decoded register contents.  A controlled rotation moves the (normalized)
 value into an ancilla amplitude so that the probability of reading ancilla
 zero equals the discretized classical mean divided by the normalization
 constant.  Amplitude estimation is emulated: the probability is read off the
-statevector exactly, with an optional maximum-likelihood shot-noise model on
-top.
+statevector exactly.
 
 Register order within a basis index, most significant to least significant:
 coefficient registers (register 0 first), time register, value register,
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .klcore import wiener_eval
 from .process import GbmParams
@@ -36,7 +34,6 @@ __all__ = [
     "attach_value_rotation",
     "build_quantized_subsample_state",
     "exact_success_probability",
-    "mle_amplitude_estimate",
 ]
 
 MAX_QUBITS = 26
@@ -313,52 +310,3 @@ def exact_success_probability(state: StateVector, ancilla_pattern: int) -> float
         raise ValueError("ancilla pattern out of range")
     probs = state.probabilities().reshape(-1, 2**anc)
     return float(probs[:, ancilla_pattern].sum())
-
-
-def mle_amplitude_estimate(
-    p_true: float,
-    shots_per_depth: int,
-    grover_depths,
-    rng: np.random.Generator,
-    grid_size: int = 20_000,
-) -> float:
-    """Maximum-likelihood amplitude estimate from simulated interference shots.
-
-    At depth m the success probability is sin^2((2m+1) theta) with
-    theta = arcsin(sqrt(p_true)); outcomes are binomial draws.  The estimate
-    is the grid-search maximizer of the joint log-likelihood, refined with a
-    bounded scalar optimization.  With depths {0} only this reduces to the
-    classical proportion estimator.
-    """
-    if not 0.0 <= p_true <= 1.0:
-        raise ValueError("p_true must lie in [0, 1]")
-    depths = np.asarray(list(grover_depths), dtype=np.int64)
-    if np.any(depths < 0) or depths.size == 0:
-        raise ValueError("depths must be non-negative and non-empty")
-    if shots_per_depth < 1:
-        raise ValueError("shots_per_depth must be >= 1")
-    theta = np.arcsin(np.sqrt(p_true))
-    mult = 2 * depths + 1
-    probs = np.sin(mult * theta) ** 2
-    hits = rng.binomial(shots_per_depth, probs)
-    if np.all(hits == 0):
-        return 0.0
-    if np.all(hits == shots_per_depth):
-        return 1.0
-
-    misses = shots_per_depth - hits
-
-    def neg_loglik(th):
-        s2 = np.clip(np.sin(np.outer(np.atleast_1d(th), mult)) ** 2, 1e-300, 1.0)
-        c2 = np.clip(1.0 - s2, 1e-300, 1.0)
-        return -(np.log(s2) @ hits + np.log(c2) @ misses)
-
-    grid = np.linspace(0.0, np.pi / 2, grid_size)
-    best = int(np.argmin(neg_loglik(grid)))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_size - 1)]
-    res = minimize_scalar(
-        lambda th: float(neg_loglik(th)[0]), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return float(np.sin(res.x) ** 2)

@@ -81,6 +81,21 @@ class TestPriceCommand:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--s0", "inf"), ("--mu", "nan"), ("--sigma", "inf"), ("--strike", "nan"),
+        ("--discount-rate", "nan"),
+    ])
+    def test_non_finite_input_exits_2_before_any_draw(self, capsys, monkeypatch, flag, value):
+        streams = []
+        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
+        code, out, err = run_cli(
+            capsys, "price", "--method", "baseline", flag, value, "--paths", "1000", "--seed", "1"
+        )
+        assert (code, out, streams) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        field = flag[2:].replace("-", "_")
+        assert json.loads(err) == {"error": f"{field} must be finite", "code": 2}
+
     def test_non_finite_estimate_exits_1(self, capsys):
         # the median path is finite at mu = 705, but exp still overflows on
         # some paths; the run must fail, not print Infinity/NaN
@@ -196,11 +211,41 @@ class TestAnalyzeCommand:
         assert code == 2
 
 
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from klpricer import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["price", *argv, "--seed", "1"]) == 0
+    loaded[" ".join(argv)] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
 def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs about half a second of import time and nothing needs it
-    code = "import sys, klpricer.cli; print('scipy.stats' in sys.modules)"
+    # importing scipy costs about half a second; of the pricing path only
+    # geometric-cf needs it (scipy.special.ndtr), so the rest loads numpy alone
+    runs = [
+        ["--method", "baseline", "--paths", "1000"],
+        ["--method", "subsample", "--epsilon", "0.2", "--paths", "1000"],
+        *(["--method", "kl-nested", "--epsilon", "0.3", "--m0", "10", "--m1", "10",
+           "--inner", inner] for inner in ("acceptance", "uniform")),
+        ["--method", "qsim-check"],
+        ["--method", "geometric-cf"],
+    ]
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert done.stdout.strip() == "False"
+    loaded = json.loads(done.stdout)
+    *numpy_only, closed_form = loaded.values()
+    assert numpy_only == [[]] * len(runs)
+    assert "scipy.special" in closed_form
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+    assert not any(m.startswith(heavy) for m in closed_form)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
+from klpricer import klcore
 from klpricer.klcore import (
     WienerCoefficients,
     kl_eigenvalue,
@@ -19,6 +21,24 @@ def brute_tail(L, n_terms=10**7):
     k = np.arange(L + 1, L + n_terms + 1, dtype=float)
     partial = np.sum(2.0 / ((k - 0.5) ** 2 * np.pi**2))
     return partial + 2.0 / (np.pi**2 * (L + n_terms))
+
+
+def scipy_tail(L):
+    """The tail (2/pi^2) psi_1(L + 1/2) on scipy's trigamma, elementwise in L."""
+    return 2.0 / np.pi**2 * polygamma(1, np.asarray(L) + 0.5)
+
+
+def scipy_truncation_index(eps):
+    """Smallest L with scipy_tail(L) <= eps^2, bisected for all eps at once."""
+    target = eps * eps
+    lo = np.zeros(eps.shape, dtype=np.int64)  # scipy_tail(0) = 1 > eps^2
+    hi = np.maximum(1, np.ceil(2.0 / (np.pi**2 * target))).astype(np.int64)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        below = scipy_tail(mid) <= target
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return hi
 
 
 class TestEigenpairs:
@@ -84,6 +104,17 @@ class TestTailBound:
             assert tb.exact < tb.closed_form
             assert tb.closed_form < prev
             prev = tb.closed_form
+
+    def test_numpy_trigamma_matches_scipy(self):
+        Ls = np.concatenate([
+            np.arange(1, 5000), np.unique(np.geomspace(1, 1e9, 20_000).astype(np.int64))
+        ])
+        exact = np.array([klcore._tail_exact(int(L)) for L in Ls])
+        assert np.max(np.abs(exact - scipy_tail(Ls)) / scipy_tail(Ls)) <= 1e-15
+
+    def test_index_matches_scipy_bisection(self):
+        eps = np.geomspace(1e-4, 0.99, 50_000)
+        assert [truncation_index_bm(e) for e in eps] == scipy_truncation_index(eps).tolist()
 
     @pytest.mark.parametrize("L", [1, 8, 21, 82])
     def test_kl_tail_dominates_wiener_tail(self, L):

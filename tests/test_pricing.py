@@ -39,16 +39,10 @@ class TestPayoff:
         with pytest.raises(ValueError):
             asian_payoff([90.0, 100.0], spec)
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            AsianPayoffSpec(strike=1.0, monitoring_count=2, weights=np.array([0.7, 0.7]))
-        with pytest.raises(ValueError):
-            AsianPayoffSpec(strike=1.0, monitoring_count=2, weights=np.array([1.5, -0.5]))
-
     def test_lipschitz_property_exact(self):
         rng = np.random.default_rng(0)
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=16)
-        w = spec.weight_vector()
+        w = np.full(16, 1.0 / 16)
         for _ in range(10_000):
             x = 100.0 * np.exp(rng.standard_normal(16) * 0.3)
             y = 100.0 * np.exp(rng.standard_normal(16) * 0.3)
@@ -115,17 +109,8 @@ class TestFlatKernel:
     def test_baseline_matches_reference(self, n_paths):
         est = price_baseline(MARKET, SPEC64, n_paths, seed=21)
         t = TimeGrid.uniform_monitoring(64).points
-        ref = _reference_arithmetic(MARKET, t, SPEC64.weight_vector(), 100.0, n_paths, 21)
+        ref = _reference_arithmetic(MARKET, t, np.full(64, 1 / 64), 100.0, n_paths, 21)
         assert (est.value, est.std_error) == ref
-
-    def test_weighted_baseline_matches_reference(self):
-        w = np.arange(1.0, 65.0)
-        spec = AsianPayoffSpec(strike=95.0, monitoring_count=64, weights=w / w.sum())
-        est = price_baseline(MARKET, spec, 3000, seed=22)
-        t = TimeGrid.uniform_monitoring(64).points
-        assert (est.value, est.std_error) == _reference_arithmetic(
-            MARKET, t, spec.weights, 95.0, 3000, 22
-        )
 
     def test_subsample_matches_reference(self):
         est = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=5000, seed=23)

@@ -13,7 +13,6 @@ from klpricer.qsim import (
     build_semidigital_state,
     exact_success_probability,
     gaussian_grid_values,
-    mle_amplitude_estimate,
     prepare_gaussian_register,
 )
 
@@ -226,39 +225,3 @@ class TestResourceGuard:
     def test_26_qubit_cap(self):
         with pytest.raises(ValueError):
             RegisterLayout(coeff_qubits=8, n_coeff_registers=3, time_qubits=2, value_qubits=8)
-
-
-class TestMleEstimator:
-    def test_degenerate_amplitudes(self):
-        rng = np.random.default_rng(1)
-        assert mle_amplitude_estimate(0.0, 50, [0, 1, 2], rng) == 0.0
-        assert mle_amplitude_estimate(1.0, 50, [0, 1, 2], rng) == 1.0
-
-    def test_depth_zero_reduces_to_proportion(self):
-        rng = np.random.default_rng(2)
-        est = mle_amplitude_estimate(0.3, 1000, [0], rng)
-        hits = np.random.default_rng(2).binomial(1000, 0.3)
-        assert est == pytest.approx(hits / 1000, abs=1e-8)
-
-    def test_beats_classical_at_matched_budget(self):
-        p = 0.25
-        depths = [0, 1, 2, 4, 8]
-        shots = 100
-        budget = shots * sum(2 * m + 1 for m in depths)  # oracle-call accounting
-        trials = 60
-        mle_err = np.empty(trials)
-        cls_err = np.empty(trials)
-        for i in range(trials):
-            rng = np.random.default_rng(500 + i)
-            mle_err[i] = mle_amplitude_estimate(p, shots, depths, rng) - p
-            cls_err[i] = np.random.default_rng(900 + i).binomial(budget, p) / budget - p
-        assert np.sqrt(np.mean(mle_err**2)) < np.sqrt(np.mean(cls_err**2))
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            mle_amplitude_estimate(1.5, 10, [0], rng)
-        with pytest.raises(ValueError):
-            mle_amplitude_estimate(0.5, 10, [], rng)
-        with pytest.raises(ValueError):
-            mle_amplitude_estimate(0.5, 0, [0], rng)
