@@ -290,12 +290,9 @@ def _coupled_grid_payoff_mse(
     fi = np.searchsorted(union, tf)
     ci = np.searchsorted(union, c)
     zero_c = c == 0.0
-    pay_sq = 0.0
     point_sq = np.zeros(T)
-    blocks = pricing._log_path_blocks(
-        params, union, n_paths, _child_seed(seed, 3, stream_index), process.TAG_ANALYSIS
-    )
-    for logs in blocks:
+
+    def payoff(logs: np.ndarray) -> np.ndarray:
         s = np.exp(logs, out=logs)
         s *= params.s0
         s_fine = s[:, fi]
@@ -303,9 +300,17 @@ def _coupled_grid_payoff_mse(
         s_coarse[:, zero_c] = params.s0
         diff = np.maximum(s_fine.mean(axis=1) - strike, 0.0)
         diff -= np.maximum(s_coarse.mean(axis=1) - strike, 0.0)
-        pay_sq += float(diff @ diff)
         s_fine -= s_coarse
-        point_sq += np.einsum("ij,ij->j", s_fine, s_fine)
+        point_sq[:] += np.einsum("ij,ij->j", s_fine, s_fine)
+        return diff
+
+    pay_sq = 0.0
+    child = _child_seed(seed, 3, stream_index)
+    for block_idx, rows in enumerate(pricing._block_rows(union.size, n_paths)):
+        diff = pricing._block_payoffs(
+            params, union, rows, child, process.TAG_ANALYSIS, block_idx, payoff
+        )
+        pay_sq += float(diff @ diff)
     return pay_sq / n_paths, float((point_sq / n_paths).max())
 
 

@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 runtime failure (including failed bound checks
 and a non-finite estimate), 2 validation failure.  Failures are emitted as a
 single JSON line on stderr; the estimate is strict JSON, never Infinity or
 NaN.  Given the same configuration and seed the JSON output is
-byte-identical up to the wall_time_ms field.
+byte-identical up to the wall_time_ms field, whatever the number of cores.
 
 ``price`` loads numpy only, and ``geometric-cf`` adds ``scipy.special``.
 ``analysis`` (which brings ``scipy.integrate``) and ``qsim`` are imported
@@ -43,6 +43,22 @@ class ValidationError(ValueError):
     pass
 
 
+def _validate_market(s0: float, mu: float, sigma: float, strike: float) -> None:
+    """Reject a market and strike that no estimator or probe can run on."""
+    for name, value in (("s0", s0), ("mu", mu), ("sigma", sigma), ("strike", strike)):
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite")
+    if s0 <= 0:
+        raise ValidationError("s0 must be positive")
+    if sigma <= 0:
+        raise ValidationError("sigma must be positive")
+    # past this about half of all paths overflow, so no run can succeed
+    if not np.log(s0) + mu - 0.5 * sigma**2 < _LOG_DBL_MAX:
+        raise ValidationError("median terminal price s0 exp(mu - sigma^2/2) overflows")
+    if strike < 0:
+        raise ValidationError("strike must be non-negative")
+
+
 @dataclass
 class RunConfig:
     """Validated knobs of one front-end invocation."""
@@ -66,18 +82,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.method not in PRICE_METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
-        for name in ("s0", "mu", "sigma", "strike", "discount_rate"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.s0 <= 0:
-            raise ValidationError("s0 must be positive")
-        if self.sigma <= 0:
-            raise ValidationError("sigma must be positive")
-        # past this about half of all paths overflow, so no run can succeed
-        if not np.log(self.s0) + self.mu - 0.5 * self.sigma**2 < _LOG_DBL_MAX:
-            raise ValidationError("median terminal price s0 exp(mu - sigma^2/2) overflows")
-        if self.strike < 0:
-            raise ValidationError("strike must be non-negative")
+        _validate_market(self.s0, self.mu, self.sigma, self.strike)
+        if not np.isfinite(self.discount_rate):
+            raise ValidationError("discount_rate must be finite")
+        if -self.discount_rate >= _LOG_DBL_MAX:
+            raise ValidationError("discount factor exp(-discount_rate) overflows")
         if self.monitoring < 1:
             raise ValidationError("T must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
@@ -339,6 +348,10 @@ def main(argv=None) -> int:
     # analyze
     if args.paths < 2 or args.T < 1 or args.replicates < 2:
         return _fail("paths, T, and replicates must be sensible positive integers", 2)
+    try:
+        _validate_market(args.s0, args.mu, args.sigma, args.strike)
+    except ValidationError as exc:
+        return _fail(str(exc), 2)
     try:
         report, summary = run_analyze(args)
     except (ValueError, ValidationError) as exc:

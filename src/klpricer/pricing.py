@@ -16,12 +16,20 @@ Four routes to a price are provided:
   geometric-average payoff, used as an analytic oracle, plus its brute-force
   Monte Carlo counterpart ``price_geometric_mc`` for validating it.
 
+The flat estimators (baseline, sub-sampling, geometric MC) share one
+kernel.  Paths come in fixed-size blocks, one counter-based stream per
+block, and each block is built in chunks of about 1 MiB in one reused
+buffer.  Several blocks run at once on one thread per usable core, and their
+payoff sums are added in block order, so every value is a pure function of
+(seed, path index) whatever the number of cores.
+
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +63,7 @@ def _block_size(n_times: int) -> int:
         return 512
     return 64
 
+_CHUNK_BYTES = 1 << 20  # about one core's L2 share
 _SUBSAMPLE_GRID_LIMIT = 100_000_000
 _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
 
@@ -94,27 +103,55 @@ def asian_payoff(path_values: np.ndarray, spec: AsianPayoffSpec) -> float:
     return float(max(values @ np.full(T, 1.0 / T) - spec.strike, 0.0))
 
 
-def _log_path_blocks(params: GbmParams, times: np.ndarray, n_paths: int, seed: int, tag: int):
-    """Yield log(S(t)/s0) on ``times`` for n_paths exact paths, block by block.
+def _block_rows(n_times: int, n_paths: int) -> list[int]:
+    """Path counts of the blocks that hold n_paths paths, in block order."""
+    block = _block_size(n_times)
+    return [min(block, n_paths - start) for start in range(0, n_paths, block)]
 
-    Block i holds the first rows of stream (seed, tag, i); Philox fills
-    row-major, so drawing only the rows a block keeps gives the same paths as
-    drawing the whole block.  Every block is built in place in one reused
-    buffer, and the yielded view is overwritten by the next block.
+
+def _chunk_rows(n_times: int) -> int:
+    """Rows of the about 1 MiB chunk a block is built in: a multiple of 8, at least 8."""
+    return max(8, _CHUNK_BYTES // (8 * n_times) // 8 * 8)
+
+
+def _block_payoffs(
+    params: GbmParams,
+    times: np.ndarray,
+    rows: int,
+    seed: int,
+    tag: int,
+    block_idx: int,
+    payoff,
+) -> np.ndarray:
+    """Per-path payoffs of the first ``rows`` exact paths of block ``block_idx``.
+
+    The block's log(S(t)/s0) on ``times`` is built chunk by chunk in one
+    reused buffer: fill from stream (seed, tag, block_idx), scale and shift
+    in place, cumsum in place, then ``payoff(logs)`` maps the chunk's rows to
+    their payoffs (and may overwrite ``logs``).  Philox fills row-major, so
+    the chunks draw the same normals as one fill of the whole block.  Chunks
+    are a multiple of 8 rows and a 1-row tail is folded into the chunk before
+    it, so that the BLAS matrix-vector kernel gives every row the bits it
+    gives it inside the whole block.
     """
     n_times = times.size
-    block = _block_size(n_times)
+    chunk = _chunk_rows(n_times)
     dt = np.diff(times, prepend=0.0)
     drift_leg = params.effective_drift * dt
     vol_leg = params.sigma * np.sqrt(dt)
-    buf = np.empty((min(block, n_paths), n_times))
-    for block_idx, start in enumerate(range(0, n_paths, block)):
-        logs = buf[: min(block, n_paths - start)]
-        process.stream(seed, tag, block_idx).standard_normal(out=logs)
+    rng = process.stream(seed, tag, block_idx)
+    buf = np.empty((min(rows, chunk + 1), n_times))
+    pay = np.empty(rows)
+    start = 0
+    for stop in [*range(chunk, rows - 1, chunk), rows]:
+        logs = buf[: stop - start]
+        rng.standard_normal(out=logs)
         logs *= vol_leg
         logs += drift_leg
         np.cumsum(logs, axis=1, out=logs)
-        yield logs
+        pay[start:stop] = payoff(logs)
+        start = stop
+    return pay
 
 
 def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -124,27 +161,64 @@ def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     return mean, float(np.sqrt(var / n))
 
 
-def _mean_payoff_flat(
+def _cpu_count() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _flat_moments(
     params: GbmParams,
     times: np.ndarray,
-    strike: float,
     n_paths: int,
     seed: int,
     tag: int,
+    payoff,
 ) -> tuple[float, float]:
-    """Flat MC: mean payoff of the uniform average over ``times``, and its standard error."""
-    weights = np.full(times.size, 1.0 / times.size)
-    total = 0.0
-    total_sq = 0.0
-    for logs in _log_path_blocks(params, times, n_paths, seed, tag):
+    """Flat MC: mean of ``payoff`` over n_paths exact paths on ``times``, and its SE.
+
+    Each block's payoff sum and sum of squares are added up in block order,
+    so the result is the same whatever the number of threads.  Several
+    blocks run on one thread per usable core (numpy's fills, ufuncs and BLAS
+    release the GIL), each under the caller's numpy error state, which
+    worker threads do not inherit.
+    """
+    rows = _block_rows(times.size, n_paths)
+    err = np.geterr()
+
+    def moments(block_idx: int) -> tuple[float, float]:
+        with np.errstate(**err):
+            pay = _block_payoffs(params, times, rows[block_idx], seed, tag, block_idx, payoff)
+            return float(pay.sum()), float(pay @ pay)
+
+    if len(rows) == 1:
+        parts = [moments(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(_cpu_count(), len(rows))) as pool:
+            parts = list(pool.map(moments, range(len(rows))))
+    # left-to-right adds; sum() compensates its float adds from Python 3.12 on
+    total = total_sq = 0.0
+    for block_sum, block_sq in parts:
+        total += block_sum
+        total_sq += block_sq
+    return _mean_and_se(total, total_sq, n_paths)
+
+
+def _average_call(params: GbmParams, n_times: int, strike: float):
+    """Payoff (mean_i S(t_i) - K)^+ of each row of log(S(t)/s0), computed in place."""
+    weights = np.full(n_times, 1.0 / n_times)
+
+    def payoff(logs: np.ndarray) -> np.ndarray:
         paths = np.exp(logs, out=logs)
         paths *= params.s0
         pay = paths @ weights
         pay -= strike
-        np.maximum(pay, 0.0, out=pay)
-        total += float(pay.sum())
-        total_sq += float(pay @ pay)
-    return _mean_and_se(total, total_sq, n_paths)
+        return np.maximum(pay, 0.0, out=pay)
+
+    return payoff
 
 
 def price_baseline(params: GbmParams, spec: AsianPayoffSpec, n_paths: int, seed: int) -> Estimate:
@@ -155,10 +229,9 @@ def price_baseline(params: GbmParams, spec: AsianPayoffSpec, n_paths: int, seed:
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    grid = TimeGrid.uniform_monitoring(spec.monitoring_count)
-    mean, se = _mean_payoff_flat(
-        params, grid.points, spec.strike, n_paths, seed, process.TAG_PATHS
-    )
+    times = TimeGrid.uniform_monitoring(spec.monitoring_count).points
+    payoff = _average_call(params, times.size, spec.strike)
+    mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff)
     return Estimate(mean, se, n_paths, 1, seed, "baseline")
 
 
@@ -185,9 +258,8 @@ def price_subsample(
         raise ValueError("epsilon must be in (0, 1)")
     m = _subsample_points(epsilon)
     times = np.arange(1, m + 1) / m
-    mean, se = _mean_payoff_flat(
-        params, times, spec.strike, n_paths, seed, process.TAG_PATHS
-    )
+    payoff = _average_call(params, m, spec.strike)
+    mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff)
     return Estimate(mean, se, n_paths, 1, seed, "subsample")
 
 
@@ -333,13 +405,11 @@ def price_geometric_mc(
         n_fixed = 0
     m_total = times.size + n_fixed
     log_s0 = np.log(params.s0)
-    total = 0.0
-    total_sq = 0.0
-    for logs in _log_path_blocks(params, times, n_paths, seed, process.TAG_GEOMETRIC):
+
+    def payoff(logs: np.ndarray) -> np.ndarray:
         logs += log_s0
         mean_log = (logs.sum(axis=1) + n_fixed * log_s0) / m_total
-        pay = np.maximum(np.exp(mean_log) - strike, 0.0)
-        total += float(pay.sum())
-        total_sq += float(pay @ pay)
-    mean, se = _mean_and_se(total, total_sq, n_paths)
+        return np.maximum(np.exp(mean_log) - strike, 0.0)
+
+    mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_GEOMETRIC, payoff)
     return Estimate(mean, se, n_paths, 1, seed, "geometric_mc")

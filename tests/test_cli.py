@@ -96,6 +96,19 @@ class TestPriceCommand:
         field = flag[2:].replace("-", "_")
         assert json.loads(err) == {"error": f"{field} must be finite", "code": 2}
 
+    def test_overflowing_discount_exits_2_before_any_draw(self, capsys, monkeypatch):
+        # exp(-r) overflows for r < -709.78, whatever the paths give
+        streams = []
+        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
+        code, out, err = run_cli(
+            capsys, "price", "--method", "baseline", "--paths", "1000", "--seed", "1",
+            "--discount-rate=-800",
+        )
+        assert (code, out, streams) == (2, "", [])
+        assert json.loads(err) == {
+            "error": "discount factor exp(-discount_rate) overflows", "code": 2
+        }
+
     def test_non_finite_estimate_exits_1(self, capsys):
         # the median path is finite at mu = 705, but exp still overflows on
         # some paths; the run must fail, not print Infinity/NaN
@@ -202,6 +215,19 @@ class TestAnalyzeCommand:
         assert code == 0
         assert json.loads(out)["all_pass"] is True
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--sigma", "nan"), ("--s0", "inf"), ("--mu", "nan"), ("--strike", "nan"),
+        ("--strike", "-1"),
+    ])
+    def test_invalid_market_exits_2_before_any_probe(self, capsys, tmp_path, flag, value):
+        code, out, err = run_cli(
+            capsys, "analyze", "--probe", "mapped", flag, value, "--paths", "1000",
+            "--seed", "1", "--output-dir", str(tmp_path),
+        )
+        assert (code, out, list(tmp_path.iterdir())) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == 2
+
     def test_bad_sizes_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -209,6 +235,22 @@ class TestAnalyzeCommand:
             "--seed", "1", "--output-dir", str(tmp_path),
         )
         assert code == 2
+
+
+def test_multi_block_overflow_prints_one_stderr_line():
+    # exp overflows on some of 140000 paths, spread over three blocks and so
+    # over worker threads; the caller's error state must reach every block so
+    # that no RuntimeWarning joins the error line.  A subprocess, because
+    # pytest captures warnings before they reach stderr.
+    argv = ["price", "--method", "baseline", "--mu", "705", "--paths", "140000", "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "klpricer.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert len(done.stderr.splitlines()) == 1
+    assert json.loads(done.stderr)["code"] == 1
 
 
 _SCIPY_PROBE = """

@@ -1,5 +1,7 @@
 """Payoff contracts, estimator examples, and cross-estimator structure."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -78,18 +80,24 @@ class TestBaseline:
             price_baseline(MARKET, SPEC64, 1, seed=0)
 
 
-def _reference_flat(params, times, n_paths, seed, tag, payoff):
-    """The flat kernel before it worked in place: each block is drawn in full,
-    sliced to the rows kept, and transformed out of place."""
-    block = pricing._block_size(times.size)
+def _reference_block_payoffs(params, times, rows, seed, tag, block_idx, payoff):
+    """The flat kernel before it worked in place: the block is drawn in full,
+    sliced to the rows kept, and transformed out of place in one piece."""
     dt = np.diff(times, prepend=0.0)
     drift_leg = params.effective_drift * dt
     vol_leg = params.sigma * np.sqrt(dt)
+    block = pricing._block_size(times.size)
+    z = process.stream(seed, tag, block_idx).standard_normal((block, times.size))[:rows]
+    return payoff(np.cumsum(drift_leg + vol_leg * z, axis=1))
+
+
+def _reference_flat(params, times, n_paths, seed, tag, payoff):
+    """Blocks summed one after another, each from ``_reference_block_payoffs``."""
+    block = pricing._block_size(times.size)
     total = total_sq = 0.0
     for block_idx, start in enumerate(range(0, n_paths, block)):
-        b = min(block, n_paths - start)
-        z = process.stream(seed, tag, block_idx).standard_normal((block, times.size))[:b]
-        pay = payoff(np.cumsum(drift_leg + vol_leg * z, axis=1))
+        rows = min(block, n_paths - start)
+        pay = _reference_block_payoffs(params, times, rows, seed, tag, block_idx, payoff)
         total += float(pay.sum())
         total_sq += float(pay @ pay)
     mean = total / n_paths
@@ -105,7 +113,11 @@ def _reference_arithmetic(params, times, weights, strike, n_paths, seed):
 
 
 class TestFlatKernel:
-    @pytest.mark.parametrize("n_paths", [2, 1000, 65537])
+    @pytest.mark.parametrize("n_paths", [
+        2, 1000, 65537,
+        # a 1-row chunk tail, in the first block and in the second
+        pricing._chunk_rows(64) + 1, 65536 + pricing._chunk_rows(64) + 1,
+    ])
     def test_baseline_matches_reference(self, n_paths):
         est = price_baseline(MARKET, SPEC64, n_paths, seed=21)
         t = TimeGrid.uniform_monitoring(64).points
@@ -130,6 +142,39 @@ class TestFlatKernel:
 
         ref = _reference_flat(MARKET, grid.points[1:], 5000, 24, process.TAG_GEOMETRIC, payoff)
         assert (est.value, est.std_error) == ref
+
+    def test_one_row_tail_keeps_every_path_bit(self):
+        # a 1-row tail is folded into the chunk before it: a lone row through
+        # the matrix-vector product can come out a bit off, which the block
+        # sums mostly absorb, so every path's payoff is compared; at strike 0
+        # no payoff is clipped
+        t = TimeGrid.uniform_monitoring(64).points
+        payoff = pricing._average_call(MARKET, 64, 0.0)
+        rows = pricing._chunk_rows(64) + 1
+        for block_idx in range(8):
+            pay = pricing._block_payoffs(MARKET, t, rows, 28, process.TAG_PATHS, block_idx, payoff)
+            ref = _reference_block_payoffs(MARKET, t, rows, 28, process.TAG_PATHS, block_idx,
+                                           lambda logs: MARKET.s0 * np.exp(logs) @ np.full(64, 1 / 64))
+            assert np.array_equal(pay, ref)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_independent_of_thread_count(self, monkeypatch, threads):
+        # blocks are summed in block order, so the thread count cannot move
+        # a bit; a short switch interval interleaves the workers finely
+        monkeypatch.setattr(pricing, "_cpu_count", lambda: threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            base = price_baseline(MARKET, SPEC64, 3 * 65536 + 1000, seed=26)
+            sub = price_subsample(MARKET, SPEC64, 0.1, 2 * 65536 + 1000, seed=27)
+        finally:
+            sys.setswitchinterval(interval)
+        t64 = TimeGrid.uniform_monitoring(64).points
+        t100 = np.arange(1, 101) / 100
+        assert (base.value, base.std_error) == _reference_arithmetic(
+            MARKET, t64, np.full(64, 1 / 64), 100.0, 3 * 65536 + 1000, 26)
+        assert (sub.value, sub.std_error) == _reference_arithmetic(
+            MARKET, t100, np.full(100, 1 / 100), 100.0, 2 * 65536 + 1000, 27)
 
     @pytest.mark.parametrize("price, n_paths, n_times", [
         pytest.param(lambda n: price_baseline(MARKET, SPEC64, n, seed=25), 1000, 64,

@@ -98,23 +98,31 @@ class TestGbmFromBm:
         assert gbm_from_bm(0.5, 1.0, MARKET) == pytest.approx(100.0 * np.exp(0.13), rel=1e-12)
 
 
+def _kernel_column(times, n, seed, col):
+    """Column ``col`` of log(S(t)/s0) over n paths of the flat estimators' kernel."""
+    return np.concatenate([
+        pricing._block_payoffs(MARKET, times, rows, seed, process.TAG_PATHS, block_idx,
+                               lambda logs: logs[:, col])
+        for block_idx, rows in enumerate(pricing._block_rows(times.size, n))
+    ])
+
+
 class TestSequentialPaths:
     def test_terminal_log_mean(self):
         # terminal column of the flat estimators' path kernel: E log(S_1/s0) = drift
         n = 200_000
         times = np.array([0.25, 0.5, 0.75, 1.0])
-        blocks = pricing._log_path_blocks(MARKET, times, n, 9, process.TAG_PATHS)
-        terminal = np.concatenate([logs[:, -1] for logs in blocks])
-        assert terminal.size == n
+        terminal = _kernel_column(times, n, 9, -1)
+        assert np.unique(terminal).size == n
         assert abs(terminal.mean() - MARKET.effective_drift) < 4.0 * MARKET.sigma / np.sqrt(n)
 
     @pytest.mark.parametrize("t_idx, t", [(0, 0.25), (3, 1.0)])
     def test_marginal_law_ks(self, t_idx, t):
         # the flat estimators' path kernel, over two blocks (one partial)
+        n = 100_000
         times = np.array([0.25, 0.5, 0.75, 1.0])
-        blocks = pricing._log_path_blocks(MARKET, times, 100_000, 17, process.TAG_PATHS)
-        vals = np.concatenate([np.log(100.0) + logs[:, t_idx] for logs in blocks])
-        assert vals.size == 100_000
+        vals = np.log(100.0) + _kernel_column(times, n, 17, t_idx)
+        assert np.unique(vals).size == n
         mean = np.log(100.0) + MARKET.effective_drift * t
         sd = MARKET.sigma * np.sqrt(t)
         res = kstest(vals, norm(loc=mean, scale=sd).cdf)
