@@ -11,15 +11,12 @@ loaded on demand.
 
 from .klcore import (
     WienerCoefficients,
-    kl_eigenvalue,
-    tail_variance_bound,
     truncation_index_bm,
     wiener_eval,
     wiener_eval_horner,
 )
 from .process import (
     GbmParams,
-    GmaxBound,
     TimeGrid,
     g_max_bound,
     gbm_from_bm,
@@ -30,10 +27,8 @@ from .process import (
 from .pricing import (
     AsianPayoffSpec,
     Estimate,
-    asian_payoff,
     geometric_asian_closed_form,
     price_baseline,
-    price_geometric_mc,
     price_kl_nested,
     price_subsample,
 )

@@ -14,8 +14,8 @@ NaN.  Given the same configuration and seed the JSON output is
 byte-identical up to the wall_time_ms field, whatever the number of cores.
 
 ``price`` loads numpy only, and ``geometric-cf`` adds ``scipy.special``.
-``analysis`` (which brings ``scipy.integrate``) and ``qsim`` are imported
-only when ``analyze`` or ``qsim-check`` runs.
+``analysis`` and ``qsim`` are imported only when ``analyze`` or
+``qsim-check`` runs.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ class RunConfig:
                 raise ValidationError(str(exc)) from None
         if any(m is not None and m < 2 for m in (self.m0, self.m1)):
             raise ValidationError("M0 and M1 must be >= 2")
+        if self.order is not None and self.order < 0:
+            raise ValidationError("L must be >= 0")
         if self.inner not in ("acceptance", "uniform"):
             raise ValidationError("inner mode must be 'acceptance' or 'uniform'")
         if self.seed < 0:
@@ -126,15 +128,14 @@ def _qsim_check(config: RunConfig) -> pricing.Estimate:
     layout = qsim.RegisterLayout(
         coeff_qubits=2, n_coeff_registers=2, time_qubits=2, value_qubits=8
     )
-    gmax = process.g_max_bound(params, L=1, A=8.0)
-    codec = qsim.FixedPointCodec.for_range(8, gmax.value)
+    gmax = process.g_max_bound(params, L=1)
+    codec = qsim.FixedPointCodec.for_range(8, gmax)
     state = qsim.build_semidigital_state(layout, params, L=1, T=T, codec=codec)
-    rotated = qsim.attach_value_rotation(state, gmax.value)
+    rotated = qsim.attach_value_rotation(state, gmax)
     p0 = qsim.exact_success_probability(rotated, 0)
     # classical oracle with the same quantization
-    oracle_codec = qsim.FixedPointCodec.for_range(8, gmax.value)
-    expect, _ = qsim.enumerated_mean(params, L=1, T=T, n=2, clip=8.0, codec=oracle_codec)
-    value = p0 * gmax.value
+    expect, _ = qsim.enumerated_mean(params, L=1, T=T, n=2, codec=codec)
+    value = p0 * gmax
     if abs(value - expect) > 1e-9 * max(1.0, abs(expect)):
         raise RuntimeError(
             f"statevector mean {value!r} deviates from classical enumeration {expect!r}"

@@ -30,15 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CLIP",
     "WienerCoefficients",
-    "TailBound",
-    "kl_eigenvalue",
     "sine_basis",
     "truncation_index_bm",
-    "tail_variance_bound",
     "wiener_eval",
     "wiener_eval_horner",
 ]
+
+# Every Gaussian coefficient, sampled or encoded on a register grid, is
+# clipped to [-CLIP, CLIP], so the path supremum admits a finite envelope.
+CLIP = 8.0
 
 _SQRT2_OVER_PI = np.sqrt(2.0) / np.pi
 
@@ -63,13 +65,6 @@ def _cospi(u):
     return _sinpi(np.asarray(u, dtype=float) + 0.5)
 
 
-def kl_eigenvalue(k: int) -> float:
-    """Eigenvalue lambda_k = 1/((k - 1/2)^2 pi^2) of the min(s, t) kernel, k >= 1."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"eigenvalue index must be an integer >= 1, got {k!r}")
-    return 1.0 / ((k - 0.5) ** 2 * np.pi**2)
-
-
 def sine_basis(k: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Mode functions (sqrt(2)/pi) sin(k pi t)/k, one row per mode index in k.
 
@@ -83,14 +78,13 @@ def sine_basis(k: np.ndarray, t: np.ndarray) -> np.ndarray:
 class WienerCoefficients:
     """One coefficient draw a = (a_0, ..., a_L) defining a smoothed path.
 
-    a_0 multiplies the linear drift mode; a_1..a_L the sine modes.  All
-    entries are clipped to [-clip_bound, clip_bound] at sampling time so the
-    path supremum admits a finite envelope; ``n_clipped`` counts how many
-    raw draws were clamped.
+    a_0 multiplies the linear drift mode; a_1..a_L the sine modes.  Every
+    entry lies in [-CLIP, CLIP] (sampling clamps the raw draws), so the path
+    supremum admits a finite envelope; ``n_clipped`` counts how many raw
+    draws were clamped.
     """
 
     a: np.ndarray
-    clip_bound: float
     n_clipped: int = 0
 
     def __post_init__(self) -> None:
@@ -99,23 +93,13 @@ class WienerCoefficients:
             raise ValueError("coefficient vector must be one-dimensional and non-empty")
         if not np.all(np.isfinite(self.a)):
             raise ValueError("coefficient vector contains non-finite entries")
-        if self.clip_bound <= 0:
-            raise ValueError("clip_bound must be positive")
-        if np.any(np.abs(self.a) > self.clip_bound):
-            raise ValueError("coefficients exceed the declared clip bound")
+        if np.any(np.abs(self.a) > CLIP):
+            raise ValueError("coefficients exceed the clip bound")
 
     @property
     def order(self) -> int:
         """Number of oscillatory modes L (vector length minus one)."""
         return self.a.size - 1
-
-
-@dataclass
-class TailBound:
-    """Closed-form bound and exact value of the tail variance past index L."""
-
-    closed_form: float
-    exact: float
 
 
 # Bernoulli numbers B_2, B_4, ..., B_16 of the asymptotic trigamma series
@@ -146,23 +130,13 @@ def _tail_exact(L: int) -> float:
     return float(2.0 / np.pi**2 * _trigamma(L + 0.5))
 
 
-def tail_variance_bound(L: int) -> TailBound:
-    """Tail variance sum_{k>L} 2/((k - 1/2)^2 pi^2), bounded and exact.
-
-    Returns both the closed bound 2/(pi^2 L) (valid since
-    sum_{k>L} 1/(k-1/2)^2 < 1/L) and the exact value (2/pi^2) psi_1(L + 1/2).
-    """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    return TailBound(closed_form=2.0 / (np.pi**2 * L), exact=_tail_exact(L))
-
-
 def truncation_index_bm(epsilon: float) -> int:
     """Smallest L whose tail variance bound is at most epsilon^2.
 
-    The search brackets with the closed bound 2/(pi^2 L) <= eps^2 and then
-    bisects on the exact trigamma tail, so the returned index is the exact
-    minimizer of the criterion.
+    The search brackets with the closed bound 2/(pi^2 L) <= eps^2 (valid
+    since sum_{k>L} 1/(k - 1/2)^2 < 1/L) and then bisects on the exact
+    trigamma tail, so the returned index is the exact minimizer of the
+    criterion.
     """
     if not (0.0 < epsilon):
         raise ValueError("epsilon must be positive")
@@ -201,7 +175,7 @@ def wiener_eval_horner(coeffs: WienerCoefficients, t):
 
     Uses sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) and runs the standard
     second-kind Chebyshev recurrence backwards with preallocated buffers.
-    Agrees with ``wiener_eval`` to ~1e-9 relative error for |a_k| <= 10 and
+    Agrees with ``wiener_eval`` to ~1e-9 relative error for |a_k| <= CLIP and
     L <= 512.
     """
     t = _check_unit_interval(t)

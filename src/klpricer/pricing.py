@@ -13,15 +13,14 @@ Four routes to a price are provided:
 * ``price_subsample``: flat Monte Carlo on a coarser uniform grid of
   M = ceil(1/eps^2) points, exploiting that the process is fast-forwardable.
 * ``geometric_asian_closed_form``: the lognormal closed form for the
-  geometric-average payoff, used as an analytic oracle, plus its brute-force
-  Monte Carlo counterpart ``price_geometric_mc`` for validating it.
+  geometric-average payoff, used as an analytic oracle.
 
-The flat estimators (baseline, sub-sampling, geometric MC) share one
-kernel.  Paths come in fixed-size blocks, one counter-based stream per
-block, and each block is built in chunks of about 1 MiB in one reused
-buffer.  Several blocks run at once on one thread per usable core, and their
-payoff sums are added in block order, so every value is a pure function of
-(seed, path index) whatever the number of cores.
+The flat estimators (baseline, sub-sampling) share one kernel.  Paths
+come in fixed-size blocks, one counter-based stream per block, and each
+block is built in chunks of about 1 MiB in one reused buffer.  Several
+blocks run at once on one thread per usable core, and their payoff sums are
+added in block order, so every value is a pure function of (seed, path
+index) whatever the number of cores.
 
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
@@ -41,12 +40,10 @@ from .process import GbmParams, TimeGrid
 __all__ = [
     "AsianPayoffSpec",
     "Estimate",
-    "asian_payoff",
     "price_baseline",
     "price_kl_nested",
     "price_subsample",
     "geometric_asian_closed_form",
-    "price_geometric_mc",
 ]
 
 # Flat Monte Carlo runs in fixed-size path blocks, one counter-based stream
@@ -92,15 +89,6 @@ class Estimate:
     n_inner: int
     seed: int
     method: str
-
-
-def asian_payoff(path_values: np.ndarray, spec: AsianPayoffSpec) -> float:
-    """Payoff (T^-1 sum_i S_i - K)^+ of one monitored path."""
-    values = np.asarray(path_values, dtype=float)
-    T = spec.monitoring_count
-    if values.shape[-1] != T:
-        raise ValueError("path length does not match the monitoring count")
-    return float(max(values @ np.full(T, 1.0 / T) - spec.strike, 0.0))
 
 
 def _block_rows(n_times: int, n_paths: int) -> list[int]:
@@ -280,7 +268,7 @@ def _acceptance_inner_mean(
     """
     env = process.path_envelope(params, coeffs)
     _, n_prop = process.rejection_sample_times(rng, coeffs, M1, env, params, T)
-    return env.value * (M1 - 1) / (n_prop - 1)
+    return env * (M1 - 1) / (n_prop - 1)
 
 
 def price_kl_nested(
@@ -310,7 +298,7 @@ def price_kl_nested(
     T = ``spec.monitoring_count``.  Both inner means are unbiased per path, so
     what remains is the O(1/M1) convexity bias of a nested estimator (the
     payoff is convex in the inner mean) and the bias of clipping
-    coefficients at 8, whose per-draw probability is below 1.3e-15.
+    coefficients at ``klcore.CLIP``, whose per-draw probability is below 1.3e-15.
 
     Defaults: L is the truncation index for ``epsilon`` and
     M0 = M1 = ceil(4 / eps^2).
@@ -333,7 +321,7 @@ def price_kl_nested(
     total_sq = 0.0
     for i in range(M0):
         rng = process.stream(seed, process.TAG_NESTED, i)
-        coeffs = process.sample_coefficients(rng, L, 8.0)
+        coeffs = process.sample_coefficients(rng, L)
         if inner_mode == "acceptance":
             gbar = _acceptance_inner_mean(rng, coeffs, M1, params, T)
         else:
@@ -374,8 +362,6 @@ def geometric_asian_closed_form(params: GbmParams, grid: TimeGrid, strike: float
     """
     from scipy.special import ndtr
 
-    if len(grid) == 0:
-        raise ValueError("grid must be non-empty")
     m, v = _log_average_moments(params, grid.points)
     if strike <= 0.0:
         return float(np.exp(m + 0.5 * v) - strike)
@@ -385,31 +371,3 @@ def geometric_asian_closed_form(params: GbmParams, grid: TimeGrid, strike: float
     d2 = (m - np.log(strike)) / sd
     d1 = d2 + sd
     return float(np.exp(m + 0.5 * v) * ndtr(d1) - strike * ndtr(d2))
-
-
-def price_geometric_mc(
-    params: GbmParams, grid: TimeGrid, strike: float, n_paths: int, seed: int
-) -> Estimate:
-    """Brute-force Monte Carlo for the geometric-average call.
-
-    Independent oracle for the closed form: exact sequential paths on the
-    grid, geometric average computed as the exponential of the mean log.
-    """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    times = grid.points
-    if times[0] == 0.0:
-        times = times[1:]  # S(0) = s0 contributes log(s0) deterministically
-        n_fixed = 1
-    else:
-        n_fixed = 0
-    m_total = times.size + n_fixed
-    log_s0 = np.log(params.s0)
-
-    def payoff(logs: np.ndarray) -> np.ndarray:
-        logs += log_s0
-        mean_log = (logs.sum(axis=1) + n_fixed * log_s0) / m_total
-        return np.maximum(np.exp(mean_log) - strike, 0.0)
-
-    mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_GEOMETRIC, payoff)
-    return Estimate(mean, se, n_paths, 1, seed, "geometric_mc")

@@ -9,8 +9,9 @@ make the rejection step valid:
   s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)); the
   nested estimator rejects against it, so proposals per acceptance stay
   near the path's own sup/mean ratio.
-* ``g_max_bound`` bounds every path whose coefficients are clipped at A,
-  the single normalisation that the amplitude encodings in ``qsim`` need.
+* ``g_max_bound`` bounds every path whose coefficients lie in
+  [-CLIP, CLIP], the single normalisation that the amplitude encodings in
+  ``qsim`` need.
 
 The rejection sampler draws its proposals row-major from the one stream it
 is given, so the accepted times depend on the stream and the envelope, never
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .klcore import _SQRT2_OVER_PI, WienerCoefficients, wiener_eval_horner
+from .klcore import _SQRT2_OVER_PI, CLIP, WienerCoefficients, wiener_eval_horner
 
 __all__ = [
     "GbmParams",
     "TimeGrid",
-    "GmaxBound",
     "RejectionStarvedError",
     "stream",
     "sample_coefficients",
@@ -46,7 +46,6 @@ __all__ = [
 # Stream tags keep draws for different purposes out of each other's keyspace.
 TAG_PATHS = 2
 TAG_NESTED = 3
-TAG_GEOMETRIC = 4
 TAG_ANALYSIS = 8
 
 # Proposal batches for the rejection sampler.  Their sizes change only how
@@ -112,46 +111,21 @@ class TimeGrid:
             raise ValueError("T must be >= 1")
         return cls(points=np.arange(1, T + 1) / T)
 
-    @classmethod
-    def subsample(cls, M: int) -> "TimeGrid":
-        """Sub-sampling grid k/M for k = 0..M."""
-        if M < 1:
-            raise ValueError("M must be >= 1")
-        return cls(points=np.arange(0, M + 1) / M)
 
-    def __len__(self) -> int:
-        return int(self.points.size)
+def g_max_bound(params: GbmParams, L: int) -> float:
+    """Envelope s0 exp(sigma CLIP (1 + (sqrt(2)/pi) H_L) + max(drift, 0)).
 
-
-@dataclass
-class GmaxBound:
-    """Envelope constant dominating the smoothed path value."""
-
-    value: float
-    clip_bound: float
-
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError("envelope value must be positive")
-
-
-def g_max_bound(params: GbmParams, L: int, A: float = 8.0) -> GmaxBound:
-    """Envelope s0 exp(sigma A (1 + (sqrt(2)/pi) H_L) + max(drift, 0)).
-
-    With every |a_k| <= A the series satisfies
-    |B_L(t)| <= A (1 + (sqrt(2)/pi) sum_{k<=L} 1/k), so the returned value
+    With every |a_k| <= CLIP the series satisfies
+    |B_L(t)| <= CLIP (1 + (sqrt(2)/pi) sum_{k<=L} 1/k), so the returned value
     dominates the smoothed GBM everywhere on [0, 1].  One constant for all
     draws is what the amplitude encodings need; a rejection step for a known
     draw should use the tighter ``path_envelope``.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
-    if A < 4.0:
-        raise ValueError("clip bound A must be >= 4")
     harmonic = float(np.sum(1.0 / np.arange(1, L + 1))) if L > 0 else 0.0
-    sup_b = A * (1.0 + _SQRT2_OVER_PI * harmonic)
-    value = params.s0 * np.exp(params.sigma * sup_b + max(params.effective_drift, 0.0))
-    return GmaxBound(value=float(value), clip_bound=A)
+    sup_b = CLIP * (1.0 + _SQRT2_OVER_PI * harmonic)
+    return float(params.s0 * np.exp(params.sigma * sup_b + max(params.effective_drift, 0.0)))
 
 
 def _sup_abs_bm(coeffs: WienerCoefficients) -> float:
@@ -160,17 +134,17 @@ def _sup_abs_bm(coeffs: WienerCoefficients) -> float:
     return float(a[0] + _SQRT2_OVER_PI * np.sum(a[1:] / np.arange(1, a.size)))
 
 
-def path_envelope(params: GbmParams, coeffs: WienerCoefficients) -> GmaxBound:
+def path_envelope(params: GbmParams, coeffs: WienerCoefficients) -> float:
     """Envelope s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)).
 
     Dominates the smoothed GBM of this one coefficient draw on [0, 1], and is
-    at most ``g_max_bound(params, L, coeffs.clip_bound)``.
+    at most ``g_max_bound(params, L)``.
     """
     log_sup = params.sigma * _sup_abs_bm(coeffs) + max(params.effective_drift, 0.0)
-    return GmaxBound(value=float(params.s0 * np.exp(log_sup)), clip_bound=coeffs.clip_bound)
+    return float(params.s0 * np.exp(log_sup))
 
 
-def _first_batch_rate(coeffs: WienerCoefficients, gmax: GmaxBound, params: GbmParams) -> float:
+def _first_batch_rate(coeffs: WienerCoefficients, gmax: float, params: GbmParams) -> float:
     """Acceptance-rate guess that sizes the first proposal batch.
 
     The path is at least gmin = s0 exp(-sigma sup|B_L| + min(drift, 0)), so
@@ -178,14 +152,14 @@ def _first_batch_rate(coeffs: WienerCoefficients, gmax: GmaxBound, params: GbmPa
     sits between that bound and 1.
     """
     log_inf = -params.sigma * _sup_abs_bm(coeffs) + min(params.effective_drift, 0.0)
-    log_ratio = np.log(params.s0) + log_inf - np.log(gmax.value)
+    log_ratio = np.log(params.s0) + log_inf - np.log(gmax)
     return float(max(np.exp(0.5 * log_ratio), 1e-6))
 
 
-def sample_coefficients(rng: np.random.Generator, L: int, clip: float = 8.0) -> WienerCoefficients:
-    """Draw L+1 independent standard normals, clamped to [-clip, clip].
+def sample_coefficients(rng: np.random.Generator, L: int) -> WienerCoefficients:
+    """Draw L+1 independent standard normals, clamped to [-CLIP, CLIP].
 
-    Clamping events are counted on the returned object; with clip = 8 the
+    Clamping events are counted on the returned object; with CLIP = 8 the
     per-draw clamp probability is below 1.3e-15, so the induced bias is
     negligible while the path envelope stays finite.
     """
@@ -193,12 +167,10 @@ def sample_coefficients(rng: np.random.Generator, L: int, clip: float = 8.0) -> 
         raise TypeError("rng must be a numpy Generator (fatal sampling error)")
     if L < 0:
         raise ValueError("L must be >= 0")
-    if clip < 4.0:
-        raise ValueError("clip bound must be >= 4")
     raw = rng.standard_normal(L + 1)
-    clipped = np.clip(raw, -clip, clip)
-    n_clipped = int(np.count_nonzero(np.abs(raw) > clip))
-    return WienerCoefficients(a=clipped, clip_bound=clip, n_clipped=n_clipped)
+    clipped = np.clip(raw, -CLIP, CLIP)
+    n_clipped = int(np.count_nonzero(np.abs(raw) > CLIP))
+    return WienerCoefficients(a=clipped, n_clipped=n_clipped)
 
 
 def gbm_from_bm(b, t, params: GbmParams):
@@ -219,7 +191,7 @@ def rejection_sample_times(
     rng: np.random.Generator,
     coeffs: WienerCoefficients,
     count: int,
-    gmax: GmaxBound,
+    gmax: float,
     params: GbmParams,
     T: int,
 ) -> tuple[np.ndarray, int]:
@@ -242,8 +214,6 @@ def rejection_sample_times(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if np.max(np.abs(coeffs.a)) > gmax.clip_bound:
-        raise ValueError("coefficients exceed the envelope's clip bound")
     accepted: list[np.ndarray] = []
     n_accepted = 0
     n_proposals = 0
@@ -263,9 +233,9 @@ def rejection_sample_times(
         u = rng.random((batch, 2))
         t = monitoring_times(u[:, 0], T)
         g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
-        if np.any(g > gmax.value * (1.0 + 1e-12)):
+        if np.any(g > gmax * (1.0 + 1e-12)):
             raise ValueError("path value exceeded the envelope; gmax contract violated")
-        hits = np.flatnonzero(u[:, 1] * gmax.value <= g)
+        hits = np.flatnonzero(u[:, 1] * gmax <= g)
         if hits.size >= remaining:
             last = hits[remaining - 1]
             accepted.append(t[hits[:remaining]])

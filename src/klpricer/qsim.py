@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .klcore import wiener_eval
+from .klcore import CLIP, wiener_eval
 from .process import GbmParams
 
 __all__ = [
@@ -116,33 +116,28 @@ class StateVector:
         if self.amplitudes.size != 2**self.layout.total_qubits:
             raise ValueError("amplitude length does not match the layout")
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.amplitudes, self.amplitudes).real))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
 
-def gaussian_grid_values(n: int, A: float) -> np.ndarray:
-    """Grid values v(x) = 2 A x / N for x in {-N/2, ..., N/2 - 1}, N = 2^n."""
+def gaussian_grid_values(n: int) -> np.ndarray:
+    """Grid values v(x) = 2 CLIP x / N for x in {-N/2, ..., N/2 - 1}, N = 2^n."""
     N = 2**n
     x = np.arange(N) - N // 2
-    return 2.0 * A * x / N
+    return 2.0 * CLIP * x / N
 
 
-def prepare_gaussian_register(n: int, A: float) -> np.ndarray:
+def prepare_gaussian_register(n: int) -> np.ndarray:
     """Amplitudes of the discretized standard normal on an n-qubit register.
 
     Probabilities are proportional to exp(-v^2/2) at the grid values
-    v = 2 A x / N, renormalized over the grid, so the register encodes the
+    v = 2 CLIP x / N, renormalized over the grid, so the register encodes the
     unit-variance pmf the estimators consume.  Basis index b corresponds to
     x = b - N/2.
     """
     if not 1 <= n <= 8:
         raise ValueError("Gaussian register width must be between 1 and 8 qubits")
-    if A <= 0:
-        raise ValueError("A must be positive")
-    v = gaussian_grid_values(n, A)
+    v = gaussian_grid_values(n)
     p = np.exp(-0.5 * v * v)
     p /= p.sum()
     return np.sqrt(p)
@@ -160,18 +155,18 @@ def _coefficient_codes(n_registers: int, n_qubits: int) -> np.ndarray:
 
 
 def _semidigital_values(
-    params: GbmParams, L: int, T: int, n: int, clip: float
+    params: GbmParams, L: int, T: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every register-code combination and its smoothed GBM value at i/T, i = 1..T."""
     codes = _coefficient_codes(L + 1, n)
-    a = gaussian_grid_values(n, clip)[codes]
+    a = gaussian_grid_values(n)[codes]
     times = np.arange(1, T + 1) / T
     g = params.s0 * np.exp(params.sigma * wiener_eval(a, times) + params.effective_drift * times)
     return codes, g
 
 
 def enumerated_mean(
-    params: GbmParams, L: int, T: int, n: int, clip: float, codec: FixedPointCodec
+    params: GbmParams, L: int, T: int, n: int, codec: FixedPointCodec
 ) -> tuple[float, float]:
     """Classical enumeration of the semi-digital encoding's mean path value.
 
@@ -180,9 +175,9 @@ def enumerated_mean(
     through ``codec`` (what the encoding's ancilla-zero probability times gmax
     equals) together with the unquantized mean.
     """
-    codes, g = _semidigital_values(params, L, T, n, clip)
+    codes, g = _semidigital_values(params, L, T, n)
     gq = codec.decode(codec.encode(g))
-    weights = np.prod(prepare_gaussian_register(n, clip)[codes] ** 2, axis=1)
+    weights = np.prod(prepare_gaussian_register(n)[codes] ** 2, axis=1)
     return float(weights @ gq.mean(axis=1)), float(weights @ g.mean(axis=1))
 
 
@@ -192,7 +187,6 @@ def build_semidigital_state(
     L: int,
     T: int,
     codec: FixedPointCodec,
-    clip: float = 8.0,
 ) -> StateVector:
     """Joint state of coefficient registers, time register, and value register.
 
@@ -210,9 +204,9 @@ def build_semidigital_state(
     if layout.ancilla_count != 0:
         raise ValueError("ancillas are appended by the rotation step")
     n = layout.coeff_qubits
-    codes, g = _semidigital_values(params, L, T, n, clip)
+    codes, g = _semidigital_values(params, L, T, n)
     vcodes = codec.encode(g)
-    joint = np.prod(prepare_gaussian_register(n, clip)[codes], axis=1)
+    joint = np.prod(prepare_gaussian_register(n)[codes], axis=1)
 
     t2 = 2**layout.time_qubits
     v2 = 2**layout.value_qubits
@@ -263,7 +257,6 @@ def build_quantized_subsample_state(
     strike: float,
     gmax: float,
     codec: FixedPointCodec,
-    clip: float = 8.0,
 ) -> StateVector:
     """Coefficient registers plus a payoff ancilla for the coarse-grid average.
 
@@ -282,8 +275,8 @@ def build_quantized_subsample_state(
     if layout.ancilla_count != 1:
         raise ValueError("layout must declare the payoff ancilla")
     n = layout.coeff_qubits
-    amps_1 = prepare_gaussian_register(n, clip)
-    grid = gaussian_grid_values(n, clip)
+    amps_1 = prepare_gaussian_register(n)
+    grid = gaussian_grid_values(n)
     codes = _coefficient_codes(M, n)
     increments = grid[codes]
     times = np.arange(1, M + 1) / M

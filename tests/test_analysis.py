@@ -5,9 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from klpricer import analysis
 from klpricer.analysis import (
     BoundReport,
     convergence_study,
@@ -30,6 +28,11 @@ class TestTruncationSweep:
     def test_requires_wide_reference(self):
         with pytest.raises(ValueError):
             truncation_error_sweep([128], L_ref=256)
+
+    def test_rejects_zero_order(self):
+        # the bound 2/(pi^2 L) needs L >= 1
+        with pytest.raises(ValueError):
+            truncation_error_sweep([0, 8], L_ref=512, n_paths=10)
 
     def test_reproducible_bit_for_bit(self):
         a = truncation_error_sweep([16], L_ref=256, n_paths=5_000, seed=9)
@@ -58,6 +61,16 @@ class TestMappedBound:
     def test_epsilon_range_guard(self):
         with pytest.raises(ValueError):
             verify_mapped_bound(0.0, 0.2, [0.7])
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1])
+    def test_bound_dominates_exact_distance(self, eps):
+        # the distance is E[e^{2X}] E[(1 - e^Z)^2], and E[e^{2X}] = e^{2 mu + 2 sigma^2}
+        # exceeds (E e^X)^2 = e^{2 mu + sigma^2} by e^{sigma^2}: about 28% at sigma = 0.5
+        mu, sigma = 0.05, 0.5
+        rep = verify_mapped_bound(mu, sigma, [eps], n_samples=1000, seed=1)
+        exact = np.exp(2 * mu + 2 * sigma**2) * (1 - 2 * np.exp(eps**2 / 2) + np.exp(2 * eps**2))
+        assert rep.extras["quadrature_oracle"][0] == pytest.approx(exact, rel=1e-12)
+        assert exact <= rep.bound_values[0] <= exact * np.exp(2 * eps**2)
 
 
 class TestSmoothnessProbe:
@@ -91,6 +104,11 @@ class TestSubsampleProbe:
         assert rep.all_pass
         # the averaged payoff cancels most of the error: its ratio is larger
         assert rep.extras["payoff_mse_halving_ratios"][0] > r
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1])
+    def test_epsilon_range_guard(self, eps):
+        with pytest.raises(ValueError):
+            subsample_error_probe([0.1, eps], T=64, n_paths=10, seed=1)
 
     def test_fitted_constant_bounds_measured(self):
         rep = subsample_error_probe([0.2, 0.1], T=256, n_paths=5_000, seed=3)

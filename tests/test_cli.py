@@ -61,9 +61,10 @@ class TestPriceCommand:
     @pytest.mark.parametrize("argv", [
         ("--method", "kl-nested", "--m0", "1"),
         ("--method", "subsample", "--epsilon", "0.00005", "--paths", "10"),
+        ("--method", "kl-nested", "--L", "-1"),
     ])
     def test_estimator_limits_exit_2(self, capsys, argv):
-        # M0/M1 >= 2 and the sub-sampling grid guard are input validation
+        # M0/M1 >= 2, L >= 0 and the sub-sampling grid guard are input validation
         code, out, err = run_cli(capsys, "price", *argv, "--seed", "1")
         assert (code, out) == (2, "")
         assert json.loads(err)["code"] == 2
@@ -215,6 +216,15 @@ class TestAnalyzeCommand:
         assert code == 0
         assert json.loads(out)["all_pass"] is True
 
+    def test_mapped_probe_passes_at_higher_sigma(self, capsys, tmp_path):
+        # the bound constant must carry E[e^{2X}] = e^{2 mu + 2 sigma^2}
+        code, out, _ = run_cli(
+            capsys,
+            "analyze", "--probe", "mapped", "--epsilon", "0.1", "--sigma", "0.3",
+            "--paths", "200000", "--seed", "1", "--output-dir", str(tmp_path),
+        )
+        assert (code, json.loads(out)["all_pass"]) == (0, True)
+
     @pytest.mark.parametrize("flag,value", [
         ("--sigma", "nan"), ("--s0", "inf"), ("--mu", "nan"), ("--strike", "nan"),
         ("--strike", "-1"),
@@ -229,12 +239,20 @@ class TestAnalyzeCommand:
         assert json.loads(err)["code"] == 2
 
     def test_bad_sizes_exit_2(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys,
-            "analyze", "--probe", "truncation", "--paths", "1",
-            "--seed", "1", "--output-dir", str(tmp_path),
-        )
-        assert code == 2
+        # each case is rejected before the probe writes a file; L = 0 and
+        # eps = 0 would divide by zero
+        for i, argv in enumerate([
+            ("--probe", "truncation", "--paths", "1"),
+            ("--probe", "truncation", "--L", "0"),
+            ("--probe", "subsample-error", "--epsilon", "0"),
+        ]):
+            out_dir = tmp_path / str(i)
+            out_dir.mkdir()
+            code, out, err = run_cli(
+                capsys, "analyze", *argv, "--seed", "1", "--output-dir", str(out_dir)
+            )
+            assert (code, out, list(out_dir.iterdir())) == (2, "", []), argv
+            assert json.loads(err)["code"] == 2
 
 
 def test_multi_block_overflow_prints_one_stderr_line():
@@ -261,6 +279,8 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 loaded = {"import": scipy_modules()}
+import klpricer.analysis
+loaded["analysis"] = scipy_modules()
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["price", *argv, "--seed", "1"]) == 0
@@ -271,7 +291,8 @@ print(json.dumps(loaded))
 
 def test_import_leaves_scipy_stats_out():
     # importing scipy costs about half a second; of the pricing path only
-    # geometric-cf needs it (scipy.special.ndtr), so the rest loads numpy alone
+    # geometric-cf needs it (scipy.special.ndtr), so the rest, and the
+    # analysis probes, load numpy alone
     runs = [
         ["--method", "baseline", "--paths", "1000"],
         ["--method", "subsample", "--epsilon", "0.2", "--paths", "1000"],
@@ -287,7 +308,7 @@ def test_import_leaves_scipy_stats_out():
     )
     loaded = json.loads(done.stdout)
     *numpy_only, closed_form = loaded.values()
-    assert numpy_only == [[]] * len(runs)
+    assert numpy_only == [[]] * (len(runs) + 1)
     assert "scipy.special" in closed_form
     heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
     assert not any(m.startswith(heavy) for m in closed_form)

@@ -6,10 +6,9 @@ from scipy.special import polygamma
 
 from klpricer import klcore
 from klpricer.klcore import (
+    CLIP,
     WienerCoefficients,
-    kl_eigenvalue,
     sine_basis,
-    tail_variance_bound,
     truncation_index_bm,
     wiener_eval,
     wiener_eval_horner,
@@ -39,26 +38,6 @@ def scipy_truncation_index(eps):
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
     return hi
-
-
-class TestEigenpairs:
-    def test_first_eigenvalue(self):
-        assert kl_eigenvalue(1) == pytest.approx(4.0 / np.pi**2, rel=1e-14)
-        assert kl_eigenvalue(1) == pytest.approx(0.4052847, abs=5e-7)
-
-    def test_second_eigenvalue(self):
-        assert kl_eigenvalue(2) == pytest.approx(4.0 / (9.0 * np.pi**2), rel=1e-14)
-
-    def test_tenth_eigenvalue(self):
-        assert kl_eigenvalue(10) == pytest.approx(1.0 / (9.5**2 * np.pi**2), rel=1e-14)
-
-    def test_index_convention(self):
-        with pytest.raises(ValueError):
-            kl_eigenvalue(0)
-
-    def test_eigenvalues_strictly_decreasing_to_1e4(self):
-        eigenvalues = [kl_eigenvalue(k) for k in range(1, 10_001)]
-        assert np.all(np.diff(eigenvalues) < 0)
 
 
 class TestTruncationIndex:
@@ -92,18 +71,16 @@ class TestTruncationIndex:
 
 
 class TestTailBound:
-    def test_closed_form_values(self):
-        assert tail_variance_bound(1).closed_form == pytest.approx(2.0 / np.pi**2)
-        assert tail_variance_bound(100).closed_form == pytest.approx(0.002026, abs=5e-7)
-
     def test_exact_below_closed_and_monotone(self):
+        # truncation_index_bm brackets its search with the closed bound
+        # 2/(pi^2 L), which needs the exact tail to stay below it
         prev = np.inf
         for L in (1, 4, 16, 64, 256):
-            tb = tail_variance_bound(L)
-            assert tb.exact == pytest.approx(brute_tail(L), rel=1e-12)
-            assert tb.exact < tb.closed_form
-            assert tb.closed_form < prev
-            prev = tb.closed_form
+            exact = klcore._tail_exact(L)
+            assert exact == pytest.approx(brute_tail(L), rel=1e-12)
+            assert exact < 2.0 / (np.pi**2 * L)
+            assert exact < prev
+            prev = exact
 
     def test_numpy_trigamma_matches_scipy(self):
         Ls = np.concatenate([
@@ -125,17 +102,17 @@ class TestTailBound:
         head = sine_basis(np.arange(1, L + 1, dtype=float), t)
         wiener_tail = t * (1.0 - t) - np.sum(head**2, axis=0)
         assert wiener_tail.min() > -1e-15
-        assert wiener_tail.max() <= tail_variance_bound(L).exact
+        assert wiener_tail.max() <= klcore._tail_exact(L)
 
 
 class TestWienerEval:
     def test_drift_mode_only(self):
-        c = WienerCoefficients(a=np.array([1.0, 0.0, 0.0]), clip_bound=8.0)
+        c = WienerCoefficients(a=np.array([1.0, 0.0, 0.0]))
         for t in (0.0, 0.25, 0.8, 1.0):
             assert wiener_eval(c.a, t) == pytest.approx(t, abs=1e-15)
 
     def test_time_domain_rejected(self):
-        c = WienerCoefficients(a=np.zeros(3), clip_bound=8.0)
+        c = WienerCoefficients(a=np.zeros(3))
         for t in (1.5, -0.1):
             with pytest.raises(ValueError):
                 wiener_eval(c.a, t)
@@ -144,20 +121,20 @@ class TestWienerEval:
 
     def test_zero_at_origin(self):
         rng = np.random.default_rng(3)
-        c = WienerCoefficients(a=np.clip(rng.standard_normal(17), -8, 8), clip_bound=8.0)
+        c = WienerCoefficients(a=np.clip(rng.standard_normal(17), -CLIP, CLIP))
         assert wiener_eval(c.a, 0.0) == 0.0
         assert wiener_eval_horner(c, 0.0) == 0.0
 
     def test_first_sine_mode(self):
-        c = WienerCoefficients(a=np.array([0.0, 1.0]), clip_bound=8.0)
+        c = WienerCoefficients(a=np.array([0.0, 1.0]))
         assert wiener_eval(c.a, 0.5) == pytest.approx(np.sqrt(2.0) / np.pi, rel=1e-14)
         assert wiener_eval_horner(c, 0.5) == pytest.approx(np.sqrt(2.0) / np.pi, rel=1e-14)
 
     def test_boundary_identities(self):
         rng = np.random.default_rng(11)
         for L in (0, 1, 8, 64):
-            a = np.clip(rng.standard_normal(L + 1), -8, 8)
-            c = WienerCoefficients(a=a, clip_bound=8.0)
+            a = np.clip(rng.standard_normal(L + 1), -CLIP, CLIP)
+            c = WienerCoefficients(a=a)
             assert wiener_eval_horner(c, 0.0) == 0.0
             assert wiener_eval_horner(c, 1.0) == pytest.approx(a[0], abs=1e-12)
 
@@ -165,8 +142,8 @@ class TestWienerEval:
     def test_horner_matches_direct(self, L):
         rng = np.random.default_rng(100 + L)
         t = rng.random(1000)
-        a = np.clip(10.0 * rng.standard_normal(L + 1), -10, 10)
-        c = WienerCoefficients(a=a, clip_bound=10.0)
+        a = np.clip(CLIP * rng.standard_normal(L + 1), -CLIP, CLIP)
+        c = WienerCoefficients(a=a)
         direct = wiener_eval(c.a, t)
         horner = wiener_eval_horner(c, t)
         rel = np.abs(horner - direct) / (1.0 + np.abs(direct))
@@ -174,25 +151,26 @@ class TestWienerEval:
 
     def test_direct_series_over_rows(self):
         rng = np.random.default_rng(7)
-        a = np.clip(rng.standard_normal((5, 13)), -8, 8)
+        a = np.clip(rng.standard_normal((5, 13)), -CLIP, CLIP)
         t = rng.random((3, 4))
         rows = wiener_eval(a, t)
         assert rows.shape == (5, 3, 4)
         for row, coeffs in zip(rows, a):
             assert np.allclose(row, wiener_eval(coeffs, t), rtol=1e-14, atol=1e-14)
-            horner = wiener_eval_horner(WienerCoefficients(a=coeffs, clip_bound=8.0), t)
+            horner = wiener_eval_horner(WienerCoefficients(a=coeffs), t)
             assert np.allclose(row, horner, rtol=1e-9, atol=1e-12)
 
 
 class TestCoefficientValidation:
     def test_clip_bound_enforced(self):
+        assert WienerCoefficients(a=np.array([CLIP, -CLIP])).order == 1
         with pytest.raises(ValueError):
-            WienerCoefficients(a=np.array([0.0, 9.0]), clip_bound=8.0)
+            WienerCoefficients(a=np.array([0.0, np.nextafter(CLIP, np.inf)]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            WienerCoefficients(a=np.array([np.nan]), clip_bound=8.0)
+            WienerCoefficients(a=np.array([np.nan]))
 
     def test_order(self):
-        c = WienerCoefficients(a=np.zeros(5), clip_bound=8.0)
+        c = WienerCoefficients(a=np.zeros(5))
         assert c.order == 4

@@ -7,13 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 from klpricer import pricing, process
-from klpricer.klcore import wiener_eval, wiener_eval_horner
+from klpricer.klcore import CLIP, wiener_eval, wiener_eval_horner
 from klpricer.pricing import (
     AsianPayoffSpec,
-    asian_payoff,
     geometric_asian_closed_form,
     price_baseline,
-    price_geometric_mc,
     price_kl_nested,
     price_subsample,
 )
@@ -21,35 +19,44 @@ from klpricer.process import GbmParams, TimeGrid
 
 MARKET = GbmParams(100.0, 0.05, 0.2)
 SPEC64 = AsianPayoffSpec(strike=100.0, monitoring_count=64)
+TAG_GEOMETRIC = 4  # stream tag of the geometric-average Monte Carlo oracle
+GRID100 = TimeGrid(np.arange(101) / 100)  # k/100 for k = 0..100, with a leading t = 0
+
+
+def average_call(path_values, strike):
+    """The flat estimators' payoff (T^-1 sum_i S_i - K)^+ on rows of path values."""
+    values = np.atleast_2d(np.asarray(path_values, dtype=float))
+    payoff = pricing._average_call(MARKET, values.shape[-1], strike)
+    return payoff(np.log(values / MARKET.s0))
 
 
 class TestPayoff:
     def test_at_the_money_average(self):
-        spec = AsianPayoffSpec(strike=100.0, monitoring_count=3)
-        assert asian_payoff([100.0, 100.0, 100.0], spec) == 0.0
+        assert average_call([100.0, 100.0, 100.0], 100.0)[0] == 0.0
 
     def test_zero_strike_is_weighted_mean(self):
-        spec = AsianPayoffSpec(strike=0.0, monitoring_count=3)
-        assert asian_payoff([90.0, 100.0, 110.0], spec) == pytest.approx(100.0)
+        assert average_call([90.0, 100.0, 110.0], 0.0)[0] == pytest.approx(100.0)
 
     def test_simple_value(self):
-        spec = AsianPayoffSpec(strike=95.0, monitoring_count=3)
-        assert asian_payoff([90.0, 100.0, 110.0], spec) == pytest.approx(5.0)
+        assert average_call([90.0, 100.0, 110.0], 95.0)[0] == pytest.approx(5.0)
 
     def test_length_mismatch(self):
-        spec = AsianPayoffSpec(strike=95.0, monitoring_count=3)
+        payoff = pricing._average_call(MARKET, 3, 95.0)
         with pytest.raises(ValueError):
-            asian_payoff([90.0, 100.0], spec)
+            payoff(np.zeros((1, 2)))
 
     def test_lipschitz_property_exact(self):
+        # the payoff exponentiates in place and scales by s0, so x and y are
+        # built the same way and carry the exact path values it averages
         rng = np.random.default_rng(0)
-        spec = AsianPayoffSpec(strike=100.0, monitoring_count=16)
         w = np.full(16, 1.0 / 16)
-        for _ in range(10_000):
-            x = 100.0 * np.exp(rng.standard_normal(16) * 0.3)
-            y = 100.0 * np.exp(rng.standard_normal(16) * 0.3)
-            lhs = abs(asian_payoff(x, spec) - asian_payoff(y, spec))
-            assert lhs <= float(w @ np.abs(x - y)) + 1e-12
+        payoff = pricing._average_call(MARKET, 16, 100.0)
+        log_x = rng.standard_normal((10_000, 16)) * 0.3
+        log_y = rng.standard_normal((10_000, 16)) * 0.3
+        x = np.exp(log_x) * MARKET.s0
+        y = np.exp(log_y) * MARKET.s0
+        lhs = np.abs(payoff(log_x) - payoff(log_y))
+        assert np.all(lhs <= np.abs(x - y) @ w + 1e-12)
 
 
 class TestBaseline:
@@ -105,6 +112,23 @@ def _reference_flat(params, times, n_paths, seed, tag, payoff):
     return mean, float(np.sqrt(var / n_paths))
 
 
+def _geometric_mc(params, grid, strike, n_paths, seed):
+    """Flat MC of the geometric-average call: the closed form's brute-force oracle.
+
+    A leading t = 0 costs no draw: S(0) = s0 enters the mean log as log(s0).
+    """
+    times = grid.points[1:] if grid.points[0] == 0.0 else grid.points
+    n_fixed = grid.points.size - times.size
+    log_s0 = np.log(params.s0)
+
+    def payoff(logs):
+        logs += log_s0
+        mean_log = (logs.sum(axis=1) + n_fixed * log_s0) / grid.points.size
+        return np.maximum(np.exp(mean_log) - strike, 0.0)
+
+    return pricing._flat_moments(params, times, n_paths, seed, TAG_GEOMETRIC, payoff)
+
+
 def _reference_arithmetic(params, times, weights, strike, n_paths, seed):
     def payoff(logs):
         return np.maximum(params.s0 * np.exp(logs) @ weights - strike, 0.0)
@@ -131,17 +155,16 @@ class TestFlatKernel:
         assert (est.value, est.std_error) == ref
 
     def test_geometric_mc_matches_reference(self):
-        # the sub-sampling grid has a leading t = 0, which costs no draw
-        grid = TimeGrid.subsample(100)
-        est = price_geometric_mc(MARKET, grid, 100.0, 5000, seed=24)
+        # the grid has a leading t = 0, which costs no draw
+        est = _geometric_mc(MARKET, GRID100, 100.0, 5000, seed=24)
         log_s0 = np.log(MARKET.s0)
 
         def payoff(logs):
             mean_log = ((logs + log_s0).sum(axis=1) + log_s0) / 101
             return np.maximum(np.exp(mean_log) - 100.0, 0.0)
 
-        ref = _reference_flat(MARKET, grid.points[1:], 5000, 24, process.TAG_GEOMETRIC, payoff)
-        assert (est.value, est.std_error) == ref
+        ref = _reference_flat(MARKET, GRID100.points[1:], 5000, 24, TAG_GEOMETRIC, payoff)
+        assert est == ref
 
     def test_one_row_tail_keeps_every_path_bit(self):
         # a 1-row tail is folded into the chunk before it: a lone row through
@@ -183,8 +206,8 @@ class TestFlatKernel:
                      id="baseline-65537"),
         pytest.param(lambda n: price_subsample(MARKET, SPEC64, 0.1, n, seed=25), 3000, 100,
                      id="subsample"),
-        pytest.param(lambda n: price_geometric_mc(MARKET, TimeGrid.subsample(100), 100.0, n, 25),
-                     3000, 100, id="geometric-mc"),
+        pytest.param(lambda n: _geometric_mc(MARKET, GRID100, 100.0, n, 25), 3000, 100,
+                     id="geometric-mc"),
     ])
     def test_draws_only_the_rows_used(self, monkeypatch, price, n_paths, n_times):
         drawn = []
@@ -256,7 +279,7 @@ class TestNested:
 
     def test_haldane_inner_ratio_is_unbiased(self):
         # one fixed path and M1 = 4, where the naive M1 / n_prop ratio is ~9% high
-        coeffs = process.sample_coefficients(process.stream(31, 1, 0), 21, 8.0)
+        coeffs = process.sample_coefficients(process.stream(31, 1, 0), 21)
         t = np.arange(1, 65) / 64
         exact = process.gbm_from_bm(wiener_eval_horner(coeffs, t), t, MARKET).mean()
         n = 4000
@@ -323,7 +346,7 @@ def _nested_reference_price(params, strike, L, n_outer, seed):
     while done < n_outer:
         b = min(chunk, n_outer - done)
         rng = process.stream(seed, 99, done)
-        a = np.clip(rng.standard_normal((b, L + 1)), -8, 8)
+        a = np.clip(rng.standard_normal((b, L + 1)), -CLIP, CLIP)
         g = params.s0 * np.exp(params.sigma * wiener_eval(a, t) + params.effective_drift * t)
         gbar = g.mean(axis=1)
         total += float(np.maximum(gbar - strike, 0.0).sum())
@@ -351,8 +374,8 @@ class TestGeometricClosedForm:
     def test_brute_force_monte_carlo_agreement(self):
         grid = TimeGrid.uniform_monitoring(64)
         cf = geometric_asian_closed_form(MARKET, grid, 100.0)
-        mc = price_geometric_mc(MARKET, grid, 100.0, 1_000_000, seed=13)
-        assert abs(cf - mc.value) <= 3.0 * mc.std_error
+        mc, se = _geometric_mc(MARKET, grid, 100.0, 1_000_000, seed=13)
+        assert abs(cf - mc) <= 3.0 * se
 
     def test_min_sum_identity(self):
         # the sorted-counts shortcut must equal the O(M^2) double sum

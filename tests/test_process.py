@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, kstest, norm
 
 from klpricer import pricing, process
-from klpricer.klcore import WienerCoefficients, wiener_eval_horner
+from klpricer.klcore import CLIP, WienerCoefficients, wiener_eval_horner
 from klpricer.process import (
     GbmParams,
-    GmaxBound,
     TimeGrid,
     g_max_bound,
     gbm_from_bm,
@@ -39,10 +38,6 @@ class TestTimeGrid:
         g = TimeGrid.uniform_monitoring(4)
         assert np.allclose(g.points, [0.25, 0.5, 0.75, 1.0])
 
-    def test_subsample_includes_origin(self):
-        g = TimeGrid.subsample(4)
-        assert np.allclose(g.points, [0.0, 0.25, 0.5, 0.75, 1.0])
-
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
             TimeGrid(points=np.array([0.1, 0.1, 0.5]))
@@ -65,24 +60,26 @@ class TestSampleCoefficients:
 
     def test_no_clipping_at_eight(self):
         rng = stream(5, 1, 2)
-        c = sample_coefficients(rng, 200_000, clip=8.0)
+        c = sample_coefficients(rng, 200_000)
         assert c.n_clipped == 0
 
     def test_clip_accounting_exact(self):
-        rng = stream(5, 1, 3)
-        c = sample_coefficients(rng, 2_000_000, clip=4.0)
-        raw = stream(5, 1, 3).standard_normal(2_000_001)
-        assert c.n_clipped == int(np.count_nonzero(np.abs(raw) > 4.0))
+        # normals scaled to standard deviation 2 CLIP: about 62% of the draws
+        # lie beyond +-CLIP
+        class Wide(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                return 2.0 * CLIP * super().standard_normal(size, dtype=dtype, out=out)
+
+        c = sample_coefficients(Wide(stream(5, 1, 3).bit_generator), 100_000)
+        raw = 2.0 * CLIP * stream(5, 1, 3).standard_normal(100_001)
+        assert c.n_clipped == int(np.count_nonzero(np.abs(raw) > CLIP))
         assert c.n_clipped > 0
-        assert np.abs(c.a).max() <= 4.0
+        assert np.abs(c.a).max() <= CLIP
+        assert np.array_equal(c.a, np.clip(raw, -CLIP, CLIP))
 
     def test_invalid_stream_fatal(self):
         with pytest.raises(TypeError):
             sample_coefficients(np.random.RandomState(0), 4)
-
-    def test_clip_floor(self):
-        with pytest.raises(ValueError):
-            sample_coefficients(stream(1, 1, 4), 4, clip=2.0)
 
 
 class TestGbmFromBm:
@@ -132,39 +129,36 @@ class TestSequentialPaths:
 class TestGmaxBound:
     def test_no_diffusion_limit(self):
         params = GbmParams(1.0, 0.0, 1e-15)
-        assert g_max_bound(params, 5, 8.0).value == pytest.approx(1.0, rel=1e-9)
+        assert g_max_bound(params, 5) == pytest.approx(1.0, rel=1e-9)
 
     def test_l_zero_closed_form(self):
-        params = GbmParams(1.0, 0.0, 0.2)
-        assert g_max_bound(params, 0, 5.0).value == pytest.approx(np.e, rel=1e-12)
+        # sup |a0 t| = CLIP and a negative drift: s0 exp(sigma CLIP) = e
+        params = GbmParams(1.0, 0.0, 1.0 / CLIP)
+        assert g_max_bound(params, 0) == pytest.approx(np.e, rel=1e-12)
 
     def test_dominates_sampled_paths(self):
-        L, A = 24, 8.0
-        bound = g_max_bound(MARKET, L, A)
+        L = 24
+        bound = g_max_bound(MARKET, L)
         rng = stream(21, 1, 9)
         worst = 0.0
         for _ in range(100):
-            coeffs = sample_coefficients(rng, L, A)
+            coeffs = sample_coefficients(rng, L)
             t = rng.random(1000)
             g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, MARKET)
             worst = max(worst, float(np.max(g)))
-        assert worst <= bound.value
-
-    def test_clip_floor(self):
-        with pytest.raises(ValueError):
-            g_max_bound(MARKET, 4, A=3.0)
+        assert worst <= bound
 
 
 @st.composite
 def clipped_draws(draw):
     L = draw(st.integers(0, 48))
-    a = draw(st.lists(st.floats(-8.0, 8.0), min_size=L + 1, max_size=L + 1))
+    a = draw(st.lists(st.floats(-CLIP, CLIP), min_size=L + 1, max_size=L + 1))
     params = GbmParams(
         s0=draw(st.floats(1.0, 200.0)),
         mu=draw(st.floats(-1.0, 1.0)),
         sigma=draw(st.floats(0.01, 1.0)),
     )
-    return WienerCoefficients(a=np.array(a), clip_bound=8.0), params
+    return WienerCoefficients(a=np.array(a)), params
 
 
 class TestPathEnvelope:
@@ -174,13 +168,11 @@ class TestPathEnvelope:
         coeffs, params = draw
         t = np.linspace(0.0, 1.0, 4097)
         g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
-        assert np.max(g) <= path_envelope(params, coeffs).value * (1.0 + 1e-12)
+        assert np.max(g) <= path_envelope(params, coeffs) * (1.0 + 1e-12)
 
     def test_all_coefficients_at_clip_match_global_bound(self):
-        coeffs = WienerCoefficients(a=np.full(13, -8.0), clip_bound=8.0)
-        assert path_envelope(MARKET, coeffs).value == pytest.approx(
-            g_max_bound(MARKET, 12, 8.0).value, rel=1e-12
-        )
+        coeffs = WienerCoefficients(a=np.full(13, -CLIP))
+        assert path_envelope(MARKET, coeffs) == pytest.approx(g_max_bound(MARKET, 12), rel=1e-12)
 
 
 def grid_pmf(coeffs, params, T):
@@ -199,10 +191,10 @@ def chi2_stat(times, pmf):
 
 class TestRejectionSampler:
     def test_flat_target_accepts_everything(self):
-        coeffs = WienerCoefficients(a=np.zeros(3), clip_bound=8.0)
+        coeffs = WienerCoefficients(a=np.zeros(3))
         # flat path at s0: envelope equal to the path accepts every proposal
         flat = GbmParams(100.0, 0.0, 1e-13)
-        gmax = GmaxBound(value=100.0 * (1 + 1e-10), clip_bound=8.0)
+        gmax = 100.0 * (1 + 1e-10)
         times, n_prop = rejection_sample_times(stream(2, 3, 0), coeffs, 20_000, gmax, flat, 16)
         assert n_prop == 20_000
         assert chi2_stat(times, np.full(16, 1.0 / 16)) < chi2.ppf(1.0 - 1e-3, df=16 - 1)
@@ -210,22 +202,22 @@ class TestRejectionSampler:
     def test_goodness_of_fit_against_grid_pmf(self):
         L, T = 16, 50
         rng = stream(4, 3, 1)
-        coeffs = sample_coefficients(rng, L, 8.0)
-        gmax = g_max_bound(MARKET, L, 8.0)
+        coeffs = sample_coefficients(rng, L)
+        gmax = g_max_bound(MARKET, L)
         n = 50_000
         times, n_prop = rejection_sample_times(stream(4, 3, 2), coeffs, n, gmax, MARKET, T)
         pmf, mean = grid_pmf(coeffs, MARKET, T)
         assert chi2_stat(times, pmf) < chi2.ppf(1.0 - 1e-3, df=T - 1)
         # acceptance rate against the grid mean of the target over the envelope
         rate = n / n_prop
-        p = mean / gmax.value
+        p = mean / gmax
         assert abs(rate - p) <= 3.0 * np.sqrt(p * (1 - p) / n_prop)
 
     def test_envelope_scaling_invariance(self):
         L, T = 8, 64
-        coeffs = sample_coefficients(stream(6, 3, 3), L, 8.0)
-        g1 = g_max_bound(MARKET, L, 8.0)
-        g2 = GmaxBound(value=2.0 * g1.value, clip_bound=8.0)
+        coeffs = sample_coefficients(stream(6, 3, 3), L)
+        g1 = g_max_bound(MARKET, L)
+        g2 = 2.0 * g1
         t1, n1 = rejection_sample_times(stream(6, 3, 4), coeffs, 20_000, g1, MARKET, T)
         t2, n2 = rejection_sample_times(stream(6, 3, 5), coeffs, 20_000, g2, MARKET, T)
         assert n2 / n1 == pytest.approx(2.0, rel=0.05)
@@ -235,8 +227,8 @@ class TestRejectionSampler:
 
     def test_snap_mode_hits_grid(self):
         # every proposal snaps to a monitoring time i/T
-        coeffs = sample_coefficients(stream(8, 3, 6), 4, 8.0)
-        gmax = g_max_bound(MARKET, 4, 8.0)
+        coeffs = sample_coefficients(stream(8, 3, 6), 4)
+        gmax = g_max_bound(MARKET, 4)
         times, _ = rejection_sample_times(stream(8, 3, 7), coeffs, 5000, gmax, MARKET, 16)
         assert np.array_equal(times * 16, np.round(times * 16))
         assert times.min() >= 1.0 / 16 and times.max() <= 1.0
@@ -258,7 +250,7 @@ class TestRejectionSampler:
                 return u
 
         monkeypatch.setattr(process, "wiener_eval_horner", recording)
-        coeffs = sample_coefficients(stream(8, 3, 6), 12, 8.0)
+        coeffs = sample_coefficients(stream(8, 3, 6), 12)
         env = path_envelope(MARKET, coeffs)
         rng = Counting(stream(8, 3, 7).bit_generator)
         times, n_prop = rejection_sample_times(rng, coeffs, 400, env, MARKET, T)
@@ -270,14 +262,21 @@ class TestRejectionSampler:
         assert np.isin(times, points).all()
 
     def test_starvation_guard(self):
-        coeffs = WienerCoefficients(a=np.zeros(2), clip_bound=8.0)
-        huge = GmaxBound(value=1e12, clip_bound=8.0)
+        coeffs = WienerCoefficients(a=np.zeros(2))
         with pytest.raises(process.RejectionStarvedError):
-            rejection_sample_times(stream(1, 3, 8), coeffs, 1, huge, MARKET, 64)
+            rejection_sample_times(stream(1, 3, 8), coeffs, 1, 1e12, MARKET, 64)
+
+    @pytest.mark.parametrize("gmax", [0.0, -1.0])
+    def test_non_positive_envelope_violates_contract(self, gmax):
+        # the path is positive, so it exceeds any gmax <= 0 on the first proposal
+        coeffs = WienerCoefficients(a=np.zeros(2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="exceeded the envelope"):
+                rejection_sample_times(stream(1, 3, 8), coeffs, 1, gmax, MARKET, 64)
 
     @pytest.mark.parametrize("T", [16, 1 << 20])
     def test_batch_sizes_do_not_change_result(self, monkeypatch, T):
-        coeffs = sample_coefficients(stream(14, 3, 0), 12, 8.0)
+        coeffs = sample_coefficients(stream(14, 3, 0), 12)
         env = path_envelope(MARKET, coeffs)
         ref = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, T)
         for floor, rate in ((1, 1.0), (4096, 1e-2), (100_000, 1e-4)):
@@ -288,8 +287,8 @@ class TestRejectionSampler:
             assert np.array_equal(got[0], ref[0])
 
     def test_determinism(self):
-        coeffs = sample_coefficients(stream(12, 3, 9), 8, 8.0)
-        gmax = g_max_bound(MARKET, 8, 8.0)
+        coeffs = sample_coefficients(stream(12, 3, 9), 8)
+        gmax = g_max_bound(MARKET, 8)
         t1, n1 = rejection_sample_times(stream(12, 3, 10), coeffs, 1000, gmax, MARKET, 64)
         t2, n2 = rejection_sample_times(stream(12, 3, 10), coeffs, 1000, gmax, MARKET, 64)
         assert n1 == n2

@@ -1,0 +1,45 @@
+"""Every public name is used by the program, not only by its tests."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# Names exported ahead of their caller, each with the reason it stays.
+ALLOWED_UNUSED = {
+    "build_quantized_subsample_state":
+        "ROADMAP item 6 makes it real through qsim-check",
+}
+
+
+def unused_exports(root: pathlib.Path) -> dict:
+    """Names in a module's ``__all__`` that no program file references, by module.
+
+    The program files are the package modules (``__init__`` re-exports only)
+    and the scripts.  A reference is a Name or an Attribute; the strings of
+    ``__all__`` and of docstrings are constants and do not count.
+    """
+    package = sorted((root / "src" / "klpricer").glob("*.py"))
+    files = [p for p in package if p.name != "__init__.py"]
+    files += sorted((root / "scripts").glob("*.py"))
+    exported, referenced = {}, set()
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(dict.fromkeys(ast.literal_eval(node.value), path.stem))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return {name: module for name, module in exported.items() if name not in referenced}
+
+
+def test_every_exported_name_is_referenced():
+    unused = unused_exports(ROOT)
+    # an allowed name that gains a caller leaves the list
+    assert set(ALLOWED_UNUSED) <= set(unused)
+    assert {n: m for n, m in unused.items() if n not in ALLOWED_UNUSED} == {}

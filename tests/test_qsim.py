@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from klpricer import qsim
+from klpricer.klcore import CLIP
 from klpricer.process import GbmParams, g_max_bound
 from klpricer.qsim import (
     FixedPointCodec,
@@ -21,33 +22,33 @@ MARKET = GbmParams(100.0, 0.05, 0.2)
 
 class TestGaussianRegister:
     def test_two_level_register(self):
-        amps = prepare_gaussian_register(1, 5.0)
-        v = gaussian_grid_values(1, 5.0)
-        assert np.allclose(v, [-5.0, 0.0])
+        amps = prepare_gaussian_register(1)
+        v = gaussian_grid_values(1)
+        assert np.allclose(v, [-CLIP, 0.0])
         p = amps**2
         expect = np.exp(-0.5 * v**2)
         expect /= expect.sum()
         assert np.allclose(p, expect, atol=1e-15)
 
     def test_mirror_symmetry_within_grid(self):
-        amps = prepare_gaussian_register(4, 6.0)
+        amps = prepare_gaussian_register(4)
         p = amps**2
         # x and -x share a grid point for |x| <= N/2 - 1
         for x in range(1, 8):
             assert p[8 + x] == pytest.approx(p[8 - x], rel=1e-14)
 
     def test_unit_variance_encoding(self):
-        amps = prepare_gaussian_register(6, 8.0)
-        v = gaussian_grid_values(6, 8.0)
+        amps = prepare_gaussian_register(6)
+        v = gaussian_grid_values(6)
         p = amps**2
         var = float(p @ v**2 - (p @ v) ** 2)
         assert abs(var - 1.0) < 0.02
 
     def test_width_guard(self):
         with pytest.raises(ValueError):
-            prepare_gaussian_register(0, 8.0)
+            prepare_gaussian_register(0)
         with pytest.raises(ValueError):
-            prepare_gaussian_register(9, 8.0)
+            prepare_gaussian_register(9)
 
 
 class TestCodec:
@@ -65,8 +66,8 @@ class TestCodec:
 
 def small_setup(T=4):
     layout = RegisterLayout(coeff_qubits=2, n_coeff_registers=2, time_qubits=2, value_qubits=8)
-    gmax = g_max_bound(MARKET, L=1, A=8.0)
-    codec = FixedPointCodec.for_range(8, gmax.value)
+    gmax = g_max_bound(MARKET, L=1)
+    codec = FixedPointCodec.for_range(8, gmax)
     state = build_semidigital_state(layout, MARKET, L=1, T=T, codec=codec)
     return layout, gmax, codec, state
 
@@ -75,17 +76,17 @@ class TestSemidigitalState:
     def test_norm_and_layout(self):
         layout, _, _, state = small_setup()
         assert layout.total_qubits == 14
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_coefficient_marginals_product_gaussian(self):
         _, _, _, state = small_setup()
         probs = state.probabilities().reshape(16, -1).sum(axis=1)
-        single = prepare_gaussian_register(2, 8.0) ** 2
+        single = prepare_gaussian_register(2) ** 2
         assert np.abs(probs - np.outer(single, single).ravel()).max() < 1e-10
 
     def test_value_register_is_deterministic_function(self):
         layout, gmax, codec, state = small_setup()
-        grid = gaussian_grid_values(2, 8.0)
+        grid = gaussian_grid_values(2)
         probs = state.probabilities()
         live = np.flatnonzero(probs > 0)
         v2, t2 = 2**layout.value_qubits, 2**layout.time_qubits
@@ -101,10 +102,10 @@ class TestSemidigitalState:
 
     def test_single_time_point(self):
         layout = RegisterLayout(coeff_qubits=2, n_coeff_registers=2, time_qubits=0, value_qubits=8)
-        gmax = g_max_bound(MARKET, L=1, A=8.0)
-        codec = FixedPointCodec.for_range(8, gmax.value)
+        gmax = g_max_bound(MARKET, L=1)
+        codec = FixedPointCodec.for_range(8, gmax)
         state = build_semidigital_state(layout, MARKET, L=1, T=1, codec=codec)
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
     def test_no_diffusion_coupling(self):
         # L = 0 and sigma ~ 0: value register depends only on the time index
@@ -128,17 +129,17 @@ class TestSemidigitalState:
 class TestValueRotation:
     def test_probability_identity_with_enumeration(self):
         layout, gmax, codec, state = small_setup()
-        rotated = attach_value_rotation(state, gmax.value)
-        assert abs(rotated.norm() - 1.0) < 1e-12
+        rotated = attach_value_rotation(state, gmax)
+        assert abs(np.linalg.norm(rotated.amplitudes) - 1.0) < 1e-12
         p0 = exact_success_probability(rotated, 0)
-        quantized, exact = qsim.enumerated_mean(MARKET, 1, 4, 2, 8.0, codec)
-        assert p0 * gmax.value == pytest.approx(quantized, abs=1e-10)
+        quantized, exact = qsim.enumerated_mean(MARKET, 1, 4, 2, codec)
+        assert p0 * gmax == pytest.approx(quantized, abs=1e-10)
         # versus the unquantized mean, the codec step is the only slack
-        assert abs(p0 * gmax.value - exact) <= codec.scale / 2
+        assert abs(p0 * gmax - exact) <= codec.scale / 2
 
     def test_completeness(self):
         _, gmax, _, state = small_setup()
-        rotated = attach_value_rotation(state, gmax.value)
+        rotated = attach_value_rotation(state, gmax)
         p0 = exact_success_probability(rotated, 0)
         p1 = exact_success_probability(rotated, 1)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
@@ -167,7 +168,7 @@ class TestValueRotation:
     def test_gmax_contract_enforced(self):
         layout, gmax, codec, state = small_setup()
         with pytest.raises(ValueError):
-            attach_value_rotation(state, gmax.value / 1000.0)
+            attach_value_rotation(state, gmax / 1000.0)
 
 
 class TestQuantizedSubsampleState:
@@ -177,7 +178,7 @@ class TestQuantizedSubsampleState:
             coeff_qubits=2, n_coeff_registers=2, time_qubits=0, value_qubits=0, ancilla_count=1
         )
         # payoff envelope: running sums bounded by sqrt(M) * clip
-        self.gmax = 100.0 * np.exp(0.2 * 8.0 * np.sqrt(2.0) + max(MARKET.effective_drift, 0.0))
+        self.gmax = 100.0 * np.exp(0.2 * CLIP * np.sqrt(2.0) + max(MARKET.effective_drift, 0.0))
         self.codec = FixedPointCodec.for_range(8, self.gmax)
 
     def build(self, strike):
@@ -186,8 +187,8 @@ class TestQuantizedSubsampleState:
         )
 
     def oracle(self, strike):
-        grid = gaussian_grid_values(2, 8.0)
-        pmf = prepare_gaussian_register(2, 8.0) ** 2
+        grid = gaussian_grid_values(2)
+        pmf = prepare_gaussian_register(2) ** 2
         total = 0.0
         codec = FixedPointCodec.for_range(8, self.gmax)
         for i in range(4):
@@ -201,7 +202,7 @@ class TestQuantizedSubsampleState:
 
     def test_matches_enumeration_over_16_codes(self):
         state = self.build(100.0)
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
         p0 = exact_success_probability(state, 0)
         assert p0 * self.gmax == pytest.approx(self.oracle(100.0), abs=1e-10)
 
