@@ -158,6 +158,8 @@ def verify_mapped_bound(
     cross-check of the Monte Carlo measurement.
     """
     eps_values = [float(e) for e in eps_values]
+    if not eps_values:
+        raise ValueError("need at least one eps value")
     if any(not (0.0 <= e <= 0.5) for e in eps_values):
         raise ValueError("eps values must lie in [0, 0.5]")
     ex2 = float(np.exp(2.0 * mu + 2.0 * sigma**2))  # E[e^{2X}]
@@ -328,6 +330,8 @@ def subsample_error_probe(
     if isinstance(eps_values, float):
         eps_values = [eps_values]
     eps_values = [float(e) for e in eps_values]
+    if not eps_values:
+        raise ValueError("need at least one eps value")
     if any(not 0.0 < e < 1.0 for e in eps_values):
         raise ValueError("eps values must lie in (0, 1)")
     if params is None:

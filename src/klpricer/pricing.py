@@ -61,7 +61,7 @@ def _block_size(n_times: int) -> int:
     return 64
 
 _CHUNK_BYTES = 1 << 20  # about one core's L2 share
-_SUBSAMPLE_GRID_LIMIT = 100_000_000
+_MAX_DOUBLES = 100_000_000  # resource guard on one vector of draws or grid points
 _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
 
 
@@ -81,14 +81,12 @@ class AsianPayoffSpec:
 
 @dataclass
 class Estimate:
-    """A Monte Carlo price: value, outer standard error, and provenance."""
+    """A Monte Carlo price: value, outer standard error, and sample counts."""
 
     value: float
     std_error: float
     n_outer: int
     n_inner: int
-    seed: int
-    method: str
 
 
 def _block_rows(n_times: int, n_paths: int) -> list[int]:
@@ -220,15 +218,24 @@ def price_baseline(params: GbmParams, spec: AsianPayoffSpec, n_paths: int, seed:
     times = TimeGrid.uniform_monitoring(spec.monitoring_count).points
     payoff = _average_call(params, times.size, spec.strike)
     mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff)
-    return Estimate(mean, se, n_paths, 1, seed, "baseline")
+    return Estimate(mean, se, n_paths, 1)
 
 
 def _subsample_points(epsilon: float) -> int:
     """Grid size M = ceil(1/eps^2) of the sub-sampling estimator, within the guard."""
     m = int(np.ceil(1.0 / epsilon**2))
-    if m > _SUBSAMPLE_GRID_LIMIT:
+    if m > _MAX_DOUBLES:
         raise ValueError(f"sub-sampling grid of {m} points exceeds the resource guard")
     return m
+
+
+def _series_order(epsilon: float, L: int | None) -> int:
+    """Series order L of kl-nested, the truncation index for eps by default, within the guard."""
+    if L is None:
+        L = truncation_index_bm(epsilon)
+    if L + 1 > _MAX_DOUBLES:
+        raise ValueError(f"series of {L + 1} coefficients exceeds the resource guard")
+    return L
 
 
 def price_subsample(
@@ -248,7 +255,7 @@ def price_subsample(
     times = np.arange(1, m + 1) / m
     payoff = _average_call(params, m, spec.strike)
     mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff)
-    return Estimate(mean, se, n_paths, 1, seed, "subsample")
+    return Estimate(mean, se, n_paths, 1)
 
 
 def _acceptance_inner_mean(
@@ -307,8 +314,7 @@ def price_kl_nested(
         raise ValueError("epsilon must be in (0, 1)")
     if inner_mode not in ("acceptance", "uniform"):
         raise ValueError("inner_mode must be 'acceptance' or 'uniform'")
-    if L is None:
-        L = truncation_index_bm(epsilon)
+    L = _series_order(epsilon, L)
     if M0 is None:
         M0 = int(np.ceil(_DEFAULT_SIZING / epsilon**2))
     if M1 is None:
@@ -331,7 +337,7 @@ def price_kl_nested(
         total += pay
         total_sq += pay * pay
     mean, se = _mean_and_se(total, total_sq, M0)
-    return Estimate(mean, se, M0, M1, seed, "kl_nested")
+    return Estimate(mean, se, M0, M1)
 
 
 def _log_average_moments(params: GbmParams, points: np.ndarray) -> tuple[float, float]:

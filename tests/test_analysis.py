@@ -62,6 +62,10 @@ class TestMappedBound:
         with pytest.raises(ValueError):
             verify_mapped_bound(0.0, 0.2, [0.7])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            verify_mapped_bound(0.0, 0.2, [])
+
     @pytest.mark.parametrize("eps", [0.05, 0.1])
     def test_bound_dominates_exact_distance(self, eps):
         # the distance is E[e^{2X}] E[(1 - e^Z)^2], and E[e^{2X}] = e^{2 mu + 2 sigma^2}
@@ -110,6 +114,10 @@ class TestSubsampleProbe:
         with pytest.raises(ValueError):
             subsample_error_probe([0.1, eps], T=64, n_paths=10, seed=1)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            subsample_error_probe([], T=64, n_paths=10, seed=1)
+
     def test_fitted_constant_bounds_measured(self):
         rep = subsample_error_probe([0.2, 0.1], T=256, n_paths=5_000, seed=3)
         for m, b in zip(rep.measured, rep.bound_values):
@@ -157,7 +165,8 @@ class TestReportFiles:
         )
         path = tmp_path / "demo.csv"
         write_report_csv(rep, path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["bound_name", "parameters", "measured", "bound", "pass"]
         assert rows[1][0] == "demo"
         assert json.loads(rows[1][1]) == {"L": 8}

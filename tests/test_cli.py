@@ -110,6 +110,19 @@ class TestPriceCommand:
             "error": "discount factor exp(-discount_rate) overflows", "code": 2
         }
 
+    @pytest.mark.parametrize("flag", ["--L=100000000", "--epsilon=1e-5"])
+    def test_series_order_guard_exits_2_before_any_draw(self, capsys, monkeypatch, flag):
+        # each outer draw holds L + 1 coefficients, which the 10^8-double guard
+        # caps; eps = 1e-5 resolves to L = 2,026,423,673
+        streams = []
+        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
+        code, out, err = run_cli(
+            capsys, "price", "--method", "kl-nested", flag, "--m0", "2", "--m1", "2",
+            "--seed", "1",
+        )
+        assert (code, out, streams) == (2, "", [])
+        assert json.loads(err)["code"] == 2
+
     def test_non_finite_estimate_exits_1(self, capsys):
         # the median path is finite at mu = 705, but exp still overflows on
         # some paths; the run must fail, not print Infinity/NaN
@@ -174,6 +187,15 @@ class TestPriceCommand:
         )
         assert code == 0
         assert json.loads(path.read_text()) == json.loads(out)
+
+    def test_unwritable_output_exits_1_without_stdout(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "price", "--method", "geometric-cf", "--seed", "3",
+            "--output", str(tmp_path / "missing" / "est.json"),
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["code"] == 1
 
 
 class TestAnalyzeCommand:
@@ -245,6 +267,12 @@ class TestAnalyzeCommand:
             ("--probe", "truncation", "--paths", "1"),
             ("--probe", "truncation", "--L", "0"),
             ("--probe", "subsample-error", "--epsilon", "0"),
+            # an empty comma list is invalid, not a grid with nothing to check
+            ("--probe", "mapped", "--epsilon", ","),
+            ("--probe", "subsample-error", "--epsilon", ","),
+            ("--probe", "smoothness", "--epsilon", ","),
+            ("--probe", "convergence", "--epsilon", ","),
+            ("--probe", "truncation", "--L", ","),
         ]):
             out_dir = tmp_path / str(i)
             out_dir.mkdir()
@@ -253,6 +281,13 @@ class TestAnalyzeCommand:
             )
             assert (code, out, list(out_dir.iterdir())) == (2, "", []), argv
             assert json.loads(err)["code"] == 2
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "analyze", "--probe", "mapped", "--seed", "-1", "--output-dir", str(tmp_path)
+        )
+        assert (code, out, list(tmp_path.iterdir())) == (2, "", [])
+        assert json.loads(err) == {"error": "seed must be non-negative", "code": 2}
 
 
 def test_multi_block_overflow_prints_one_stderr_line():

@@ -227,7 +227,7 @@ class TestFlatKernel:
 class TestSubsample:
     def test_grid_size_from_epsilon(self):
         est = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=1000, seed=3)
-        assert est.method == "subsample"
+        assert (est.n_outer, est.n_inner) == (1000, 1)
 
     def test_resource_guard(self):
         with pytest.raises(ValueError):
