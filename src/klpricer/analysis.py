@@ -91,6 +91,8 @@ def truncation_error_sweep(
     against the closed tail bound 2/(pi^2 L).
     """
     L_values = sorted(int(L) for L in L_values)
+    if not L_values:
+        raise ValueError("L values must be non-empty")
     if L_values[0] < 1:
         raise ValueError("L values must be >= 1")
     if L_ref < 8 * max(L_values):

@@ -3,7 +3,8 @@
 Two subcommands:
 
 * ``price``  runs one estimator and prints the estimate as a single JSON
-  object (value, std_error, method, n_outer, n_inner, seed, wall_time_ms).
+  object (value, std_error, method, n_outer, n_inner, seed, wall_time_ms,
+  and the estimator's integer ``diagnostics`` counters).
 * ``analyze`` runs one verification probe and writes its report as CSV plus
   a JSON summary; the exit status reflects whether every bound check passed.
 
@@ -150,6 +151,7 @@ def run_price(args: argparse.Namespace) -> dict:
         "n_inner": est.n_inner,
         "seed": args.seed,
         "wall_time_ms": wall_ms,
+        "diagnostics": est.diagnostics,
     }
 
 

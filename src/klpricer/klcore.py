@@ -12,7 +12,9 @@ the direct series on it (the reference form, for one coefficient row or a
 batch of rows); ``wiener_eval_horner`` evaluates the same series through a
 single Clenshaw recurrence in cos(pi t), using
 sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) with U the Chebyshev polynomials of
-the second kind.  Everything here is stateless and safe to call concurrently.
+the second kind.  Its recurrence, ``_clenshaw``, also takes one coefficient
+row per point, so that the nested estimator evaluates a group of outer draws
+in one pass.  Everything here is stateless and safe to call concurrently.
 
 Two bases meet here.  The tail bounds and the truncation index use the KL
 eigenpairs (index k - 1/2), while synthesis uses the Wiener sine series
@@ -170,6 +172,34 @@ def wiener_eval(a, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _clenshaw(a: np.ndarray, t: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """The series at each t by the Clenshaw recurrence in cos(pi t), unchecked.
+
+    ``a`` is one coefficient row, evaluated at every t, or, with ``rows``, a
+    2-D array whose row rows[j] is evaluated at t[j].  Either way every point
+    goes through the same elementwise operations, so a point's value does not
+    depend on which other points or rows share the call.
+    """
+    if rows is not None and len(a) == 1:
+        a, rows = a[0], None  # one row needs no gather per step
+    L = a.shape[-1] - 1
+    a0 = a[..., 0] if rows is None else a[rows, 0]
+    if L == 0:
+        return a0 * t
+    d = (a[..., 1:] / np.arange(1, L + 1)).T  # d[k - 1] holds a_k / k of every row
+    x2 = 2.0 * _cospi(t)
+    s = _sinpi(t)
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    tmp = np.empty_like(t)
+    for k in range(L - 1, -1, -1):
+        np.multiply(x2, b1, out=tmp)
+        tmp -= b2
+        tmp += d[k] if rows is None else d[k][rows]
+        b2, b1, tmp = b1, tmp, b2
+    return a0 * t + _SQRT2_OVER_PI * s * b1
+
+
 def wiener_eval_horner(coeffs: WienerCoefficients, t):
     """Clenshaw-recurrence evaluation of the same series, O(L) per point.
 
@@ -178,22 +208,5 @@ def wiener_eval_horner(coeffs: WienerCoefficients, t):
     Agrees with ``wiener_eval`` to ~1e-9 relative error for |a_k| <= CLIP and
     L <= 512.
     """
-    t = _check_unit_interval(t)
-    a = coeffs.a
-    L = coeffs.order
-    if L == 0:
-        out = a[0] * t
-        return float(out) if out.ndim == 0 else out
-    d = a[1:] / np.arange(1, L + 1)
-    x2 = 2.0 * _cospi(t)
-    s = _sinpi(t)
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    tmp = np.empty_like(t)
-    for dk in d[::-1]:
-        np.multiply(x2, b1, out=tmp)
-        tmp -= b2
-        tmp += dk
-        b2, b1, tmp = b1, tmp, b2
-    out = a[0] * t + _SQRT2_OVER_PI * s * b1
+    out = _clenshaw(coeffs.a, _check_unit_interval(t))
     return float(out) if out.ndim == 0 else out

@@ -22,6 +22,13 @@ blocks run at once on one thread per usable core, and their payoff sums are
 added in block order, so every value is a pure function of (seed, path
 index) whatever the number of cores.
 
+The nested estimator's acceptance mode runs the sampler's first proposal
+batch for a group of outer draws in one vectorised pass, with each path's
+series evaluated once per distinct monitoring time it proposes; draws that
+need more proposals finish alone.  Every draw keeps its own stream and every
+proposal its bits, so values do not depend on the grouping, and a group's
+uniforms are capped at ``_GROUP_BYTES`` (64 KiB), so memory stays flat.
+
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
 """
@@ -29,12 +36,12 @@ discount factor scale the final value.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import process
-from .klcore import WienerCoefficients, truncation_index_bm, wiener_eval_horner
+from .klcore import _clenshaw, truncation_index_bm, wiener_eval_horner
 from .process import GbmParams, TimeGrid
 
 __all__ = [
@@ -61,6 +68,7 @@ def _block_size(n_times: int) -> int:
     return 64
 
 _CHUNK_BYTES = 1 << 20  # about one core's L2 share
+_GROUP_BYTES = 1 << 16  # first-round uniforms of one group of kl-nested outer draws
 _MAX_DOUBLES = 100_000_000  # resource guard on one vector of draws or grid points
 _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
 
@@ -81,12 +89,17 @@ class AsianPayoffSpec:
 
 @dataclass
 class Estimate:
-    """A Monte Carlo price: value, outer standard error, and sample counts."""
+    """A Monte Carlo price: value, outer standard error, sample counts and counters.
+
+    ``diagnostics`` holds deterministic integer counters of the run, a pure
+    function of the request like the value; kl-nested fills it.
+    """
 
     value: float
     std_error: float
     n_outer: int
     n_inner: int
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _block_rows(n_times: int, n_paths: int) -> list[int]:
@@ -258,24 +271,139 @@ def price_subsample(
     return Estimate(mean, se, n_paths, 1)
 
 
-def _acceptance_inner_mean(
-    rng: np.random.Generator,
-    coeffs: WienerCoefficients,
-    M1: int,
-    params: GbmParams,
-    T: int,
-) -> float:
-    """Unbiased mean of one path over the T monitoring points from M1 acceptances.
+def _haldane_mean(env, M1: int, n_prop):
+    """Unbiased mean of a path over the T monitoring points from M1 acceptances.
 
     Proposals until the M1-th acceptance are negative binomial with success
     probability p = mean_i G_L(i/T) / env, and (M1 - 1)/(n_prop - 1) is unbiased
     for p (Haldane 1945), so env (M1 - 1)/(n_prop - 1) is unbiased for the
     mean.  The naive M1 / n_prop overstates it by a factor of about
-    1 + (1 - p)/M1.
+    1 + (1 - p)/M1.  Takes one draw's envelope and proposal count, or arrays
+    of them.
     """
-    env = process.path_envelope(params, coeffs)
-    _, n_prop = process.rejection_sample_times(rng, coeffs, M1, env, params, T)
     return env * (M1 - 1) / (n_prop - 1)
+
+
+def _distinct_points(row: np.ndarray, u: np.ndarray, T: int) -> tuple:
+    """Distinct (row, monitoring time) pairs of proposals, and each proposal's pair.
+
+    Proposal j is row ``row[j]`` at the time (floor(u[j] T) + 1)/T of
+    ``process.monitoring_times``; returns the rows and times of the distinct
+    pairs and, per proposal, the index of its pair.  Pairs are found by
+    sorting on a float key and marking where the pair itself changes: past
+    row * T = 2^53 the key is inexact, which can leave equal pairs unmerged
+    (a wasted evaluation) but never merges different ones.
+    """
+    idx = np.floor(u * T)
+    order = np.argsort(row * float(T) + idx)
+    row, idx = row[order], idx[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (idx[1:] != idx[:-1])
+    pair = np.empty_like(order)
+    pair[order] = np.cumsum(new) - 1
+    return row[new], (idx[new] + 1.0) / T, pair
+
+
+def _first_round(
+    rngs: list,
+    coeffs: list,
+    a: np.ndarray,
+    env: np.ndarray,
+    batch: np.ndarray,
+    M1: int,
+    params: GbmParams,
+    T: int,
+) -> tuple[np.ndarray, int]:
+    """Proposals each draw of a group spends through its M1-th acceptance, and series points.
+
+    Draw j, with coefficient row ``a[j]``, envelope ``env[j]`` and stream
+    ``rngs[j]``, proposes its first ``batch[j]`` pairs (u, z) exactly as
+    ``process.rejection_sample_times`` would.  The series is evaluated once
+    per distinct (draw, monitoring time) pair by the recurrence of
+    ``wiener_eval_horner`` and gathered back to the proposals, so each
+    proposal sees the bits the sampler would give it.  A draw still short
+    of M1 acceptances carries on alone through
+    ``process.rejection_sample_times`` on the rest of its stream.  Accepted
+    proposals depend on the stream alone, not on batch boundaries, so its
+    count is the one a single call from the start would give.  The points
+    are the distinct pairs plus the proposals of the draws that finish alone.
+    """
+    ends = np.cumsum(batch)
+    starts = ends - batch
+    u = np.empty((int(ends[-1]), 2))
+    for rng, start, end in zip(rngs, starts, ends):
+        rng.random(out=u[start:end])
+    row = np.repeat(np.arange(len(rngs)), batch)
+    rows, t, pair = _distinct_points(row, u[:, 0], T)
+    g = process.gbm_from_bm(_clenshaw(a, t, rows), t, params)[pair]
+    env_p = env[row]
+    if np.any(g > env_p * (1.0 + 1e-12)):
+        raise ValueError("path value exceeded the envelope; gmax contract violated")
+    accepted = np.cumsum(u[:, 1] * env_p <= g)  # acceptances through each proposal
+    through = accepted[ends - 1]
+    hits = np.diff(through, prepend=0)  # each draw's acceptances in its first batch
+    n_prop = np.searchsorted(accepted, through - hits + M1) - starts + 1
+    points = t.size
+    for j in np.flatnonzero(hits < M1):
+        _, rest = process.rejection_sample_times(
+            rngs[j], coeffs[j], M1 - int(hits[j]), float(env[j]), params, T
+        )
+        n_prop[j] = batch[j] + rest
+        points += rest
+    return n_prop, points
+
+
+def _acceptance_means(
+    params: GbmParams, T: int, L: int, M0: int, M1: int, seed: int
+) -> tuple[np.ndarray, dict]:
+    """Haldane inner means of outer draws 0..M0-1, a group of draws at a time, and counters.
+
+    Draws are taken in runs that hold their coefficient rows at once (within
+    ``_GROUP_BYTES``); each run's envelopes and first batch sizes come from
+    one row-wise call, and the run splits into groups whose first batches
+    hold at most ``_GROUP_BYTES`` of uniforms (at least one draw each).
+    Every draw uses only its own stream, so no value depends on the grouping.
+    """
+    gbar = np.empty(M0)
+    counts = dict.fromkeys(("clipped", "proposals", "accepted", "series_points"), 0)
+    cap = _GROUP_BYTES // 16  # proposals: two uniforms each
+    run = max(1, min(cap // process._MIN_BATCH, _GROUP_BYTES // (8 * (L + 1))))
+    for first in range(0, M0, run):
+        draws = range(first, min(first + run, M0))
+        rngs = [process.stream(seed, process.TAG_NESTED, i) for i in draws]
+        coeffs = [process.sample_coefficients(rng, L) for rng in rngs]
+        a = np.array([c.a for c in coeffs])
+        env = process.path_envelope(params, a)
+        batch = process._batch_size(M1, process._first_batch_rate(a, env, params))
+        ends = np.cumsum(batch)
+        j = 0
+        while j < len(rngs):
+            k = max(j + 1, int(np.searchsorted(ends, ends[j] - batch[j] + cap, side="right")))
+            n_prop, points = _first_round(
+                rngs[j:k], coeffs[j:k], a[j:k], env[j:k], batch[j:k], M1, params, T
+            )
+            gbar[first + j : first + k] = _haldane_mean(env[j:k], M1, n_prop)
+            counts["proposals"] += int(n_prop.sum())
+            counts["series_points"] += points
+            j = k
+        counts["clipped"] += sum(c.n_clipped for c in coeffs)
+    counts["accepted"] = M0 * M1
+    return gbar, counts
+
+
+def _uniform_means(
+    params: GbmParams, T: int, L: int, M0: int, M1: int, seed: int
+) -> tuple[np.ndarray, dict]:
+    """Plain inner means at M1 uniformly drawn monitoring times per outer draw, and counters."""
+    gbar = np.empty(M0)
+    clipped = 0
+    for i in range(M0):
+        rng = process.stream(seed, process.TAG_NESTED, i)
+        coeffs = process.sample_coefficients(rng, L)
+        t = process.monitoring_times(rng.random(M1), T)
+        gbar[i] = np.mean(process.gbm_from_bm(wiener_eval_horner(coeffs, t), t, params))
+        clipped += coeffs.n_clipped
+    return gbar, {"clipped": clipped, "series_points": M0 * M1}
 
 
 def price_kl_nested(
@@ -301,6 +429,24 @@ def price_kl_nested(
     proposals only, whatever T is.  Standard error comes from outer
     variation only.
 
+    Acceptance mode runs the sampler's first proposal batch for a group of
+    outer draws at once (``_first_round``): the draws' envelopes and batch
+    sizes come from one row-wise call, and the series is evaluated once per
+    distinct (draw, monitoring time) pair, at most once per proposal, so the
+    cost still does not grow with T.  A draw short of M1 acceptances after
+    its first batch finishes alone through ``process.rejection_sample_times``.
+    Each draw uses only its own stream, and each proposal gets the bits the
+    one-draw sampler would give it, so the estimate does not depend on the
+    grouping.  A group's first batches hold at most ``_GROUP_BYTES`` (64 KiB)
+    of uniforms, which bounds the round's working memory: about 0.4 MiB at
+    eps = 0.1, M0 = M1 = 400 and T = 64, and 0.6 MiB at T = 2^20.
+
+    ``diagnostics`` counts ``clipped`` coefficients and ``series_points``
+    (in acceptance mode the distinct pairs of the grouped rounds plus the
+    proposals of the draws that finish alone; in uniform mode M0 M1), and,
+    in acceptance mode, ``proposals`` through each draw's M1-th acceptance
+    and ``accepted`` (M0 M1).
+
     Estimand: E[(T^-1 sum_i G_L(i/T) - K)^+] for the smoothed path G_L and
     T = ``spec.monitoring_count``.  Both inner means are unbiased per path, so
     what remains is the O(1/M1) convexity bias of a nested estimator (the
@@ -321,23 +467,16 @@ def price_kl_nested(
         M1 = int(np.ceil(_DEFAULT_SIZING / epsilon**2))
     if M0 < 2 or M1 < 2:
         raise ValueError("M0 and M1 must be >= 2")
-    T = spec.monitoring_count
-    strike = spec.strike
+    inner_means = _acceptance_means if inner_mode == "acceptance" else _uniform_means
+    gbar, diagnostics = inner_means(params, spec.monitoring_count, L, M0, M1, seed)
     total = 0.0
     total_sq = 0.0
-    for i in range(M0):
-        rng = process.stream(seed, process.TAG_NESTED, i)
-        coeffs = process.sample_coefficients(rng, L)
-        if inner_mode == "acceptance":
-            gbar = _acceptance_inner_mean(rng, coeffs, M1, params, T)
-        else:
-            t = process.monitoring_times(rng.random(M1), T)
-            gbar = float(np.mean(process.gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)))
-        pay = max(gbar - strike, 0.0)
+    for g in gbar.tolist():  # in draw order
+        pay = max(g - spec.strike, 0.0)
         total += pay
         total_sq += pay * pay
     mean, se = _mean_and_se(total, total_sq, M0)
-    return Estimate(mean, se, M0, M1)
+    return Estimate(mean, se, M0, M1, diagnostics)
 
 
 def _log_average_moments(params: GbmParams, points: np.ndarray) -> tuple[float, float]:

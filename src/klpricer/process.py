@@ -8,7 +8,9 @@ make the rejection step valid:
 * ``path_envelope`` bounds one coefficient draw's path,
   s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)); the
   nested estimator rejects against it, so proposals per acceptance stay
-  near the path's own sup/mean ratio.
+  near the path's own sup/mean ratio.  It and the first-batch rate guess
+  work row-wise: one coefficient row gives one value, a 2-D array of rows
+  (a group of outer draws) gives one value per row from one call.
 * ``g_max_bound`` bounds every path whose coefficients lie in
   [-CLIP, CLIP], the single normalisation that the amplitude encodings in
   ``qsim`` need.
@@ -128,32 +130,44 @@ def g_max_bound(params: GbmParams, L: int) -> float:
     return float(params.s0 * np.exp(params.sigma * sup_b + max(params.effective_drift, 0.0)))
 
 
-def _sup_abs_bm(coeffs: WienerCoefficients) -> float:
+def _sup_abs_bm(a: np.ndarray):
     # |B_L(t)| <= |a0| + (sqrt(2)/pi) sum_k |a_k|/k for every t in [0, 1]
-    a = np.abs(coeffs.a)
-    return float(a[0] + _SQRT2_OVER_PI * np.sum(a[1:] / np.arange(1, a.size)))
+    a = np.abs(a)
+    return a[..., 0] + _SQRT2_OVER_PI * np.sum(a[..., 1:] / np.arange(1, a.shape[-1]), axis=-1)
 
 
-def path_envelope(params: GbmParams, coeffs: WienerCoefficients) -> float:
+def path_envelope(params: GbmParams, a: np.ndarray):
     """Envelope s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)).
 
-    Dominates the smoothed GBM of this one coefficient draw on [0, 1], and is
-    at most ``g_max_bound(params, L)``.
+    ``a`` is one coefficient row (a_0, ..., a_L), giving a float, or a 2-D
+    array of such rows, giving one envelope per row.  Each dominates the
+    smoothed GBM of its own coefficient draw on [0, 1], and is at most
+    ``g_max_bound(params, L)``.
     """
-    log_sup = params.sigma * _sup_abs_bm(coeffs) + max(params.effective_drift, 0.0)
-    return float(params.s0 * np.exp(log_sup))
+    log_sup = params.sigma * _sup_abs_bm(a) + max(params.effective_drift, 0.0)
+    env = params.s0 * np.exp(log_sup)
+    return float(env) if env.ndim == 0 else env
 
 
-def _first_batch_rate(coeffs: WienerCoefficients, gmax: float, params: GbmParams) -> float:
-    """Acceptance-rate guess that sizes the first proposal batch.
+def _first_batch_rate(a: np.ndarray, gmax, params: GbmParams):
+    """Acceptance-rate guess that sizes the first proposal batch, per coefficient row.
 
     The path is at least gmin = s0 exp(-sigma sup|B_L| + min(drift, 0)), so
     gmin / gmax bounds the acceptance probability from below; its square root
     sits between that bound and 1.
     """
-    log_inf = -params.sigma * _sup_abs_bm(coeffs) + min(params.effective_drift, 0.0)
+    log_inf = -params.sigma * _sup_abs_bm(a) + min(params.effective_drift, 0.0)
     log_ratio = np.log(params.s0) + log_inf - np.log(gmax)
-    return float(max(np.exp(0.5 * log_ratio), 1e-6))
+    return np.maximum(np.exp(0.5 * log_ratio), 1e-6)
+
+
+def _batch_size(remaining, rate):
+    """Proposals to draw for ``remaining`` acceptances at acceptance rate ``rate``.
+
+    A NaN rate (from an envelope that is not positive) gives the floor, so
+    the first batch still runs and the envelope check reports the fault.
+    """
+    return np.fmin(np.fmax(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH).astype(np.int64)
 
 
 def sample_coefficients(rng: np.random.Generator, L: int) -> WienerCoefficients:
@@ -226,10 +240,12 @@ def rejection_sample_times(
                 f"{n_accepted}/{count} acceptances (check the envelope constant)"
             )
         if n_proposals:
-            rate = max(n_accepted / n_proposals, 1e-6)
+            # with no acceptance yet the rate is below about 1/n_proposals, so
+            # the batches grow geometrically instead of jumping to _MAX_BATCH
+            rate = max(n_accepted, 1) / n_proposals
         else:
-            rate = _first_batch_rate(coeffs, gmax, params)
-        batch = int(min(max(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH, budget - n_proposals))
+            rate = _first_batch_rate(coeffs.a, gmax, params)
+        batch = int(min(_batch_size(remaining, rate), budget - n_proposals))
         u = rng.random((batch, 2))
         t = monitoring_times(u[:, 0], T)
         g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)

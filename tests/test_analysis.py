@@ -34,6 +34,10 @@ class TestTruncationSweep:
         with pytest.raises(ValueError):
             truncation_error_sweep([0, 8], L_ref=512, n_paths=10)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            truncation_error_sweep([])
+
     def test_reproducible_bit_for_bit(self):
         a = truncation_error_sweep([16], L_ref=256, n_paths=5_000, seed=9)
         b = truncation_error_sweep([16], L_ref=256, n_paths=5_000, seed=9)

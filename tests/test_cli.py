@@ -27,6 +27,7 @@ def price_fields(out):
         "n_inner",
         "seed",
         "wall_time_ms",
+        "diagnostics",
     }
     return data
 

@@ -160,6 +160,18 @@ class TestWienerEval:
             horner = wiener_eval_horner(WienerCoefficients(a=coeffs), t)
             assert np.allclose(row, horner, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("L", [0, 1, 21])
+    def test_recurrence_over_rows_is_bitwise_one_row(self, L):
+        # one coefficient row per point gives each point the one-row bits
+        rng = np.random.default_rng(8)
+        a = np.clip(rng.standard_normal((5, L + 1)), -CLIP, CLIP)
+        t = rng.random(300)
+        rows = rng.integers(0, 5, t.size)
+        got = klcore._clenshaw(a, t, rows)
+        for r in range(5):
+            one = wiener_eval_horner(WienerCoefficients(a=a[r]), t[rows == r])
+            assert np.array_equal(got[rows == r], one)
+
 
 class TestCoefficientValidation:
     def test_clip_bound_enforced(self):

@@ -1,13 +1,14 @@
 """Payoff contracts, estimator examples, and cross-estimator structure."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from klpricer import pricing, process
-from klpricer.klcore import CLIP, wiener_eval, wiener_eval_horner
+from klpricer.klcore import CLIP, truncation_index_bm, wiener_eval, wiener_eval_horner
 from klpricer.pricing import (
     AsianPayoffSpec,
     geometric_asian_closed_form,
@@ -21,6 +22,13 @@ MARKET = GbmParams(100.0, 0.05, 0.2)
 SPEC64 = AsianPayoffSpec(strike=100.0, monitoring_count=64)
 TAG_GEOMETRIC = 4  # stream tag of the geometric-average Monte Carlo oracle
 GRID100 = TimeGrid(np.arange(101) / 100)  # k/100 for k = 0..100, with a leading t = 0
+# kl-nested requests (T, sizing) and their (value, std_error) as pinned
+# before the first round ran for a group of draws at once
+NESTED_PINS = [
+    (64, dict(epsilon=0.1, M0=400, M1=400, seed=7), (6.122188493340892, 0.41909465018882663)),
+    (7, dict(epsilon=0.2, M0=40, M1=50, seed=12), (8.092774589384483, 1.5126801728923045)),
+    (1 << 20, dict(epsilon=0.2, M0=40, M1=50, seed=3), (8.604119129759974, 1.704417718445588)),
+]
 
 
 def average_call(path_values, strike):
@@ -282,11 +290,13 @@ class TestNested:
         coeffs = process.sample_coefficients(process.stream(31, 1, 0), 21)
         t = np.arange(1, 65) / 64
         exact = process.gbm_from_bm(wiener_eval_horner(coeffs, t), t, MARKET).mean()
+        env = process.path_envelope(MARKET, coeffs.a)
         n = 4000
-        inner = np.array([
-            pricing._acceptance_inner_mean(process.stream(31, 3, i), coeffs, 4, MARKET, 64)
+        n_prop = np.array([
+            process.rejection_sample_times(process.stream(31, 3, i), coeffs, 4, env, MARKET, 64)[1]
             for i in range(n)
         ])
+        inner = pricing._haldane_mean(env, 4, n_prop)
         assert abs(inner.mean() - exact) <= 3.0 * inner.std(ddof=1) / np.sqrt(n)
 
     def test_snapped_price_pinned(self):
@@ -299,12 +309,64 @@ class TestNested:
     def test_batch_sizes_leave_price_unchanged(self, monkeypatch):
         kw = dict(epsilon=0.2, M0=40, M1=50, seed=12)
         specs = [SPEC64, AsianPayoffSpec(strike=100.0, monitoring_count=7)]
-        ref = [price_kl_nested(MARKET, spec, **kw) for spec in specs]
+
+        def prices():
+            # series_points counts evaluations, which batch sizes do change
+            return [(e.value, e.std_error, e.diagnostics["proposals"])
+                    for e in (price_kl_nested(MARKET, spec, **kw) for spec in specs)]
+
+        ref = prices()
         # one proposal per batch, and the old 4096 floor with a 1e-2 guess
         for floor, rate in ((1, 1.0), (4096, 1e-2)):
             monkeypatch.setattr(process, "_MIN_BATCH", floor)
-            monkeypatch.setattr(process, "_first_batch_rate", lambda *args, r=rate: r)
-            assert [price_kl_nested(MARKET, spec, **kw) for spec in specs] == ref
+            monkeypatch.setattr(process, "_first_batch_rate",
+                                lambda a, *args, r=rate: np.full(np.shape(a)[:-1], r))
+            assert prices() == ref
+
+    @pytest.mark.parametrize("T, kw, pinned", NESTED_PINS)
+    def test_grouped_round_matches_per_draw_sampler(self, T, kw, pinned):
+        spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
+        est = price_kl_nested(MARKET, spec, **kw)
+        assert (est.value, est.std_error) == pinned
+        assert (*pinned, est.diagnostics["proposals"]) == _per_draw_nested(MARKET, spec, **kw)
+
+    @pytest.mark.parametrize("T, kw, pinned", NESTED_PINS)
+    def test_grouping_leaves_estimate_unchanged(self, monkeypatch, T, kw, pinned):
+        spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
+        ref = price_kl_nested(MARKET, spec, **kw)
+        # one draw per group, then every draw in one group
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr(pricing, "_GROUP_BYTES", budget)
+            assert price_kl_nested(MARKET, spec, **kw) == ref
+
+    def test_envelope_below_path_violates_contract(self, monkeypatch):
+        envelope = process.path_envelope
+        monkeypatch.setattr(process, "path_envelope", lambda params, a: 0.5 * envelope(params, a))
+        with pytest.raises(ValueError, match="exceeded the envelope"):
+            price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=10, M1=10, seed=1)
+
+    def test_diagnostics_at_golden_market(self, golden_market, golden_spec):
+        kw = dict(epsilon=0.2, M0=100, M1=100, seed=5)
+        counts = price_kl_nested(golden_market, golden_spec, **kw).diagnostics
+        assert set(counts) == {"clipped", "proposals", "accepted", "series_points"}
+        assert counts["clipped"] == 0
+        assert counts["accepted"] == 100 * 100
+        assert counts["proposals"] == _per_draw_nested(golden_market, golden_spec, **kw)[2]
+
+    def test_grouped_round_memory_is_bounded(self):
+        # the benchmark's nested request: about 0.4 MiB once warm; the first
+        # call peaks near 1.1 MiB (one-time allocations), and one group of
+        # all 400 draws would peak near 30 MiB
+        kw = dict(epsilon=0.1, M0=400, M1=400)
+        price_kl_nested(MARKET, SPEC64, seed=1, **kw)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            price_kl_nested(MARKET, SPEC64, seed=2, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1 << 20
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -331,6 +393,29 @@ class TestNested:
         assert mses[0] - mses[1] > -3.0 * np.hypot(sds[0], sds[1])
         assert mses[1] - mses[2] > -3.0 * np.hypot(sds[1], sds[2])
         assert mses[0] > mses[2]  # overall decrease is unmistakable
+
+
+def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
+    """kl-nested in acceptance mode, one outer draw at a time through the sampler.
+
+    The reference for the grouped first round: returns (value, std_error,
+    proposals through every draw's M1-th acceptance).
+    """
+    L = truncation_index_bm(epsilon)
+    total = total_sq = 0.0
+    proposals = 0
+    for i in range(M0):
+        rng = process.stream(seed, process.TAG_NESTED, i)
+        coeffs = process.sample_coefficients(rng, L)
+        env = process.path_envelope(params, coeffs.a)
+        _, n_prop = process.rejection_sample_times(
+            rng, coeffs, M1, env, params, spec.monitoring_count
+        )
+        pay = max(pricing._haldane_mean(env, M1, n_prop) - spec.strike, 0.0)
+        total += pay
+        total_sq += pay * pay
+        proposals += n_prop
+    return (*pricing._mean_and_se(total, total_sq, M0), proposals)
 
 
 def _nested_reference_price(params, strike, L, n_outer, seed):

@@ -168,11 +168,18 @@ class TestPathEnvelope:
         coeffs, params = draw
         t = np.linspace(0.0, 1.0, 4097)
         g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
-        assert np.max(g) <= path_envelope(params, coeffs) * (1.0 + 1e-12)
+        assert np.max(g) <= path_envelope(params, coeffs.a) * (1.0 + 1e-12)
+
+    def test_rows_match_one_row_calls(self):
+        a = np.array([sample_coefficients(stream(3, 3, i), 21).a for i in range(50)])
+        env = path_envelope(MARKET, a)
+        assert env.tolist() == [path_envelope(MARKET, row) for row in a]
+        rate = process._first_batch_rate(a, env, MARKET)
+        assert rate.tolist() == [process._first_batch_rate(r, e, MARKET) for r, e in zip(a, env)]
 
     def test_all_coefficients_at_clip_match_global_bound(self):
         coeffs = WienerCoefficients(a=np.full(13, -CLIP))
-        assert path_envelope(MARKET, coeffs) == pytest.approx(g_max_bound(MARKET, 12), rel=1e-12)
+        assert path_envelope(MARKET, coeffs.a) == pytest.approx(g_max_bound(MARKET, 12), rel=1e-12)
 
 
 def grid_pmf(coeffs, params, T):
@@ -251,7 +258,7 @@ class TestRejectionSampler:
 
         monkeypatch.setattr(process, "wiener_eval_horner", recording)
         coeffs = sample_coefficients(stream(8, 3, 6), 12)
-        env = path_envelope(MARKET, coeffs)
+        env = path_envelope(MARKET, coeffs.a)
         rng = Counting(stream(8, 3, 7).bit_generator)
         times, n_prop = rejection_sample_times(rng, coeffs, 400, env, MARKET, T)
         points = np.concatenate(evaluated)
@@ -277,7 +284,7 @@ class TestRejectionSampler:
     @pytest.mark.parametrize("T", [16, 1 << 20])
     def test_batch_sizes_do_not_change_result(self, monkeypatch, T):
         coeffs = sample_coefficients(stream(14, 3, 0), 12)
-        env = path_envelope(MARKET, coeffs)
+        env = path_envelope(MARKET, coeffs.a)
         ref = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, T)
         for floor, rate in ((1, 1.0), (4096, 1e-2), (100_000, 1e-4)):
             monkeypatch.setattr(process, "_MIN_BATCH", floor)
