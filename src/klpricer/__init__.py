@@ -20,7 +20,6 @@ from .process import (
     TimeGrid,
     g_max_bound,
     gbm_from_bm,
-    rejection_sample_times,
     sample_coefficients,
     stream,
 )

@@ -74,14 +74,16 @@ def _validate_price(args: argparse.Namespace) -> None:
         raise ValueError("epsilon must be in (0, 1)")
     if args.method in ("baseline", "subsample") and args.paths < 2:
         raise ValueError("paths must be >= 2")
+    if args.method == "baseline":
+        pricing._check_flat_buffers(args.monitoring, args.paths)
     if args.method == "subsample":
-        pricing._subsample_points(args.epsilon)
+        pricing._check_flat_buffers(pricing._subsample_points(args.epsilon), args.paths)
     if any(m is not None and m < 2 for m in (args.m0, args.m1)):
         raise ValueError("M0 and M1 must be >= 2")
     if args.order is not None and args.order < 0:
         raise ValueError("L must be >= 0")
     if args.method == "kl-nested":
-        pricing._series_order(args.epsilon, args.order)
+        pricing._series_order(args.epsilon, args.order, args.monitoring)
 
 
 def _qsim_check(params: process.GbmParams, monitoring_count: int) -> pricing.Estimate:

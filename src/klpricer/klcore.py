@@ -12,9 +12,9 @@ the direct series on it (the reference form, for one coefficient row or a
 batch of rows); ``wiener_eval_horner`` evaluates the same series through a
 single Clenshaw recurrence in cos(pi t), using
 sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) with U the Chebyshev polynomials of
-the second kind.  Its recurrence, ``_clenshaw``, also takes one coefficient
-row per point, so that the nested estimator evaluates a group of outer draws
-in one pass.  Everything here is stateless and safe to call concurrently.
+the second kind.  Its recurrence, ``_clenshaw``, also takes a 2-D array of
+rows, on a grid or one row per point, for the nested estimator's runs of
+draws.  Everything here is stateless and safe to call concurrently.
 
 Two bases meet here.  The tail bounds and the truncation index use the KL
 eigenpairs (index k - 1/2), while synthesis uses the Wiener sine series
@@ -175,24 +175,25 @@ def wiener_eval(a, t):
 def _clenshaw(a: np.ndarray, t: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """The series at each t by the Clenshaw recurrence in cos(pi t), unchecked.
 
-    ``a`` is one coefficient row, evaluated at every t, or, with ``rows``, a
-    2-D array whose row rows[j] is evaluated at t[j].  Either way every point
-    goes through the same elementwise operations, so a point's value does not
-    depend on which other points or rows share the call.
+    ``a`` is one coefficient row or a 2-D array of rows: each row at every t,
+    with shape a.shape[:-1] + t.shape, or, with ``rows``, row rows[j] at t[j].
+    Every point goes through the same elementwise operations, so its value
+    does not depend on which other points or rows share the call.
     """
-    if rows is not None and len(a) == 1:
-        a, rows = a[0], None  # one row needs no gather per step
-    L = a.shape[-1] - 1
-    a0 = a[..., 0] if rows is None else a[rows, 0]
-    if L == 0:
+    a0, d = a[..., 0], (a[..., 1:] / np.arange(1, a.shape[-1])).T  # d[k - 1] holds a_k / k
+    if rows is not None:
+        a0 = a0[rows]
+    elif a.ndim == 2:  # every row at every t
+        a0 = a0.reshape(a0.shape + (1,) * t.ndim)
+        d = d.reshape(d.shape + (1,) * t.ndim)
+    if len(d) == 0:
         return a0 * t
-    d = (a[..., 1:] / np.arange(1, L + 1)).T  # d[k - 1] holds a_k / k of every row
     x2 = 2.0 * _cospi(t)
     s = _sinpi(t)
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    tmp = np.empty_like(t)
-    for k in range(L - 1, -1, -1):
+    b1 = np.zeros(np.broadcast(a0, t).shape)
+    b2 = np.zeros_like(b1)
+    tmp = np.empty_like(b1)
+    for k in range(len(d) - 1, -1, -1):
         np.multiply(x2, b1, out=tmp)
         tmp -= b2
         tmp += d[k] if rows is None else d[k][rows]

@@ -22,12 +22,10 @@ blocks run at once on one thread per usable core, and their payoff sums are
 added in block order, so every value is a pure function of (seed, path
 index) whatever the number of cores.
 
-The nested estimator's acceptance mode runs the sampler's first proposal
-batch for a group of outer draws in one vectorised pass, with each path's
-series evaluated once per distinct monitoring time it proposes; draws that
-need more proposals finish alone.  Every draw keeps its own stream and every
-proposal its bits, so values do not depend on the grouping, and a group's
-uniforms are capped at ``_GROUP_BYTES`` (64 KiB), so memory stays flat.
+The nested estimator's acceptance mode runs the rejection sampler for runs
+of outer draws in vectorised rounds, reading small-T paths from tables;
+memory is capped by ``_GROUP_BYTES``, cost does not grow with T, and values
+do not depend on the grouping (see ``price_kl_nested``).
 
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
@@ -68,8 +66,9 @@ def _block_size(n_times: int) -> int:
     return 64
 
 _CHUNK_BYTES = 1 << 20  # about one core's L2 share
-_GROUP_BYTES = 1 << 16  # first-round uniforms of one group of kl-nested outer draws
+_GROUP_BYTES = 1 << 16  # uniforms of one group, and one path table, of kl-nested draws
 _MAX_DOUBLES = 100_000_000  # resource guard on one vector of draws or grid points
+_FLAT_BYTES = 1 << 28  # resource guard on the flat kernel's chunk buffers, all threads together
 _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
 
 
@@ -153,6 +152,15 @@ def _block_payoffs(
     return pay
 
 
+def _check_flat_buffers(n_times: int, n_paths: int) -> int:
+    """Bytes of one thread's buffer, min(block, chunk + 1) rows, rejected past ``_FLAT_BYTES``."""
+    rows = min(_block_size(n_times), n_paths, _chunk_rows(n_times) + 1)
+    need = rows * n_times * 8
+    if need > _FLAT_BYTES:
+        raise ValueError(f"flat kernel buffer of {need} bytes exceeds the {_FLAT_BYTES}-byte guard")
+    return need
+
+
 def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     """Sample mean and its standard error from the sum and sum of squares."""
     mean = total / n
@@ -181,8 +189,10 @@ def _flat_moments(
     so the result is the same whatever the number of threads.  Several
     blocks run on one thread per usable core (numpy's fills, ufuncs and BLAS
     release the GIL), each under the caller's numpy error state, which
-    worker threads do not inherit.
+    worker threads do not inherit.  The threads' buffers together stay
+    within ``_FLAT_BYTES``.
     """
+    workers = _FLAT_BYTES // _check_flat_buffers(times.size, n_paths)
     rows = _block_rows(times.size, n_paths)
     err = np.geterr()
 
@@ -196,7 +206,7 @@ def _flat_moments(
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(min(_cpu_count(), len(rows))) as pool:
+        with ThreadPoolExecutor(min(_cpu_count(), len(rows), workers)) as pool:
             parts = list(pool.map(moments, range(len(rows))))
     # left-to-right adds; sum() compensates its float adds from Python 3.12 on
     total = total_sq = 0.0
@@ -242,8 +252,10 @@ def _subsample_points(epsilon: float) -> int:
     return m
 
 
-def _series_order(epsilon: float, L: int | None) -> int:
-    """Series order L of kl-nested, the truncation index for eps by default, within the guard."""
+def _series_order(epsilon: float, L: int | None, T: int) -> int:
+    """Series order L of kl-nested, the truncation index for eps by default, and T <= 2^53."""
+    if T > 1 << 53:
+        raise ValueError("kl-nested needs T <= 2^53, the monitoring points a uniform can reach")
     if L is None:
         L = truncation_index_bm(epsilon)
     if L + 1 > _MAX_DOUBLES:
@@ -284,109 +296,100 @@ def _haldane_mean(env, M1: int, n_prop):
     return env * (M1 - 1) / (n_prop - 1)
 
 
-def _distinct_points(row: np.ndarray, u: np.ndarray, T: int) -> tuple:
-    """Distinct (row, monitoring time) pairs of proposals, and each proposal's pair.
-
-    Proposal j is row ``row[j]`` at the time (floor(u[j] T) + 1)/T of
-    ``process.monitoring_times``; returns the rows and times of the distinct
-    pairs and, per proposal, the index of its pair.  Pairs are found by
-    sorting on a float key and marking where the pair itself changes: past
-    row * T = 2^53 the key is inexact, which can leave equal pairs unmerged
-    (a wasted evaluation) but never merges different ones.
-    """
-    idx = np.floor(u * T)
-    order = np.argsort(row * float(T) + idx)
-    row, idx = row[order], idx[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (row[1:] != row[:-1]) | (idx[1:] != idx[:-1])
-    pair = np.empty_like(order)
-    pair[order] = np.cumsum(new) - 1
-    return row[new], (idx[new] + 1.0) / T, pair
-
-
-def _first_round(
-    rngs: list,
-    coeffs: list,
-    a: np.ndarray,
-    env: np.ndarray,
-    batch: np.ndarray,
-    M1: int,
-    params: GbmParams,
-    T: int,
+def _rounds(
+    rngs: list, a: np.ndarray, env: np.ndarray, batch: np.ndarray,
+    table: np.ndarray | None, M1: int, params: GbmParams, T: int,
 ) -> tuple[np.ndarray, int]:
-    """Proposals each draw of a group spends through its M1-th acceptance, and series points.
+    """Proposals each draw of a run spends through its M1-th acceptance, and points evaluated.
 
-    Draw j, with coefficient row ``a[j]``, envelope ``env[j]`` and stream
-    ``rngs[j]``, proposes its first ``batch[j]`` pairs (u, z) exactly as
-    ``process.rejection_sample_times`` would.  The series is evaluated once
-    per distinct (draw, monitoring time) pair by the recurrence of
-    ``wiener_eval_horner`` and gathered back to the proposals, so each
-    proposal sees the bits the sampler would give it.  A draw still short
-    of M1 acceptances carries on alone through
-    ``process.rejection_sample_times`` on the rest of its stream.  Accepted
-    proposals depend on the stream alone, not on batch boundaries, so its
-    count is the one a single call from the start would give.  The points
-    are the distinct pairs plus the proposals of the draws that finish alone.
+    Draw j has coefficient row ``a[j]``, envelope ``env[j]``, stream
+    ``rngs[j]`` and first batch ``batch[j]``; later batches are sized from
+    its own counts, as in ``process.rejection_sample_times``.  A round draws
+    the batches of the draws still short of M1 acceptances in groups of at
+    most ``_GROUP_BYTES`` of uniforms (at least one draw each).  The path
+    value at ``process.monitoring_times(u, T)`` comes from ``table`` (one row
+    per draw) or, without one, from the series at that time.
     """
-    ends = np.cumsum(batch)
-    starts = ends - batch
-    u = np.empty((int(ends[-1]), 2))
-    for rng, start, end in zip(rngs, starts, ends):
-        rng.random(out=u[start:end])
-    row = np.repeat(np.arange(len(rngs)), batch)
-    rows, t, pair = _distinct_points(row, u[:, 0], T)
-    g = process.gbm_from_bm(_clenshaw(a, t, rows), t, params)[pair]
-    env_p = env[row]
-    if np.any(g > env_p * (1.0 + 1e-12)):
-        raise ValueError("path value exceeded the envelope; gmax contract violated")
-    accepted = np.cumsum(u[:, 1] * env_p <= g)  # acceptances through each proposal
-    through = accepted[ends - 1]
-    hits = np.diff(through, prepend=0)  # each draw's acceptances in its first batch
-    n_prop = np.searchsorted(accepted, through - hits + M1) - starts + 1
-    points = t.size
-    for j in np.flatnonzero(hits < M1):
-        _, rest = process.rejection_sample_times(
-            rngs[j], coeffs[j], M1 - int(hits[j]), float(env[j]), params, T
-        )
-        n_prop[j] = batch[j] + rest
-        points += rest
-    return n_prop, points
+    cap = _GROUP_BYTES // 16  # proposals of one group: two uniforms each
+    budget = process._STARVATION_FACTOR * M1
+    hits = np.zeros(len(rngs), dtype=np.int64)
+    spent = np.zeros(len(rngs), dtype=np.int64)  # proposals, through the M1-th acceptance
+    points = 0
+    live = np.arange(len(rngs))
+    while live.size:
+        ends = np.cumsum(batch)
+        j = 0
+        while j < live.size:
+            k = max(j + 1, int(np.searchsorted(ends, ends[j] - batch[j] + cap, side="right")))
+            group, size = live[j:k], batch[j:k]
+            stop = np.cumsum(size)
+            start = stop - size
+            u = np.empty((int(stop[-1]), 2))
+            for i, lo, hi in zip(group, start, stop):
+                rngs[i].random(out=u[lo:hi])
+            row = np.repeat(group, size)
+            if table is None:
+                t = process.monitoring_times(u[:, 0], T)
+                b = _clenshaw(a[group[0]], t) if group.size == 1 else _clenshaw(a, t, row)
+                g = process.gbm_from_bm(b, t, params)
+            else:
+                g = table[row, (u[:, 0] * T).astype(np.int64)]  # column floor(u T)
+            env_p = env[row]
+            if np.any(g > env_p * (1.0 + 1e-12)):
+                raise ValueError("path value exceeded the envelope; gmax contract violated")
+            accepted = np.cumsum(u[:, 1] * env_p <= g)  # acceptances through each proposal
+            through = accepted[stop - 1]
+            got = np.diff(through, prepend=0)
+            # the M1-th acceptance, past the batch for a draw still short
+            last = np.searchsorted(accepted, through - got + M1 - hits[group])
+            spent[group] += np.minimum(last - start + 1, size)
+            hits[group] += got
+            points += row.size
+            j = k
+        live = live[hits[live] < M1]
+        starved = live[spent[live] >= budget]
+        if starved.size:
+            raise process.RejectionStarvedError(
+                f"rejection sampler starved: {spent[starved[0]]} proposals produced "
+                f"{hits[starved[0]]}/{M1} acceptances (check the envelope constant)"
+            )
+        # with no acceptance yet, a rate of 1/spent grows the batches geometrically
+        rate = np.maximum(hits[live], 1) / spent[live]
+        batch = np.minimum(process._batch_size(M1 - hits[live], rate), budget - spent[live])
+    return spent, points
 
 
 def _acceptance_means(
     params: GbmParams, T: int, L: int, M0: int, M1: int, seed: int
 ) -> tuple[np.ndarray, dict]:
-    """Haldane inner means of outer draws 0..M0-1, a group of draws at a time, and counters.
+    """Haldane inner means of outer draws 0..M0-1, and counters, a run of draws at a time.
 
-    Draws are taken in runs that hold their coefficient rows at once (within
-    ``_GROUP_BYTES``); each run's envelopes and first batch sizes come from
-    one row-wise call, and the run splits into groups whose first batches
-    hold at most ``_GROUP_BYTES`` of uniforms (at least one draw each).
-    Every draw uses only its own stream, so no value depends on the grouping.
+    A run's coefficient rows fit ``_GROUP_BYTES``; it is split into tables
+    of tabulated draws and the rest (``price_kl_nested``), which changes no value.
     """
     gbar = np.empty(M0)
     counts = dict.fromkeys(("clipped", "proposals", "accepted", "series_points"), 0)
-    cap = _GROUP_BYTES // 16  # proposals: two uniforms each
-    run = max(1, min(cap // process._MIN_BATCH, _GROUP_BYTES // (8 * (L + 1))))
+    run = max(1, min(_GROUP_BYTES // 16 // process._MIN_BATCH, _GROUP_BYTES // (8 * (L + 1))))
+    per_table = _GROUP_BYTES // (8 * T)  # path rows that fit one table, none past T = 8192
+    grid = np.arange(1, T + 1) / T if per_table else None
     for first in range(0, M0, run):
         draws = range(first, min(first + run, M0))
         rngs = [process.stream(seed, process.TAG_NESTED, i) for i in draws]
-        coeffs = [process.sample_coefficients(rng, L) for rng in rngs]
-        a = np.array([c.a for c in coeffs])
+        a, clipped = process._coefficient_rows(rngs, L)
         env = process.path_envelope(params, a)
         batch = process._batch_size(M1, process._first_batch_rate(a, env, params))
-        ends = np.cumsum(batch)
-        j = 0
-        while j < len(rngs):
-            k = max(j + 1, int(np.searchsorted(ends, ends[j] - batch[j] + cap, side="right")))
-            n_prop, points = _first_round(
-                rngs[j:k], coeffs[j:k], a[j:k], env[j:k], batch[j:k], M1, params, T
+        tabled = (batch >= T) & (per_table > 0)
+        rows = np.flatnonzero(tabled)
+        parts = [(rows[i : i + per_table], True) for i in range(0, rows.size, max(per_table, 1))]
+        for part, tab in [*parts, (np.flatnonzero(~tabled), False)]:
+            table = process.gbm_from_bm(_clenshaw(a[part], grid), grid, params) if tab else None
+            n_prop, points = _rounds(
+                [rngs[i] for i in part], a[part], env[part], batch[part], table, M1, params, T
             )
-            gbar[first + j : first + k] = _haldane_mean(env[j:k], M1, n_prop)
+            gbar[first + part] = _haldane_mean(env[part], M1, n_prop)
             counts["proposals"] += int(n_prop.sum())
-            counts["series_points"] += points
-            j = k
-        counts["clipped"] += sum(c.n_clipped for c in coeffs)
+            counts["series_points"] += points if table is None else table.size
+        counts["clipped"] += clipped
     counts["accepted"] = M0 * M1
     return gbar, counts
 
@@ -424,28 +427,26 @@ def price_kl_nested(
     recover the path's monitoring average as env (M1 - 1)/(n_prop - 1),
     mirroring how that average appears as a measurement probability in the
     amplitude encoding.  Mode ``uniform`` instead averages the path value at
-    M1 uniformly drawn monitoring times.  Both draw their times through
-    ``process.monitoring_times``, so the series is evaluated at the
-    proposals only, whatever T is.  Standard error comes from outer
-    variation only.
+    M1 uniformly drawn monitoring times (``process.monitoring_times``).
+    Standard error comes from outer variation only.
 
-    Acceptance mode runs the sampler's first proposal batch for a group of
-    outer draws at once (``_first_round``): the draws' envelopes and batch
-    sizes come from one row-wise call, and the series is evaluated once per
-    distinct (draw, monitoring time) pair, at most once per proposal, so the
-    cost still does not grow with T.  A draw short of M1 acceptances after
-    its first batch finishes alone through ``process.rejection_sample_times``.
-    Each draw uses only its own stream, and each proposal gets the bits the
-    one-draw sampler would give it, so the estimate does not depend on the
-    grouping.  A group's first batches hold at most ``_GROUP_BYTES`` (64 KiB)
-    of uniforms, which bounds the round's working memory: about 0.4 MiB at
+    Acceptance mode runs the sampler for runs of outer draws in rounds
+    (``_rounds``); each proposal gets the bits the one-draw sampler would
+    give it, so the estimate does not depend on the grouping.  A draw's path
+    is tabulated on the T-point grid when its T points are no more than its
+    first batch's proposals and one path row fits ``_GROUP_BYTES`` (64 KiB),
+    in tables of at most that size; otherwise each of its proposals is
+    evaluated at its own time.  So a draw costs T points, no more than its
+    first batch, or one point per proposal: the cost does not grow with T,
+    up to T = 2^53, the most a 53-bit uniform can index.  A group's batches hold at most
+    ``_GROUP_BYTES`` of uniforms: the working memory is about 0.4 MiB at
     eps = 0.1, M0 = M1 = 400 and T = 64, and 0.6 MiB at T = 2^20.
 
     ``diagnostics`` counts ``clipped`` coefficients and ``series_points``
-    (in acceptance mode the distinct pairs of the grouped rounds plus the
-    proposals of the draws that finish alone; in uniform mode M0 M1), and,
-    in acceptance mode, ``proposals`` through each draw's M1-th acceptance
-    and ``accepted`` (M0 M1).
+    (in acceptance mode the points of the path tables plus the proposals
+    evaluated at their own time; in uniform mode M0 M1), and, in acceptance
+    mode, ``proposals`` through each draw's M1-th acceptance and
+    ``accepted`` (M0 M1).
 
     Estimand: E[(T^-1 sum_i G_L(i/T) - K)^+] for the smoothed path G_L and
     T = ``spec.monitoring_count``.  Both inner means are unbiased per path, so
@@ -460,11 +461,9 @@ def price_kl_nested(
         raise ValueError("epsilon must be in (0, 1)")
     if inner_mode not in ("acceptance", "uniform"):
         raise ValueError("inner_mode must be 'acceptance' or 'uniform'")
-    L = _series_order(epsilon, L)
-    if M0 is None:
-        M0 = int(np.ceil(_DEFAULT_SIZING / epsilon**2))
-    if M1 is None:
-        M1 = int(np.ceil(_DEFAULT_SIZING / epsilon**2))
+    L = _series_order(epsilon, L, spec.monitoring_count)
+    M0 = int(np.ceil(_DEFAULT_SIZING / epsilon**2)) if M0 is None else M0
+    M1 = int(np.ceil(_DEFAULT_SIZING / epsilon**2)) if M1 is None else M1
     if M0 < 2 or M1 < 2:
         raise ValueError("M0 and M1 must be >= 2")
     inner_means = _acceptance_means if inner_mode == "acceptance" else _uniform_means

@@ -17,7 +17,9 @@ make the rejection step valid:
 
 The rejection sampler draws its proposals row-major from the one stream it
 is given, so the accepted times depend on the stream and the envelope, never
-on how proposals are split into batches.
+on how proposals are split into batches.  ``rejection_sample_times`` runs it
+for one draw; the nested estimator runs the same proposals for a run of
+draws in rounds (``pricing._rounds``).
 
 Randomness is counter-based and splittable: every stream is a Philox
 generator keyed by (seed, stream tag, index), so any path can be regenerated
@@ -40,7 +42,6 @@ __all__ = [
     "sample_coefficients",
     "gbm_from_bm",
     "monitoring_times",
-    "rejection_sample_times",
     "g_max_bound",
     "path_envelope",
 ]
@@ -170,21 +171,23 @@ def _batch_size(remaining, rate):
     return np.fmin(np.fmax(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH).astype(np.int64)
 
 
-def sample_coefficients(rng: np.random.Generator, L: int) -> WienerCoefficients:
-    """Draw L+1 independent standard normals, clamped to [-CLIP, CLIP].
+def _coefficient_rows(rngs: list, L: int) -> tuple[np.ndarray, int]:
+    """One row of L+1 normals from each stream, clamped to [-CLIP, CLIP], and the clamp count."""
+    a = np.empty((len(rngs), L + 1))
+    for row, rng in zip(a, rngs):
+        row[:] = rng.standard_normal(L + 1)
+    n_clipped = int(np.count_nonzero(np.abs(a) > CLIP))
+    return np.clip(a, -CLIP, CLIP, out=a), n_clipped
 
-    Clamping events are counted on the returned object; with CLIP = 8 the
-    per-draw clamp probability is below 1.3e-15, so the induced bias is
-    negligible while the path envelope stays finite.
-    """
+
+def sample_coefficients(rng: np.random.Generator, L: int) -> WienerCoefficients:
+    """One coefficient draw from ``rng``: the one-row case of ``_coefficient_rows``."""
     if not isinstance(rng, np.random.Generator):
         raise TypeError("rng must be a numpy Generator (fatal sampling error)")
     if L < 0:
         raise ValueError("L must be >= 0")
-    raw = rng.standard_normal(L + 1)
-    clipped = np.clip(raw, -CLIP, CLIP)
-    n_clipped = int(np.count_nonzero(np.abs(raw) > CLIP))
-    return WienerCoefficients(a=clipped, n_clipped=n_clipped)
+    a, n_clipped = _coefficient_rows([rng], L)
+    return WienerCoefficients(a=a[0], n_clipped=n_clipped)
 
 
 def gbm_from_bm(b, t, params: GbmParams):
@@ -216,15 +219,10 @@ def rejection_sample_times(
     accepted times and the number of proposals consumed through the final
     acceptance; the expected proposals per acceptance is
     gmax / mean_i G_L(i/T).  The series is evaluated once per proposal, so
-    the cost does not grow with T.
-
-    Proposals come row-major from ``rng`` in batches sized from the observed
-    acceptance rate (the first from ``_first_batch_rate``), so the result is
-    a function of the stream alone: batch sizes only decide how many
-    uniforms are drawn past the final acceptance.
-
-    Raises ``RejectionStarvedError`` when 10^6 * count proposals produce
-    fewer than ``count`` acceptances.
+    the cost does not grow with T.  Batches are sized from the observed
+    acceptance rate (the first from ``_first_batch_rate``).  Raises
+    ``RejectionStarvedError`` when 10^6 * count proposals produce fewer than
+    ``count`` acceptances.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from klpricer import cli, process
+from klpricer import cli, pricing, process
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +123,54 @@ class TestPriceCommand:
         )
         assert (code, out, streams) == (2, "", [])
         assert json.loads(err)["code"] == 2
+
+    def test_monitoring_past_2_53_exits_2_before_any_draw(self, capsys, monkeypatch):
+        # a uniform has 53 bits, so floor(u T) would skip monitoring points
+        streams = []
+        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
+        code, out, err = run_cli(
+            capsys, "price", "--method", "kl-nested", "--T", str((1 << 53) + 1),
+            "--m0", "2", "--m1", "2", "--seed", "1",
+        )
+        assert (code, out, streams) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "kl-nested needs T <= 2^53, the monitoring points a uniform can reach",
+            "code": 2,
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ("--method", "baseline", "--T", "100000000", "--paths", "2"),
+        ("--method", "subsample", "--epsilon", "0.0002", "--paths", "1000"),
+    ], ids=["baseline", "subsample"])
+    def test_flat_buffer_guard_exits_2_before_any_draw(self, capsys, monkeypatch, argv):
+        # one thread's chunk buffer alone holds 2 rows of 10^8 (9 of 2.5 x 10^7)
+        # doubles, 1.6 GB (1.8 GB), past the 256 MiB guard
+        streams = []
+        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
+        code, out, err = run_cli(capsys, "price", *argv, "--seed", "1")
+        assert (code, out, streams) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["code"] == 2
+        assert error["error"].endswith("exceeds the 268435456-byte guard")
+
+    def test_flat_buffer_guard_sizes_the_real_buffer(self, capsys, monkeypatch):
+        # 2 paths of 5 x 10^6 points need an 80 MB buffer, within the guard
+        # whatever the number of cores; the kernel is stubbed out so that
+        # the test allocates only the grid
+        runs = []
+
+        def flat_moments(params, times, n_paths, *rest):
+            runs.append((times.size, n_paths))
+            return 6.0, 0.1
+
+        monkeypatch.setattr(pricing, "_cpu_count", lambda: 64)
+        monkeypatch.setattr(pricing, "_flat_moments", flat_moments)
+        code, out, _ = run_cli(capsys, "price", "--method", "baseline", "--T", "5000000",
+                               "--paths", "2", "--seed", "1")
+        assert (code, runs) == (0, [(5_000_000, 2)])
+        assert pricing._check_flat_buffers(5_000_000, 2) == 80_000_000
 
     def test_non_finite_estimate_exits_1(self, capsys):
         # the median path is finite at mu = 705, but exp still overflows on

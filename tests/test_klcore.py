@@ -162,15 +162,21 @@ class TestWienerEval:
 
     @pytest.mark.parametrize("L", [0, 1, 21])
     def test_recurrence_over_rows_is_bitwise_one_row(self, L):
-        # one coefficient row per point gives each point the one-row bits
+        # one coefficient row per point, or every row on a grid, gives each
+        # point the one-row bits
         rng = np.random.default_rng(8)
         a = np.clip(rng.standard_normal((5, L + 1)), -CLIP, CLIP)
         t = rng.random(300)
         rows = rng.integers(0, 5, t.size)
         got = klcore._clenshaw(a, t, rows)
+        # and every row at every point, as wiener_eval lays them out
+        grid = klcore._clenshaw(a, t.reshape(20, 15))
+        assert grid.shape == (5, 20, 15)
         for r in range(5):
             one = wiener_eval_horner(WienerCoefficients(a=a[r]), t[rows == r])
             assert np.array_equal(got[rows == r], one)
+            every = wiener_eval_horner(WienerCoefficients(a=a[r]), t)
+            assert np.array_equal(grid[r].ravel(), every)
 
 
 class TestCoefficientValidation:

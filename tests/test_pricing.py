@@ -1,13 +1,16 @@
 """Payoff contracts, estimator examples, and cross-estimator structure."""
 
+import concurrent.futures
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from klpricer import pricing, process
+from klpricer import klcore, pricing, process
 from klpricer.klcore import CLIP, truncation_index_bm, wiener_eval, wiener_eval_horner
 from klpricer.pricing import (
     AsianPayoffSpec,
@@ -188,6 +191,24 @@ class TestFlatKernel:
                                            lambda logs: MARKET.s0 * np.exp(logs) @ np.full(64, 1 / 64))
             assert np.array_equal(pay, ref)
 
+    def test_buffer_guard_caps_threads(self, monkeypatch):
+        # each thread holds one chunk buffer: a guard with room for two
+        # buffers runs two threads, not three, and moves no bit
+        ref = price_baseline(MARKET, SPEC64, 3 * 65536, seed=26)
+        pools = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(pricing, "_cpu_count", lambda: 3)
+        buffer = pricing._check_flat_buffers(64, 3 * 65536)
+        monkeypatch.setattr(pricing, "_FLAT_BYTES", 2 * buffer + 1)
+        assert price_baseline(MARKET, SPEC64, 3 * 65536, seed=26) == ref
+        assert pools == [2]
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_independent_of_thread_count(self, monkeypatch, threads):
         # blocks are summed in block order, so the thread count cannot move
@@ -334,10 +355,96 @@ class TestNested:
     def test_grouping_leaves_estimate_unchanged(self, monkeypatch, T, kw, pinned):
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
         ref = price_kl_nested(MARKET, spec, **kw)
-        # one draw per group, then every draw in one group
+        ref.diagnostics.pop("series_points")
+        # one draw per group and no path table, then every draw in one group
+        # with one table of every path, unless T = 2^20 is more than a draw's
+        # first batch; series points count evaluations, which tables change
         for budget in (1, 1 << 40):
             monkeypatch.setattr(pricing, "_GROUP_BYTES", budget)
-            assert price_kl_nested(MARKET, spec, **kw) == ref
+            est = price_kl_nested(MARKET, spec, **kw)
+            points = est.diagnostics.pop("series_points")
+            assert est == ref
+            if budget > 1 and T < 1 << 20:
+                assert points == kw["M0"] * T
+            else:
+                assert points >= ref.diagnostics["proposals"]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(0.1, 2.0),
+        T=st.one_of(st.integers(1, 200), st.just(1 << 20)),
+        M0=st.integers(2, 20),
+        M1=st.integers(2, 60),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_rounds_match_per_draw_sampler(self, sigma, T, M0, M1, seed):
+        # small T reads path tables, draws with short first batches and
+        # T = 2^20 evaluate every proposal, and a high sigma or small M1
+        # sends draws into later rounds; at T <= 2 a sigma near 2 can push a
+        # draw's acceptance rate below the starvation guard's 10^-6
+        assume(T > 2 or sigma <= 1.5)
+        params = GbmParams(100.0, 0.05, sigma)
+        spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
+        kw = dict(epsilon=0.2, M0=M0, M1=M1, seed=seed)
+        est = price_kl_nested(params, spec, **kw)
+        got = (est.value, est.std_error, est.diagnostics["proposals"])
+        assert got == _per_draw_nested(params, spec, **kw)
+
+    def test_tables_bounded_and_split_by_draw(self, monkeypatch):
+        # at sigma = 2 and T = 1000 most draws spend more than T proposals:
+        # each of those reads one path row, in tables of at most 8 rows
+        # (64 KiB), and the others evaluate their proposals; a per-draw
+        # first-round dedup evaluated 112,187 points here
+        tables = []
+
+        def clenshaw(a, t, rows=None):
+            if rows is None:
+                tables.append(a.shape[0] * t.size)
+            return klcore._clenshaw(a, t, rows)
+
+        monkeypatch.setattr(pricing, "_clenshaw", clenshaw)
+        params = GbmParams(100.0, 0.05, 2.0)
+        spec = AsianPayoffSpec(strike=100.0, monitoring_count=1000)
+        kw = dict(epsilon=0.2, M0=40, M1=50, seed=3)
+        est = price_kl_nested(params, spec, **kw)
+        assert est.diagnostics["series_points"] == 38_540
+        assert tables == [8000, 8000, 8000, 8000, 5000]
+        assert (est.value, est.std_error, est.diagnostics["proposals"]) == _per_draw_nested(
+            params, spec, **kw)
+
+    def test_cost_does_not_grow_with_T(self):
+        # the paper's poly-log-in-T cost: past the path table's bounds every
+        # proposal is evaluated at its own time, so T enters only through
+        # floor(u T) and the counts are the same at every T
+        counts = {
+            (d["proposals"], d["series_points"])
+            for d in (
+                price_kl_nested(
+                    MARKET, AsianPayoffSpec(100.0, T), epsilon=0.1, M0=400, M1=400, seed=1
+                ).diagnostics
+                for T in (1 << 20, 1 << 30, 1 << 40, 1 << 50)
+            )
+        }
+        assert counts == {(249_478, 304_760)}
+
+    def test_monitoring_count_past_2_53_rejected(self):
+        # floor(u T) reaches every index up to T = 2^53 and no further
+        kw = dict(epsilon=0.3, M0=2, M1=2, seed=1)
+        price_kl_nested(MARKET, AsianPayoffSpec(100.0, 1 << 53), **kw)
+        for mode in ("acceptance", "uniform"):
+            with pytest.raises(ValueError, match=r"T <= 2\^53"):
+                price_kl_nested(
+                    MARKET, AsianPayoffSpec(100.0, (1 << 53) + 1), inner_mode=mode, **kw
+                )
+
+    def test_starvation_guard_in_round_loop(self, monkeypatch):
+        # an envelope 10^9 times too high accepts almost nothing; the guard
+        # budget is scaled down so the request fails fast
+        envelope = process.path_envelope
+        monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e9 * envelope(params, a))
+        monkeypatch.setattr(process, "_STARVATION_FACTOR", 1000)
+        with pytest.raises(process.RejectionStarvedError, match="/10 acceptances"):
+            price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=3, M1=10, seed=1)
 
     def test_envelope_below_path_violates_contract(self, monkeypatch):
         envelope = process.path_envelope
