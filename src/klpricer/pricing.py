@@ -16,11 +16,11 @@ Four routes to a price are provided:
   geometric-average payoff, used as an analytic oracle.
 
 The flat estimators (baseline, sub-sampling) share one kernel.  Paths
-come in fixed-size blocks, one counter-based stream per block, and each
-block is built in chunks of about 1 MiB in one reused buffer.  Several
-blocks run at once on one thread per usable core, and their payoff sums are
-added in block order, so every value is a pure function of (seed, path
-index) whatever the number of cores.
+come in fixed-size blocks, each drawn from its own stream keyed by (seed,
+block index), and each block is built in chunks of about 1 MiB in one
+reused buffer.  Several blocks run at once on one thread per usable core,
+and their payoff sums are added in block order, so every value is a pure
+function of (seed, path index) whatever the number of cores.
 
 The nested estimator's acceptance mode runs the rejection sampler for runs
 of outer draws in vectorised rounds, reading small-T paths from tables;
@@ -51,9 +51,9 @@ __all__ = [
     "geometric_asian_closed_form",
 ]
 
-# Flat Monte Carlo runs in fixed-size path blocks, one counter-based stream
-# per block; block size depends only on the grid width so results are a pure
-# function of (seed, path index).
+# Flat Monte Carlo runs in fixed-size path blocks, each replayed from its own
+# keyed stream; block size depends only on the grid width so results are a
+# pure function of (seed, path index).
 def _block_size(n_times: int) -> int:
     if n_times <= 128:
         return 65536
@@ -126,11 +126,12 @@ def _block_payoffs(
     The block's log(S(t)/s0) on ``times`` is built chunk by chunk in one
     reused buffer: fill from stream (seed, tag, block_idx), scale and shift
     in place, cumsum in place, then ``payoff(logs)`` maps the chunk's rows to
-    their payoffs (and may overwrite ``logs``).  Philox fills row-major, so
-    the chunks draw the same normals as one fill of the whole block.  Chunks
-    are a multiple of 8 rows and a 1-row tail is folded into the chunk before
-    it, so that the BLAS matrix-vector kernel gives every row the bits it
-    gives it inside the whole block.
+    their payoffs (and may overwrite ``logs``).  A ``Generator`` fills
+    row-major, so the chunks draw the same normals as one fill of the whole
+    block.  Chunks are a multiple of 8 rows and a 1-row tail is folded into
+    the chunk before it; as every step works row by row, a path's payoff
+    has the same bits whatever chunk it falls in, so an n-path run gives the
+    first n payoffs of any longer run.
     """
     n_times = times.size
     chunk = _chunk_rows(n_times)
@@ -217,13 +218,19 @@ def _flat_moments(
 
 
 def _average_call(params: GbmParams, n_times: int, strike: float):
-    """Payoff (mean_i S(t_i) - K)^+ of each row of log(S(t)/s0), computed in place."""
-    weights = np.full(n_times, 1.0 / n_times)
+    """Payoff (mean_i S(t_i) - K)^+ of each row of log(S(t)/s0), computed in place.
+
+    Each row is summed on its own by ``einsum``, so a path's payoff has the
+    same bits however many rows share its chunk; a BLAS matrix-vector product
+    can give the rows past a chunk's last multiple of 4 other bits.
+    """
+    scale = params.s0 / n_times
 
     def payoff(logs: np.ndarray) -> np.ndarray:
-        paths = np.exp(logs, out=logs)
-        paths *= params.s0
-        pay = paths @ weights
+        if logs.shape[-1] != n_times:
+            raise ValueError(f"payoff rows need {n_times} monitoring points, got {logs.shape[-1]}")
+        pay = np.einsum("ij->i", np.exp(logs, out=logs))
+        pay *= scale
         pay -= strike
         return np.maximum(pay, 0.0, out=pay)
 
@@ -253,13 +260,22 @@ def _subsample_points(epsilon: float) -> int:
 
 
 def _series_order(epsilon: float, L: int | None, T: int) -> int:
-    """Series order L of kl-nested, the truncation index for eps by default, and T <= 2^53."""
+    """Series order L of kl-nested, the truncation index for eps by default, and T <= 2^53.
+
+    An outer draw holds its L + 1 coefficients and, while its envelope is
+    computed, three more arrays as long: about 32 (L + 1) bytes (tracemalloc
+    reads 4.0 times 8 (L + 1) at L = 10^6).  A series past ``_MAX_DOUBLES``
+    coefficients, 3.2 GB per draw, is rejected.
+    """
     if T > 1 << 53:
         raise ValueError("kl-nested needs T <= 2^53, the monitoring points a uniform can reach")
     if L is None:
         L = truncation_index_bm(epsilon)
     if L + 1 > _MAX_DOUBLES:
-        raise ValueError(f"series of {L + 1} coefficients exceeds the resource guard")
+        raise ValueError(
+            f"series of {L + 1} coefficients needs about {32 * (L + 1)} bytes per draw, "
+            f"past the {32 * _MAX_DOUBLES}-byte guard"
+        )
     return L
 
 

@@ -11,7 +11,7 @@ statevector exactly.
 
 Register order within a basis index, most significant to least significant:
 coefficient registers (register 0 first), time register, value register,
-ancillas.  Resource guard: at most 26 qubits total.
+ancillas.  Resource guard: at most 26 qubits total, a 1 GiB state.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ __all__ = [
     "exact_success_probability",
 ]
 
+# A 26-qubit complex128 state is 2^26 x 16 bytes = 1 GiB.  The value
+# rotation builds one from a 25-qubit state, with an int64 index and float
+# temporaries per input amplitude: tracemalloc puts its allocations at about
+# 2.5 times the state it returns, so near 2.5 GiB at the guard.
 MAX_QUBITS = 26
 
 
@@ -55,7 +59,10 @@ class RegisterLayout:
         if self.time_qubits < 0 or self.value_qubits < 0 or self.ancilla_count < 0:
             raise ValueError("register widths must be non-negative")
         if self.total_qubits > MAX_QUBITS:
-            raise ValueError(f"layout uses {self.total_qubits} qubits; guard is {MAX_QUBITS}")
+            raise ValueError(
+                f"layout uses {self.total_qubits} qubits, a {16 << self.total_qubits}-byte "
+                f"complex128 state; the guard is {MAX_QUBITS} qubits, {16 << MAX_QUBITS} bytes"
+            )
 
     @property
     def total_qubits(self) -> int:
@@ -223,12 +230,20 @@ def attach_value_rotation(state: StateVector, gmax: float) -> StateVector:
     Each basis amplitude alpha with decoded value v becomes
     alpha sqrt(v/gmax) on ancilla 0 and alpha sqrt(1 - v/gmax) on ancilla 1,
     so the ancilla-zero probability is the mean decoded value over gmax.
+    The output layout passes the qubit guard before anything is allocated.
     """
     if state.codec is None:
         raise ValueError("state carries no codec to decode the value register")
     layout = state.layout
     if layout.value_qubits < 1:
         raise ValueError("state has no value register")
+    new_layout = RegisterLayout(
+        coeff_qubits=layout.coeff_qubits,
+        n_coeff_registers=layout.n_coeff_registers,
+        time_qubits=layout.time_qubits,
+        value_qubits=layout.value_qubits,
+        ancilla_count=layout.ancilla_count + 1,
+    )
     size = state.amplitudes.size
     vmask = 2**layout.value_qubits - 1
     vcodes = (np.arange(size, dtype=np.int64) >> layout.ancilla_count) & vmask
@@ -240,13 +255,6 @@ def attach_value_rotation(state: StateVector, gmax: float) -> StateVector:
     new = np.empty(2 * size, dtype=complex)
     new[0::2] = state.amplitudes * np.sqrt(frac)
     new[1::2] = state.amplitudes * np.sqrt(1.0 - frac)
-    new_layout = RegisterLayout(
-        coeff_qubits=layout.coeff_qubits,
-        n_coeff_registers=layout.n_coeff_registers,
-        time_qubits=layout.time_qubits,
-        value_qubits=layout.value_qubits,
-        ancilla_count=layout.ancilla_count + 1,
-    )
     return StateVector(amplitudes=new, layout=new_layout, codec=state.codec)
 
 

@@ -197,7 +197,7 @@ class TestPriceCommand:
         assert nested(4, 3) != nested(64, 3)
         if inner == "acceptance":
             # the value test_snapped_price_pinned pins for the T = 7 average
-            assert nested(7, 2) == (6.683862017650072, 1.3923213599432533)
+            assert nested(7, 2) == (8.212183629969001, 1.5192642043083722)
 
     def test_geometric_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf", "--seed", "3")

@@ -1,12 +1,13 @@
 """Payoff contracts, estimator examples, and cross-estimator structure."""
 
 import concurrent.futures
+import functools
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -25,12 +26,12 @@ MARKET = GbmParams(100.0, 0.05, 0.2)
 SPEC64 = AsianPayoffSpec(strike=100.0, monitoring_count=64)
 TAG_GEOMETRIC = 4  # stream tag of the geometric-average Monte Carlo oracle
 GRID100 = TimeGrid(np.arange(101) / 100)  # k/100 for k = 0..100, with a leading t = 0
-# kl-nested requests (T, sizing) and their (value, std_error) as pinned
-# before the first round ran for a group of draws at once
+# kl-nested requests (T, sizing) and their (value, std_error), which the
+# one-draw-at-a-time sampler gives too
 NESTED_PINS = [
-    (64, dict(epsilon=0.1, M0=400, M1=400, seed=7), (6.122188493340892, 0.41909465018882663)),
-    (7, dict(epsilon=0.2, M0=40, M1=50, seed=12), (8.092774589384483, 1.5126801728923045)),
-    (1 << 20, dict(epsilon=0.2, M0=40, M1=50, seed=3), (8.604119129759974, 1.704417718445588)),
+    (64, dict(epsilon=0.1, M0=400, M1=400, seed=7), (5.637365153050679, 0.3748328926207405)),
+    (7, dict(epsilon=0.2, M0=40, M1=50, seed=12), (9.006881925846029, 2.007792403820802)),
+    (1 << 20, dict(epsilon=0.2, M0=40, M1=50, seed=3), (7.55079604839279, 1.6256486148212501)),
 ]
 
 
@@ -140,11 +141,41 @@ def _geometric_mc(params, grid, strike, n_paths, seed):
     return pricing._flat_moments(params, times, n_paths, seed, TAG_GEOMETRIC, payoff)
 
 
-def _reference_arithmetic(params, times, weights, strike, n_paths, seed):
+def _reference_arithmetic(params, times, strike, n_paths, seed):
     def payoff(logs):
-        return np.maximum(params.s0 * np.exp(logs) @ weights - strike, 0.0)
+        return np.maximum(np.einsum("ij->i", np.exp(logs)) * (params.s0 / times.size) - strike, 0.0)
 
     return _reference_flat(params, times, n_paths, seed, process.TAG_PATHS, payoff)
+
+
+def _run_payoffs(n_times, n_paths):
+    """Per-path payoffs, at strike 0 so none is clipped, of an n_paths flat run (seed 29)."""
+    times = np.arange(1, n_times + 1) / n_times
+    payoff = pricing._average_call(MARKET, n_times, 0.0)
+    return np.concatenate([
+        pricing._block_payoffs(MARKET, times, rows, 29, process.TAG_PATHS, block_idx, payoff)
+        for block_idx, rows in enumerate(pricing._block_rows(n_times, n_paths))
+    ])
+
+
+def _prefix_run(n_times):
+    """Paths of the run the prefix test cuts: a block, two chunks and a 1-row tail."""
+    return pricing._block_size(n_times) + 2 * pricing._chunk_rows(n_times) + 1
+
+
+@functools.lru_cache(maxsize=2)
+def _prefix_payoffs(n_times):
+    return _run_payoffs(n_times, _prefix_run(n_times))
+
+
+@st.composite
+def _prefix_cases(draw):
+    """(grid width, n) with n below ``_prefix_run``: anywhere, or next to a chunk or block edge."""
+    n_times = draw(st.sampled_from([64, 400]))
+    chunk, block = pricing._chunk_rows(n_times), pricing._block_size(n_times)
+    edges = [edge + d for edge in (chunk, 2 * chunk, block, block + chunk) for d in (-1, 0, 1)]
+    n = draw(st.one_of(st.sampled_from(edges), st.integers(1, _prefix_run(n_times) - 1)))
+    return n_times, n
 
 
 class TestFlatKernel:
@@ -156,13 +187,13 @@ class TestFlatKernel:
     def test_baseline_matches_reference(self, n_paths):
         est = price_baseline(MARKET, SPEC64, n_paths, seed=21)
         t = TimeGrid.uniform_monitoring(64).points
-        ref = _reference_arithmetic(MARKET, t, np.full(64, 1 / 64), 100.0, n_paths, 21)
+        ref = _reference_arithmetic(MARKET, t, 100.0, n_paths, 21)
         assert (est.value, est.std_error) == ref
 
     def test_subsample_matches_reference(self):
         est = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=5000, seed=23)
         t = np.arange(1, 401) / 400
-        ref = _reference_arithmetic(MARKET, t, np.full(400, 1 / 400), 100.0, 5000, 23)
+        ref = _reference_arithmetic(MARKET, t, 100.0, 5000, 23)
         assert (est.value, est.std_error) == ref
 
     def test_geometric_mc_matches_reference(self):
@@ -178,17 +209,20 @@ class TestFlatKernel:
         assert est == ref
 
     def test_one_row_tail_keeps_every_path_bit(self):
-        # a 1-row tail is folded into the chunk before it: a lone row through
-        # the matrix-vector product can come out a bit off, which the block
-        # sums mostly absorb, so every path's payoff is compared; at strike 0
-        # no payoff is clipped
+        # a 1-row tail is folded into the chunk before it; a lone row that
+        # came out a bit off would mostly vanish in the block sums, so every
+        # path's payoff is compared, at strike 0 where none is clipped
         t = TimeGrid.uniform_monitoring(64).points
         payoff = pricing._average_call(MARKET, 64, 0.0)
         rows = pricing._chunk_rows(64) + 1
+
+        def reference(logs):
+            return np.einsum("ij->i", np.exp(logs)) * (MARKET.s0 / 64)
+
         for block_idx in range(8):
             pay = pricing._block_payoffs(MARKET, t, rows, 28, process.TAG_PATHS, block_idx, payoff)
             ref = _reference_block_payoffs(MARKET, t, rows, 28, process.TAG_PATHS, block_idx,
-                                           lambda logs: MARKET.s0 * np.exp(logs) @ np.full(64, 1 / 64))
+                                           reference)
             assert np.array_equal(pay, ref)
 
     def test_buffer_guard_caps_threads(self, monkeypatch):
@@ -224,9 +258,30 @@ class TestFlatKernel:
         t64 = TimeGrid.uniform_monitoring(64).points
         t100 = np.arange(1, 101) / 100
         assert (base.value, base.std_error) == _reference_arithmetic(
-            MARKET, t64, np.full(64, 1 / 64), 100.0, 3 * 65536 + 1000, 26)
+            MARKET, t64, 100.0, 3 * 65536 + 1000, 26)
         assert (sub.value, sub.std_error) == _reference_arithmetic(
-            MARKET, t100, np.full(100, 1 / 100), 100.0, 2 * 65536 + 1000, 27)
+            MARKET, t100, 100.0, 2 * 65536 + 1000, 27)
+
+    def test_flat_prices_pinned(self):
+        # the draws and the arithmetic of both flat estimators, bit for bit:
+        # the reference comparisons above share the streams, so only a pin
+        # catches a change to the draws
+        base = price_baseline(MARKET, SPEC64, 3 * 65536 + 1000, seed=26)
+        sub = price_subsample(MARKET, SPEC64, 0.1, 2 * 65536 + 1000, seed=27)
+        assert (base.value, base.std_error) == (6.142440897203286, 0.019149469729579354)
+        assert (sub.value, sub.std_error) == (6.104296589901404, 0.023264262156032323)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(case=_prefix_cases())
+    # a 1-row chunk tail, in the first block and in the second
+    @example(case=(64, pricing._chunk_rows(64) + 1))
+    @example(case=(64, 65536 + pricing._chunk_rows(64) + 1))
+    def test_payoffs_prefix_stable(self, case):
+        # a path's payoff is a pure function of (seed, path index): an n-path
+        # run gives the first n payoffs of a longer run, bit for bit, wherever
+        # n cuts a chunk or a block
+        n_times, n = case
+        assert np.array_equal(_run_payoffs(n_times, n), _prefix_payoffs(n_times)[:n])
 
     @pytest.mark.parametrize("price, n_paths, n_times", [
         pytest.param(lambda n: price_baseline(MARKET, SPEC64, n, seed=25), 1000, 64,
@@ -325,7 +380,7 @@ class TestNested:
         # (T = 7 is no power of 2)
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=7)
         est = price_kl_nested(MARKET, spec, epsilon=0.2, M0=50, M1=50, seed=2)
-        assert (est.value, est.std_error) == (6.683862017650072, 1.3923213599432533)
+        assert (est.value, est.std_error) == (8.212183629969001, 1.5192642043083722)
 
     def test_batch_sizes_leave_price_unchanged(self, monkeypatch):
         kw = dict(epsilon=0.2, M0=40, M1=50, seed=12)
@@ -394,11 +449,11 @@ class TestNested:
         # at sigma = 2 and T = 1000 most draws spend more than T proposals:
         # each of those reads one path row, in tables of at most 8 rows
         # (64 KiB), and the others evaluate their proposals; a per-draw
-        # first-round dedup evaluated 112,187 points here
+        # first-round dedup evaluated 243,056 points here
         tables = []
 
         def clenshaw(a, t, rows=None):
-            if rows is None:
+            if rows is None and a.ndim == 2:  # not a lone draw's proposals
                 tables.append(a.shape[0] * t.size)
             return klcore._clenshaw(a, t, rows)
 
@@ -407,8 +462,8 @@ class TestNested:
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=1000)
         kw = dict(epsilon=0.2, M0=40, M1=50, seed=3)
         est = price_kl_nested(params, spec, **kw)
-        assert est.diagnostics["series_points"] == 38_540
-        assert tables == [8000, 8000, 8000, 8000, 5000]
+        assert est.diagnostics["series_points"] == 37_668
+        assert tables == [8000, 8000, 8000, 8000, 1000]
         assert (est.value, est.std_error, est.diagnostics["proposals"]) == _per_draw_nested(
             params, spec, **kw)
 
@@ -425,7 +480,7 @@ class TestNested:
                 for T in (1 << 20, 1 << 30, 1 << 40, 1 << 50)
             )
         }
-        assert counts == {(249_478, 304_760)}
+        assert counts == {(252_205, 305_528)}
 
     def test_monitoring_count_past_2_53_rejected(self):
         # floor(u T) reaches every index up to T = 2^53 and no further
@@ -436,6 +491,13 @@ class TestNested:
                 price_kl_nested(
                     MARKET, AsianPayoffSpec(100.0, (1 << 53) + 1), inner_mode=mode, **kw
                 )
+
+    def test_series_guard_stated_in_bytes(self):
+        # a draw peaks near 4 arrays of L + 1 doubles: 10^8 coefficients pass
+        pricing._series_order(0.1, 10**8 - 1, 64)
+        with pytest.raises(ValueError, match="needs about 3200000032 bytes per draw, "
+                                             "past the 3200000000-byte guard"):
+            pricing._series_order(0.1, 10**8, 64)
 
     def test_starvation_guard_in_round_loop(self, monkeypatch):
         # an envelope 10^9 times too high accepts almost nothing; the guard

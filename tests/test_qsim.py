@@ -1,7 +1,11 @@
 """Statevector encodings checked against exhaustive classical enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klpricer import qsim
 from klpricer.klcore import CLIP
@@ -62,6 +66,28 @@ class TestCodec:
         codec = FixedPointCodec.for_range(4, 10.0)
         codec.encode([5.0, 12.0, -1.0])
         assert codec.saturation_count == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        bits=st.integers(1, 16),
+        high=st.floats(1e-6, 1e9),
+        inside=st.lists(st.floats(0.0, 1.0), max_size=20),
+        below=st.lists(st.floats(1.0, 1e6), max_size=5),
+        above=st.lists(st.floats(1.0, 1e6), max_size=5),
+    )
+    def test_round_trip_and_saturation(self, bits, high, inside, below, above):
+        # values in [0, high] come back within half a step, up to the rounding
+        # of the step itself; values a step or more outside take the end
+        # codes, and exactly those count as saturated
+        codec = FixedPointCodec.for_range(bits, high)
+        x = np.array(inside) * high
+        err = np.abs(codec.decode(codec.encode(x)) - x)
+        assert np.all(err <= codec.scale / 2 + 4 * np.spacing(high))
+        assert codec.saturation_count == 0
+        out = np.concatenate([-np.array(below) * codec.scale, high + np.array(above) * codec.scale])
+        codes = codec.encode(out)
+        assert codes.tolist() == [0] * len(below) + [2**bits - 1] * len(above)
+        assert codec.saturation_count == len(below) + len(above)
 
 
 def small_setup(T=4):
@@ -226,3 +252,25 @@ class TestResourceGuard:
     def test_26_qubit_cap(self):
         with pytest.raises(ValueError):
             RegisterLayout(coeff_qubits=8, n_coeff_registers=3, time_qubits=2, value_qubits=8)
+
+    def test_cap_stated_in_bytes(self):
+        # 27 qubits of complex128 are 2 GiB, past the 1 GiB of 26
+        with pytest.raises(ValueError, match=r"a 2147483648-byte complex128 state; "
+                                             r"the guard is 26 qubits, 1073741824 bytes"):
+            RegisterLayout(coeff_qubits=8, n_coeff_registers=2, time_qubits=3, value_qubits=8)
+
+    def test_rotation_checks_guard_before_allocating(self, monkeypatch):
+        # with the guard at the input's width, the rotated layout is refused
+        # before its 2^19-amplitude (8 MiB) state is built
+        layout = RegisterLayout(coeff_qubits=4, n_coeff_registers=3, time_qubits=2, value_qubits=4)
+        amps = np.full(1 << 18, 2.0**-9, dtype=complex)
+        state = qsim.StateVector(amps, layout, FixedPointCodec.for_range(4, 10.0))
+        monkeypatch.setattr(qsim, "MAX_QUBITS", 18)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="guard is 18 qubits"):
+                attach_value_rotation(state, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
