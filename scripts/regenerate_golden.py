@@ -25,7 +25,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from klpricer import pricing
-from klpricer.process import GbmParams, TimeGrid
+from klpricer.process import GbmParams
 
 GOLDEN_SEED = 20240917
 N_PATHS = 10_000_000
@@ -45,9 +45,7 @@ def main() -> None:
     # is the M = ceil(1/eps^2) grid price, not the T-point price
     sub = pricing.price_subsample(market, spec, EPSILON, N_PATHS, GOLDEN_SEED + 1)
     elapsed = time.time() - t0
-    geometric_cf = pricing.geometric_asian_closed_form(
-        market, TimeGrid.uniform_monitoring(MONITORING), STRIKE
-    )
+    geometric_cf = pricing.geometric_asian_closed_form(market, spec)
     payload = {
         "market": PARAMS,
         "strike": STRIKE,

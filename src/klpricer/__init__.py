@@ -17,7 +17,6 @@ from .klcore import (
 )
 from .process import (
     GbmParams,
-    TimeGrid,
     g_max_bound,
     gbm_from_bm,
     sample_coefficients,

@@ -209,20 +209,20 @@ def _default_pair_grid() -> list:
 
 def smoothness_probe(
     epsilon: float,
-    pair_grid=None,
     n_paths: int = 100_000,
     seed: int = 0,
 ) -> BoundReport:
     """Mean squared increments of the truncated series vs the smoothness bound.
 
     Measures E[(B_t - B_s)^2] on truncated paths at the truncation index for
-    ``epsilon`` and checks 3 C_M L (t - s)^2 + 6 eps^2 with C_M = 1; the
-    C_M = 2 variant (what this basis actually satisfies) and the exact
-    Brownian value |t - s| are reported alongside.
+    ``epsilon``, at every pair of ``_default_pair_grid``, and checks
+    3 C_M L (t - s)^2 + 6 eps^2 with C_M = 1; the C_M = 2 variant (what this
+    basis actually satisfies) and the exact Brownian value |t - s| are
+    reported alongside.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    pairs = _default_pair_grid() if pair_grid is None else [tuple(p) for p in pair_grid]
+    pairs = _default_pair_grid()
     L = truncation_index_bm(epsilon)
     times = np.unique(np.asarray(pairs, dtype=float).ravel())
     k = np.arange(1, L + 1, dtype=float)
@@ -329,8 +329,6 @@ def subsample_error_probe(
     reported in the extras together with the eps-halving ratios of both
     quantities (pass rule: per-point ratio within [3, 5] at each halving).
     """
-    if isinstance(eps_values, float):
-        eps_values = [eps_values]
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise ValueError("need at least one eps value")

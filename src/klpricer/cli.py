@@ -135,9 +135,7 @@ def run_price(args: argparse.Namespace) -> dict:
             inner_mode=args.inner,
         )
     elif args.method == "geometric-cf":
-        grid = process.TimeGrid.uniform_monitoring(args.monitoring)
-        value = pricing.geometric_asian_closed_form(params, grid, args.strike)
-        est = pricing.Estimate(value, 0.0, 0, 1)
+        est = pricing.Estimate(pricing.geometric_asian_closed_form(params, spec), 0.0, 0, 1)
     else:
         est = _qsim_check(params, args.monitoring)
     wall_ms = (time.perf_counter() - start) * 1000.0

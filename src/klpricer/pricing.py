@@ -15,12 +15,16 @@ Four routes to a price are provided:
 * ``geometric_asian_closed_form``: the lognormal closed form for the
   geometric-average payoff, used as an analytic oracle.
 
-The flat estimators (baseline, sub-sampling) share one kernel.  Paths
-come in fixed-size blocks, each drawn from its own stream keyed by (seed,
-block index), and each block is built in chunks of about 1 MiB in one
-reused buffer.  Several blocks run at once on one thread per usable core,
-and their payoff sums are added in block order, so every value is a pure
-function of (seed, path index) whatever the number of cores.
+Every route averages over a uniform grid i/m, i = 1..m: m = T for the
+baseline, the nested estimator and the closed form, m = ceil(1/eps^2) for
+sub-sampling.  The flat estimators (baseline, sub-sampling) share one body,
+``_price_flat``, and one kernel.  Paths come in fixed-size blocks, each
+drawn from its own stream keyed by (seed, block index), and each block is
+built in chunks of about 1 MiB in one reused buffer.  Several blocks run at
+once on one thread per usable core, and their payoff sums are added in
+block order, so every value is a pure function of (seed, path index)
+whatever the number of cores.  The buffer guard runs before anything is
+allocated.
 
 The nested estimator's acceptance mode runs the rejection sampler for runs
 of outer draws in vectorised rounds, reading small-T paths from tables;
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import process
 from .klcore import _clenshaw, truncation_index_bm, wiener_eval_horner
-from .process import GbmParams, TimeGrid
+from .process import GbmParams
 
 __all__ = [
     "AsianPayoffSpec",
@@ -108,8 +112,8 @@ def _block_rows(n_times: int, n_paths: int) -> list[int]:
 
 
 def _chunk_rows(n_times: int) -> int:
-    """Rows of the about 1 MiB chunk a block is built in: a multiple of 8, at least 8."""
-    return max(8, _CHUNK_BYTES // (8 * n_times) // 8 * 8)
+    """Rows of the about 1 MiB chunk a block is built in, at least 8."""
+    return max(8, _CHUNK_BYTES // (8 * n_times))
 
 
 def _block_payoffs(
@@ -128,10 +132,9 @@ def _block_payoffs(
     in place, cumsum in place, then ``payoff(logs)`` maps the chunk's rows to
     their payoffs (and may overwrite ``logs``).  A ``Generator`` fills
     row-major, so the chunks draw the same normals as one fill of the whole
-    block.  Chunks are a multiple of 8 rows and a 1-row tail is folded into
-    the chunk before it; as every step works row by row, a path's payoff
-    has the same bits whatever chunk it falls in, so an n-path run gives the
-    first n payoffs of any longer run.
+    block.  Every step works row by row, so a path's payoff has the same
+    bits whatever chunk it falls in, a 1-row last chunk included, and an
+    n-path run gives the first n payoffs of any longer run.
     """
     n_times = times.size
     chunk = _chunk_rows(n_times)
@@ -139,24 +142,27 @@ def _block_payoffs(
     drift_leg = params.effective_drift * dt
     vol_leg = params.sigma * np.sqrt(dt)
     rng = process.stream(seed, tag, block_idx)
-    buf = np.empty((min(rows, chunk + 1), n_times))
+    buf = np.empty((min(rows, chunk), n_times))
     pay = np.empty(rows)
-    start = 0
-    for stop in [*range(chunk, rows - 1, chunk), rows]:
-        logs = buf[: stop - start]
+    for start in range(0, rows, chunk):
+        logs = buf[: min(chunk, rows - start)]
         rng.standard_normal(out=logs)
         logs *= vol_leg
         logs += drift_leg
         np.cumsum(logs, axis=1, out=logs)
-        pay[start:stop] = payoff(logs)
-        start = stop
+        pay[start : start + logs.shape[0]] = payoff(logs)
     return pay
 
 
 def _check_flat_buffers(n_times: int, n_paths: int) -> int:
-    """Bytes of one thread's buffer, min(block, chunk + 1) rows, rejected past ``_FLAT_BYTES``."""
-    rows = min(_block_size(n_times), n_paths, _chunk_rows(n_times) + 1)
-    need = rows * n_times * 8
+    """Bytes of one thread's grid-sized arrays, rejected past ``_FLAT_BYTES``.
+
+    A thread's ``_block_payoffs`` call holds its chunk buffer,
+    min(block, n_paths, chunk) rows of the grid, and three vectors as long
+    as the grid (``dt``, ``drift_leg`` and ``vol_leg``).
+    """
+    rows = min(_block_size(n_times), n_paths, _chunk_rows(n_times))
+    need = (rows + 3) * n_times * 8
     if need > _FLAT_BYTES:
         raise ValueError(f"flat kernel buffer of {need} bytes exceeds the {_FLAT_BYTES}-byte guard")
     return need
@@ -237,22 +243,30 @@ def _average_call(params: GbmParams, n_times: int, strike: float):
     return payoff
 
 
+def _price_flat(params: GbmParams, strike: float, m: int, n_paths: int, seed: int) -> Estimate:
+    """Flat MC of the average call on the grid i/m, i = 1..m, guarded before it allocates."""
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
+    _check_flat_buffers(m, n_paths)
+    times = np.arange(1, m + 1) / m
+    payoff = _average_call(params, m, strike)
+    mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff)
+    return Estimate(mean, se, n_paths, 1)
+
+
 def price_baseline(params: GbmParams, spec: AsianPayoffSpec, n_paths: int, seed: int) -> Estimate:
     """Reference estimator: exact paths on the T-point monitoring grid.
 
     Unbiased for the discrete Asian price; standard error is the sample
     standard deviation of per-path payoffs over sqrt(n_paths).
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    times = TimeGrid.uniform_monitoring(spec.monitoring_count).points
-    payoff = _average_call(params, times.size, spec.strike)
-    mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff)
-    return Estimate(mean, se, n_paths, 1)
+    return _price_flat(params, spec.strike, spec.monitoring_count, n_paths, seed)
 
 
 def _subsample_points(epsilon: float) -> int:
     """Grid size M = ceil(1/eps^2) of the sub-sampling estimator, within the guard."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
     m = int(np.ceil(1.0 / epsilon**2))
     if m > _MAX_DOUBLES:
         raise ValueError(f"sub-sampling grid of {m} points exceeds the resource guard")
@@ -260,7 +274,7 @@ def _subsample_points(epsilon: float) -> int:
 
 
 def _series_order(epsilon: float, L: int | None, T: int) -> int:
-    """Series order L of kl-nested, the truncation index for eps by default, and T <= 2^53.
+    """Series order L >= 0 of kl-nested, the truncation index for eps by default, and T <= 2^53.
 
     An outer draw holds its L + 1 coefficients and, while its envelope is
     computed, three more arrays as long: about 32 (L + 1) bytes (tracemalloc
@@ -271,6 +285,8 @@ def _series_order(epsilon: float, L: int | None, T: int) -> int:
         raise ValueError("kl-nested needs T <= 2^53, the monitoring points a uniform can reach")
     if L is None:
         L = truncation_index_bm(epsilon)
+    if L < 0:
+        raise ValueError("L must be >= 0")
     if L + 1 > _MAX_DOUBLES:
         raise ValueError(
             f"series of {L + 1} coefficients needs about {32 * (L + 1)} bytes per draw, "
@@ -288,15 +304,7 @@ def price_subsample(
     against the T-point payoff is O(eps^2), so the estimate carries an
     O(eps) bias allowance on top of the sampling error.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    m = _subsample_points(epsilon)
-    times = np.arange(1, m + 1) / m
-    payoff = _average_call(params, m, spec.strike)
-    mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff)
-    return Estimate(mean, se, n_paths, 1)
+    return _price_flat(params, spec.strike, _subsample_points(epsilon), n_paths, seed)
 
 
 def _haldane_mean(env, M1: int, n_prop):
@@ -494,20 +502,8 @@ def price_kl_nested(
     return Estimate(mean, se, M0, M1, diagnostics)
 
 
-def _log_average_moments(params: GbmParams, points: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of ln of the discrete geometric average."""
-    m = float(np.log(params.s0) + params.effective_drift * points.mean())
-    # sum_{i,j} min(t_i, t_j) for sorted t: each t_(i) is the minimum in
-    # 2(M - i) + 1 of the M^2 ordered pairs.
-    t = np.sort(points)
-    M = t.size
-    counts = 2.0 * (M - 1.0 - np.arange(M)) + 1.0
-    v = float(params.sigma**2 / M**2 * np.dot(t, counts))
-    return m, v
-
-
-def geometric_asian_closed_form(params: GbmParams, grid: TimeGrid, strike: float) -> float:
-    """Closed-form price of the discretely monitored geometric-average call.
+def geometric_asian_closed_form(params: GbmParams, spec: AsianPayoffSpec) -> float:
+    """Closed-form price of the geometric-average call monitored at i/T, i = 1..T.
 
     The log of the geometric average A_G = (prod_k S(t_k))^(1/M) is Gaussian
     with mean m = ln s0 + drift * mean(t) and variance
@@ -522,7 +518,13 @@ def geometric_asian_closed_form(params: GbmParams, grid: TimeGrid, strike: float
     """
     from scipy.special import ndtr
 
-    m, v = _log_average_moments(params, grid.points)
+    t = np.arange(1, spec.monitoring_count + 1) / spec.monitoring_count
+    M, strike = t.size, spec.strike
+    m = float(np.log(params.s0) + params.effective_drift * t.mean())
+    # sum_{i,j} min(t_i, t_j) for increasing t: each t_i is the minimum in
+    # 2(M - i) + 1 of the M^2 ordered pairs
+    counts = 2.0 * (M - 1.0 - np.arange(M)) + 1.0
+    v = float(params.sigma**2 / M**2 * np.dot(t, counts))
     if strike <= 0.0:
         return float(np.exp(m + 0.5 * v) - strike)
     if v <= 0.0:

@@ -37,7 +37,6 @@ from .klcore import _SQRT2_OVER_PI, CLIP, WienerCoefficients, wiener_eval_horner
 
 __all__ = [
     "GbmParams",
-    "TimeGrid",
     "RejectionStarvedError",
     "stream",
     "sample_coefficients",
@@ -95,29 +94,6 @@ class GbmParams:
     @property
     def effective_drift(self) -> float:
         return self.mu - 0.5 * self.sigma**2
-
-
-@dataclass
-class TimeGrid:
-    """Strictly increasing monitoring or sub-sampling times inside [0, 1]."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.size == 0:
-            raise ValueError("time grid must be non-empty")
-        if self.points[0] < 0.0 or self.points[-1] > 1.0:
-            raise ValueError("time grid must lie within [0, 1]")
-        if np.any(np.diff(self.points) <= 0.0):
-            raise ValueError("time grid must be strictly increasing")
-
-    @classmethod
-    def uniform_monitoring(cls, T: int) -> "TimeGrid":
-        """Monitoring times i/T for i = 1..T."""
-        if T < 1:
-            raise ValueError("T must be >= 1")
-        return cls(points=np.arange(1, T + 1) / T)
 
 
 def g_max_bound(params: GbmParams, L: int) -> float:

@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 # A 26-qubit complex128 state is 2^26 x 16 bytes = 1 GiB.  The value
-# rotation builds one from a 25-qubit state, with an int64 index and float
-# temporaries per input amplitude: tracemalloc puts its allocations at about
-# 2.5 times the state it returns, so near 2.5 GiB at the guard.
+# rotation builds one from a 25-qubit state and works per value code, so
+# tracemalloc puts its allocations at the state it returns (1 GiB at the
+# guard) beside its 0.5 GiB input.
 MAX_QUBITS = 26
 
 
@@ -76,7 +76,7 @@ class RegisterLayout:
 
 @dataclass
 class FixedPointCodec:
-    """Unsigned fixed-point codec on [offset, offset + scale*(2^bits - 1)].
+    """Unsigned fixed-point codec on [0, scale*(2^bits - 1)].
 
     Encoding rounds to the nearest code and saturates out-of-range values;
     ``saturation_count`` tallies saturated encodes.  Round-trip error is at
@@ -85,7 +85,6 @@ class FixedPointCodec:
 
     bits: int
     scale: float
-    offset: float = 0.0
     saturation_count: int = 0
 
     def __post_init__(self) -> None:
@@ -101,13 +100,13 @@ class FixedPointCodec:
 
     def encode(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
-        raw = np.round((values - self.offset) / self.scale)
+        raw = np.round(values / self.scale)
         codes = np.clip(raw, 0, 2**self.bits - 1)
         self.saturation_count += int(np.count_nonzero(raw != codes))
         return codes.astype(np.int64)
 
     def decode(self, codes) -> np.ndarray:
-        return self.offset + np.asarray(codes, dtype=float) * self.scale
+        return np.asarray(codes, dtype=float) * self.scale
 
 
 @dataclass
@@ -230,7 +229,10 @@ def attach_value_rotation(state: StateVector, gmax: float) -> StateVector:
     Each basis amplitude alpha with decoded value v becomes
     alpha sqrt(v/gmax) on ancilla 0 and alpha sqrt(1 - v/gmax) on ancilla 1,
     so the ancilla-zero probability is the mean decoded value over gmax.
-    The output layout passes the qubit guard before anything is allocated.
+    The output layout passes the qubit guard before anything is allocated,
+    and the rotation works per value code: the 2^v decoded values and their
+    square roots are computed once and multiplied into views of the output,
+    so no temporary is as long as the state.
     """
     if state.codec is None:
         raise ValueError("state carries no codec to decode the value register")
@@ -244,17 +246,17 @@ def attach_value_rotation(state: StateVector, gmax: float) -> StateVector:
         value_qubits=layout.value_qubits,
         ancilla_count=layout.ancilla_count + 1,
     )
-    size = state.amplitudes.size
-    vmask = 2**layout.value_qubits - 1
-    vcodes = (np.arange(size, dtype=np.int64) >> layout.ancilla_count) & vmask
-    vals = state.codec.decode(vcodes)
-    live = np.abs(state.amplitudes) > 0
+    shape = (-1, 2**layout.value_qubits, 2**layout.ancilla_count)
+    amps = state.amplitudes.reshape(shape)
+    vals = state.codec.decode(np.arange(shape[1]))
+    live = np.any(amps, axis=(0, 2))  # value codes that carry amplitude
     if np.any(vals[live] > gmax * (1.0 + 1e-12)):
         raise ValueError("decoded value exceeds gmax; normalization contract violated")
-    frac = np.clip(vals / gmax, 0.0, 1.0)
-    new = np.empty(2 * size, dtype=complex)
-    new[0::2] = state.amplitudes * np.sqrt(frac)
-    new[1::2] = state.amplitudes * np.sqrt(1.0 - frac)
+    frac = np.clip(vals / gmax, 0.0, 1.0)[:, None]
+    new = np.empty(2 * amps.size, dtype=complex)
+    out = new.reshape(*shape, 2)
+    np.multiply(amps, np.sqrt(frac), out=out[..., 0])
+    np.multiply(amps, np.sqrt(1.0 - frac), out=out[..., 1])
     return StateVector(amplitudes=new, layout=new_layout, codec=state.codec)
 
 

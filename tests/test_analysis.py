@@ -81,17 +81,23 @@ class TestMappedBound:
         assert exact <= rep.bound_values[0] <= exact * np.exp(2 * eps**2)
 
 
+def _pair_index(report, s, t):
+    """Index of the (s, t) pair in a smoothness report's grid."""
+    return [(p["s"], p["t"]) for p in report.parameter_grid].index((s, t))
+
+
 class TestSmoothnessProbe:
     def test_coincident_pair_is_zero(self):
-        rep = smoothness_probe(0.1, pair_grid=[(0.5, 0.5)], n_paths=2_000, seed=7)
-        assert rep.measured[0] == 0.0
+        rep = smoothness_probe(0.1, n_paths=2_000, seed=7)
+        assert rep.measured[_pair_index(rep, 0.5, 0.5)] == 0.0
         assert rep.all_pass
 
     def test_exact_bm_reference_reported(self):
-        rep = smoothness_probe(0.1, pair_grid=[(0.2, 0.7)], n_paths=50_000, seed=8)
-        assert rep.extras["exact_bm_value"][0] == pytest.approx(0.5)
+        rep = smoothness_probe(0.1, n_paths=50_000, seed=8)
+        i = _pair_index(rep, 0.2, 0.7)
+        assert rep.extras["exact_bm_value"][i] == pytest.approx(0.5)
         # truncated increments stay close to the Brownian value
-        assert rep.measured[0] == pytest.approx(0.5, rel=0.1)
+        assert rep.measured[i] == pytest.approx(0.5, rel=0.1)
 
     def test_default_grid_passes(self):
         rep = smoothness_probe(0.1, n_paths=30_000, seed=9)

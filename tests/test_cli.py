@@ -156,9 +156,9 @@ class TestPriceCommand:
         assert error["error"].endswith("exceeds the 268435456-byte guard")
 
     def test_flat_buffer_guard_sizes_the_real_buffer(self, capsys, monkeypatch):
-        # 2 paths of 5 x 10^6 points need an 80 MB buffer, within the guard
-        # whatever the number of cores; the kernel is stubbed out so that
-        # the test allocates only the grid
+        # 2 paths of 5 x 10^6 points need an 80 MB buffer and three 40 MB
+        # grid vectors, within the guard whatever the number of cores; the
+        # kernel is stubbed out so that the test allocates only the grid
         runs = []
 
         def flat_moments(params, times, n_paths, *rest):
@@ -170,7 +170,7 @@ class TestPriceCommand:
         code, out, _ = run_cli(capsys, "price", "--method", "baseline", "--T", "5000000",
                                "--paths", "2", "--seed", "1")
         assert (code, runs) == (0, [(5_000_000, 2)])
-        assert pricing._check_flat_buffers(5_000_000, 2) == 80_000_000
+        assert pricing._check_flat_buffers(5_000_000, 2) == 200_000_000
 
     def test_non_finite_estimate_exits_1(self, capsys):
         # the median path is finite at mu = 705, but exp still overflows on

@@ -20,12 +20,12 @@ from klpricer.pricing import (
     price_kl_nested,
     price_subsample,
 )
-from klpricer.process import GbmParams, TimeGrid
+from klpricer.process import GbmParams
 
 MARKET = GbmParams(100.0, 0.05, 0.2)
 SPEC64 = AsianPayoffSpec(strike=100.0, monitoring_count=64)
 TAG_GEOMETRIC = 4  # stream tag of the geometric-average Monte Carlo oracle
-GRID100 = TimeGrid(np.arange(101) / 100)  # k/100 for k = 0..100, with a leading t = 0
+GRID100 = np.arange(101) / 100  # k/100 for k = 0..100, with a leading t = 0
 # kl-nested requests (T, sizing) and their (value, std_error), which the
 # one-draw-at-a-time sampler gives too
 NESTED_PINS = [
@@ -125,17 +125,18 @@ def _reference_flat(params, times, n_paths, seed, tag, payoff):
 
 
 def _geometric_mc(params, grid, strike, n_paths, seed):
-    """Flat MC of the geometric-average call: the closed form's brute-force oracle.
+    """Flat MC of the geometric-average call on the increasing times ``grid``.
 
-    A leading t = 0 costs no draw: S(0) = s0 enters the mean log as log(s0).
+    The closed form's brute-force oracle.  A leading t = 0 costs no draw:
+    S(0) = s0 enters the mean log as log(s0).
     """
-    times = grid.points[1:] if grid.points[0] == 0.0 else grid.points
-    n_fixed = grid.points.size - times.size
+    times = grid[1:] if grid[0] == 0.0 else grid
+    n_fixed = grid.size - times.size
     log_s0 = np.log(params.s0)
 
     def payoff(logs):
         logs += log_s0
-        mean_log = (logs.sum(axis=1) + n_fixed * log_s0) / grid.points.size
+        mean_log = (logs.sum(axis=1) + n_fixed * log_s0) / grid.size
         return np.maximum(np.exp(mean_log) - strike, 0.0)
 
     return pricing._flat_moments(params, times, n_paths, seed, TAG_GEOMETRIC, payoff)
@@ -186,7 +187,7 @@ class TestFlatKernel:
     ])
     def test_baseline_matches_reference(self, n_paths):
         est = price_baseline(MARKET, SPEC64, n_paths, seed=21)
-        t = TimeGrid.uniform_monitoring(64).points
+        t = np.arange(1, 65) / 64
         ref = _reference_arithmetic(MARKET, t, 100.0, n_paths, 21)
         assert (est.value, est.std_error) == ref
 
@@ -205,14 +206,14 @@ class TestFlatKernel:
             mean_log = ((logs + log_s0).sum(axis=1) + log_s0) / 101
             return np.maximum(np.exp(mean_log) - 100.0, 0.0)
 
-        ref = _reference_flat(MARKET, GRID100.points[1:], 5000, 24, TAG_GEOMETRIC, payoff)
+        ref = _reference_flat(MARKET, GRID100[1:], 5000, 24, TAG_GEOMETRIC, payoff)
         assert est == ref
 
     def test_one_row_tail_keeps_every_path_bit(self):
-        # a 1-row tail is folded into the chunk before it; a lone row that
-        # came out a bit off would mostly vanish in the block sums, so every
-        # path's payoff is compared, at strike 0 where none is clipped
-        t = TimeGrid.uniform_monitoring(64).points
+        # the last chunk holds one row; a lone row that came out a bit off
+        # would mostly vanish in the block sums, so every path's payoff is
+        # compared, at strike 0 where none is clipped
+        t = np.arange(1, 65) / 64
         payoff = pricing._average_call(MARKET, 64, 0.0)
         rows = pricing._chunk_rows(64) + 1
 
@@ -224,6 +225,23 @@ class TestFlatKernel:
             ref = _reference_block_payoffs(MARKET, t, rows, 28, process.TAG_PATHS, block_idx,
                                            reference)
             assert np.array_equal(pay, ref)
+
+    @pytest.mark.parametrize("price", [
+        pytest.param(lambda: price_baseline(MARKET, AsianPayoffSpec(100.0, 5_000_000), 8, seed=1),
+                     id="baseline"),
+        pytest.param(lambda: price_subsample(MARKET, SPEC64, 4e-4, 8, seed=1), id="subsample"),
+    ])
+    def test_buffer_guard_runs_before_allocating(self, price):
+        # 8 rows of 5 x 10^6 or 6.25 x 10^6 points pass the guard; a guard
+        # checked after the grid and the first buffer peaked at 81 and 95 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the 268435456-byte guard"):
+                price()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_buffer_guard_caps_threads(self, monkeypatch):
         # each thread holds one chunk buffer: a guard with room for two
@@ -255,7 +273,7 @@ class TestFlatKernel:
             sub = price_subsample(MARKET, SPEC64, 0.1, 2 * 65536 + 1000, seed=27)
         finally:
             sys.setswitchinterval(interval)
-        t64 = TimeGrid.uniform_monitoring(64).points
+        t64 = np.arange(1, 65) / 64
         t100 = np.arange(1, 101) / 100
         assert (base.value, base.std_error) == _reference_arithmetic(
             MARKET, t64, 100.0, 3 * 65536 + 1000, 26)
@@ -330,8 +348,8 @@ class TestSubsample:
         est_s = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=200_000, seed=11)
         est_b = price_baseline(MARKET, SPEC64, 200_000, seed=12)
         se = np.hypot(est_s.std_error, est_b.std_error)
-        gap = geometric_asian_closed_form(MARKET, TimeGrid.uniform_monitoring(64), 100.0) - \
-            geometric_asian_closed_form(MARKET, TimeGrid.uniform_monitoring(400), 100.0)
+        gap = geometric_asian_closed_form(MARKET, SPEC64) - \
+            geometric_asian_closed_form(MARKET, AsianPayoffSpec(100.0, 400))
         assert abs(est_s.value - est_b.value) <= 3.0 * se + 2.0 * abs(gap)
 
 
@@ -537,6 +555,15 @@ class TestNested:
             tracemalloc.stop()
         assert peak - start <= 1 << 20
 
+    @pytest.mark.parametrize("mode", ["acceptance", "uniform"])
+    def test_negative_order_rejected_before_any_draw(self, monkeypatch, mode):
+        streams = []
+        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
+        with pytest.raises(ValueError, match="L must be >= 0"):
+            price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=4, M1=4, L=-1, seed=1,
+                            inner_mode=mode)
+        assert streams == []
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             price_kl_nested(MARKET, SPEC64, epsilon=0.1, M0=1, M1=10, seed=0)
@@ -609,26 +636,27 @@ def _nested_reference_price(params, strike, L, n_outer, seed):
 
 
 class TestGeometricClosedForm:
+    def test_golden_value_pinned(self, golden, golden_market, golden_spec):
+        assert geometric_asian_closed_form(golden_market, golden_spec) == \
+            golden["geometric_closed_form"]
+
     def test_degenerate_sigma(self):
         params = GbmParams(100.0, 0.05, 1e-14)
-        grid = TimeGrid.uniform_monitoring(16)
-        got = geometric_asian_closed_form(params, grid, 100.0)
-        expect = max(100.0 * np.exp(0.05 * grid.points.mean()) - 100.0, 0.0)
+        got = geometric_asian_closed_form(params, AsianPayoffSpec(100.0, 16))
+        expect = max(100.0 * np.exp(0.05 * (np.arange(1, 17) / 16).mean()) - 100.0, 0.0)
         assert got == pytest.approx(expect, rel=1e-6)
 
     def test_zero_strike_limit(self):
-        grid = TimeGrid.uniform_monitoring(16)
-        got = geometric_asian_closed_form(MARKET, grid, 0.0)
-        t = grid.points
+        got = geometric_asian_closed_form(MARKET, AsianPayoffSpec(0.0, 16))
+        t = np.arange(1, 17) / 16
         m = np.log(100.0) + MARKET.effective_drift * t.mean()
         counts = 2.0 * (t.size - 1.0 - np.arange(t.size)) + 1.0
         v = MARKET.sigma**2 / t.size**2 * float(np.sort(t) @ counts)
         assert got == pytest.approx(np.exp(m + v / 2), rel=1e-12)
 
     def test_brute_force_monte_carlo_agreement(self):
-        grid = TimeGrid.uniform_monitoring(64)
-        cf = geometric_asian_closed_form(MARKET, grid, 100.0)
-        mc, se = _geometric_mc(MARKET, grid, 100.0, 1_000_000, seed=13)
+        cf = geometric_asian_closed_form(MARKET, SPEC64)
+        mc, se = _geometric_mc(MARKET, np.arange(1, 65) / 64, 100.0, 1_000_000, seed=13)
         assert abs(cf - mc) <= 3.0 * se
 
     def test_min_sum_identity(self):

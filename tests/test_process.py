@@ -10,7 +10,6 @@ from klpricer import pricing, process
 from klpricer.klcore import CLIP, WienerCoefficients, wiener_eval_horner
 from klpricer.process import (
     GbmParams,
-    TimeGrid,
     g_max_bound,
     gbm_from_bm,
     path_envelope,
@@ -31,20 +30,6 @@ class TestGbmParams:
             GbmParams(-1.0, 0.0, 0.2)
         with pytest.raises(ValueError):
             GbmParams(1.0, 0.0, 0.0)
-
-
-class TestTimeGrid:
-    def test_monitoring(self):
-        g = TimeGrid.uniform_monitoring(4)
-        assert np.allclose(g.points, [0.25, 0.5, 0.75, 1.0])
-
-    def test_monotonicity_enforced(self):
-        with pytest.raises(ValueError):
-            TimeGrid(points=np.array([0.1, 0.1, 0.5]))
-        with pytest.raises(ValueError):
-            TimeGrid(points=np.array([0.1, 1.2]))
-        with pytest.raises(ValueError):
-            TimeGrid(points=np.array([]))
 
 
 class TestSampleCoefficients:

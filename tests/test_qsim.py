@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klpricer import qsim
-from klpricer.klcore import CLIP
+from klpricer import process, qsim
+from klpricer.klcore import CLIP, _clenshaw
 from klpricer.process import GbmParams, g_max_bound
 from klpricer.qsim import (
     FixedPointCodec,
@@ -195,6 +195,63 @@ class TestValueRotation:
         layout, gmax, codec, state = small_setup()
         with pytest.raises(ValueError):
             attach_value_rotation(state, gmax / 1000.0)
+
+    def test_rotation_matches_per_amplitude_rotation(self):
+        # the rotation per value code gives every amplitude the bits of the
+        # rotation per amplitude, signed zeros included
+        layout = RegisterLayout(coeff_qubits=2, n_coeff_registers=2, time_qubits=3, value_qubits=8)
+        gmax = g_max_bound(MARKET, L=1)
+        state = build_semidigital_state(layout, MARKET, 1, 8, FixedPointCodec.for_range(8, gmax))
+        rng = np.random.default_rng(3)
+        amps = state.amplitudes
+        amps[:] = rng.standard_normal(amps.size) + 1j * rng.standard_normal(amps.size)
+        amps[rng.random(amps.size) < 0.3] = 0.0
+        amps[:4] = [-0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.0, -0.0)]
+        frac = np.clip(state.codec.decode(np.arange(amps.size) % 256) / gmax, 0.0, 1.0)
+        expect = np.empty(2 * amps.size, dtype=complex)
+        expect[0::2] = amps * np.sqrt(frac)
+        expect[1::2] = amps * np.sqrt(1.0 - frac)
+        got = attach_value_rotation(state, gmax).amplitudes
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    def test_rotation_allocates_only_its_output(self):
+        # a 2^18-amplitude input, an 8 MiB output; rotating each amplitude
+        # on its own allocated 2.5 times the output
+        layout = RegisterLayout(coeff_qubits=4, n_coeff_registers=3, time_qubits=2, value_qubits=4)
+        amps = np.full(1 << 18, 2.0**-9, dtype=complex)
+        state = qsim.StateVector(amps, layout, FixedPointCodec.for_range(4, 10.0))
+        tracemalloc.start()
+        try:
+            rotated = attach_value_rotation(state, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rotated.amplitudes.nbytes == 8 << 20
+        assert peak <= rotated.amplitudes.nbytes + (1 << 20)
+
+
+class TestMirror:
+    @pytest.mark.parametrize("params", [MARKET, GbmParams(80.0, -0.1, 0.5)])
+    def test_semidigital_state_mirrors_the_nested_sampler(self, params):
+        # the qsim-check layout: L = 1, two 2-qubit coefficient registers,
+        # T = 4 and 8 value bits.  Per coefficient code, gmax times the
+        # ancilla-zero probability is the path's quantized monitoring mean;
+        # kl-nested's chain gives it from one uniform per monitoring cell,
+        # mapped to its time, through the series, the GBM map and the codec.
+        # Some codes quantize to 0, so the gap is measured against gmax.
+        T = 4
+        layout = RegisterLayout(coeff_qubits=2, n_coeff_registers=2, time_qubits=2, value_qubits=8)
+        gmax = g_max_bound(params, L=1)
+        codec = FixedPointCodec.for_range(8, gmax)
+        state = build_semidigital_state(layout, params, L=1, T=T, codec=codec)
+        probs = attach_value_rotation(state, gmax).probabilities().reshape(16, -1, 2)
+        statevector = gmax * probs[:, :, 0].sum(axis=1) / probs.sum(axis=(1, 2))
+
+        a = gaussian_grid_values(2)[qsim._coefficient_codes(2, 2)]
+        t = process.monitoring_times((np.arange(T) + 0.5) / T, T)
+        g = process.gbm_from_bm(_clenshaw(a, t), t, params)
+        sampler = codec.decode(codec.encode(g)).mean(axis=1)
+        assert np.max(np.abs(statevector - sampler)) <= 1e-12 * gmax
 
 
 class TestQuantizedSubsampleState:
