@@ -1,4 +1,4 @@
-"""Command-line front end: flags, validation, seeding, dispatch, report emission.
+"""Command-line front end: flags, seeding, dispatch, exit codes, report emission.
 
 Two subcommands:
 
@@ -9,14 +9,19 @@ Two subcommands:
   a JSON summary; the exit status reflects whether every bound check passed.
 
 Each flag and its default are declared once, in ``build_parser``, and the
-parsed namespace is the request: ``main`` resolves its seed, validates it
-once, before anything is drawn, and dispatches it.
+parsed namespace is the request: ``main`` checks its seed, builds the
+market and payoff from it, and dispatches it.  The library validates its
+own input before anything is drawn, and raises ``ValueError`` only for bad
+input; the CLI itself checks only the seed, the discount rate and the
+probes' sizes.  Each method checks only the flags it reads, so
+``--method baseline --m0 1`` prices as usual.
 
 Exit codes: 0 success, 1 runtime failure (including failed bound checks
-and a non-finite estimate), 2 validation failure.  Failures are emitted as a
-single JSON line on stderr; the estimate is strict JSON, never Infinity or
-NaN.  Given the same configuration and seed the JSON output is
-byte-identical up to the wall_time_ms field, whatever the number of cores.
+and a non-finite estimate), 2 validation failure (a ``ValueError``).
+Failures are emitted as a single JSON line on stderr; the estimate is
+strict JSON, never Infinity or NaN.  Given the same configuration and seed
+the JSON output is byte-identical up to the wall_time_ms field, whatever
+the number of cores.
 
 ``price`` loads numpy only, and ``geometric-cf`` adds ``scipy.special``.
 ``analysis`` and ``qsim`` are imported only when ``analyze`` or
@@ -39,52 +44,6 @@ __all__ = ["main"]
 
 PRICE_METHODS = ("baseline", "kl-nested", "subsample", "geometric-cf", "qsim-check")
 PROBES = ("truncation", "mapped", "smoothness", "subsample-error", "convergence")
-
-_LOG_DBL_MAX = float(np.log(np.finfo(float).max))
-
-
-def _validate_market(args: argparse.Namespace) -> None:
-    """Reject a market, strike and seed that no estimator or probe can run on."""
-    for name in ("s0", "mu", "sigma", "strike"):
-        if not np.isfinite(getattr(args, name)):
-            raise ValueError(f"{name} must be finite")
-    if args.s0 <= 0:
-        raise ValueError("s0 must be positive")
-    if args.sigma <= 0:
-        raise ValueError("sigma must be positive")
-    # past this about half of all paths overflow, so no run can succeed
-    if not np.log(args.s0) + args.mu - 0.5 * args.sigma**2 < _LOG_DBL_MAX:
-        raise ValueError("median terminal price s0 exp(mu - sigma^2/2) overflows")
-    if args.strike < 0:
-        raise ValueError("strike must be non-negative")
-    if args.seed < 0:
-        raise ValueError("seed must be non-negative")
-
-
-def _validate_price(args: argparse.Namespace) -> None:
-    """Reject a ``price`` request that its estimator cannot run, before any draw."""
-    _validate_market(args)
-    if not np.isfinite(args.discount_rate):
-        raise ValueError("discount_rate must be finite")
-    if -args.discount_rate >= _LOG_DBL_MAX:
-        raise ValueError("discount factor exp(-discount_rate) overflows")
-    if args.monitoring < 1:
-        raise ValueError("T must be >= 1")
-    if not 0.0 < args.epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    if args.method in ("baseline", "subsample") and args.paths < 2:
-        raise ValueError("paths must be >= 2")
-    if args.method == "baseline":
-        pricing._check_flat_buffers(args.monitoring, args.paths)
-    if args.method == "subsample":
-        pricing._check_flat_buffers(pricing._subsample_points(args.epsilon), args.paths)
-    if any(m is not None and m < 2 for m in (args.m0, args.m1)):
-        raise ValueError("M0 and M1 must be >= 2")
-    if args.order is not None and args.order < 0:
-        raise ValueError("L must be >= 0")
-    if args.method == "kl-nested":
-        pricing._series_order(args.epsilon, args.order, args.monitoring)
-
 
 def _qsim_check(params: process.GbmParams, monitoring_count: int) -> pricing.Estimate:
     """Tiny-layout faithfulness check of the amplitude encoding.
@@ -115,9 +74,13 @@ def _qsim_check(params: process.GbmParams, monitoring_count: int) -> pricing.Est
     return pricing.Estimate(value, 0.0, n_codes, T)
 
 
-def run_price(args: argparse.Namespace) -> dict:
-    params = process.GbmParams(args.s0, args.mu, args.sigma)
-    spec = pricing.AsianPayoffSpec(strike=args.strike, monitoring_count=args.monitoring)
+def run_price(
+    args: argparse.Namespace, params: process.GbmParams, spec: pricing.AsianPayoffSpec
+) -> dict:
+    if not np.isfinite(args.discount_rate):
+        raise ValueError("discount_rate must be finite")
+    if -args.discount_rate >= process.LOG_DBL_MAX:
+        raise ValueError("discount factor exp(-discount_rate) overflows")
     start = time.perf_counter()
     if args.method == "baseline":
         est = pricing.price_baseline(params, spec, args.paths, args.seed)
@@ -137,7 +100,7 @@ def run_price(args: argparse.Namespace) -> dict:
     elif args.method == "geometric-cf":
         est = pricing.Estimate(pricing.geometric_asian_closed_form(params, spec), 0.0, 0, 1)
     else:
-        est = _qsim_check(params, args.monitoring)
+        est = _qsim_check(params, args.T)
     wall_ms = (time.perf_counter() - start) * 1000.0
     discount = float(np.exp(-args.discount_rate))
     value, std_error = est.value * discount, est.std_error * discount
@@ -155,10 +118,13 @@ def run_price(args: argparse.Namespace) -> dict:
     }
 
 
-def run_analyze(args: argparse.Namespace) -> tuple[analysis.BoundReport, dict]:
+def run_analyze(
+    args: argparse.Namespace, params: process.GbmParams, spec: pricing.AsianPayoffSpec
+) -> tuple[analysis.BoundReport, dict]:
     from . import analysis
 
-    market = process.GbmParams(args.s0, args.mu, args.sigma)
+    if args.paths < 2 or args.replicates < 2:
+        raise ValueError("paths and replicates must be >= 2")
     if args.probe == "truncation":
         report = analysis.truncation_error_sweep(
             _list(args.L, int), L_ref=args.L_ref, n_paths=args.paths, seed=args.seed
@@ -174,19 +140,19 @@ def run_analyze(args: argparse.Namespace) -> tuple[analysis.BoundReport, dict]:
     elif args.probe == "subsample-error":
         report = analysis.subsample_error_probe(
             _list(args.epsilon, float),
-            T=args.T,
+            T=spec.monitoring_count,
             n_paths=args.paths,
-            params=market,
-            strike=args.strike,
+            params=params,
+            strike=spec.strike,
             seed=args.seed,
         )
     else:
         report = analysis.convergence_study(
             args.method,
             _list(args.budgets, int),
-            params=market,
-            strike=args.strike,
-            monitoring_count=args.T,
+            params=params,
+            strike=spec.strike,
+            monitoring_count=spec.monitoring_count,
             epsilon=_list(args.epsilon, float)[0],
             n_replicates=args.replicates,
             seed=args.seed,
@@ -235,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("price", parents=[market],
                         help="run one estimator and print a JSON estimate")
     pr.add_argument("--method", required=True, choices=PRICE_METHODS)
-    pr.add_argument("--T", type=int, default=64, dest="monitoring",
+    pr.add_argument("--T", type=int, default=64,
                     help="monitoring points T of baseline, kl-nested, geometric-cf (default 64)")
     pr.add_argument("--epsilon", type=float, default=0.05,
                     help="target accuracy for kl-nested/subsample (default 0.05)")
@@ -276,36 +242,28 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if args.seed is None:
         args.seed = secrets.randbits(32)
-
-    if args.command == "price":
-        try:
-            _validate_price(args)
-        except ValueError as exc:
-            return _fail(str(exc), 2)
-        try:
+    try:
+        if args.seed < 0:
+            raise ValueError("seed must be non-negative")
+        params = process.GbmParams(args.s0, args.mu, args.sigma)
+        spec = pricing.AsianPayoffSpec(args.strike, args.T)
+        if args.command == "price":
             # overflow surfaces as the non-finite estimate error, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                text = json.dumps(run_price(args), allow_nan=False)
+                text = json.dumps(run_price(args, params, spec), allow_nan=False)
             if args.output:
                 with open(args.output, "w") as fh:
                     fh.write(text + "\n")
-        except Exception as exc:  # noqa: BLE001
-            return _fail(str(exc), 1)
-        print(text)
-        return 0
-
-    # analyze
-    if args.paths < 2 or args.T < 1 or args.replicates < 2:
-        return _fail("paths, T, and replicates must be sensible positive integers", 2)
-    try:
-        _validate_market(args)
-        report, summary = run_analyze(args)
+            code = 0
+        else:
+            report, summary = run_analyze(args, params, spec)
+            text, code = json.dumps(summary), 0 if report.all_pass else 1
     except ValueError as exc:
         return _fail(str(exc), 2)
     except Exception as exc:  # noqa: BLE001
         return _fail(str(exc), 1)
-    print(json.dumps(summary))
-    return 0 if report.all_pass else 1
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -57,6 +57,8 @@ _MIN_BATCH = 64
 _MAX_BATCH = 1 << 20
 _STARVATION_FACTOR = 1_000_000
 
+LOG_DBL_MAX = float(np.log(np.finfo(float).max))  # exp overflows past this
+
 
 class RejectionStarvedError(RuntimeError):
     """Raised when the rejection sampler sees essentially no acceptances.
@@ -79,6 +81,8 @@ class GbmParams:
     """Market parameters (initial price, drift, volatility) for the GBM.
 
     The process is s0 * exp(sigma B_t + (mu - sigma^2/2) t) on t in [0, 1].
+    A market whose median terminal price s0 exp(mu - sigma^2/2) overflows
+    is rejected: about half of its paths overflow, so no run can succeed.
     """
 
     s0: float
@@ -86,10 +90,15 @@ class GbmParams:
     sigma: float
 
     def __post_init__(self) -> None:
+        for name in ("s0", "mu", "sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.s0 <= 0:
             raise ValueError("s0 must be positive")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if not np.log(self.s0) + self.effective_drift < LOG_DBL_MAX:
+            raise ValueError("median terminal price s0 exp(mu - sigma^2/2) overflows")
 
     @property
     def effective_drift(self) -> float:

@@ -170,7 +170,7 @@ class TestPriceCommand:
         code, out, _ = run_cli(capsys, "price", "--method", "baseline", "--T", "5000000",
                                "--paths", "2", "--seed", "1")
         assert (code, runs) == (0, [(5_000_000, 2)])
-        assert pricing._check_flat_buffers(5_000_000, 2) == 200_000_000
+        assert pricing._check_flat_buffers(5_000_000, 2) == 200_000_016
 
     def test_non_finite_estimate_exits_1(self, capsys):
         # the median path is finite at mu = 705, but exp still overflows on
@@ -182,6 +182,20 @@ class TestPriceCommand:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == 1
+
+    def test_envelope_violation_exits_1(self, capsys, monkeypatch):
+        # an envelope below the path is a fault of the program, not of the
+        # request, so it must not take the exit 2 of a ValueError
+        envelope = process.path_envelope
+        monkeypatch.setattr(process, "path_envelope", lambda params, a: 0.5 * envelope(params, a))
+        code, out, err = run_cli(
+            capsys, "price", "--method", "kl-nested", "--epsilon", "0.2", "--m0", "10",
+            "--m1", "10", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "path value exceeded the envelope; gmax contract violated", "code": 1
+        }
 
     @pytest.mark.parametrize("inner", ["acceptance", "uniform"])
     def test_kl_nested_prices_the_monitoring_points(self, capsys, inner):

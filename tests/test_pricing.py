@@ -57,6 +57,29 @@ class TestPayoff:
         with pytest.raises(ValueError):
             payoff(np.zeros((1, 2)))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 64).flatmap(
+            lambda n: st.tuples(*[st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)] * 2)
+        ),
+        strike=st.floats(0.0, 300.0),
+    )
+    # two rows whose averages both sit at the strike, the kink of the payoff
+    @example(rows=([0.0, 0.0], [np.log(0.5), np.log(1.5)]), strike=100.0)
+    def test_lipschitz_in_the_sum_of_path_values(self, rows, strike):
+        # |pay(x) - pay(y)| <= (s0/T) |sum e^x - sum e^y|, up to rounding
+        x, y = (np.array([row]) for row in rows)
+        n_times = x.shape[1]
+        bound = MARKET.s0 / n_times * abs(np.exp(x).sum() - np.exp(y).sum())
+        payoff = pricing._average_call(MARKET, n_times, strike)
+        gap = abs(payoff(x)[0] - payoff(y)[0])
+        assert gap <= bound + 1e-12 * (MARKET.s0 * np.exp(3.0) + strike)
+
+    @pytest.mark.parametrize("strike", [np.nan, np.inf])
+    def test_spec_rejects_non_finite_strike(self, strike):
+        with pytest.raises(ValueError, match="^strike must be finite$"):
+            AsianPayoffSpec(strike, 64)
+
     def test_lipschitz_property_exact(self):
         # the payoff exponentiates in place and scales by s0, so x and y are
         # built the same way and carry the exact path values it averages
@@ -242,6 +265,23 @@ class TestFlatKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n_times", [64, 400])
+    def test_buffer_guard_counts_what_a_thread_holds(self, n_times):
+        # a warm call on a full block peaks within 10 % of the guard's count;
+        # without the block's payoff vector the count was 36 % and 24 % short
+        t = np.arange(1, n_times + 1) / n_times
+        payoff = pricing._average_call(MARKET, n_times, 100.0)
+        rows = pricing._block_size(n_times)
+        pricing._block_payoffs(MARKET, t, rows, 30, process.TAG_PATHS, 0, payoff)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pricing._block_payoffs(MARKET, t, rows, 30, process.TAG_PATHS, 0, payoff)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert 1.0 <= peak / pricing._check_flat_buffers(n_times, rows) <= 1.1
 
     def test_buffer_guard_caps_threads(self, monkeypatch):
         # each thread holds one chunk buffer: a guard with room for two
@@ -529,7 +569,7 @@ class TestNested:
     def test_envelope_below_path_violates_contract(self, monkeypatch):
         envelope = process.path_envelope
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 0.5 * envelope(params, a))
-        with pytest.raises(ValueError, match="exceeded the envelope"):
+        with pytest.raises(RuntimeError, match="exceeded the envelope"):
             price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=10, M1=10, seed=1)
 
     def test_diagnostics_at_golden_market(self, golden_market, golden_spec):

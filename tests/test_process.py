@@ -31,6 +31,20 @@ class TestGbmParams:
         with pytest.raises(ValueError):
             GbmParams(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["s0", "mu", "sigma"])
+    def test_non_finite_rejected(self, name, value):
+        market = {"s0": 100.0, "mu": 0.05, "sigma": 0.2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            GbmParams(**market)
+
+    def test_overflowing_median_rejected(self):
+        # s0 exp(mu - sigma^2/2) overflows at mu = 1000, so about half of all
+        # paths would; at mu = 705 the median is finite
+        with pytest.raises(ValueError, match="overflows"):
+            GbmParams(100.0, 1000.0, 0.2)
+        assert GbmParams(100.0, 705.0, 0.2).mu == 705.0
+
 
 class TestSampleCoefficients:
     def test_deterministic_given_seed(self):

@@ -1,4 +1,5 @@
-"""Every public name is used by the program, not only by its tests."""
+"""Every public name is used by the program, not only by its tests, and the
+command line reads only public names of the library."""
 
 import ast
 import pathlib
@@ -8,7 +9,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # Names exported ahead of their caller, each with the reason it stays.
 ALLOWED_UNUSED = {
     "build_quantized_subsample_state":
-        "ROADMAP item 6 makes it real through qsim-check",
+        "ROADMAP item 5 makes it real through qsim-check",
 }
 
 
@@ -43,3 +44,32 @@ def test_every_exported_name_is_referenced():
     # an allowed name that gains a caller leaves the list
     assert set(ALLOWED_UNUSED) <= set(unused)
     assert {n: m for n, m in unused.items() if n not in ALLOWED_UNUSED} == {}
+
+
+def private_reads(path: pathlib.Path) -> list:
+    """Underscore names of other ``klpricer`` modules that ``path`` reads or imports.
+
+    A module is a name bound by ``from . import ...`` (or ``from klpricer
+    import ...``); a read is an attribute ``module._name``, and an import is
+    ``from .module import _name``.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.module in (None, "klpricer"):
+            modules.update(alias.asname or alias.name for alias in node.names)
+        elif node.level or node.module.startswith("klpricer."):
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_cli_reads_no_private_name_of_the_library():
+    # the library validates its own input, so the front end has no reason
+    # to call a private helper to find out what a method will reject
+    assert private_reads(ROOT / "src" / "klpricer" / "cli.py") == []
