@@ -6,10 +6,11 @@ golden market parameters (s0=100, K=100, mu=0.05, sigma=0.2, T=64) plus the
 matching geometric closed-form value, and writes them to tests/golden.json.
 Never edit that file by hand; rerun this script instead.
 
-BLAS runs single-threaded: a multi-threaded OpenBLAS splits a long dot
-product, such as a block's sum of squared payoffs, differently and can
-change the last bits of the pinned values.  The thread counts are set before
-numpy is imported, which is when they are read.
+The flat kernel sums its squared payoffs with ``einsum``, not a BLAS dot
+product, which a multi-threaded OpenBLAS splits by its thread count, so the
+pinned values do not depend on the BLAS threads.  BLAS still runs
+single-threaded here, so that no other BLAS call can move them: the thread
+counts are set before numpy is imported, which is when they are read.
 """
 
 import os

@@ -21,7 +21,7 @@ and a non-finite estimate), 2 validation failure (a ``ValueError``).
 Failures are emitted as a single JSON line on stderr; the estimate is
 strict JSON, never Infinity or NaN.  Given the same configuration and seed
 the JSON output is byte-identical up to the wall_time_ms field, whatever
-the number of cores.
+the number of cores or of BLAS threads.
 
 ``price`` loads numpy only, and ``geometric-cf`` adds ``scipy.special``.
 ``analysis`` and ``qsim`` are imported only when ``analyze`` or
@@ -31,6 +31,7 @@ the number of cores.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -184,6 +185,7 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+@functools.cache  # parsing never changes the parser; building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="klpricer",

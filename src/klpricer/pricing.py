@@ -37,6 +37,7 @@ discount factor scale the final value.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -72,6 +73,7 @@ def _block_size(n_times: int) -> int:
 _CHUNK_BYTES = 1 << 20  # about one core's L2 share
 _GROUP_BYTES = 1 << 16  # uniforms of one group, and one path table, of kl-nested draws
 _MAX_DOUBLES = 100_000_000  # resource guard on one vector of draws or grid points
+_NESTED_BYTES = 32 * _MAX_DOUBLES  # resource guard on one kl-nested draw, and on all M0 draws
 _FLAT_BYTES = 1 << 28  # resource guard on the flat kernel's chunk buffers, all threads together
 _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
 
@@ -209,7 +211,8 @@ def _flat_moments(
     def moments(block_idx: int) -> tuple[float, float]:
         with np.errstate(**err):
             pay = _block_payoffs(params, times, rows[block_idx], seed, tag, block_idx, payoff)
-            return float(pay.sum()), float(pay @ pay)
+            # einsum, not BLAS: a threaded BLAS dot splits the sum by its thread count
+            return float(pay.sum()), float(np.einsum("i,i->", pay, pay))
 
     if len(rows) == 1:
         parts = [moments(0)]
@@ -292,10 +295,10 @@ def _series_order(epsilon: float, L: int | None, T: int) -> int:
         L = truncation_index_bm(epsilon)
     if L < 0:
         raise ValueError("L must be >= 0")
-    if L + 1 > _MAX_DOUBLES:
+    if 32 * (L + 1) > _NESTED_BYTES:
         raise ValueError(
             f"series of {L + 1} coefficients needs about {32 * (L + 1)} bytes per draw, "
-            f"past the {32 * _MAX_DOUBLES}-byte guard"
+            f"past the {_NESTED_BYTES}-byte guard"
         )
     return L
 
@@ -362,13 +365,14 @@ def _rounds(
                 b = _clenshaw(a[group[0]], t) if group.size == 1 else _clenshaw(a, t, row)
                 g = process.gbm_from_bm(b, t, params)
             else:
-                g = table[row, (u[:, 0] * T).astype(np.int64)]  # column floor(u T)
+                g = table.ravel()[row * T + (u[:, 0] * T).astype(np.int64)]  # column floor(u T)
             env_p = env[row]
             if np.any(g > env_p * (1.0 + 1e-12)):
                 raise RuntimeError("path value exceeded the envelope; gmax contract violated")
             accepted = np.cumsum(u[:, 1] * env_p <= g)  # acceptances through each proposal
             through = accepted[stop - 1]
-            got = np.diff(through, prepend=0)
+            got = through.copy()  # acceptances of each draw in this group
+            got[1:] -= through[:-1]
             # the M1-th acceptance, past the batch for a draw still short
             last = np.searchsorted(accepted, through - got + M1 - hits[group])
             spent[group] += np.minimum(last - start + 1, size)
@@ -401,9 +405,9 @@ def _acceptance_means(
     run = max(1, min(_GROUP_BYTES // 16 // process._MIN_BATCH, _GROUP_BYTES // (8 * (L + 1))))
     per_table = _GROUP_BYTES // (8 * T)  # path rows that fit one table, none past T = 8192
     grid = np.arange(1, T + 1) / T if per_table else None
+    streams = process.streams(seed, process.TAG_NESTED, range(M0))
     for first in range(0, M0, run):
-        draws = range(first, min(first + run, M0))
-        rngs = [process.stream(seed, process.TAG_NESTED, i) for i in draws]
+        rngs = list(itertools.islice(streams, run))
         a, clipped = process._coefficient_rows(rngs, L)
         env = process.path_envelope(params, a)
         batch = process._batch_size(M1, process._first_batch_rate(a, env, params))
@@ -411,9 +415,14 @@ def _acceptance_means(
         rows = np.flatnonzero(tabled)
         parts = [(rows[i : i + per_table], True) for i in range(0, rows.size, max(per_table, 1))]
         for part, tab in [*parts, (np.flatnonzero(~tabled), False)]:
-            table = process.gbm_from_bm(_clenshaw(a[part], grid), grid, params) if tab else None
+            table, first_batch = None, batch[part]
+            if tab:
+                table = process.gbm_from_bm(_clenshaw(a[part], grid), grid, params)
+                # a path row gives the draw's exact acceptance rate, its mean over env
+                rate = np.maximum(table.mean(axis=1) / env[part], process._MIN_RATE)
+                first_batch = process._batch_size(M1, rate)
             n_prop, points = _rounds(
-                [rngs[i] for i in part], a[part], env[part], batch[part], table, M1, params, T
+                [rngs[i] for i in part], a[part], env[part], first_batch, table, M1, params, T
             )
             gbar[first + part] = _haldane_mean(env[part], M1, n_prop)
             counts["proposals"] += int(n_prop.sum())
@@ -461,15 +470,21 @@ def price_kl_nested(
 
     Acceptance mode runs the sampler for runs of outer draws in rounds
     (``_rounds``); each proposal gets the bits the one-draw sampler would
-    give it, so the estimate does not depend on the grouping.  A draw's path
-    is tabulated on the T-point grid when its T points are no more than its
-    first batch's proposals and one path row fits ``_GROUP_BYTES`` (64 KiB),
-    in tables of at most that size; otherwise each of its proposals is
-    evaluated at its own time.  So a draw costs T points, no more than its
-    first batch, or one point per proposal: the cost does not grow with T,
-    up to T = 2^53, the most a 53-bit uniform can index.  A group's batches hold at most
-    ``_GROUP_BYTES`` of uniforms: the working memory is about 0.4 MiB at
-    eps = 0.1, M0 = M1 = 400 and T = 64, and 0.6 MiB at T = 2^20.
+    give it, so the estimate does not depend on the grouping or on batch
+    sizes.  The outer draws' streams come from one ``process.streams``.  A
+    draw's first batch is sized from a guess of its acceptance rate
+    (``process._first_batch_rate``), and its path is tabulated on the T-point
+    grid when its T points are no more than that batch's proposals and one
+    path row fits ``_GROUP_BYTES`` (64 KiB), in tables of at most that size;
+    otherwise each of its proposals is evaluated at its own time.  A
+    tabulated draw's first batch is then sized again from its exact
+    acceptance rate, the mean of its path row over its envelope, so most
+    draws finish in one round.  So a draw costs T points, no more than its
+    guessed first batch, or one point per proposal: the cost does not grow
+    with T, up to T = 2^53, the most a 53-bit uniform can index.  A group's
+    batches hold at most ``_GROUP_BYTES`` of uniforms: the working memory is
+    about 0.4 MiB at eps = 0.1, M0 = M1 = 400 and T = 64, and 0.6 MiB at
+    T = 2^20.  All M0 draws hold 40 bytes each, rejected past 3.2 GB.
 
     ``diagnostics`` counts ``clipped`` coefficients and ``series_points``
     (in acceptance mode the points of the path tables plus the proposals
@@ -495,6 +510,12 @@ def price_kl_nested(
     M1 = int(np.ceil(_DEFAULT_SIZING / epsilon**2)) if M1 is None else M1
     if M0 < 2 or M1 < 2:
         raise ValueError("M0 and M1 must be >= 2")
+    # M0 draws hold 40 bytes each: an inner mean and, while the payoffs are
+    # summed in draw order, a Python float and its list slot (tracemalloc)
+    if 40 * M0 > _NESTED_BYTES:
+        raise ValueError(
+            f"{M0} outer draws need {40 * M0} bytes, past the {_NESTED_BYTES}-byte guard"
+        )
     inner_means = _acceptance_means if inner_mode == "acceptance" else _uniform_means
     gbar, diagnostics = inner_means(params, spec.monitoring_count, L, M0, M1, seed)
     total = 0.0

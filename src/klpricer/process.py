@@ -24,11 +24,17 @@ draws in rounds (``pricing._rounds``).
 Randomness is keyed: every stream is an SFC64 generator seeded through
 ``SeedSequence`` from (seed, stream tag, index), so any block or outer draw
 can be rebuilt by replaying its own stream from the start, and results never
-depend on how work is divided among workers.
+depend on how work is divided among workers.  ``stream`` builds one such
+generator; ``streams`` builds the generators of many indices under one tag,
+bit for bit the same, running ``SeedSequence``'s hash once over an array of
+indices instead of once per index in Python-level calls.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,7 @@ __all__ = [
     "GbmParams",
     "RejectionStarvedError",
     "stream",
+    "streams",
     "sample_coefficients",
     "gbm_from_bm",
     "monitoring_times",
@@ -55,9 +62,19 @@ TAG_ANALYSIS = 8
 # many uniforms are drawn ahead, never which proposals are accepted.
 _MIN_BATCH = 64
 _MAX_BATCH = 1 << 20
+_MIN_RATE = 1e-6  # floor of an acceptance rate that sizes a first batch
 _STARVATION_FACTOR = 1_000_000
 
 LOG_DBL_MAX = float(np.log(np.finfo(float).max))  # exp overflows past this
+
+# numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of
+# four 32-bit words, its multipliers, and the xorshift of both mixing steps
+_POOL = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_HASH_BLOCK = 4096  # indices ``streams`` hashes at a time
 
 
 class RejectionStarvedError(RuntimeError):
@@ -74,6 +91,97 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     and the bit generator is SFC64, the quickest of numpy's at a normal fill.
     """
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _words32(x: int) -> list[int]:
+    """The 32-bit words of x >= 0, least significant first, as ``SeedSequence`` splits it."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("seed and stream tag must be non-negative")
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _stream_words(seed: int, tag: int, indices: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(tag, i)).generate_state(3, np.uint64)`` for each index i.
+
+    The hash's entropy is the seed's words, padded with zeros to the pool
+    size, then the tag's words and the index's one word (i < 2^32).  Only
+    that last word differs between indices, so the steps before it run on
+    Python ints and the rest on uint32 arrays, which wrap as the hash's
+    32-bit arithmetic does.  Returns one row of three words per index.
+    """
+    idx = np.asarray(indices)
+    if idx.size and not (idx.min() >= 0 and idx.max() <= _MASK32):
+        raise ValueError("stream indices must lie in [0, 2^32)")
+    run = _words32(seed)
+    entropy = [*run, *[0] * (_POOL - len(run)), *_words32(tag), idx.astype(np.uint32)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((idx.size, 6), dtype=np.uint32)
+    hash_const = _INIT_B
+    for k in range(6):
+        value = pool[k % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state[:, k] = value ^ value >> 16
+    # generate_state reads pairs of words as little-endian uint64
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _hashed_seed():
+    """``ISeedSequence`` that hands SFC64 its three seed words, already hashed.
+
+    Built on first use: importing ``numpy.random`` costs milliseconds that
+    ``import klpricer.cli`` should not pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # called once, by SFC64, for the 3 uint64 words _stream_words computed
+            return self.words
+
+    return HashedSeed
+
+
+def streams(seed: int, tag: int, indices: Sequence[int]) -> Iterator[np.random.Generator]:
+    """``stream(seed, tag, i)`` for each i in ``indices``, in order and bit for bit, lazily.
+
+    Hashes ``_HASH_BLOCK`` indices at a time and builds each generator from
+    its precomputed words; SFC64 still runs its own warm-up.  Indices must
+    lie in [0, 2^32), one word of ``SeedSequence`` entropy each; a block
+    holding one past that raises ``ValueError`` before its first generator.
+    """
+    hashed = _hashed_seed()
+    for lo in range(0, len(indices), _HASH_BLOCK):
+        for words in _stream_words(seed, tag, indices[lo : lo + _HASH_BLOCK]):
+            yield np.random.Generator(np.random.SFC64(hashed(words)))
 
 
 @dataclass
@@ -97,7 +205,11 @@ class GbmParams:
             raise ValueError("s0 must be positive")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if not np.log(self.s0) + self.effective_drift < LOG_DBL_MAX:
+        try:
+            log_median = np.log(self.s0) + self.effective_drift
+        except OverflowError:  # a float ** raises where a float * gives inf
+            raise ValueError("sigma^2 overflows") from None
+        if not log_median < LOG_DBL_MAX:
             raise ValueError("median terminal price s0 exp(mu - sigma^2/2) overflows")
 
     @property
@@ -149,7 +261,7 @@ def _first_batch_rate(a: np.ndarray, gmax, params: GbmParams):
     """
     log_inf = -params.sigma * _sup_abs_bm(a) + min(params.effective_drift, 0.0)
     log_ratio = np.log(params.s0) + log_inf - np.log(gmax)
-    return np.maximum(np.exp(0.5 * log_ratio), 1e-6)
+    return np.maximum(np.exp(0.5 * log_ratio), _MIN_RATE)
 
 
 def _batch_size(remaining, rate):

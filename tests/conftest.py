@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from klpricer import process
 from klpricer.process import GbmParams
 from klpricer.pricing import AsianPayoffSpec
 
@@ -23,3 +24,17 @@ def golden_market(golden):
 @pytest.fixture(scope="session")
 def golden_spec(golden):
     return AsianPayoffSpec(strike=golden["strike"], monitoring_count=golden["monitoring_count"])
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Keys of the streams opened, through ``process.stream`` or ``process.streams``.
+
+    Both are replaced by spies that record their key and open nothing, so a
+    test can check that a request is rejected before anything is drawn.
+    """
+    opened = []
+    monkeypatch.setattr(process, "stream", lambda seed, *key: opened.append((seed, *key)))
+    monkeypatch.setattr(process, "streams",
+                        lambda seed, tag, indices: opened.append((seed, tag, indices)))
+    return opened

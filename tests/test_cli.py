@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -71,68 +72,91 @@ class TestPriceCommand:
         assert json.loads(err)["code"] == 2
 
     @pytest.mark.parametrize("method", ["baseline", "subsample", "kl-nested"])
-    def test_overflowing_market_exits_2_before_any_draw(self, capsys, monkeypatch, method):
+    def test_overflowing_market_exits_2_before_any_draw(self, capsys, draws, method):
         # s0 exp(mu - sigma^2/2) overflows at mu = 1000: about half of all paths
         # overflow, so the input is rejected before anything is drawn
-        streams = []
-        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
         code, out, err = run_cli(
             capsys, "price", "--method", method, "--mu", "1000", "--paths", "1000", "--seed", "1"
         )
-        assert (code, out, streams) == (2, "", [])
+        assert (code, out, draws) == (2, "", [])
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == 2
+
+    def test_overflowing_sigma_squared_exits_2_before_any_draw(self, capsys, draws):
+        # sigma^2 overflows past about 1.34e154, where a float ** raises
+        # OverflowError, which is no ValueError
+        code, out, err = run_cli(
+            capsys, "price", "--method", "baseline", "--sigma", "1e160", "--paths", "1000",
+            "--seed", "1",
+        )
+        assert (code, out, draws) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "sigma^2 overflows", "code": 2}
+
+    @pytest.mark.parametrize("inner", ["acceptance", "uniform"])
+    def test_outer_draw_guard_exits_2_before_any_draw(self, capsys, draws, inner):
+        # 10^11 outer draws would need 4 TB; the guard runs before anything
+        # is allocated, so the request fails fast with exit 2, not exit 1
+        # with numpy's "Unable to allocate"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "price", "--method", "kl-nested", "--inner", inner,
+                "--m0", "100000000000", "--m1", "4", "--seed", "1",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, draws) == (2, "", [])
+        assert peak < 1 << 20
+        assert json.loads(err) == {
+            "error": "100000000000 outer draws need 4000000000000 bytes, "
+                     "past the 3200000000-byte guard",
+            "code": 2,
+        }
 
     @pytest.mark.parametrize("flag,value", [
         ("--s0", "inf"), ("--mu", "nan"), ("--sigma", "inf"), ("--strike", "nan"),
         ("--discount-rate", "nan"),
     ])
-    def test_non_finite_input_exits_2_before_any_draw(self, capsys, monkeypatch, flag, value):
-        streams = []
-        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
+    def test_non_finite_input_exits_2_before_any_draw(self, capsys, draws, flag, value):
         code, out, err = run_cli(
             capsys, "price", "--method", "baseline", flag, value, "--paths", "1000", "--seed", "1"
         )
-        assert (code, out, streams) == (2, "", [])
+        assert (code, out, draws) == (2, "", [])
         assert len(err.splitlines()) == 1
         field = flag[2:].replace("-", "_")
         assert json.loads(err) == {"error": f"{field} must be finite", "code": 2}
 
-    def test_overflowing_discount_exits_2_before_any_draw(self, capsys, monkeypatch):
+    def test_overflowing_discount_exits_2_before_any_draw(self, capsys, draws):
         # exp(-r) overflows for r < -709.78, whatever the paths give
-        streams = []
-        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
         code, out, err = run_cli(
             capsys, "price", "--method", "baseline", "--paths", "1000", "--seed", "1",
             "--discount-rate=-800",
         )
-        assert (code, out, streams) == (2, "", [])
+        assert (code, out, draws) == (2, "", [])
         assert json.loads(err) == {
             "error": "discount factor exp(-discount_rate) overflows", "code": 2
         }
 
     @pytest.mark.parametrize("flag", ["--L=100000000", "--epsilon=1e-5"])
-    def test_series_order_guard_exits_2_before_any_draw(self, capsys, monkeypatch, flag):
+    def test_series_order_guard_exits_2_before_any_draw(self, capsys, draws, flag):
         # each outer draw holds L + 1 coefficients, which the 10^8-double guard
         # caps; eps = 1e-5 resolves to L = 2,026,423,673
-        streams = []
-        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
         code, out, err = run_cli(
             capsys, "price", "--method", "kl-nested", flag, "--m0", "2", "--m1", "2",
             "--seed", "1",
         )
-        assert (code, out, streams) == (2, "", [])
+        assert (code, out, draws) == (2, "", [])
         assert json.loads(err)["code"] == 2
 
-    def test_monitoring_past_2_53_exits_2_before_any_draw(self, capsys, monkeypatch):
+    def test_monitoring_past_2_53_exits_2_before_any_draw(self, capsys, draws):
         # a uniform has 53 bits, so floor(u T) would skip monitoring points
-        streams = []
-        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
         code, out, err = run_cli(
             capsys, "price", "--method", "kl-nested", "--T", str((1 << 53) + 1),
             "--m0", "2", "--m1", "2", "--seed", "1",
         )
-        assert (code, out, streams) == (2, "", [])
+        assert (code, out, draws) == (2, "", [])
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {
             "error": "kl-nested needs T <= 2^53, the monitoring points a uniform can reach",
@@ -143,13 +167,11 @@ class TestPriceCommand:
         ("--method", "baseline", "--T", "100000000", "--paths", "2"),
         ("--method", "subsample", "--epsilon", "0.0002", "--paths", "1000"),
     ], ids=["baseline", "subsample"])
-    def test_flat_buffer_guard_exits_2_before_any_draw(self, capsys, monkeypatch, argv):
+    def test_flat_buffer_guard_exits_2_before_any_draw(self, capsys, draws, argv):
         # one thread's chunk buffer alone holds 2 rows of 10^8 (9 of 2.5 x 10^7)
         # doubles, 1.6 GB (1.8 GB), past the 256 MiB guard
-        streams = []
-        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
         code, out, err = run_cli(capsys, "price", *argv, "--seed", "1")
-        assert (code, out, streams) == (2, "", [])
+        assert (code, out, draws) == (2, "", [])
         assert len(err.splitlines()) == 1
         error = json.loads(err)
         assert error["code"] == 2
@@ -259,6 +281,29 @@ class TestPriceCommand:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert json.loads(err)["code"] == 1
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        # main reuses one parser; a request parsed after another must read as
+        # it does through a parser of its own
+        argvs = [
+            ["price", "--method", "baseline", "--paths", "1000", "--seed", "3", "--T", "16"],
+            ["price", "--method", "kl-nested", "--epsilon", "0.3", "--m0", "10", "--m1", "10",
+             "--seed", "4"],
+        ]
+
+        def outputs():
+            results = []
+            for argv in argvs:
+                code, out, _ = run_cli(capsys, *argv)
+                data = price_fields(out)
+                data.pop("wall_time_ms")
+                results.append((code, data))
+            return results
+
+        reused = outputs()
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert outputs() == reused
 
 
 class TestAnalyzeCommand:
@@ -410,3 +455,30 @@ def test_import_leaves_scipy_stats_out():
     assert "scipy.special" in closed_form
     heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
     assert not any(m.startswith(heavy) for m in closed_form)
+
+
+def test_flat_output_independent_of_blas_threads():
+    # a threaded BLAS dot product splits a 65536-long sum of squares by its
+    # thread count, which moved the last bit of this std_error.  A
+    # subprocess, because BLAS reads its thread count when numpy loads.
+    argv = ["price", "--method", "baseline", "--paths", "1048576", "--seed", "11"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "klpricer.cli", *argv], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        data = json.loads(done.stdout)
+        data.pop("wall_time_ms")
+        outputs.append(data)
+    assert outputs[0] == outputs[1]
+
+
+def test_import_leaves_numpy_random_out():
+    # importing numpy.random costs about 12 ms of start-up; only a request
+    # that draws should pay it
+    probe = "import sys; from klpricer import cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "False\n"

@@ -141,7 +141,7 @@ def _reference_flat(params, times, n_paths, seed, tag, payoff):
         rows = min(block, n_paths - start)
         pay = _reference_block_payoffs(params, times, rows, seed, tag, block_idx, payoff)
         total += float(pay.sum())
-        total_sq += float(pay @ pay)
+        total_sq += float(np.einsum("i,i->", pay, pay))
     mean = total / n_paths
     var = max(total_sq - n_paths * mean * mean, 0.0) / (n_paths - 1)
     return mean, float(np.sqrt(var / n_paths))
@@ -327,7 +327,7 @@ class TestFlatKernel:
         base = price_baseline(MARKET, SPEC64, 3 * 65536 + 1000, seed=26)
         sub = price_subsample(MARKET, SPEC64, 0.1, 2 * 65536 + 1000, seed=27)
         assert (base.value, base.std_error) == (6.142440897203286, 0.019149469729579354)
-        assert (sub.value, sub.std_error) == (6.104296589901404, 0.023264262156032323)
+        assert (sub.value, sub.std_error) == (6.104296589901404, 0.023264262156032327)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(case=_prefix_cases())
@@ -557,6 +557,20 @@ class TestNested:
                                              "past the 3200000000-byte guard"):
             pricing._series_order(0.1, 10**8, 64)
 
+    @pytest.mark.parametrize("mode", ["acceptance", "uniform"])
+    def test_outer_draw_guard_stated_in_bytes(self, monkeypatch, mode):
+        # each outer draw holds 40 bytes: 8 * 10^7 draws fill the 3.2 GB
+        # guard; the inner means are stubbed so that nothing runs
+        means = []
+        monkeypatch.setattr(pricing, f"_{mode}_means",
+                            lambda params, T, L, M0, *rest: means.append(M0) or (np.ones(2), {}))
+        kw = dict(epsilon=0.2, M1=4, seed=1, inner_mode=mode)
+        price_kl_nested(MARKET, SPEC64, M0=80_000_000, **kw)
+        with pytest.raises(ValueError, match="80000001 outer draws need 3200000040 bytes, "
+                                             "past the 3200000000-byte guard"):
+            price_kl_nested(MARKET, SPEC64, M0=80_000_001, **kw)
+        assert means == [80_000_000]
+
     def test_starvation_guard_in_round_loop(self, monkeypatch):
         # an envelope 10^9 times too high accepts almost nothing; the guard
         # budget is scaled down so the request fails fast
@@ -596,13 +610,11 @@ class TestNested:
         assert peak - start <= 1 << 20
 
     @pytest.mark.parametrize("mode", ["acceptance", "uniform"])
-    def test_negative_order_rejected_before_any_draw(self, monkeypatch, mode):
-        streams = []
-        monkeypatch.setattr(process, "stream", lambda *key: streams.append(key))
+    def test_negative_order_rejected_before_any_draw(self, draws, mode):
         with pytest.raises(ValueError, match="L must be >= 0"):
             price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=4, M1=4, L=-1, seed=1,
                             inner_mode=mode)
-        assert streams == []
+        assert draws == []
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,38 @@ class TestGbmParams:
             GbmParams(100.0, 1000.0, 0.2)
         assert GbmParams(100.0, 705.0, 0.2).mu == 705.0
 
+    def test_overflowing_sigma_squared_rejected(self):
+        # a float ** raises OverflowError past sigma of about 1.34e154
+        with pytest.raises(ValueError, match="^sigma\\^2 overflows$"):
+            GbmParams(100.0, 0.05, 1e160)
+        assert np.isfinite(GbmParams(100.0, 0.05, 1e154).effective_drift)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 3])
+    def test_streams_match_stream(self, seed):
+        # seeds of 1 to 5 words; the first draws of each stream, bit for bit
+        indices = [0, 1, 399, 2**31, 2**32 - 1]
+        for tag in (process.TAG_PATHS, process.TAG_NESTED):
+            many = process.streams(seed, tag, indices)
+            for i, rng in zip(indices, many, strict=True):
+                ref = stream(seed, tag, i)
+                assert rng.random(5).tolist() == ref.random(5).tolist()
+                assert rng.standard_normal(5).tolist() == ref.standard_normal(5).tolist()
+
+    def test_streams_cross_hash_blocks(self, monkeypatch):
+        monkeypatch.setattr(process, "_HASH_BLOCK", 3)
+        many = [rng.random() for rng in process.streams(11, process.TAG_NESTED, range(8))]
+        assert many == [stream(11, process.TAG_NESTED, i).random() for i in range(8)]
+
+    @pytest.mark.parametrize("seed, indices", [
+        (1, [2**32]), (1, [5, -1]), (-1, [0]),
+    ])
+    def test_keys_outside_the_hash_rejected(self, seed, indices):
+        # an index is one 32-bit word of SeedSequence entropy; a seed is >= 0
+        with pytest.raises(ValueError):
+            next(process.streams(seed, process.TAG_NESTED, indices))
+
 
 class TestSampleCoefficients:
     def test_deterministic_given_seed(self):
