@@ -9,6 +9,10 @@ supported.
 Statistical convention: every bound check uses a 15% multiplicative headroom
 unless the report declares otherwise, and Monte Carlo standard errors are
 reported alongside so 3-sigma bands can be formed.
+
+Products and sums of squares go through ``einsum``, not BLAS, whose threads
+split a sum by their count: a report is the same whatever the number of
+BLAS threads.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ def truncation_error_sweep(
         parts = []
         for (lo, hi), mat in zip(bands, band_mats):
             a = rng.standard_normal((b, hi - lo + 1))
-            parts.append(a @ mat)
+            parts.append(np.einsum("ij,jk->ik", a, mat))
         suffix = np.zeros((b, t.size))
         for i in range(len(bands) - 1, -1, -1):
             suffix = suffix + parts[i]
@@ -235,10 +239,10 @@ def smoothness_probe(
     while done < n_paths:
         b = min(chunk, n_paths - done)
         a = rng.standard_normal((b, L + 1))
-        paths = a @ basis
+        paths = np.einsum("ij,jk->ik", a, basis)
         for j, (s, t) in enumerate(pairs):
             d = paths[:, idx[t]] - paths[:, idx[s]]
-            sumsq[j] += float(d @ d)
+            sumsq[j] += float(np.einsum("i,i->", d, d))
         done += b
     measured = sumsq / n_paths
     bounds_cm1 = [3.0 * 1.0 * L * (t - s) ** 2 + 6.0 * epsilon**2 for s, t in pairs]
@@ -306,7 +310,7 @@ def _coupled_grid_payoff_mse(
         diff = pricing._block_payoffs(
             params, union, rows, child, process.TAG_ANALYSIS, block_idx, payoff
         )
-        pay_sq += float(diff @ diff)
+        pay_sq += float(np.einsum("i,i->", diff, diff))
     return pay_sq / n_paths, float((point_sq / n_paths).max())
 
 

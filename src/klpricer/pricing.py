@@ -26,10 +26,14 @@ block order, so every value is a pure function of (seed, path index)
 whatever the number of cores.  The buffer guard runs before anything is
 allocated.
 
-The nested estimator's acceptance mode runs the rejection sampler for runs
-of outer draws in vectorised rounds, reading small-T paths from tables;
-memory is capped by ``_GROUP_BYTES``, cost does not grow with T, and values
-do not depend on the grouping (see ``price_kl_nested``).
+The nested estimator's acceptance mode needs, per outer draw, only the
+number of proposals the rejection sampler spends through its M1-th
+acceptance.  A draw whose path is tabulated on the T points (T <= 8,192 and
+no more than its guessed first batch) knows its exact acceptance probability
+p, so that count is drawn from its law, M1 + NegBin(M1, p), in one call; the
+other draws run the sampler in vectorised rounds.  Memory is capped by
+``_GROUP_BYTES``, cost does not grow with T, and values do not depend on the
+grouping (see ``price_kl_nested``).
 
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
@@ -72,6 +76,8 @@ def _block_size(n_times: int) -> int:
 
 _CHUNK_BYTES = 1 << 20  # about one core's L2 share
 _GROUP_BYTES = 1 << 16  # uniforms of one group, and one path table, of kl-nested draws
+_TABLE_T = 8192  # most monitoring points of a tabulated kl-nested path: one 64 KiB row
+_SUM_BLOCK = 4096  # kl-nested inner means turned into Python floats at a time
 _MAX_DOUBLES = 100_000_000  # resource guard on one vector of draws or grid points
 _NESTED_BYTES = 32 * _MAX_DOUBLES  # resource guard on one kl-nested draw, and on all M0 draws
 _FLAT_BYTES = 1 << 28  # resource guard on the flat kernel's chunk buffers, all threads together
@@ -330,17 +336,18 @@ def _haldane_mean(env, M1: int, n_prop):
 
 def _rounds(
     rngs: list, a: np.ndarray, env: np.ndarray, batch: np.ndarray,
-    table: np.ndarray | None, M1: int, params: GbmParams, T: int,
+    M1: int, params: GbmParams, T: int,
 ) -> tuple[np.ndarray, int]:
     """Proposals each draw of a run spends through its M1-th acceptance, and points evaluated.
 
-    Draw j has coefficient row ``a[j]``, envelope ``env[j]``, stream
-    ``rngs[j]`` and first batch ``batch[j]``; later batches are sized from
-    its own counts, as in ``process.rejection_sample_times``.  A round draws
-    the batches of the draws still short of M1 acceptances in groups of at
-    most ``_GROUP_BYTES`` of uniforms (at least one draw each).  The path
-    value at ``process.monitoring_times(u, T)`` comes from ``table`` (one row
-    per draw) or, without one, from the series at that time.
+    The rejection sampler of draws whose path is not tabulated.  Draw j has
+    coefficient row ``a[j]``, envelope ``env[j]``, stream ``rngs[j]`` and
+    first batch ``batch[j]``; later batches are sized from its own counts, as
+    in ``process.rejection_sample_times``, and each proposal gets the bits
+    that sampler would give it.  A round draws the batches of the draws
+    still short of M1 acceptances in groups of at most ``_GROUP_BYTES`` of
+    uniforms (at least one draw each), and evaluates the series at each
+    proposal's time ``process.monitoring_times(u, T)``.
     """
     cap = _GROUP_BYTES // 16  # proposals of one group: two uniforms each
     budget = process._STARVATION_FACTOR * M1
@@ -360,12 +367,9 @@ def _rounds(
             for i, lo, hi in zip(group, start, stop):
                 rngs[i].random(out=u[lo:hi])
             row = np.repeat(group, size)
-            if table is None:
-                t = process.monitoring_times(u[:, 0], T)
-                b = _clenshaw(a[group[0]], t) if group.size == 1 else _clenshaw(a, t, row)
-                g = process.gbm_from_bm(b, t, params)
-            else:
-                g = table.ravel()[row * T + (u[:, 0] * T).astype(np.int64)]  # column floor(u T)
+            t = process.monitoring_times(u[:, 0], T)
+            b = _clenshaw(a[group[0]], t) if group.size == 1 else _clenshaw(a, t, row)
+            g = process.gbm_from_bm(b, t, params)
             env_p = env[row]
             if np.any(g > env_p * (1.0 + 1e-12)):
                 raise RuntimeError("path value exceeded the envelope; gmax contract violated")
@@ -383,7 +387,7 @@ def _rounds(
         starved = live[spent[live] >= budget]
         if starved.size:
             raise process.RejectionStarvedError(
-                f"rejection sampler starved: {spent[starved[0]]} proposals produced "
+                f"rejection sampler starved: the budget of {budget} proposals produced "
                 f"{hits[starved[0]]}/{M1} acceptances (check the envelope constant)"
             )
         # with no acceptance yet, a rate of 1/spent grows the batches geometrically
@@ -392,41 +396,75 @@ def _rounds(
     return spent, points
 
 
+def _tabled_counts(rngs: list, table: np.ndarray, env: np.ndarray, M1: int) -> np.ndarray:
+    """Proposals through the M1-th acceptance of tabulated draws, drawn from their exact law.
+
+    Row j of ``table`` is draw j's path on the T monitoring points, so its
+    mean over ``env[j]`` is the probability p that one proposal is accepted,
+    and the count is M1 + NegBin(M1, p), one draw from ``rngs[j]``.  The
+    whole row is checked against the envelope.  A count past the starvation
+    budget raises ``RejectionStarvedError``, as the sampler would; so does a
+    p too small for numpy to draw the count, (M1 + 10 sqrt(M1))(1 - p)/p past
+    about 2^63 (p below 1e-18 at M1 = 2), or a p of 0 or NaN from an infinite
+    envelope.
+    """
+    if np.any(table > env[:, None] * (1.0 + 1e-12)):
+        raise RuntimeError("path value exceeded the envelope; gmax contract violated")
+    budget = process._STARVATION_FACTOR * M1
+    prob = np.minimum(table.mean(axis=1) / env, 1.0).tolist()
+    n_prop = np.empty(len(rngs), dtype=np.int64)
+    for j, (rng, p) in enumerate(zip(rngs, prob)):
+        try:
+            count = M1 + int(rng.negative_binomial(M1, p))
+        except ValueError:  # numpy refuses the p above; the mean count, M1 / p, stands in
+            count = M1 / p if p > 0.0 else np.inf
+        if count > budget:
+            raise process.RejectionStarvedError(
+                f"rejection sampler starved: {M1} acceptances at rate {p:.3g} take {count:.6g} "
+                f"proposals, past the budget of {budget} (check the envelope constant)"
+            )
+        n_prop[j] = count
+    return n_prop
+
+
 def _acceptance_means(
     params: GbmParams, T: int, L: int, M0: int, M1: int, seed: int
 ) -> tuple[np.ndarray, dict]:
     """Haldane inner means of outer draws 0..M0-1, and counters, a run of draws at a time.
 
-    A run's coefficient rows fit ``_GROUP_BYTES``; it is split into tables
-    of tabulated draws and the rest (``price_kl_nested``), which changes no value.
+    A run's coefficient rows fit ``_GROUP_BYTES``.  Its tabulated draws
+    (``price_kl_nested``) take their counts from tables of at most
+    ``_GROUP_BYTES``, the rest from the sampler's rounds; the split changes
+    no value.
     """
     gbar = np.empty(M0)
     counts = dict.fromkeys(("clipped", "proposals", "accepted", "series_points"), 0)
     run = max(1, min(_GROUP_BYTES // 16 // process._MIN_BATCH, _GROUP_BYTES // (8 * (L + 1))))
-    per_table = _GROUP_BYTES // (8 * T)  # path rows that fit one table, none past T = 8192
-    grid = np.arange(1, T + 1) / T if per_table else None
+    per_table = max(1, _GROUP_BYTES // (8 * T))  # path rows of one table
+    grid = np.arange(1, T + 1) / T if T <= _TABLE_T else None
     streams = process.streams(seed, process.TAG_NESTED, range(M0))
     for first in range(0, M0, run):
         rngs = list(itertools.islice(streams, run))
         a, clipped = process._coefficient_rows(rngs, L)
         env = process.path_envelope(params, a)
         batch = process._batch_size(M1, process._first_batch_rate(a, env, params))
-        tabled = (batch >= T) & (per_table > 0)
+        tabled = (batch >= T) & (T <= _TABLE_T)
         rows = np.flatnonzero(tabled)
-        parts = [(rows[i : i + per_table], True) for i in range(0, rows.size, max(per_table, 1))]
-        for part, tab in [*parts, (np.flatnonzero(~tabled), False)]:
-            table, first_batch = None, batch[part]
-            if tab:
-                table = process.gbm_from_bm(_clenshaw(a[part], grid), grid, params)
-                # a path row gives the draw's exact acceptance rate, its mean over env
-                rate = np.maximum(table.mean(axis=1) / env[part], process._MIN_RATE)
-                first_batch = process._batch_size(M1, rate)
+        for lo in range(0, rows.size, per_table):
+            part = rows[lo : lo + per_table]
+            table = process.gbm_from_bm(_clenshaw(a[part], grid), grid, params)
+            n_prop = _tabled_counts([rngs[i] for i in part], table, env[part], M1)
+            gbar[first + part] = _haldane_mean(env[part], M1, n_prop)
+            counts["proposals"] += int(n_prop.sum())
+            counts["series_points"] += table.size
+        part = np.flatnonzero(~tabled)
+        if part.size:
             n_prop, points = _rounds(
-                [rngs[i] for i in part], a[part], env[part], first_batch, table, M1, params, T
+                [rngs[i] for i in part], a[part], env[part], batch[part], M1, params, T
             )
             gbar[first + part] = _haldane_mean(env[part], M1, n_prop)
             counts["proposals"] += int(n_prop.sum())
-            counts["series_points"] += points if table is None else table.size
+            counts["series_points"] += points
         counts["clipped"] += clipped
     counts["accepted"] = M0 * M1
     return gbar, counts
@@ -460,31 +498,46 @@ def price_kl_nested(
     """Nested estimator over smoothed-path coefficient draws.
 
     Outer loop: sample a coefficient vector per path.  Inner loop, default
-    mode ``acceptance``: run the rejection sampler against the path's own
-    envelope (``process.path_envelope``) for M1 accepted monitoring times and
-    recover the path's monitoring average as env (M1 - 1)/(n_prop - 1),
-    mirroring how that average appears as a measurement probability in the
-    amplitude encoding.  Mode ``uniform`` instead averages the path value at
-    M1 uniformly drawn monitoring times (``process.monitoring_times``).
-    Standard error comes from outer variation only.
+    mode ``acceptance``: the rejection sampler against the path's own
+    envelope (``process.path_envelope``) spends n_prop proposals through its
+    M1-th accepted monitoring time, and the path's monitoring average is
+    recovered as env (M1 - 1)/(n_prop - 1), mirroring how that average
+    appears as a measurement probability in the amplitude encoding.  Mode
+    ``uniform`` instead averages the path value at M1 uniformly drawn
+    monitoring times (``process.monitoring_times``).  Standard error comes
+    from outer variation only.
 
-    Acceptance mode runs the sampler for runs of outer draws in rounds
-    (``_rounds``); each proposal gets the bits the one-draw sampler would
-    give it, so the estimate does not depend on the grouping or on batch
-    sizes.  The outer draws' streams come from one ``process.streams``.  A
-    draw's first batch is sized from a guess of its acceptance rate
-    (``process._first_batch_rate``), and its path is tabulated on the T-point
-    grid when its T points are no more than that batch's proposals and one
-    path row fits ``_GROUP_BYTES`` (64 KiB), in tables of at most that size;
-    otherwise each of its proposals is evaluated at its own time.  A
-    tabulated draw's first batch is then sized again from its exact
-    acceptance rate, the mean of its path row over its envelope, so most
-    draws finish in one round.  So a draw costs T points, no more than its
-    guessed first batch, or one point per proposal: the cost does not grow
-    with T, up to T = 2^53, the most a 53-bit uniform can index.  A group's
-    batches hold at most ``_GROUP_BYTES`` of uniforms: the working memory is
-    about 0.4 MiB at eps = 0.1, M0 = M1 = 400 and T = 64, and 0.6 MiB at
-    T = 2^20.  All M0 draws hold 40 bytes each, rejected past 3.2 GB.
+    How acceptance mode gets n_prop.  Outer draw i reads its L + 1
+    coefficients from its own stream, (seed, ``process.TAG_NESTED``, i).  Its
+    path is tabulated when T <= 8,192 and T is at most its guessed first
+    batch, ``process._batch_size(M1, process._first_batch_rate(...))``,
+    which is max(64, 1.2 M1 / r) capped at 2^20 for a guessed acceptance
+    rate r that depends on the coefficients and the market only.  So the
+    rule is a pure function of (coefficients, params, M1, T), and it keeps
+    the cost flat in T: a draw costs T points, no more than its guessed
+    first batch, or one point per proposal.
+    * A tabulated draw's path row on the T-point grid gives its exact
+      acceptance probability p = mean_i G_L(i/T) / env, so n_prop is
+      M1 + NegBin(M1, p), one ``negative_binomial`` call on its stream right
+      after the coefficients; this is the law of the sampler's count.  Its
+      tables hold at most ``_GROUP_BYTES`` (64 KiB) of rows.
+    * Any other draw runs the sampler (``_rounds``), each proposal evaluated
+      at its own time, with the bits ``process.rejection_sample_times`` would
+      give it on the draw's stream; runs of draws share vectorised rounds.
+    A value is a pure function of (params, T, L, M0, M1, seed): neither the
+    grouping (``_GROUP_BYTES``) nor the sizes of the sampler's batches move
+    it, though below T = 8,192 the first-batch guess does, through the
+    tabulation rule.  A draw whose M1 acceptances need more than 10^6 M1
+    proposals raises ``process.RejectionStarvedError``.
+
+    The cost does not grow with T, up to T = 2^53, the most a 53-bit uniform
+    can index.  A group's batches hold at most ``_GROUP_BYTES`` of uniforms:
+    the working memory is about 0.3 MiB at eps = 0.1, M0 = M1 = 400 and
+    T = 64, and 0.6 MiB at T = 2^20.  All M0 draws hold 8 bytes each, their
+    inner means, rejected past 3.2 GB; the payoffs are summed in draw order
+    over blocks of them.  Uniform mode holds about 64 bytes per inner sample
+    of one draw, M1 past 5 * 10^7 rejected.  Both guards run before anything
+    is drawn.
 
     ``diagnostics`` counts ``clipped`` coefficients and ``series_points``
     (in acceptance mode the points of the path tables plus the proposals
@@ -510,20 +563,26 @@ def price_kl_nested(
     M1 = int(np.ceil(_DEFAULT_SIZING / epsilon**2)) if M1 is None else M1
     if M0 < 2 or M1 < 2:
         raise ValueError("M0 and M1 must be >= 2")
-    # M0 draws hold 40 bytes each: an inner mean and, while the payoffs are
-    # summed in draw order, a Python float and its list slot (tracemalloc)
-    if 40 * M0 > _NESTED_BYTES:
+    if 8 * M0 > _NESTED_BYTES:  # one inner mean per draw
         raise ValueError(
-            f"{M0} outer draws need {40 * M0} bytes, past the {_NESTED_BYTES}-byte guard"
+            f"{M0} outer draws need {8 * M0} bytes, past the {_NESTED_BYTES}-byte guard"
+        )
+    # a uniform-mode draw holds its M1 times, uniforms and path values, and
+    # their temporaries: 64 bytes per inner sample at its peak (tracemalloc)
+    if inner_mode == "uniform" and 64 * M1 > _NESTED_BYTES:
+        raise ValueError(
+            f"{M1} inner samples need {64 * M1} bytes per draw, past the "
+            f"{_NESTED_BYTES}-byte guard"
         )
     inner_means = _acceptance_means if inner_mode == "acceptance" else _uniform_means
     gbar, diagnostics = inner_means(params, spec.monitoring_count, L, M0, M1, seed)
     total = 0.0
     total_sq = 0.0
-    for g in gbar.tolist():  # in draw order
-        pay = max(g - spec.strike, 0.0)
-        total += pay
-        total_sq += pay * pay
+    for lo in range(0, M0, _SUM_BLOCK):
+        for g in gbar[lo : lo + _SUM_BLOCK].tolist():  # in draw order
+            pay = max(g - spec.strike, 0.0)
+            total += pay
+            total_sq += pay * pay
     mean, se = _mean_and_se(total, total_sq, M0)
     return Estimate(mean, se, M0, M1, diagnostics)
 

@@ -19,7 +19,8 @@ The rejection sampler draws its proposals row-major from the one stream it
 is given, so the accepted times depend on the stream and the envelope, never
 on how proposals are split into batches.  ``rejection_sample_times`` runs it
 for one draw; the nested estimator runs the same proposals for a run of
-draws in rounds (``pricing._rounds``).
+draws in rounds (``pricing._rounds``), except for draws whose path it
+tabulates, which draw the sampler's proposal count from its law.
 
 Randomness is keyed: every stream is an SFC64 generator seeded through
 ``SeedSequence`` from (seed, stream tag, index), so any block or outer draw
@@ -255,7 +256,8 @@ def path_envelope(params: GbmParams, a: np.ndarray):
 def _first_batch_rate(a: np.ndarray, gmax, params: GbmParams):
     """Acceptance-rate guess that sizes the first proposal batch, per coefficient row.
 
-    The path is at least gmin = s0 exp(-sigma sup|B_L| + min(drift, 0)), so
+    The nested estimator also tabulates a draw's path when T is at most that
+    batch (``pricing.price_kl_nested``).  The path is at least gmin = s0 exp(-sigma sup|B_L| + min(drift, 0)), so
     gmin / gmax bounds the acceptance probability from below; its square root
     sits between that bound and 1.
     """

@@ -95,7 +95,7 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize("inner", ["acceptance", "uniform"])
     def test_outer_draw_guard_exits_2_before_any_draw(self, capsys, draws, inner):
-        # 10^11 outer draws would need 4 TB; the guard runs before anything
+        # 10^11 outer draws would need 800 GB; the guard runs before anything
         # is allocated, so the request fails fast with exit 2, not exit 1
         # with numpy's "Unable to allocate"
         tracemalloc.start()
@@ -110,7 +110,23 @@ class TestPriceCommand:
         assert (code, out, draws) == (2, "", [])
         assert peak < 1 << 20
         assert json.loads(err) == {
-            "error": "100000000000 outer draws need 4000000000000 bytes, "
+            "error": "100000000000 outer draws need 800000000000 bytes, "
+                     "past the 3200000000-byte guard",
+            "code": 2,
+        }
+
+    def test_uniform_inner_guard_exits_2_before_any_draw(self, capsys, draws):
+        # uniform mode holds 64 bytes per inner sample of a draw, so 10^11
+        # inner samples would need 6.4 TB; without the guard the request
+        # exited 1 with numpy's "Unable to allocate 745. GiB"
+        code, out, err = run_cli(
+            capsys, "price", "--method", "kl-nested", "--inner", "uniform",
+            "--m0", "2", "--m1", "100000000000", "--seed", "1",
+        )
+        assert (code, out, draws) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "100000000000 inner samples need 6400000000000 bytes per draw, "
                      "past the 3200000000-byte guard",
             "code": 2,
         }
@@ -219,6 +235,35 @@ class TestPriceCommand:
             "error": "path value exceeded the envelope; gmax contract violated", "code": 1
         }
 
+    def test_starved_sampler_exits_1(self, capsys):
+        # at sigma = 3 the path's envelope is so loose that a T = 1 draw
+        # accepts a proposal with probability 5.7e-7: 20 acceptances take
+        # more than the 2 * 10^7 proposals of the starvation budget.  The
+        # request is valid, so it exits 1, and fast: the count is drawn from
+        # its law, not proposal by proposal.
+        code, out, err = run_cli(
+            capsys, "price", "--method", "kl-nested", "--sigma", "3", "--T", "1",
+            "--epsilon", "0.2", "--m0", "20", "--m1", "20", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["code"] == 1
+        assert error["error"].startswith("rejection sampler starved: 20 acceptances at rate ")
+
+    def test_rate_too_small_to_draw_exits_1(self, capsys, monkeypatch):
+        # an envelope 10^20 times too high: numpy's negative_binomial refuses
+        # such a rate with a ValueError, which must not reach the exit 2 of
+        # bad input
+        envelope = process.path_envelope
+        monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e20 * envelope(params, a))
+        code, out, err = run_cli(
+            capsys, "price", "--method", "kl-nested", "--epsilon", "0.2", "--m0", "4",
+            "--m1", "4", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"].startswith("rejection sampler starved: ")
+
     @pytest.mark.parametrize("inner", ["acceptance", "uniform"])
     def test_kl_nested_prices_the_monitoring_points(self, capsys, inner):
         def nested(T, seed):
@@ -233,7 +278,7 @@ class TestPriceCommand:
         assert nested(4, 3) != nested(64, 3)
         if inner == "acceptance":
             # the value test_snapped_price_pinned pins for the T = 7 average
-            assert nested(7, 2) == (8.212183629969001, 1.5192642043083722)
+            assert nested(7, 2) == (7.938895806735973, 1.388123726284527)
 
     def test_geometric_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf", "--seed", "3")
@@ -472,6 +517,24 @@ def test_flat_output_independent_of_blas_threads():
         data.pop("wall_time_ms")
         outputs.append(data)
     assert outputs[0] == outputs[1]
+
+
+def test_smoothness_report_independent_of_blas_threads(tmp_path):
+    # the probe's products and sums of squares went through BLAS, and this
+    # report differed in the last bits between 1 and 2 threads
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+        subprocess.run(
+            [sys.executable, "-m", "klpricer.cli", "analyze", "--probe", "smoothness",
+             "--epsilon", "0.05", "--paths", "20000", "--seed", "3", "--output-dir", str(out)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        reports.append((out / "smoothness_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_import_leaves_numpy_random_out():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from klpricer import klcore, pricing, process
@@ -27,10 +28,11 @@ SPEC64 = AsianPayoffSpec(strike=100.0, monitoring_count=64)
 TAG_GEOMETRIC = 4  # stream tag of the geometric-average Monte Carlo oracle
 GRID100 = np.arange(101) / 100  # k/100 for k = 0..100, with a leading t = 0
 # kl-nested requests (T, sizing) and their (value, std_error), which the
-# one-draw-at-a-time sampler gives too
+# one-draw-at-a-time reference gives too: every draw is tabulated at T = 64
+# and 7, and none at T = 2^20
 NESTED_PINS = [
-    (64, dict(epsilon=0.1, M0=400, M1=400, seed=7), (5.637365153050679, 0.3748328926207405)),
-    (7, dict(epsilon=0.2, M0=40, M1=50, seed=12), (9.006881925846029, 2.007792403820802)),
+    (64, dict(epsilon=0.1, M0=400, M1=400, seed=7), (6.07164828788031, 0.39801126168131234)),
+    (7, dict(epsilon=0.2, M0=40, M1=50, seed=12), (8.940792132707397, 1.8821638381001073)),
     (1 << 20, dict(epsilon=0.2, M0=40, M1=50, seed=3), (7.55079604839279, 1.6256486148212501)),
 ]
 
@@ -433,16 +435,53 @@ class TestNested:
         inner = pricing._haldane_mean(env, 4, n_prop)
         assert abs(inner.mean() - exact) <= 3.0 * inner.std(ddof=1) / np.sqrt(n)
 
+    @pytest.mark.parametrize("T", [64, 7])
+    def test_tabulated_count_follows_the_sampler_law(self, T):
+        # a tabulated draw's count, M1 + NegBin(M1, p), against the proposals
+        # the rejection sampler spends on the same fixed path, M1 = 4: a
+        # two-sample KS test, and the Haldane mean within 3 SE of the exact
+        # mean over the T points.  Counts drawn at 1.05 p, or without the
+        # + M1, fail both checks.
+        n, M1 = 20_000, 4
+        coeffs = process.sample_coefficients(process.stream(31, 1, 0), 21)
+        env = process.path_envelope(MARKET, coeffs.a)
+        grid = np.arange(1, T + 1) / T
+        row = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, MARKET)
+        exact = row.mean()
+        sampled = np.array([
+            process.rejection_sample_times(process.stream(31, 3, i), coeffs, M1, env, MARKET, T)[1]
+            for i in range(n)
+        ])
+
+        def law_holds(counts):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inner = pricing._haldane_mean(env, M1, counts)
+                se = inner.std(ddof=1) / np.sqrt(n)
+            agrees = stats.ks_2samp(sampled, counts).pvalue > 1e-3
+            return bool(agrees and abs(inner.mean() - exact) <= 3.0 * se)
+
+        counts = pricing._tabled_counts(
+            list(process.streams(31, 5, range(n))), np.broadcast_to(row, (n, T)),
+            np.full(n, env), M1,
+        )
+        assert law_holds(counts)
+        rng = process.stream(31, 6, T)
+        assert not law_holds(M1 + rng.negative_binomial(M1, 1.05 * exact / env, n))
+        assert not law_holds(rng.negative_binomial(M1, exact / env, n))
+
     def test_snapped_price_pinned(self):
-        # the series evaluated at each proposal's monitoring time, bit for bit
+        # the path tabulated on the monitoring points i/T, bit for bit
         # (T = 7 is no power of 2)
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=7)
         est = price_kl_nested(MARKET, spec, epsilon=0.2, M0=50, M1=50, seed=2)
-        assert (est.value, est.std_error) == (8.212183629969001, 1.5192642043083722)
+        assert (est.value, est.std_error) == (7.938895806735973, 1.388123726284527)
 
     def test_batch_sizes_leave_price_unchanged(self, monkeypatch):
+        # past the path tables' bound of 8192 points, where every draw runs
+        # the sampler in batches; below it the first-batch guess also decides
+        # which draws are tabulated, so it is part of the estimator there
         kw = dict(epsilon=0.2, M0=40, M1=50, seed=12)
-        specs = [SPEC64, AsianPayoffSpec(strike=100.0, monitoring_count=7)]
+        specs = [AsianPayoffSpec(strike=100.0, monitoring_count=T) for T in (8193, 1 << 20)]
 
         def prices():
             # series_points counts evaluations, which batch sizes do change
@@ -469,15 +508,15 @@ class TestNested:
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
         ref = price_kl_nested(MARKET, spec, **kw)
         ref.diagnostics.pop("series_points")
-        # one draw per group and no path table, then every draw in one group
-        # with one table of every path, unless T = 2^20 is more than a draw's
-        # first batch; series points count evaluations, which tables change
+        # one draw per group and one path row per table, then every draw in
+        # one group and every path in one table; T = 2^20 has no tables, and
+        # its series points count evaluations, which groups do not change
         for budget in (1, 1 << 40):
             monkeypatch.setattr(pricing, "_GROUP_BYTES", budget)
             est = price_kl_nested(MARKET, spec, **kw)
             points = est.diagnostics.pop("series_points")
             assert est == ref
-            if budget > 1 and T < 1 << 20:
+            if T < 1 << 20:
                 assert points == kw["M0"] * T
             else:
                 assert points >= ref.diagnostics["proposals"]
@@ -491,10 +530,10 @@ class TestNested:
         seed=st.integers(0, 2**64 - 1),
     )
     def test_rounds_match_per_draw_sampler(self, sigma, T, M0, M1, seed):
-        # small T reads path tables, draws with short first batches and
-        # T = 2^20 evaluate every proposal, and a high sigma or small M1
-        # sends draws into later rounds; at T <= 2 a sigma near 2 can push a
-        # draw's acceptance rate below the starvation guard's 10^-6
+        # small T tabulates paths and draws their counts, draws with short
+        # first batches and T = 2^20 evaluate every proposal, and a high sigma
+        # or small M1 sends draws into later rounds; at T <= 2 a sigma near 2
+        # can push a draw's acceptance rate below the starvation guard's 10^-6
         assume(T > 2 or sigma <= 1.5)
         params = GbmParams(100.0, 0.05, sigma)
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
@@ -504,10 +543,10 @@ class TestNested:
         assert got == _per_draw_nested(params, spec, **kw)
 
     def test_tables_bounded_and_split_by_draw(self, monkeypatch):
-        # at sigma = 2 and T = 1000 most draws spend more than T proposals:
-        # each of those reads one path row, in tables of at most 8 rows
-        # (64 KiB), and the others evaluate their proposals; a per-draw
-        # first-round dedup evaluated 243,056 points here
+        # at sigma = 2 and T = 1000 most draws guess a first batch of more
+        # than T proposals: each of those is tabulated, in tables of at most
+        # 8 rows (64 KiB), and the others evaluate their proposals; a
+        # per-draw first-round dedup evaluated 243,056 points here
         tables = []
 
         def clenshaw(a, t, rows=None):
@@ -559,26 +598,77 @@ class TestNested:
 
     @pytest.mark.parametrize("mode", ["acceptance", "uniform"])
     def test_outer_draw_guard_stated_in_bytes(self, monkeypatch, mode):
-        # each outer draw holds 40 bytes: 8 * 10^7 draws fill the 3.2 GB
+        # each outer draw holds 8 bytes: 4 * 10^8 draws fill the 3.2 GB
         # guard; the inner means are stubbed so that nothing runs
         means = []
         monkeypatch.setattr(pricing, f"_{mode}_means",
                             lambda params, T, L, M0, *rest: means.append(M0) or (np.ones(2), {}))
         kw = dict(epsilon=0.2, M1=4, seed=1, inner_mode=mode)
-        price_kl_nested(MARKET, SPEC64, M0=80_000_000, **kw)
-        with pytest.raises(ValueError, match="80000001 outer draws need 3200000040 bytes, "
+        price_kl_nested(MARKET, SPEC64, M0=400_000_000, **kw)
+        with pytest.raises(ValueError, match="400000001 outer draws need 3200000008 bytes, "
                                              "past the 3200000000-byte guard"):
-            price_kl_nested(MARKET, SPEC64, M0=80_000_001, **kw)
-        assert means == [80_000_000]
+            price_kl_nested(MARKET, SPEC64, M0=400_000_001, **kw)
+        assert means == [400_000_000]
+
+    def test_outer_draws_hold_8_bytes_each(self, monkeypatch):
+        # the rate the M0 guard counts: the inner means, 8 bytes a draw, and
+        # the payoffs summed over bounded blocks of them; summed over
+        # gbar.tolist(), a Python float and list slot a draw, this read 8 MB.
+        # The inner means are stubbed, so the test reads what the outer sum
+        # holds.
+        M0 = 200_000
+        monkeypatch.setattr(pricing, "_acceptance_means",
+                            lambda params, T, L, M0, *rest: (np.full(M0, 101.0), {}))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            est = price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=M0, M1=4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (est.value, est.std_error) == (1.0, 0.0)
+        assert 8 * M0 <= peak - start <= 8 * M0 + (1 << 18)
+
+    def test_uniform_inner_guard_stated_in_bytes(self, draws):
+        # a uniform-mode draw holds 64 bytes per inner sample: 5 * 10^7
+        # samples fill the 3.2 GB guard, checked before anything is drawn
+        with pytest.raises(ValueError, match="50000001 inner samples need 3200000064 bytes "
+                                             "per draw, past the 3200000000-byte guard"):
+            price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=2, M1=50_000_001, seed=1,
+                            inner_mode="uniform")
+        assert draws == []
 
     def test_starvation_guard_in_round_loop(self, monkeypatch):
         # an envelope 10^9 times too high accepts almost nothing; the guard
-        # budget is scaled down so the request fails fast
+        # budget is scaled down so the request fails fast.  T = 2^20 has no
+        # path tables, so every draw runs the sampler's rounds.
         envelope = process.path_envelope
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e9 * envelope(params, a))
         monkeypatch.setattr(process, "_STARVATION_FACTOR", 1000)
-        with pytest.raises(process.RejectionStarvedError, match="/10 acceptances"):
+        with pytest.raises(process.RejectionStarvedError,
+                           match="the budget of 10000 proposals produced 0/10 acceptances"):
+            price_kl_nested(MARKET, AsianPayoffSpec(100.0, 1 << 20), epsilon=0.2, M0=3, M1=10,
+                            seed=1)
+
+    def test_starvation_guard_on_tabulated_draws(self, monkeypatch):
+        # the same envelope at T = 64: the first draw's count, drawn from its
+        # law, is past the budget
+        envelope = process.path_envelope
+        monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e9 * envelope(params, a))
+        monkeypatch.setattr(process, "_STARVATION_FACTOR", 1000)
+        with pytest.raises(process.RejectionStarvedError,
+                           match="10 acceptances at rate 8.66e-10 take 4.44595e[+]09 proposals, "
+                                 "past the budget of 10000"):
             price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=3, M1=10, seed=1)
+
+    @pytest.mark.parametrize("M1", [2, 400])
+    def test_rate_too_small_to_draw_is_starved(self, monkeypatch, M1):
+        # at p below about 1e-18 numpy's negative_binomial raises ValueError,
+        # which the CLI would report as bad input; the draw is starved
+        envelope = process.path_envelope
+        monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e20 * envelope(params, a))
+        with pytest.raises(process.RejectionStarvedError, match=r"acceptances at rate \d\.\d+e-2\d take "):
+            price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=3, M1=M1, seed=1)
 
     def test_envelope_below_path_violates_contract(self, monkeypatch):
         envelope = process.path_envelope
@@ -595,9 +685,8 @@ class TestNested:
         assert counts["proposals"] == _per_draw_nested(golden_market, golden_spec, **kw)[2]
 
     def test_grouped_round_memory_is_bounded(self):
-        # the benchmark's nested request: about 0.4 MiB once warm; the first
-        # call peaks near 1.1 MiB (one-time allocations), and one group of
-        # all 400 draws would peak near 30 MiB
+        # the benchmark's nested request: about 0.3 MiB once warm; the first
+        # call peaks higher (one-time allocations)
         kw = dict(epsilon=0.1, M0=400, M1=400)
         price_kl_nested(MARKET, SPEC64, seed=1, **kw)
         tracemalloc.start()
@@ -644,21 +733,30 @@ class TestNested:
 
 
 def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
-    """kl-nested in acceptance mode, one outer draw at a time through the sampler.
+    """kl-nested in acceptance mode, one outer draw at a time.
 
-    The reference for the grouped first round: returns (value, std_error,
-    proposals through every draw's M1-th acceptance).
+    The reference for the grouped runs, under the same tabulation rule: a
+    draw with T <= 8192 and T no more than its guessed first batch draws its
+    count, M1 + NegBin(M1, p), from its path's exact acceptance probability p
+    on its own stream; any other draw runs ``process.rejection_sample_times``.
+    Returns (value, std_error, proposals through every draw's M1-th
+    acceptance).
     """
     L = truncation_index_bm(epsilon)
+    T = spec.monitoring_count
     total = total_sq = 0.0
     proposals = 0
     for i in range(M0):
         rng = process.stream(seed, process.TAG_NESTED, i)
         coeffs = process.sample_coefficients(rng, L)
         env = process.path_envelope(params, coeffs.a)
-        _, n_prop = process.rejection_sample_times(
-            rng, coeffs, M1, env, params, spec.monitoring_count
-        )
+        guess = process._batch_size(M1, process._first_batch_rate(coeffs.a, env, params))
+        if T <= 8192 and T <= guess:
+            grid = np.arange(1, T + 1) / T
+            p = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, params).mean() / env
+            n_prop = M1 + int(rng.negative_binomial(M1, min(p, 1.0)))
+        else:
+            _, n_prop = process.rejection_sample_times(rng, coeffs, M1, env, params, T)
         pay = max(pricing._haldane_mean(env, M1, n_prop) - spec.strike, 0.0)
         total += pay
         total_sq += pay * pay
