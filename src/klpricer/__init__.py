@@ -3,10 +3,10 @@
 The package namespace is the pricing surface: spectral synthesis of Brownian
 paths (``klcore``), the GBM model and samplers (``process``), and the
 baseline, nested and sub-sampled estimators with the closed-form geometric
-oracle (``pricing``).  Importing it loads numpy and no scipy.  The
-bound-verification probes (``klpricer.analysis``) and the statevector
-simulator of the amplitude encodings (``klpricer.qsim``) are submodules,
-loaded on demand.
+oracle (``pricing``).  The bound-verification probes (``klpricer.analysis``)
+and the statevector simulator of the amplitude encodings (``klpricer.qsim``)
+are submodules, loaded on demand.  The package loads numpy only: no module
+imports anything but numpy and the standard library.
 """
 
 from .klcore import (

@@ -10,9 +10,10 @@ Statistical convention: every bound check uses a 15% multiplicative headroom
 unless the report declares otherwise, and Monte Carlo standard errors are
 reported alongside so 3-sigma bands can be formed.
 
-Products and sums of squares go through ``einsum``, not BLAS, whose threads
-split a sum by their count: a report is the same whatever the number of
-BLAS threads.
+Matrix products go through BLAS, whose threads split rows and columns, not
+inner sums; sums of squares go through ``einsum``, not a BLAS dot product,
+whose threads split its one sum: a report is the same whatever the number
+of BLAS threads.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def truncation_error_sweep(
         parts = []
         for (lo, hi), mat in zip(bands, band_mats):
             a = rng.standard_normal((b, hi - lo + 1))
-            parts.append(np.einsum("ij,jk->ik", a, mat))
+            parts.append(a @ mat)
         suffix = np.zeros((b, t.size))
         for i in range(len(bands) - 1, -1, -1):
             suffix = suffix + parts[i]
@@ -239,7 +240,7 @@ def smoothness_probe(
     while done < n_paths:
         b = min(chunk, n_paths - done)
         a = rng.standard_normal((b, L + 1))
-        paths = np.einsum("ij,jk->ik", a, basis)
+        paths = a @ basis
         for j, (s, t) in enumerate(pairs):
             d = paths[:, idx[t]] - paths[:, idx[s]]
             sumsq[j] += float(np.einsum("i,i->", d, d))

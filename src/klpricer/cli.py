@@ -23,7 +23,6 @@ strict JSON, never Infinity or NaN.  Given the same configuration and seed
 the JSON output is byte-identical up to the wall_time_ms field, whatever
 the number of cores or of BLAS threads.
 
-``price`` loads numpy only, and ``geometric-cf`` adds ``scipy.special``.
 ``analysis`` and ``qsim`` are imported only when ``analyze`` or
 ``qsim-check`` runs.
 """

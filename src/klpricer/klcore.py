@@ -22,7 +22,7 @@ sin(k pi t)/k.  The Wiener tail variance past L at any t is at most
 sum_{k>L} 2/(pi^2 k^2) = (2/pi^2) psi_1(L + 1), below the KL tail
 (2/pi^2) psi_1(L + 1/2), so the KL tail dominates pointwise and the
 truncation index is conservative for synthesis.  The trigamma function psi_1
-is computed here in numpy/float arithmetic, so the module needs no scipy.
+is computed here in numpy/float arithmetic.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ discount factor scale the final value.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -587,29 +588,32 @@ def price_kl_nested(
     return Estimate(mean, se, M0, M1, diagnostics)
 
 
+def _norm_cdf(x: float) -> float:
+    """Standard normal cdf on the stdlib's erf/erfc, split as cephes's ndtr."""
+    z = x * math.sqrt(0.5)
+    if abs(z) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(z)
+    tail = 0.5 * math.erfc(abs(z))
+    return 1.0 - tail if z > 0.0 else tail
+
+
 def geometric_asian_closed_form(params: GbmParams, spec: AsianPayoffSpec) -> float:
     """Closed-form price of the geometric-average call monitored at i/T, i = 1..T.
 
-    The log of the geometric average A_G = (prod_k S(t_k))^(1/M) is Gaussian
-    with mean m = ln s0 + drift * mean(t) and variance
-    v = sigma^2 / M^2 * sum_{i,j} min(t_i, t_j), so
+    The log of the geometric average A_G = (prod_i S(i/T))^(1/T) is Gaussian
+    with mean m = ln s0 + drift (T+1)/(2T) and variance
+    v = sigma^2 T^-2 sum_{i,j} min(i, j)/T = sigma^2 (T+1)(2T+1)/(6T^2), so
 
         E[(A_G - K)^+] = e^{m + v/2} Phi((m - ln K + v)/sqrt(v))
                          - K Phi((m - ln K)/sqrt(v)).
 
-    Degenerate variance collapses to the deterministic payoff and K <= 0
-    collapses to the mean of A_G.  Phi is scipy's ``ndtr``, imported here so
-    that the other estimators load numpy only.
+    Each moment is one correctly rounded integer ratio, so the cost is O(1)
+    in T.  Degenerate variance collapses to the deterministic payoff and
+    K <= 0 collapses to the mean of A_G.
     """
-    from scipy.special import ndtr
-
-    t = np.arange(1, spec.monitoring_count + 1) / spec.monitoring_count
-    M, strike = t.size, spec.strike
-    m = float(np.log(params.s0) + params.effective_drift * t.mean())
-    # sum_{i,j} min(t_i, t_j) for increasing t: each t_i is the minimum in
-    # 2(M - i) + 1 of the M^2 ordered pairs
-    counts = 2.0 * (M - 1.0 - np.arange(M)) + 1.0
-    v = float(params.sigma**2 / M**2 * np.dot(t, counts))
+    T, strike = spec.monitoring_count, spec.strike
+    m = float(np.log(params.s0) + params.effective_drift * ((T + 1) / (2 * T)))
+    v = float(params.sigma**2 * ((T + 1) * (2 * T + 1) / (6 * T * T)))
     if strike <= 0.0:
         return float(np.exp(m + 0.5 * v) - strike)
     if v <= 0.0:
@@ -617,4 +621,4 @@ def geometric_asian_closed_form(params: GbmParams, spec: AsianPayoffSpec) -> flo
     sd = np.sqrt(v)
     d2 = (m - np.log(strike)) / sd
     d1 = d2 + sd
-    return float(np.exp(m + 0.5 * v) * ndtr(d1) - strike * ndtr(d2))
+    return float(np.exp(m + 0.5 * v) * _norm_cdf(d1) - strike * _norm_cdf(d2))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .klcore import _SQRT2_OVER_PI, CLIP, WienerCoefficients, wiener_eval_horner
+from .klcore import _SQRT2_OVER_PI, CLIP, WienerCoefficients, _check_unit_interval, wiener_eval_horner
 
 __all__ = [
     "GbmParams",
@@ -296,9 +296,7 @@ def sample_coefficients(rng: np.random.Generator, L: int) -> WienerCoefficients:
 
 def gbm_from_bm(b, t, params: GbmParams):
     """Map Brownian level b at time t to the GBM value s0 exp(sigma b + drift t)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("time argument must lie in [0, 1]")
+    t = _check_unit_interval(t)
     val = params.s0 * np.exp(params.sigma * np.asarray(b, dtype=float) + params.effective_drift * t)
     return float(val) if val.ndim == 0 else val
 

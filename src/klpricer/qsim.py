@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .klcore import CLIP, wiener_eval
-from .process import GbmParams
+from .process import GbmParams, gbm_from_bm
 
 __all__ = [
     "RegisterLayout",
@@ -167,8 +167,7 @@ def _semidigital_values(
     codes = _coefficient_codes(L + 1, n)
     a = gaussian_grid_values(n)[codes]
     times = np.arange(1, T + 1) / T
-    g = params.s0 * np.exp(params.sigma * wiener_eval(a, times) + params.effective_drift * times)
-    return codes, g
+    return codes, gbm_from_bm(wiener_eval(a, times), times, params)
 
 
 def enumerated_mean(
@@ -291,8 +290,7 @@ def build_quantized_subsample_state(
     increments = grid[codes]
     times = np.arange(1, M + 1) / M
     bm = np.cumsum(increments, axis=1) / np.sqrt(M)
-    g = params.s0 * np.exp(params.sigma * bm + params.effective_drift * times)
-    pay = np.maximum(g.mean(axis=1) - strike, 0.0)
+    pay = np.maximum(gbm_from_bm(bm, times, params).mean(axis=1) - strike, 0.0)
     payq = codec.decode(codec.encode(pay))
     if np.any(payq > gmax * (1.0 + 1e-12)):
         raise ValueError("quantized payoff exceeds gmax; normalization contract violated")

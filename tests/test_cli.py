@@ -287,6 +287,14 @@ class TestPriceCommand:
         assert data["std_error"] == 0.0
         assert data["value"] == pytest.approx(5.9086002672545845, rel=1e-12)
 
+    @pytest.mark.parametrize("T", [1 << 40, 1 << 53])
+    def test_geometric_closed_form_needs_no_grid(self, capsys, T):
+        # the grid moments are integer ratios, so no array as long as T is built
+        code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf", "--T", str(T),
+                               "--seed", "3")
+        assert code == 0
+        assert price_fields(out)["value"] == pytest.approx(5.8312101065, rel=1e-9)
+
     def test_discount_flag_scales_value_only(self, capsys):
         _, out1, _ = run_cli(capsys, "price", "--method", "geometric-cf", "--seed", "3")
         _, out2, _ = run_cli(
@@ -477,10 +485,10 @@ print(json.dumps(loaded))
 """
 
 
-def test_import_leaves_scipy_stats_out():
-    # importing scipy costs about half a second; of the pricing path only
-    # geometric-cf needs it (scipy.special.ndtr), so the rest, and the
-    # analysis probes, load numpy alone
+def test_import_leaves_scipy_out():
+    # importing scipy costs about half a second, and the package loads numpy
+    # only: no price method, geometric-cf included, and not the analysis
+    # probes, may pull in any scipy module
     runs = [
         ["--method", "baseline", "--paths", "1000"],
         ["--method", "subsample", "--epsilon", "0.2", "--paths", "1000"],
@@ -489,17 +497,14 @@ def test_import_leaves_scipy_stats_out():
         ["--method", "qsim-check"],
         ["--method", "geometric-cf"],
     ]
+    assert {argv[1] for argv in runs} == set(cli.PRICE_METHODS)
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
         env=env, capture_output=True, text=True, check=True,
     )
     loaded = json.loads(done.stdout)
-    *numpy_only, closed_form = loaded.values()
-    assert numpy_only == [[]] * (len(runs) + 1)
-    assert "scipy.special" in closed_form
-    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
-    assert not any(m.startswith(heavy) for m in closed_form)
+    assert loaded == dict.fromkeys(["import", "analysis", *map(" ".join, runs)], [])
 
 
 def test_flat_output_independent_of_blas_threads():
@@ -519,9 +524,14 @@ def test_flat_output_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_smoothness_report_independent_of_blas_threads(tmp_path):
-    # the probe's products and sums of squares went through BLAS, and this
-    # report differed in the last bits between 1 and 2 threads
+@pytest.mark.parametrize("probe, flags", [
+    pytest.param("smoothness", ["--epsilon", "0.05"], id="smoothness"),
+    pytest.param("truncation", ["--L", "8,32", "--L-ref", "512"], id="truncation"),
+])
+def test_smoothness_report_independent_of_blas_threads(tmp_path, probe, flags):
+    # the smoothness probe's sums of squares went through BLAS dot products,
+    # and its report differed in the last bits between 1 and 2 threads; the
+    # matrix products (BLAS GEMM) split rows and columns, not inner sums
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -529,11 +539,11 @@ def test_smoothness_report_independent_of_blas_threads(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
         subprocess.run(
-            [sys.executable, "-m", "klpricer.cli", "analyze", "--probe", "smoothness",
-             "--epsilon", "0.05", "--paths", "20000", "--seed", "3", "--output-dir", str(out)],
+            [sys.executable, "-m", "klpricer.cli", "analyze", "--probe", probe, *flags,
+             "--paths", "20000", "--seed", "3", "--output-dir", str(out)],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
-        reports.append((out / "smoothness_report.json").read_bytes())
+        reports.append((out / f"{probe}_report.json").read_bytes())
     assert reports[0] == reports[1]
 
 

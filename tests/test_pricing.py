@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from klpricer import klcore, pricing, process
 from klpricer.klcore import CLIP, truncation_index_bm, wiener_eval, wiener_eval_horner
@@ -797,12 +798,13 @@ class TestGeometricClosedForm:
         assert got == pytest.approx(expect, rel=1e-6)
 
     def test_zero_strike_limit(self):
-        got = geometric_asian_closed_form(MARKET, AsianPayoffSpec(0.0, 16))
-        t = np.arange(1, 17) / 16
-        m = np.log(100.0) + MARKET.effective_drift * t.mean()
-        counts = 2.0 * (t.size - 1.0 - np.arange(t.size)) + 1.0
-        v = MARKET.sigma**2 / t.size**2 * float(np.sort(t) @ counts)
-        assert got == pytest.approx(np.exp(m + v / 2), rel=1e-12)
+        # K = 0 prices the mean of A_G, e^{m + v/2}, here on brute-force grid moments
+        for T in (1, 2, 7, 16, 64, 1000):
+            got = geometric_asian_closed_form(MARKET, AsianPayoffSpec(0.0, T))
+            t = np.arange(1, T + 1) / T
+            m = np.log(100.0) + MARKET.effective_drift * t.mean()
+            v = MARKET.sigma**2 / T**2 * float(np.minimum.outer(t, t).sum())
+            assert got == pytest.approx(np.exp(m + v / 2), rel=1e-12)
 
     def test_brute_force_monte_carlo_agreement(self):
         cf = geometric_asian_closed_form(MARKET, SPEC64)
@@ -810,11 +812,22 @@ class TestGeometricClosedForm:
         assert abs(cf - mc) <= 3.0 * se
 
     def test_min_sum_identity(self):
-        # the sorted-counts shortcut must equal the O(M^2) double sum
-        t = np.array([0.1, 0.4, 0.45, 0.9, 1.0])
-        double = sum(min(a, b) for a in t for b in t)
-        counts = 2.0 * (t.size - 1.0 - np.arange(t.size)) + 1.0
-        assert float(np.sort(t) @ counts) == pytest.approx(double, rel=1e-12)
+        # the closed-form grid moments must equal the O(T^2) double sum and
+        # the O(T) mean: sum_{i,j} min(i, j) = T(T+1)(2T+1)/6 in integers
+        for T in (1, 2, 7, 64, 1000):
+            i = np.arange(1, T + 1)
+            assert int(np.minimum.outer(i, i).sum()) == T * (T + 1) * (2 * T + 1) // 6
+            t = i / T
+            double = float(np.minimum.outer(t, t).sum()) / T**2
+            assert (T + 1) * (2 * T + 1) / (6 * T * T) == pytest.approx(double, rel=1e-12)
+            assert (T + 1) / (2 * T) == pytest.approx(t.mean(), rel=1e-15)
+
+    def test_norm_cdf_matches_ndtr(self):
+        # below the smallest normal double, where ndtr flushes to zero near
+        # x = -37.5, neither value has relative precision
+        x = np.linspace(-38.0, 9.0, 100_001)
+        got = np.array([pricing._norm_cdf(v) for v in x.tolist()])
+        np.testing.assert_allclose(got, ndtr(x), rtol=1e-12, atol=np.finfo(float).tiny)
 
 
 class TestPayoffMseTransfer:

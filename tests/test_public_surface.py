@@ -1,8 +1,13 @@
-"""Every public name is used by the program, not only by its tests, and the
-command line reads only public names of the library."""
+"""Every public name is used by the program, not only by its tests, the
+command line reads only public names of the library, and the package
+depends on numpy alone."""
 
 import ast
 import pathlib
+import re
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -73,3 +78,31 @@ def test_cli_reads_no_private_name_of_the_library():
     # the library validates its own input, so the front end has no reason
     # to call a private helper to find out what a method will reject
     assert private_reads(ROOT / "src" / "klpricer" / "cli.py") == []
+
+
+def imported_roots(path: pathlib.Path) -> set:
+    """Top-level names of the modules ``path`` imports; relative imports count as the package."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("klpricer" if node.level else node.module.split(".")[0])
+    return roots
+
+
+def test_package_imports_only_numpy_and_the_stdlib():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "klpricer"}
+    found = {
+        path.name: sorted(imported_roots(path) - allowed)
+        for path in sorted((ROOT / "src" / "klpricer").glob("*.py"))
+    }
+    assert "pricing.py" in found
+    assert found == dict.fromkeys(found, [])
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
