@@ -4,7 +4,10 @@
 Runs a 10^7-path reference estimate of the arithmetic Asian call at the
 golden market parameters (s0=100, K=100, mu=0.05, sigma=0.2, T=64) plus the
 matching geometric closed-form value, and writes them to tests/golden.json.
-Never edit that file by hand; rerun this script instead.
+Never edit that file by hand; rerun this script instead.  It also writes the
+estimate from the first 65,536 of those paths, which the test suite
+recomputes bit for bit: a change to the draws that skips this script fails
+there.
 
 The flat kernel sums its squared payoffs with ``einsum``, not a BLAS dot
 product, which a multi-threaded OpenBLAS splits by its thread count, so the
@@ -30,6 +33,7 @@ from klpricer.process import GbmParams
 
 GOLDEN_SEED = 20240917
 N_PATHS = 10_000_000
+CHECK_PATHS = 65_536
 
 PARAMS = {"s0": 100.0, "mu": 0.05, "sigma": 0.2}
 STRIKE = 100.0
@@ -46,6 +50,7 @@ def main() -> None:
     # is the M = ceil(1/eps^2) grid price, not the T-point price
     sub = pricing.price_subsample(market, spec, EPSILON, N_PATHS, GOLDEN_SEED + 1)
     elapsed = time.time() - t0
+    check = pricing.price_baseline(market, spec, CHECK_PATHS, GOLDEN_SEED)
     geometric_cf = pricing.geometric_asian_closed_form(market, spec)
     payload = {
         "market": PARAMS,
@@ -55,6 +60,9 @@ def main() -> None:
         "seed": GOLDEN_SEED,
         "value": est.value,
         "std_error": est.std_error,
+        "check_paths": CHECK_PATHS,
+        "check_value": check.value,
+        "check_std_error": check.std_error,
         "epsilon": EPSILON,
         "subsample_value": sub.value,
         "subsample_std_error": sub.std_error,

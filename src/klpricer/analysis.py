@@ -305,13 +305,9 @@ def _coupled_grid_payoff_mse(
         point_sq[:] += np.einsum("ij,ij->j", s_fine, s_fine)
         return diff
 
-    pay_sq = 0.0
     child = _child_seed(seed, 3, stream_index)
-    for block_idx, rows in enumerate(pricing._block_rows(union.size, n_paths)):
-        diff = pricing._block_payoffs(
-            params, union, rows, child, process.TAG_ANALYSIS, block_idx, payoff
-        )
-        pay_sq += float(np.einsum("i,i->", diff, diff))
+    # one thread, so that the blocks add into point_sq in block order
+    _, pay_sq = pricing._flat_moments(params, union, n_paths, child, process.TAG_ANALYSIS, payoff)
     return pay_sq / n_paths, float((point_sq / n_paths).max())
 
 

@@ -18,13 +18,13 @@ Four routes to a price are provided:
 Every route averages over a uniform grid i/m, i = 1..m: m = T for the
 baseline, the nested estimator and the closed form, m = ceil(1/eps^2) for
 sub-sampling.  The flat estimators (baseline, sub-sampling) share one body,
-``_price_flat``, and one kernel.  Paths come in fixed-size blocks, each
-drawn from its own stream keyed by (seed, block index), and each block is
-built in chunks of about 1 MiB in one reused buffer.  Several blocks run at
-once on one thread per usable core, and their payoff sums are added in
-block order, so every value is a pure function of (seed, path index)
-whatever the number of cores.  The buffer guard runs before anything is
-allocated.
+``_price_flat``, and one kernel.  Paths come in blocks of about 1 MiB of
+grid rows, each drawn from its own stream keyed by (seed, block index) and
+built in one pass in one of the request's block buffers, one per thread.
+Several blocks run at once on one thread per usable core, and their payoff
+sums are added in block order, so every value is a pure function of (seed,
+path index) whatever the number of cores.  The buffer guard runs before
+anything is allocated.
 
 The nested estimator's acceptance mode needs, per outer draw, only the
 number of proposals the rejection sampler spends through its M1-th
@@ -61,27 +61,13 @@ __all__ = [
     "geometric_asian_closed_form",
 ]
 
-# Flat Monte Carlo runs in fixed-size path blocks, each replayed from its own
-# keyed stream; block size depends only on the grid width so results are a
-# pure function of (seed, path index).
-def _block_size(n_times: int) -> int:
-    if n_times <= 128:
-        return 65536
-    if n_times <= 512:
-        return 32768
-    if n_times <= 4096:
-        return 4096
-    if n_times <= 32768:
-        return 512
-    return 64
-
-_CHUNK_BYTES = 1 << 20  # about one core's L2 share
+_BLOCK_BYTES = 1 << 20  # one flat-kernel block buffer: about one core's L2 share
 _GROUP_BYTES = 1 << 16  # uniforms of one group, and one path table, of kl-nested draws
 _TABLE_T = 8192  # most monitoring points of a tabulated kl-nested path: one 64 KiB row
 _SUM_BLOCK = 4096  # kl-nested inner means turned into Python floats at a time
 _MAX_DOUBLES = 100_000_000  # resource guard on one vector of draws or grid points
 _NESTED_BYTES = 32 * _MAX_DOUBLES  # resource guard on one kl-nested draw, and on all M0 draws
-_FLAT_BYTES = 1 << 28  # resource guard on the flat kernel's chunk buffers, all threads together
+_FLAT_BYTES = 1 << 28  # resource guard on the flat kernel's block buffers, all threads together
 _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
 
 
@@ -106,7 +92,8 @@ class Estimate:
     """A Monte Carlo price: value, outer standard error, sample counts and counters.
 
     ``diagnostics`` holds deterministic integer counters of the run, a pure
-    function of the request like the value; kl-nested fills it.
+    function of the request like the value: the flat estimators count their
+    ``blocks`` and ``normals_drawn``, and ``price_kl_nested`` lists its own.
     """
 
     value: float
@@ -116,64 +103,49 @@ class Estimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _block_rows(n_times: int, n_paths: int) -> list[int]:
-    """Path counts of the blocks that hold n_paths paths, in block order."""
-    block = _block_size(n_times)
-    return [min(block, n_paths - start) for start in range(0, n_paths, block)]
+def _block_size(n_times: int) -> int:
+    """Paths of one flat-kernel block: about ``_BLOCK_BYTES`` of grid rows, at least 8.
 
-
-def _chunk_rows(n_times: int) -> int:
-    """Rows of the about 1 MiB chunk a block is built in, at least 8."""
-    return max(8, _CHUNK_BYTES // (8 * n_times))
+    It depends on the grid width alone, so that every value is a pure
+    function of (seed, path index).
+    """
+    return max(8, _BLOCK_BYTES // (8 * n_times))
 
 
 def _block_payoffs(
-    params: GbmParams,
-    times: np.ndarray,
-    rows: int,
-    seed: int,
-    tag: int,
-    block_idx: int,
-    payoff,
+    logs: np.ndarray, legs: tuple, seed: int, tag: int, block_idx: int, payoff
 ) -> np.ndarray:
-    """Per-path payoffs of the first ``rows`` exact paths of block ``block_idx``.
+    """Payoffs of the first ``len(logs)`` exact paths of block ``block_idx``, in one pass.
 
-    The block's log(S(t)/s0) on ``times`` is built chunk by chunk in one
-    reused buffer: fill from stream (seed, tag, block_idx), scale and shift
-    in place, cumsum in place, then ``payoff(logs)`` maps the chunk's rows to
-    their payoffs (and may overwrite ``logs``).  A ``Generator`` fills
-    row-major, so the chunks draw the same normals as one fill of the whole
-    block.  Every step works row by row, so a path's payoff has the same
-    bits whatever chunk it falls in, a 1-row last chunk included, and an
-    n-path run gives the first n payoffs of any longer run.
+    Their log(S(t)/s0) is built in place in ``logs``: filled from stream
+    (seed, tag, block_idx), scaled and shifted by the increments' ``legs``
+    (volatility, drift) and summed along each row; then ``payoff(logs)``
+    maps the rows to their payoffs (and may overwrite them).  A
+    ``Generator`` fills row-major, so a short block draws the first rows of a
+    full one, and every step works row by row, so a path's payoff has the
+    same bits however many rows its block holds, one included: an n-path
+    run gives the first n payoffs of any longer run.
     """
-    n_times = times.size
-    chunk = _chunk_rows(n_times)
-    dt = np.diff(times, prepend=0.0)
-    drift_leg = params.effective_drift * dt
-    vol_leg = params.sigma * np.sqrt(dt)
-    rng = process.stream(seed, tag, block_idx)
-    buf = np.empty((min(rows, chunk), n_times))
-    pay = np.empty(rows)
-    for start in range(0, rows, chunk):
-        logs = buf[: min(chunk, rows - start)]
-        rng.standard_normal(out=logs)
-        logs *= vol_leg
-        logs += drift_leg
-        np.cumsum(logs, axis=1, out=logs)
-        pay[start : start + logs.shape[0]] = payoff(logs)
-    return pay
+    vol_leg, drift_leg = legs
+    process.stream(seed, tag, block_idx).standard_normal(out=logs)
+    logs *= vol_leg
+    logs += drift_leg
+    np.cumsum(logs, axis=1, out=logs)
+    return payoff(logs)
 
 
 def _check_flat_buffers(n_times: int, n_paths: int) -> int:
-    """Bytes one thread's ``_block_payoffs`` call holds, rejected past ``_FLAT_BYTES``.
+    """Bytes a one-thread flat run holds, rejected past ``_FLAT_BYTES``.
 
-    The call holds its chunk buffer, min(block, n_paths, chunk) rows of the
-    grid, three vectors as long as the grid (``dt``, ``drift_leg`` and
-    ``vol_leg``) and its block's payoff vector, min(block, n_paths) doubles.
+    The run holds three vectors as long as the grid (``dt`` and the two
+    legs), one block buffer of min(block, n_paths) grid rows, and that
+    block's payoff vector.  Each further thread holds another buffer and
+    payoff vector, so ``_FLAT_BYTES`` // this many threads fit the guard.
+    Not counted: the iteration buffer, at most 64 KiB, that numpy's
+    broadcasting ufuncs allocate in each thread.
     """
-    block = min(_block_size(n_times), n_paths)
-    need = ((min(block, _chunk_rows(n_times)) + 3) * n_times + block) * 8
+    rows = min(_block_size(n_times), n_paths)
+    need = ((rows + 3) * n_times + rows) * 8
     if need > _FLAT_BYTES:
         raise ValueError(f"flat kernel buffer of {need} bytes exceeds the {_FLAT_BYTES}-byte guard")
     return need
@@ -202,46 +174,58 @@ def _flat_moments(
     payoff,
     workers: int = 1,
 ) -> tuple[float, float]:
-    """Flat MC: mean of ``payoff`` over n_paths exact paths on ``times``, and its SE.
+    """Flat MC: sum and sum of squares of ``payoff`` over n_paths exact paths on ``times``.
 
-    Each block's payoff sum and sum of squares are added up in block order,
-    so the result is the same whatever the number of threads.  Several
-    blocks run on one thread per usable core, at most ``workers`` (numpy's
-    fills, ufuncs and BLAS release the GIL), each under the caller's numpy
-    error state, which worker threads do not inherit.  ``_price_flat`` sizes
-    ``workers`` so that the threads' buffers together stay within
-    ``_FLAT_BYTES``.
+    Paths come in blocks of ``_block_size`` rows, block i from stream
+    (seed, tag, i), and the block sums are added in block order, so the
+    result is the same whatever the number of threads.  Blocks run on
+    min(usable cores, blocks, ``workers``) threads (numpy's fills and ufuncs
+    release the GIL), each under the caller's numpy error state, which worker
+    threads do not inherit; a single thread is the calling thread.  The legs
+    are computed once, and each thread's block buffer is allocated here, in
+    the calling thread: buffers allocated in the workers grew the peak RSS
+    through glibc's per-thread arenas.  ``_price_flat`` sizes ``workers`` so
+    that the threads' buffers together stay within ``_FLAT_BYTES``.
     """
-    rows = _block_rows(times.size, n_paths)
+    block = _block_size(times.size)
+    rows = [min(block, n_paths - start) for start in range(0, n_paths, block)]
+    threads = min(_cpu_count(), len(rows), workers)
+    dt = np.diff(times, prepend=0.0)
+    legs = params.sigma * np.sqrt(dt), params.effective_drift * dt
+    free = [np.empty((rows[0], times.size)) for _ in range(threads)]
     err = np.geterr()
 
-    def moments(block_idx: int) -> tuple[float, float]:
-        with np.errstate(**err):
-            pay = _block_payoffs(params, times, rows[block_idx], seed, tag, block_idx, payoff)
-            # einsum, not BLAS: a threaded BLAS dot splits the sum by its thread count
-            return float(pay.sum()), float(np.einsum("i,i->", pay, pay))
+    def sums(block_idx: int) -> tuple[float, float]:
+        logs = free.pop()  # never empty: at most ``threads`` blocks run at once
+        try:
+            with np.errstate(**err):
+                pay = _block_payoffs(logs[: rows[block_idx]], legs, seed, tag, block_idx, payoff)
+                # einsum, not BLAS: a threaded BLAS dot splits the sum by its thread count
+                return float(pay.sum()), float(np.einsum("i,i->", pay, pay))
+        finally:
+            free.append(logs)
 
-    if len(rows) == 1:
-        parts = [moments(0)]
+    if threads == 1:
+        parts = map(sums, range(len(rows)))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(min(_cpu_count(), len(rows), workers)) as pool:
-            parts = list(pool.map(moments, range(len(rows))))
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(sums, range(len(rows))))
     # left-to-right adds; sum() compensates its float adds from Python 3.12 on
     total = total_sq = 0.0
     for block_sum, block_sq in parts:
         total += block_sum
         total_sq += block_sq
-    return _mean_and_se(total, total_sq, n_paths)
+    return total, total_sq
 
 
 def _average_call(params: GbmParams, n_times: int, strike: float):
     """Payoff (mean_i S(t_i) - K)^+ of each row of log(S(t)/s0), computed in place.
 
     Each row is summed on its own by ``einsum``, so a path's payoff has the
-    same bits however many rows share its chunk; a BLAS matrix-vector product
-    can give the rows past a chunk's last multiple of 4 other bits.
+    same bits however many rows share its block; a BLAS matrix-vector product
+    can give the rows past a block's last multiple of 4 other bits.
     """
     scale = params.s0 / n_times
 
@@ -257,14 +241,19 @@ def _average_call(params: GbmParams, n_times: int, strike: float):
 
 
 def _price_flat(params: GbmParams, strike: float, m: int, n_paths: int, seed: int) -> Estimate:
-    """Flat MC of the average call on the grid i/m, i = 1..m, guarded before it allocates."""
+    """Flat MC of the average call on the grid i/m, i = 1..m, guarded before it allocates.
+
+    ``diagnostics`` counts the ``blocks`` and the ``normals_drawn``, one per
+    path and grid point.
+    """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     workers = _FLAT_BYTES // _check_flat_buffers(m, n_paths)
     times = np.arange(1, m + 1) / m
     payoff = _average_call(params, m, strike)
-    mean, se = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff, workers)
-    return Estimate(mean, se, n_paths, 1)
+    sums = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff, workers)
+    diagnostics = {"blocks": -(-n_paths // _block_size(m)), "normals_drawn": n_paths * m}
+    return Estimate(*_mean_and_se(*sums, n_paths), n_paths, 1, diagnostics)
 
 
 def price_baseline(params: GbmParams, spec: AsianPayoffSpec, n_paths: int, seed: int) -> Estimate:
@@ -537,8 +526,9 @@ def price_kl_nested(
     T = 64, and 0.6 MiB at T = 2^20.  All M0 draws hold 8 bytes each, their
     inner means, rejected past 3.2 GB; the payoffs are summed in draw order
     over blocks of them.  Uniform mode holds about 64 bytes per inner sample
-    of one draw, M1 past 5 * 10^7 rejected.  Both guards run before anything
-    is drawn.
+    of one draw, M1 past 5 * 10^7 rejected.  Past T = 8,192 an acceptance-mode
+    draw evaluates the series at M1 or more proposals, M1 past 10^8
+    rejected.  These guards run before anything is drawn.
 
     ``diagnostics`` counts ``clipped`` coefficients and ``series_points``
     (in acceptance mode the points of the path tables plus the proposals
@@ -574,6 +564,13 @@ def price_kl_nested(
         raise ValueError(
             f"{M1} inner samples need {64 * M1} bytes per draw, past the "
             f"{_NESTED_BYTES}-byte guard"
+        )
+    # past _TABLE_T no draw is tabulated: each evaluates the series at its
+    # proposals, at least M1 of them
+    if inner_mode == "acceptance" and spec.monitoring_count > _TABLE_T and M1 > _MAX_DOUBLES:
+        raise ValueError(
+            f"{M1} acceptances per draw need at least {M1} series points at T > {_TABLE_T}, "
+            f"past the {_MAX_DOUBLES}-point guard"
         )
     inner_means = _acceptance_means if inner_mode == "acceptance" else _uniform_means
     gbar, diagnostics = inner_means(params, spec.monitoring_count, L, M0, M1, seed)

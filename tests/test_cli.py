@@ -33,6 +33,11 @@ def price_fields(out):
     return data
 
 
+# a kl-nested request whose M1 no untabulated draw can reach
+HUGE_M1 = ["price", "--method", "kl-nested", "--epsilon", "0.3", "--m0", "2",
+           "--m1", "100000000000", "--seed", "1"]
+
+
 class TestPriceCommand:
     def test_subsample_json_schema(self, capsys):
         code, out, _ = run_cli(
@@ -166,6 +171,24 @@ class TestPriceCommand:
         assert (code, out, draws) == (2, "", [])
         assert json.loads(err)["code"] == 2
 
+    def test_untabulated_m1_guard_exits_2_before_any_draw(self, capsys, draws):
+        # past T = 8,192 no draw is tabulated, and each evaluates the series
+        # at M1 or more proposals: 10^11 of them would take hours
+        code, out, err = run_cli(capsys, *HUGE_M1, "--T", "1048576")
+        assert (code, out, draws) == (2, "", [])
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "100000000000 acceptances per draw need at least 100000000000 series "
+                     "points at T > 8192, past the 100000000-point guard",
+            "code": 2,
+        }
+
+    def test_tabulated_draws_take_any_m1(self, capsys):
+        # at T = 64 every draw is tabulated: its count is one negative binomial draw
+        code, out, _ = run_cli(capsys, *HUGE_M1, "--T", "64")
+        assert code == 0
+        assert price_fields(out)["n_inner"] == 100_000_000_000
+
     def test_monitoring_past_2_53_exits_2_before_any_draw(self, capsys, draws):
         # a uniform has 53 bits, so floor(u T) would skip monitoring points
         code, out, err = run_cli(
@@ -184,8 +207,8 @@ class TestPriceCommand:
         ("--method", "subsample", "--epsilon", "0.0002", "--paths", "1000"),
     ], ids=["baseline", "subsample"])
     def test_flat_buffer_guard_exits_2_before_any_draw(self, capsys, draws, argv):
-        # one thread's chunk buffer alone holds 2 rows of 10^8 (9 of 2.5 x 10^7)
-        # doubles, 1.6 GB (1.8 GB), past the 256 MiB guard
+        # one thread's block buffer alone holds 2 rows of 10^8 (8 of 2.5 x 10^7)
+        # doubles, 1.6 GB, past the 256 MiB guard
         code, out, err = run_cli(capsys, "price", *argv, "--seed", "1")
         assert (code, out, draws) == (2, "", [])
         assert len(err.splitlines()) == 1
@@ -201,7 +224,7 @@ class TestPriceCommand:
 
         def flat_moments(params, times, n_paths, *rest):
             runs.append((times.size, n_paths))
-            return 6.0, 0.1
+            return 12.0, 72.02  # payoff sum and sum of squares: mean 6, SE 0.1
 
         monkeypatch.setattr(pricing, "_cpu_count", lambda: 64)
         monkeypatch.setattr(pricing, "_flat_moments", flat_moments)
@@ -452,7 +475,7 @@ class TestAnalyzeCommand:
 
 
 def test_multi_block_overflow_prints_one_stderr_line():
-    # exp overflows on some of 140000 paths, spread over three blocks and so
+    # exp overflows on some of 140000 paths, spread over 69 blocks and so
     # over worker threads; the caller's error state must reach every block so
     # that no RuntimeWarning joins the error line.  A subprocess, because
     # pytest captures warnings before they reach stderr.
@@ -508,7 +531,7 @@ def test_import_leaves_scipy_out():
 
 
 def test_flat_output_independent_of_blas_threads():
-    # a threaded BLAS dot product splits a 65536-long sum of squares by its
+    # a threaded BLAS dot product splits a block's sum of squares by its
     # thread count, which moved the last bit of this std_error.  A
     # subprocess, because BLAS reads its thread count when numpy loads.
     argv = ["price", "--method", "baseline", "--paths", "1048576", "--seed", "11"]

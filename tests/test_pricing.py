@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import functools
+import itertools
 import sys
 import tracemalloc
 
@@ -165,7 +166,8 @@ def _geometric_mc(params, grid, strike, n_paths, seed):
         mean_log = (logs.sum(axis=1) + n_fixed * log_s0) / grid.size
         return np.maximum(np.exp(mean_log) - strike, 0.0)
 
-    return pricing._flat_moments(params, times, n_paths, seed, TAG_GEOMETRIC, payoff)
+    sums = pricing._flat_moments(params, times, n_paths, seed, TAG_GEOMETRIC, payoff)
+    return pricing._mean_and_se(*sums, n_paths)
 
 
 def _reference_arithmetic(params, times, strike, n_paths, seed):
@@ -175,19 +177,36 @@ def _reference_arithmetic(params, times, strike, n_paths, seed):
     return _reference_flat(params, times, n_paths, seed, process.TAG_PATHS, payoff)
 
 
-def _run_payoffs(n_times, n_paths):
-    """Per-path payoffs, at strike 0 so none is clipped, of an n_paths flat run (seed 29)."""
+def _run_payoffs(n_times, n_paths, seed=29):
+    """Per-path payoffs, at strike 0 so none is clipped, of an n_paths flat run."""
     times = np.arange(1, n_times + 1) / n_times
+    average = pricing._average_call(MARKET, n_times, 0.0)
+    blocks = []
+
+    def payoff(logs):
+        blocks.append(average(logs))
+        return blocks[-1]
+
+    # one thread, in block order
+    pricing._flat_moments(MARKET, times, n_paths, seed, process.TAG_PATHS, payoff)
+    return np.concatenate(blocks)
+
+
+def _reference_payoffs(n_times, n_paths, seed=29):
+    """``_run_payoffs`` from ``_reference_block_payoffs``."""
+    times = np.arange(1, n_times + 1) / n_times
+    block = pricing._block_size(n_times)
     payoff = pricing._average_call(MARKET, n_times, 0.0)
     return np.concatenate([
-        pricing._block_payoffs(MARKET, times, rows, 29, process.TAG_PATHS, block_idx, payoff)
-        for block_idx, rows in enumerate(pricing._block_rows(n_times, n_paths))
+        _reference_block_payoffs(MARKET, times, min(block, n_paths - start), seed,
+                                 process.TAG_PATHS, block_idx, payoff)
+        for block_idx, start in enumerate(range(0, n_paths, block))
     ])
 
 
 def _prefix_run(n_times):
-    """Paths of the run the prefix test cuts: a block, two chunks and a 1-row tail."""
-    return pricing._block_size(n_times) + 2 * pricing._chunk_rows(n_times) + 1
+    """Paths of the run the prefix test cuts: three blocks and a 2-row tail."""
+    return 3 * pricing._block_size(n_times) + 2
 
 
 @functools.lru_cache(maxsize=2)
@@ -197,19 +216,33 @@ def _prefix_payoffs(n_times):
 
 @st.composite
 def _prefix_cases(draw):
-    """(grid width, n) with n below ``_prefix_run``: anywhere, or next to a chunk or block edge."""
+    """(grid width, n) with n below ``_prefix_run``: anywhere, or next to a block edge."""
     n_times = draw(st.sampled_from([64, 400]))
-    chunk, block = pricing._chunk_rows(n_times), pricing._block_size(n_times)
-    edges = [edge + d for edge in (chunk, 2 * chunk, block, block + chunk) for d in (-1, 0, 1)]
+    block = pricing._block_size(n_times)
+    edges = [k * block + d for k in (1, 2, 3) for d in (-1, 0, 1)]
     n = draw(st.one_of(st.sampled_from(edges), st.integers(1, _prefix_run(n_times) - 1)))
     return n_times, n
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the thread pools opened."""
+    opened = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            opened.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return opened
 
 
 class TestFlatKernel:
     @pytest.mark.parametrize("n_paths", [
         2, 1000, 65537,
-        # a 1-row chunk tail, in the first block and in the second
-        pricing._chunk_rows(64) + 1, 65536 + pricing._chunk_rows(64) + 1,
+        # a 1-row last block, the second and the 34th
+        pricing._block_size(64) + 1, 33 * pricing._block_size(64) + 1,
     ])
     def test_baseline_matches_reference(self, n_paths):
         est = price_baseline(MARKET, SPEC64, n_paths, seed=21)
@@ -236,21 +269,14 @@ class TestFlatKernel:
         assert est == ref
 
     def test_one_row_tail_keeps_every_path_bit(self):
-        # the last chunk holds one row; a lone row that came out a bit off
-        # would mostly vanish in the block sums, so every path's payoff is
-        # compared, at strike 0 where none is clipped
-        t = np.arange(1, 65) / 64
-        payoff = pricing._average_call(MARKET, 64, 0.0)
-        rows = pricing._chunk_rows(64) + 1
-
-        def reference(logs):
-            return np.einsum("ij->i", np.exp(logs)) * (MARKET.s0 / 64)
-
-        for block_idx in range(8):
-            pay = pricing._block_payoffs(MARKET, t, rows, 28, process.TAG_PATHS, block_idx, payoff)
-            ref = _reference_block_payoffs(MARKET, t, rows, 28, process.TAG_PATHS, block_idx,
-                                           reference)
-            assert np.array_equal(pay, ref)
+        # the last block holds one row, in the first row of the buffer the
+        # full block used; a lone row that came out a bit off would mostly
+        # vanish in the block sums, so every path's payoff is compared, at
+        # strike 0 where none is clipped, over eight seeds
+        for n_times, seed in itertools.product((64, 400), range(8)):
+            n_paths = pricing._block_size(n_times) + 1
+            assert np.array_equal(_run_payoffs(n_times, n_paths, seed),
+                                  _reference_payoffs(n_times, n_paths, seed))
 
     @pytest.mark.parametrize("price", [
         pytest.param(lambda: price_baseline(MARKET, AsianPayoffSpec(100.0, 5_000_000), 8, seed=1),
@@ -270,34 +296,34 @@ class TestFlatKernel:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("n_times", [64, 400])
-    def test_buffer_guard_counts_what_a_thread_holds(self, n_times):
-        # a warm call on a full block peaks within 10 % of the guard's count;
-        # without the block's payoff vector the count was 36 % and 24 % short
+    def test_buffer_guard_counts_what_a_thread_holds(self, monkeypatch, n_times):
+        # a warm run of a full block per thread peaks within 10 % of the
+        # guard's count per thread: the grid vectors, the block buffers and
+        # their payoff vectors, and numpy's 64 KiB ufunc buffer per thread,
+        # which is about 6 % of a full block
         t = np.arange(1, n_times + 1) / n_times
         payoff = pricing._average_call(MARKET, n_times, 100.0)
         rows = pricing._block_size(n_times)
-        pricing._block_payoffs(MARKET, t, rows, 30, process.TAG_PATHS, 0, payoff)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            pricing._block_payoffs(MARKET, t, rows, 30, process.TAG_PATHS, 0, payoff)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert 1.0 <= peak / pricing._check_flat_buffers(n_times, rows) <= 1.1
+        need = pricing._check_flat_buffers(n_times, rows)
+        monkeypatch.setattr(pricing, "_cpu_count", lambda: 2)
+        for threads in (1, 2):
+            run = functools.partial(pricing._flat_moments, MARKET, t, threads * rows, 30,
+                                    process.TAG_PATHS, payoff, threads)
+            run()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert need <= peak <= 1.1 * threads * need, threads
 
-    def test_buffer_guard_caps_threads(self, monkeypatch):
-        # each thread holds one chunk buffer: a guard with room for two
+    def test_buffer_guard_caps_threads(self, monkeypatch, pools):
+        # each thread holds one block buffer: a guard with room for two
         # buffers runs two threads, not three, and moves no bit
+        monkeypatch.setattr(pricing, "_cpu_count", lambda: 1)
         ref = price_baseline(MARKET, SPEC64, 3 * 65536, seed=26)
-        pools = []
-
-        class Pool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(pricing, "_cpu_count", lambda: 3)
         buffer = pricing._check_flat_buffers(64, 3 * 65536)
         monkeypatch.setattr(pricing, "_FLAT_BYTES", 2 * buffer + 1)
@@ -323,24 +349,40 @@ class TestFlatKernel:
         assert (sub.value, sub.std_error) == _reference_arithmetic(
             MARKET, t100, 100.0, 2 * 65536 + 1000, 27)
 
+    def test_two_cores_share_a_two_block_request(self, monkeypatch, pools):
+        # 4,000 paths at T = 64 are two blocks of at most 2,048 rows: two
+        # usable cores run them on two threads, with the reference's bits
+        monkeypatch.setattr(pricing, "_cpu_count", lambda: 2)
+        est = price_baseline(MARKET, SPEC64, 4000, seed=26)
+        ref = _reference_arithmetic(MARKET, np.arange(1, 65) / 64, 100.0, 4000, 26)
+        assert (pools, (est.value, est.std_error)) == ([2], ref)
+
+    def test_diagnostics_pinned(self):
+        # blocks of 2,048 rows at T = 64 and 327 rows at M = 400
+        base = price_baseline(MARKET, SPEC64, 4000, seed=1)
+        sub = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=5000, seed=1)
+        assert base.diagnostics == {"blocks": 2, "normals_drawn": 256_000}
+        assert sub.diagnostics == {"blocks": 16, "normals_drawn": 2_000_000}
+        assert pricing._block_size(400) == 327
+
     def test_flat_prices_pinned(self):
         # the draws and the arithmetic of both flat estimators, bit for bit:
         # the reference comparisons above share the streams, so only a pin
         # catches a change to the draws
         base = price_baseline(MARKET, SPEC64, 3 * 65536 + 1000, seed=26)
         sub = price_subsample(MARKET, SPEC64, 0.1, 2 * 65536 + 1000, seed=27)
-        assert (base.value, base.std_error) == (6.142440897203286, 0.019149469729579354)
-        assert (sub.value, sub.std_error) == (6.104296589901404, 0.023264262156032327)
+        assert (base.value, base.std_error) == (6.116572063332924, 0.019051434772774958)
+        assert (sub.value, sub.std_error) == (6.08593176707843, 0.023261183474407823)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(case=_prefix_cases())
-    # a 1-row chunk tail, in the first block and in the second
-    @example(case=(64, pricing._chunk_rows(64) + 1))
-    @example(case=(64, 65536 + pricing._chunk_rows(64) + 1))
+    # a 1-row last block, the second and the fourth
+    @example(case=(64, pricing._block_size(64) + 1))
+    @example(case=(64, 3 * pricing._block_size(64) + 1))
     def test_payoffs_prefix_stable(self, case):
         # a path's payoff is a pure function of (seed, path index): an n-path
         # run gives the first n payoffs of a longer run, bit for bit, wherever
-        # n cuts a chunk or a block
+        # n cuts a block
         n_times, n = case
         assert np.array_equal(_run_payoffs(n_times, n), _prefix_payoffs(n_times)[:n])
 
@@ -355,6 +397,7 @@ class TestFlatKernel:
                      id="geometric-mc"),
     ])
     def test_draws_only_the_rows_used(self, monkeypatch, price, n_paths, n_times):
+        # one stream and one fill per block; the flat prices count both
         drawn = []
         original = process.stream
 
@@ -365,8 +408,11 @@ class TestFlatKernel:
                 return z
 
         monkeypatch.setattr(process, "stream", lambda *key: Counting(original(*key).bit_generator))
-        price(n_paths)
+        result = price(n_paths)
         assert sum(drawn) == n_paths * n_times
+        assert len(drawn) == -(-n_paths // pricing._block_size(n_times))
+        if isinstance(result, pricing.Estimate):
+            assert result.diagnostics == {"blocks": len(drawn), "normals_drawn": sum(drawn)}
 
 
 class TestSubsample:
@@ -784,6 +830,14 @@ def _nested_reference_price(params, strike, L, n_outer, seed):
         total += float(np.maximum(gbar - strike, 0.0).sum())
         done += b
     return total / n_outer
+
+
+def test_golden_file_matches_the_draws(golden, golden_market, golden_spec):
+    # scripts/regenerate_golden.py writes the estimate from the first paths
+    # of its reference run too; recomputed here, it fails on a change to the
+    # draws or the flat arithmetic that did not regenerate tests/golden.json
+    est = price_baseline(golden_market, golden_spec, golden["check_paths"], golden["seed"])
+    assert (est.value, est.std_error) == (golden["check_value"], golden["check_std_error"])
 
 
 class TestGeometricClosedForm:

@@ -128,11 +128,14 @@ class TestGbmFromBm:
 
 def _kernel_column(times, n, seed, col):
     """Column ``col`` of log(S(t)/s0) over n paths of the flat estimators' kernel."""
-    return np.concatenate([
-        pricing._block_payoffs(MARKET, times, rows, seed, process.TAG_PATHS, block_idx,
-                               lambda logs: logs[:, col])
-        for block_idx, rows in enumerate(pricing._block_rows(times.size, n))
-    ])
+    columns = []
+
+    def payoff(logs):
+        columns.append(logs[:, col].copy())  # the next block reuses the buffer
+        return columns[-1]
+
+    pricing._flat_moments(MARKET, times, n, seed, process.TAG_PATHS, payoff)  # in block order
+    return np.concatenate(columns)
 
 
 class TestSequentialPaths:
@@ -146,7 +149,7 @@ class TestSequentialPaths:
 
     @pytest.mark.parametrize("t_idx, t", [(0, 0.25), (3, 1.0)])
     def test_marginal_law_ks(self, t_idx, t):
-        # the flat estimators' path kernel, over two blocks (one partial)
+        # the flat estimators' path kernel, over four blocks (one partial)
         n = 100_000
         times = np.array([0.25, 0.5, 0.75, 1.0])
         vals = np.log(100.0) + _kernel_column(times, n, 17, t_idx)
