@@ -14,6 +14,10 @@ Matrix products go through BLAS, whose threads split rows and columns, not
 inner sums; sums of squares go through ``einsum``, not a BLAS dot product,
 whose threads split its one sum: a report is the same whatever the number
 of BLAS threads.
+
+Grids must hold distinct values.  Each probe counts the bytes its arrays
+hold at most and rejects a request past the flat kernel's guard, before it
+allocates anything.
 """
 
 from __future__ import annotations
@@ -95,13 +99,18 @@ def truncation_error_sweep(
     E[(B_L(t) - B_{L_ref}(t))^2] with common coefficients, and compares it
     against the closed tail bound 2/(pi^2 L).
     """
-    L_values = sorted(int(L) for L in L_values)
+    L_values = _distinct(sorted(int(L) for L in L_values), "L values")
     if not L_values:
         raise ValueError("L values must be non-empty")
     if L_values[0] < 1:
         raise ValueError("L values must be >= 1")
     if L_ref < 8 * max(L_values):
         raise ValueError("L_ref must be at least 8 * max(L_values)")
+    # the band matrices of the modes past the smallest L, with sine_basis's two
+    # temporaries, and one chunk's draws of those modes, band products and suffixes
+    chunk = 4096
+    width, b = L_ref - L_values[0], min(chunk, n_paths)
+    _check_probe_bytes("truncation", width * (3 * 64 + b) + (len(L_values) + 2) * b * 64)
     # Interior midpoints; at t = 0 and t = 1 the truncation error vanishes
     # identically, which would make the sup degenerate.
     t = (np.arange(64) + 0.5) / 64
@@ -113,10 +122,7 @@ def truncation_error_sweep(
     band_mats = [sine_basis(np.arange(lo, hi + 1, dtype=float), t) for lo, hi in bands]
 
     sumsq = np.zeros((len(L_values), t.size))
-    chunk = 4096
-    done = 0
-    block_idx = 0
-    while done < n_paths:
+    for block_idx, done in enumerate(range(0, n_paths, chunk)):
         b = min(chunk, n_paths - done)
         rng = process.stream(seed, process.TAG_ANALYSIS, 0, block_idx)
         # accumulate from the farthest band inwards: tail_L = sum of bands above L
@@ -128,8 +134,6 @@ def truncation_error_sweep(
         for i in range(len(bands) - 1, -1, -1):
             suffix = suffix + parts[i]
             sumsq[i] += np.einsum("ij,ij->j", suffix, suffix)
-        done += b
-        block_idx += 1
 
     measured = (sumsq / n_paths).max(axis=1)
     bounds = [2.0 / (np.pi**2 * L) for L in L_values]
@@ -164,7 +168,7 @@ def verify_mapped_bound(
     The exact value is reported (as ``quadrature_oracle``) for a 3-sigma
     cross-check of the Monte Carlo measurement.
     """
-    eps_values = [float(e) for e in eps_values]
+    eps_values = _distinct([float(e) for e in eps_values], "eps values")
     if not eps_values:
         raise ValueError("need at least one eps value")
     if any(not (0.0 <= e <= 0.5) for e in eps_values):
@@ -230,21 +234,23 @@ def smoothness_probe(
     pairs = _default_pair_grid()
     L = truncation_index_bm(epsilon)
     times = np.unique(np.asarray(pairs, dtype=float).ravel())
+    # the basis with sine_basis's temporaries, and two chunks' coefficients,
+    # paths and increments: a chunk is drawn while the last is still held
+    chunk = 20_000
+    nt, b = times.size, min(chunk, n_paths)
+    _check_probe_bytes("smoothness", (L + 1) * (2 * b + 3 * nt + 1) + 2 * b * (nt + 1))
     k = np.arange(1, L + 1, dtype=float)
     basis = np.vstack([times, sine_basis(k, times)])
     rng = process.stream(seed, process.TAG_ANALYSIS, 2)
     sumsq = np.zeros(len(pairs))
     idx = {t: i for i, t in enumerate(times)}
-    chunk = 20_000
-    done = 0
-    while done < n_paths:
+    for done in range(0, n_paths, chunk):
         b = min(chunk, n_paths - done)
         a = rng.standard_normal((b, L + 1))
         paths = a @ basis
         for j, (s, t) in enumerate(pairs):
             d = paths[:, idx[t]] - paths[:, idx[s]]
             sumsq[j] += float(np.einsum("i,i->", d, d))
-        done += b
     measured = sumsq / n_paths
     bounds_cm1 = [3.0 * 1.0 * L * (t - s) ** 2 + 6.0 * epsilon**2 for s, t in pairs]
     bounds_cm2 = [3.0 * 2.0 * L * (t - s) ** 2 + 6.0 * epsilon**2 for s, t in pairs]
@@ -330,11 +336,16 @@ def subsample_error_probe(
     reported in the extras together with the eps-halving ratios of both
     quantities (pass rule: per-point ratio within [3, 5] at each halving).
     """
-    eps_values = [float(e) for e in eps_values]
+    eps_values = _distinct([float(e) for e in eps_values], "eps values")
     if not eps_values:
         raise ValueError("need at least one eps value")
     if any(not 0.0 < e < 1.0 for e in eps_values):
         raise ValueError("eps values must lie in (0, 1)")
+    for eps in eps_values:
+        # on the union of the T times and the M-point grid: the flat run's
+        # buffers, its fine and coarse copies of a block, and the grid vectors
+        n = T + int(np.ceil(1.0 / eps**2))
+        _check_probe_bytes("subsample-error", (3 * min(pricing._block_size(n), n_paths) + 11) * n)
     if params is None:
         params = GbmParams(100.0, 0.05, 0.2)
     payoff_mse, point_mse = [], []
@@ -402,9 +413,9 @@ def convergence_study(
     """
     if method not in ("baseline", "subsample"):
         raise ValueError("method must be 'baseline' or 'subsample'")
-    budgets = [int(n) for n in budgets]
-    if len(budgets) < 4:
-        raise ValueError("need at least 4 budget points")
+    budgets = _distinct([int(n) for n in budgets], "budgets")
+    if len(budgets) < 4 or min(budgets) < 2:
+        raise ValueError("need at least 4 budget points, each >= 2")
     if params is None:
         params = GbmParams(100.0, 0.05, 0.2)
     spec = pricing.AsianPayoffSpec(strike=strike, monitoring_count=monitoring_count)
@@ -443,6 +454,19 @@ def convergence_study(
             "degenerate": degenerate,
         },
     )
+
+
+def _distinct(values: list, name: str) -> list:
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must be distinct, got {values}")
+    return values
+
+
+def _check_probe_bytes(probe: str, n_words: int) -> None:
+    """Reject a probe holding ``n_words`` 8-byte words past the flat kernel's guard."""
+    need, limit = 8 * n_words, pricing._FLAT_BYTES
+    if need > limit:
+        raise ValueError(f"{probe} probe holds {need} bytes, past the {limit}-byte guard")
 
 
 def _child_seed(seed: int, *key: int) -> int:

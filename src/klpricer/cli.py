@@ -8,13 +8,15 @@ Two subcommands:
 * ``analyze`` runs one verification probe and writes its report as CSV plus
   a JSON summary; the exit status reflects whether every bound check passed.
 
-Each flag and its default are declared once, in ``build_parser``, and the
-parsed namespace is the request: ``main`` checks its seed, builds the
-market and payoff from it, and dispatches it.  The library validates its
-own input before anything is drawn, and raises ``ValueError`` only for bad
-input; the CLI itself checks only the seed, the discount rate and the
-probes' sizes.  Each method checks only the flags it reads, so
-``--method baseline --m0 1`` prices as usual.
+Each flag and its default are declared once, in ``build_parser``; only
+``analyze --epsilon`` defaults by probe, to 0.1 for the one-epsilon probes
+(smoothness, convergence) and 0.1,0.05 for the others.  The parsed
+namespace is the request: ``main`` checks its seed, builds the market and
+payoff from it, and dispatches it.  The library validates its own input
+before anything is drawn, and raises ``ValueError`` only for bad input; the
+CLI itself checks only the seed, the discount rate, the probes' sizes and
+that a one-epsilon probe gets one.  Each method checks only the flags it
+reads, so ``--method baseline --m0 1`` prices as usual.
 
 Exit codes: 0 success, 1 runtime failure (including failed bound checks
 and a non-finite estimate), 2 validation failure (a ``ValueError``).
@@ -48,30 +50,25 @@ PROBES = ("truncation", "mapped", "smoothness", "subsample-error", "convergence"
 def _qsim_check(params: process.GbmParams, monitoring_count: int) -> pricing.Estimate:
     """Tiny-layout faithfulness check of the amplitude encoding.
 
-    Builds the joint state at a fixed small layout, rotates the value into an
-    ancilla, and returns gmax times the exact ancilla-zero probability, which
-    must equal the classically enumerated discretized mean.
+    Builds the joint state of two 2-qubit coefficient registers (L = 1) over
+    T = min(monitoring_count, 4) points with an 8-bit value codec on
+    [0, g_max_bound], rotates the value into an ancilla, and returns the
+    codec's top value times the exact ancilla-zero probability, which must
+    equal the classically enumerated discretized mean.
     """
     from . import qsim
 
     T = min(monitoring_count, 4)
-    layout = qsim.RegisterLayout(
-        coeff_qubits=2, n_coeff_registers=2, time_qubits=2, value_qubits=8
-    )
-    gmax = process.g_max_bound(params, L=1)
-    codec = qsim.FixedPointCodec.for_range(8, gmax)
-    state = qsim.build_semidigital_state(layout, params, L=1, T=T, codec=codec)
-    rotated = qsim.attach_value_rotation(state, gmax)
-    p0 = qsim.exact_success_probability(rotated, 0)
+    codec = qsim.FixedPointCodec.for_range(8, process.g_max_bound(params, L=1))
+    state = qsim.build_semidigital_state(params, L=1, T=T, n=2, codec=codec)
+    value = qsim.exact_success_probability(qsim.attach_value_rotation(state), 0) * codec.top
     # classical oracle with the same quantization
     expect, _ = qsim.enumerated_mean(params, L=1, T=T, n=2, codec=codec)
-    value = p0 * gmax
     if abs(value - expect) > 1e-9 * max(1.0, abs(expect)):
         raise RuntimeError(
             f"statevector mean {value!r} deviates from classical enumeration {expect!r}"
         )
-    n_codes = 2 ** (layout.coeff_qubits * layout.n_coeff_registers)
-    return pricing.Estimate(value, 0.0, n_codes, T)
+    return pricing.Estimate(value, 0.0, 2 ** (2 * 2), T)  # the 16 coefficient codes
 
 
 def run_price(
@@ -125,21 +122,23 @@ def run_analyze(
 
     if args.paths < 2 or args.replicates < 2:
         raise ValueError("paths and replicates must be >= 2")
+    one_eps = args.probe in ("smoothness", "convergence")
+    eps_text = args.epsilon or ("0.1" if one_eps else "0.1,0.05")
     if args.probe == "truncation":
         report = analysis.truncation_error_sweep(
             _list(args.L, int), L_ref=args.L_ref, n_paths=args.paths, seed=args.seed
         )
     elif args.probe == "mapped":
         report = analysis.verify_mapped_bound(
-            args.mu, args.sigma, _list(args.epsilon, float), n_samples=args.paths, seed=args.seed
+            args.mu, args.sigma, _list(eps_text, float), n_samples=args.paths, seed=args.seed
         )
     elif args.probe == "smoothness":
         report = analysis.smoothness_probe(
-            _list(args.epsilon, float)[0], n_paths=args.paths, seed=args.seed
+            _list(eps_text, float, one=True)[0], n_paths=args.paths, seed=args.seed
         )
     elif args.probe == "subsample-error":
         report = analysis.subsample_error_probe(
-            _list(args.epsilon, float),
+            _list(eps_text, float),
             T=spec.monitoring_count,
             n_paths=args.paths,
             params=params,
@@ -153,7 +152,7 @@ def run_analyze(
             params=params,
             strike=spec.strike,
             monitoring_count=spec.monitoring_count,
-            epsilon=_list(args.epsilon, float)[0],
+            epsilon=_list(eps_text, float, one=True)[0],
             n_replicates=args.replicates,
             seed=args.seed,
         )
@@ -171,11 +170,11 @@ def run_analyze(
     return report, summary
 
 
-def _list(text: str, kind) -> list:
-    """The non-empty comma list ``text`` as values of type ``kind``."""
+def _list(text: str, kind, one: bool = False) -> list:
+    """The non-empty comma list ``text`` as values of type ``kind``, one value if ``one``."""
     values = [kind(x) for x in text.split(",") if x]
-    if not values:
-        raise ValueError(f"comma list {text!r} is empty")
+    if not values or one and len(values) > 1:
+        raise ValueError(f"comma list {text!r} must hold {'one value' if one else 'a value'}")
     return values
 
 
@@ -224,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--L-ref", type=int, default=4096, dest="L_ref")
     an.add_argument("--paths", type=int, default=100_000,
                     help="paths or samples per grid point")
-    an.add_argument("--epsilon", default="0.1,0.05",
-                    help="epsilon or comma list of epsilons, probe-dependent")
+    an.add_argument("--epsilon", default=None,
+                    help="comma list of epsilons for mapped and subsample-error (default "
+                         "0.1,0.05); one epsilon for smoothness and convergence (default 0.1)")
     an.add_argument("--T", type=int, default=1024)
     an.add_argument("--method", choices=("baseline", "subsample"), default="baseline")
     an.add_argument("--budgets", default="1000,4000,16000,64000")

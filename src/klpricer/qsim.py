@@ -9,14 +9,20 @@ zero equals the discretized classical mean divided by the normalization
 constant.  Amplitude estimation is emulated: the probability is read off the
 statevector exactly.
 
+Each builder derives its layout from its own inputs: the semi-digital state
+of L + 1 n-qubit registers over T points holds n(L + 1) + ceil(log2 T) +
+codec.bits qubits, the quantized sub-sampling state n M + 1.  Rotations
+normalise by the codec's top value, the decoded top code.
+
 Register order within a basis index, most significant to least significant:
 coefficient registers (register 0 first), time register, value register,
-ancillas.  Resource guard: at most 26 qubits total, a 1 GiB state.
+ancillas.  Resource guard: at most 26 qubits total, a 1 GiB state, checked
+before anything is allocated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,6 +114,11 @@ class FixedPointCodec:
     def decode(self, codes) -> np.ndarray:
         return np.asarray(codes, dtype=float) * self.scale
 
+    @property
+    def top(self) -> float:
+        """The largest value the codec represents; ``encode`` saturates there."""
+        return float(self.decode(2**self.bits - 1))
+
 
 @dataclass
 class StateVector:
@@ -115,7 +126,7 @@ class StateVector:
 
     amplitudes: np.ndarray
     layout: RegisterLayout
-    codec: FixedPointCodec | None = None
+    codec: FixedPointCodec
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -151,13 +162,14 @@ def prepare_gaussian_register(n: int) -> np.ndarray:
 
 def _coefficient_codes(n_registers: int, n_qubits: int) -> np.ndarray:
     """All register-code combinations, register 0 most significant."""
-    N = 2**n_qubits
-    total = N**n_registers
-    combos = np.arange(total)
-    codes = np.empty((total, n_registers), dtype=np.int64)
-    for j in range(n_registers):
-        codes[:, j] = (combos // N ** (n_registers - 1 - j)) % N
-    return codes
+    return np.indices((2**n_qubits,) * n_registers).reshape(n_registers, -1).T.copy()
+
+
+def _semidigital_layout(L: int, T: int, n: int, codec: FixedPointCodec) -> RegisterLayout:
+    """L + 1 coefficient registers of n qubits, ceil(log2 T) time qubits, the codec's bits."""
+    if T < 1:
+        raise ValueError("need at least one monitoring point, T >= 1")
+    return RegisterLayout(n, L + 1, (T - 1).bit_length(), codec.bits)
 
 
 def _semidigital_values(
@@ -177,9 +189,11 @@ def enumerated_mean(
 
     Weighs the time-averaged path value of every coefficient-code combination
     by its Gaussian pmf, and returns the mean of the values after a round trip
-    through ``codec`` (what the encoding's ancilla-zero probability times gmax
-    equals) together with the unquantized mean.
+    through ``codec`` (what the encoding's ancilla-zero probability times
+    ``codec.top`` equals) together with the unquantized mean.  The encoding's
+    layout passes the qubit guard before anything is enumerated.
     """
+    _semidigital_layout(L, T, n, codec)
     codes, g = _semidigital_values(params, L, T, n)
     gq = codec.decode(codec.encode(g))
     weights = np.prod(prepare_gaussian_register(n)[codes] ** 2, axis=1)
@@ -187,11 +201,7 @@ def enumerated_mean(
 
 
 def build_semidigital_state(
-    layout: RegisterLayout,
-    params: GbmParams,
-    L: int,
-    T: int,
-    codec: FixedPointCodec,
+    params: GbmParams, L: int, T: int, n: int, codec: FixedPointCodec
 ) -> StateVector:
     """Joint state of coefficient registers, time register, and value register.
 
@@ -200,58 +210,37 @@ def build_semidigital_state(
     time (t + 1)/T, so it is a deterministic function of the other registers
     and each coefficient register's marginal stays the product Gaussian pmf.
     """
-    if layout.n_coeff_registers != L + 1:
-        raise ValueError("layout must carry exactly L + 1 coefficient registers")
-    if layout.value_qubits != codec.bits:
-        raise ValueError("value register width must match the codec")
-    if T < 1 or 2**layout.time_qubits < T:
-        raise ValueError("time register cannot index T points")
-    if layout.ancilla_count != 0:
-        raise ValueError("ancillas are appended by the rotation step")
-    n = layout.coeff_qubits
+    layout = _semidigital_layout(L, T, n, codec)
     codes, g = _semidigital_values(params, L, T, n)
     vcodes = codec.encode(g)
     joint = np.prod(prepare_gaussian_register(n)[codes], axis=1)
 
-    t2 = 2**layout.time_qubits
-    v2 = 2**layout.value_qubits
-    combo_idx = np.arange(codes.shape[0])
-    flat = ((combo_idx[:, None] * t2 + np.arange(T)[None, :]) * v2 + vcodes).ravel()
+    t2, v2 = 2**layout.time_qubits, 2**layout.value_qubits
+    flat = ((np.arange(len(codes))[:, None] * t2 + np.arange(T)) * v2 + vcodes).ravel()
     state = np.zeros(2**layout.total_qubits, dtype=complex)
     state[flat] = np.repeat(joint / np.sqrt(T), T)
     return StateVector(amplitudes=state, layout=layout, codec=codec)
 
 
-def attach_value_rotation(state: StateVector, gmax: float) -> StateVector:
+def attach_value_rotation(state: StateVector) -> StateVector:
     """Append an ancilla rotated by the normalized value register content.
 
-    Each basis amplitude alpha with decoded value v becomes
-    alpha sqrt(v/gmax) on ancilla 0 and alpha sqrt(1 - v/gmax) on ancilla 1,
-    so the ancilla-zero probability is the mean decoded value over gmax.
-    The output layout passes the qubit guard before anything is allocated,
-    and the rotation works per value code: the 2^v decoded values and their
-    square roots are computed once and multiplied into views of the output,
-    so no temporary is as long as the state.
+    With top = ``state.codec.top``, each basis amplitude alpha with decoded
+    value v becomes alpha sqrt(v/top) on ancilla 0 and alpha sqrt(1 - v/top)
+    on ancilla 1, so the ancilla-zero probability is the mean decoded value
+    over top.  The output layout passes the qubit guard before anything is
+    allocated, and the rotation works per value code: the 2^v decoded values
+    and their square roots are computed once and multiplied into views of
+    the output, so no temporary is as long as the state.
     """
-    if state.codec is None:
-        raise ValueError("state carries no codec to decode the value register")
     layout = state.layout
     if layout.value_qubits < 1:
         raise ValueError("state has no value register")
-    new_layout = RegisterLayout(
-        coeff_qubits=layout.coeff_qubits,
-        n_coeff_registers=layout.n_coeff_registers,
-        time_qubits=layout.time_qubits,
-        value_qubits=layout.value_qubits,
-        ancilla_count=layout.ancilla_count + 1,
-    )
+    new_layout = replace(layout, ancilla_count=layout.ancilla_count + 1)
     shape = (-1, 2**layout.value_qubits, 2**layout.ancilla_count)
     amps = state.amplitudes.reshape(shape)
     vals = state.codec.decode(np.arange(shape[1]))
-    live = np.any(amps, axis=(0, 2))  # value codes that carry amplitude
-    if np.any(vals[live] > gmax * (1.0 + 1e-12)):
-        raise ValueError("decoded value exceeds gmax; normalization contract violated")
-    frac = np.clip(vals / gmax, 0.0, 1.0)[:, None]
+    frac = (vals / state.codec.top)[:, None]
     new = np.empty(2 * amps.size, dtype=complex)
     out = new.reshape(*shape, 2)
     np.multiply(amps, np.sqrt(frac), out=out[..., 0])
@@ -260,12 +249,7 @@ def attach_value_rotation(state: StateVector, gmax: float) -> StateVector:
 
 
 def build_quantized_subsample_state(
-    layout: RegisterLayout,
-    params: GbmParams,
-    M: int,
-    strike: float,
-    gmax: float,
-    codec: FixedPointCodec,
+    params: GbmParams, M: int, n: int, strike: float, codec: FixedPointCodec
 ) -> StateVector:
     """Coefficient registers plus a payoff ancilla for the coarse-grid average.
 
@@ -274,28 +258,16 @@ def build_quantized_subsample_state(
     feeds the thresholded payoff, which (after fixed-point quantization) is
     rotated onto the ancilla.  The working registers are treated as
     uncomputed: the final state holds only coefficients and the ancilla, and
-    ancilla-zero probability times gmax equals the quantized classical
-    expectation of the payoff.
+    ancilla-zero probability times ``codec.top`` equals the quantized
+    classical expectation of the payoff.
     """
-    if layout.n_coeff_registers != M:
-        raise ValueError("layout must carry exactly M coefficient registers")
-    if layout.time_qubits != 0 or layout.value_qubits != 0:
-        raise ValueError("working registers are uncomputed; layout must not declare them")
-    if layout.ancilla_count != 1:
-        raise ValueError("layout must declare the payoff ancilla")
-    n = layout.coeff_qubits
-    amps_1 = prepare_gaussian_register(n)
-    grid = gaussian_grid_values(n)
+    layout = RegisterLayout(n, M, 0, 0, 1)
     codes = _coefficient_codes(M, n)
-    increments = grid[codes]
     times = np.arange(1, M + 1) / M
-    bm = np.cumsum(increments, axis=1) / np.sqrt(M)
+    bm = np.cumsum(gaussian_grid_values(n)[codes], axis=1) / np.sqrt(M)
     pay = np.maximum(gbm_from_bm(bm, times, params).mean(axis=1) - strike, 0.0)
-    payq = codec.decode(codec.encode(pay))
-    if np.any(payq > gmax * (1.0 + 1e-12)):
-        raise ValueError("quantized payoff exceeds gmax; normalization contract violated")
-    frac = np.clip(payq / gmax, 0.0, 1.0)
-    joint = np.prod(amps_1[codes], axis=1)
+    frac = codec.decode(codec.encode(pay)) / codec.top
+    joint = np.prod(prepare_gaussian_register(n)[codes], axis=1)
     state = np.zeros(2**layout.total_qubits, dtype=complex)
     state[0::2] = joint * np.sqrt(frac)
     state[1::2] = joint * np.sqrt(1.0 - frac)

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from klpricer import analysis
 from klpricer.analysis import (
     BoundReport,
     convergence_study,
@@ -135,13 +137,13 @@ class TestSubsampleProbe:
 
 
 class TestConvergenceStudy:
-    def test_baseline_slope(self):
+    def test_baseline_slope(self, golden):
         rep = convergence_study(
             "baseline",
             [500, 2000, 8000, 32000],
             n_replicates=30,
             seed=4,
-            oracle=6.137688417341827,
+            oracle=golden["value"],
         )
         assert abs(rep.extras["slope"] + 0.5) <= 0.15
 
@@ -160,6 +162,76 @@ class TestConvergenceStudy:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             convergence_study("nope", [1, 2, 3, 4], seed=0)
+
+    @pytest.mark.parametrize("budgets, message", [
+        ([100, 100, 100, 100], "budgets must be distinct"),
+        ([100, 200, 400, 400], "budgets must be distinct"),
+        ([1, 200, 400, 800], "each >= 2"),
+    ])
+    def test_budgets_checked_before_the_oracle(self, draws, budgets, message):
+        # the 10^6-path oracle runs only for a grid that can be fitted
+        with pytest.raises(ValueError, match=message):
+            convergence_study("baseline", budgets, n_replicates=3, seed=6)
+        assert draws == []
+
+
+@pytest.mark.parametrize("run, message", [
+    # two equal levels leave an empty band and a rank-deficient slope fit
+    (lambda: truncation_error_sweep([8, 32, 8], L_ref=512, n_paths=10),
+     r"L values must be distinct, got \[8, 8, 32\]"),
+    (lambda: verify_mapped_bound(0.0, 0.2, [0.1, 0.1], n_samples=10),
+     r"eps values must be distinct, got \[0.1, 0.1\]"),
+    (lambda: subsample_error_probe([0.2, 0.1, 0.2], T=64, n_paths=10),
+     r"eps values must be distinct, got \[0.2, 0.1, 0.2\]"),
+], ids=["truncation", "mapped", "subsample-error"])
+def test_repeated_grid_values_rejected_before_any_draw(draws, run, message):
+    with pytest.raises(ValueError, match=message):
+        run()
+    assert draws == []
+
+
+def _probe_peak(monkeypatch, run):
+    """Bytes a probe's guard counts, and the tracemalloc peak of a warm run."""
+    counted = []
+    check = analysis._check_probe_bytes
+    monkeypatch.setattr(analysis, "_check_probe_bytes",
+                        lambda probe, n: counted.append(8 * n) or check(probe, n))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return max(counted), peak
+
+
+@pytest.mark.parametrize("run", [
+    lambda: truncation_error_sweep([8, 32], L_ref=1024, n_paths=9_000, seed=1),
+    lambda: smoothness_probe(0.02, n_paths=30_000, seed=1),
+    lambda: subsample_error_probe([0.2, 0.1], T=4096, n_paths=3_000, seed=1),
+], ids=["truncation", "smoothness", "subsample-error"])
+def test_probe_guard_counts_what_the_probe_holds(monkeypatch, run):
+    # the count bounds the measured peak, and is not so loose that it
+    # rejects requests the probe could run
+    counted, peak = _probe_peak(monkeypatch, run)
+    assert peak <= counted <= 1.5 * peak
+
+
+@pytest.mark.parametrize("run, need", [
+    (lambda: smoothness_probe(0.001, seed=1), 64_889_488_800),
+    (lambda: truncation_error_sweep([8, 32, 128], L_ref=10**8, seed=1), 3_430_410_211_328),
+    (lambda: subsample_error_probe([0.1, 0.05], T=40_000_000, n_paths=100_000), 11_200_028_000),
+], ids=["smoothness", "truncation", "subsample-error"])
+def test_probe_guard_runs_before_anything_is_allocated(draws, run, need):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"holds {need} bytes, past the 268435456-byte guard"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (draws, peak < 1 << 20) == ([], True)
 
 
 class TestReportFiles:

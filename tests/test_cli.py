@@ -335,6 +335,20 @@ class TestPriceCommand:
         assert code == 0
         assert price_fields(out)["method"] == "qsim-check"
 
+    @pytest.mark.parametrize("argv, value", [
+        (["--T", "1"], 102.84916056096056),
+        (["--T", "2"], 102.841577621379),
+        (["--T", "3"], 102.83904951261195),
+        (["--T", "4"], 101.81056238758353),
+        (["--T", "64"], 101.81056238758353),
+        (["--s0", "80", "--mu", "-0.1", "--sigma", "0.5"], 103.69768974947401),
+    ], ids=["T1", "T2", "T3", "T4", "T64", "market"])
+    def test_qsim_check_value_pinned(self, capsys, argv, value):
+        # bit for bit: the top code times the exact ancilla-zero probability,
+        # T capped at 4 monitoring points
+        code, out, _ = run_cli(capsys, "price", "--method", "qsim-check", *argv, "--seed", "5")
+        assert (code, price_fields(out)["value"]) == (0, value)
+
     def test_entropy_seed_echoed(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf")
         assert code == 0
@@ -465,6 +479,46 @@ class TestAnalyzeCommand:
             )
             assert (code, out, list(out_dir.iterdir())) == (2, "", []), argv
             assert json.loads(err)["code"] == 2
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--probe", "smoothness", "--epsilon", "0.001"],
+         "smoothness probe holds 64889488800 bytes, past the 268435456-byte guard"),
+        (["--probe", "truncation", "--L-ref", "100000000"],
+         "truncation probe holds 3430410211328 bytes, past the 268435456-byte guard"),
+        (["--probe", "subsample-error", "--T", "40000000"],
+         "subsample-error probe holds 11200028000 bytes, past the 268435456-byte guard"),
+        (["--probe", "truncation", "--L", "8,8"], "L values must be distinct, got [8, 8]"),
+        (["--probe", "convergence", "--budgets", "100,100,100,100"],
+         "budgets must be distinct, got [100, 100, 100, 100]"),
+        (["--probe", "smoothness", "--epsilon", "0.2,0.1"],
+         "comma list '0.2,0.1' must hold one value"),
+        (["--probe", "convergence", "--epsilon", "0.2,0.1"],
+         "comma list '0.2,0.1' must hold one value"),
+    ], ids=["smoothness-bytes", "truncation-bytes", "subsample-error-bytes", "repeated-L",
+            "repeated-budgets", "smoothness-eps-list", "convergence-eps-list"])
+    def test_probe_request_exits_2_before_any_draw(self, capsys, draws, tmp_path, argv, error):
+        code, out, err = run_cli(
+            capsys, "analyze", *argv, "--seed", "1", "--output-dir", str(tmp_path)
+        )
+        assert (code, out, draws, list(tmp_path.iterdir())) == (2, "", [], [])
+        assert err.splitlines() == [json.dumps({"error": error, "code": 2})]
+
+    @pytest.mark.parametrize("argv, epsilon", [
+        (["--probe", "smoothness", "--paths", "2000"], "0.1"),
+        (["--probe", "mapped", "--paths", "2000"], "0.1,0.05"),
+        (["--probe", "subsample-error", "--paths", "200", "--T", "64"], "0.1,0.05"),
+        (["--probe", "convergence", "--T", "4", "--budgets", "10,20,40,80",
+          "--replicates", "2"], "0.1"),
+    ], ids=["smoothness", "mapped", "subsample-error", "convergence"])
+    def test_default_epsilon_per_probe(self, capsys, tmp_path, argv, epsilon):
+        # one epsilon for smoothness and convergence, a list for the others
+        reports = []
+        for flags in ([], ["--epsilon", epsilon]):
+            out_dir = tmp_path / str(len(flags))
+            out_dir.mkdir()
+            run_cli(capsys, "analyze", *argv, *flags, "--seed", "2", "--output-dir", str(out_dir))
+            reports.append(next(out_dir.glob("*.json")).read_bytes())
+        assert reports[0] == reports[1]
 
     def test_negative_seed_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(
