@@ -47,7 +47,8 @@ def main() -> None:
     t0 = time.time()
     est = pricing.price_baseline(market, spec, N_PATHS, GOLDEN_SEED)
     # same-estimator reference for the sub-sampling estimator: its estimand
-    # is the M = ceil(1/eps^2) grid price, not the T-point price
+    # is the price on min(ceil(1/eps^2), T) points, here the T-point price on
+    # its own seed, as ceil(1/0.05^2) = 400 >= T = 64
     sub = pricing.price_subsample(market, spec, EPSILON, N_PATHS, GOLDEN_SEED + 1)
     elapsed = time.time() - t0
     check = pricing.price_baseline(market, spec, CHECK_PATHS, GOLDEN_SEED)

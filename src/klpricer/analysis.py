@@ -234,23 +234,24 @@ def smoothness_probe(
     pairs = _default_pair_grid()
     L = truncation_index_bm(epsilon)
     times = np.unique(np.asarray(pairs, dtype=float).ravel())
-    # the basis with sine_basis's temporaries, and two chunks' coefficients,
-    # paths and increments: a chunk is drawn while the last is still held
+    # the basis with sine_basis's temporaries, and one chunk's coefficients,
+    # paths and increments: each chunk is drawn into the same buffers
     chunk = 20_000
     nt, b = times.size, min(chunk, n_paths)
-    _check_probe_bytes("smoothness", (L + 1) * (2 * b + 3 * nt + 1) + 2 * b * (nt + 1))
+    _check_probe_bytes("smoothness", (L + 1) * (b + 3 * nt + 1) + b * (nt + 1))
     k = np.arange(1, L + 1, dtype=float)
     basis = np.vstack([times, sine_basis(k, times)])
     rng = process.stream(seed, process.TAG_ANALYSIS, 2)
     sumsq = np.zeros(len(pairs))
     idx = {t: i for i, t in enumerate(times)}
+    a, paths, d = np.empty((b, L + 1)), np.empty((b, nt)), np.empty(b)
     for done in range(0, n_paths, chunk):
         b = min(chunk, n_paths - done)
-        a = rng.standard_normal((b, L + 1))
-        paths = a @ basis
+        rng.standard_normal(out=a[:b])
+        np.matmul(a[:b], basis, out=paths[:b])
         for j, (s, t) in enumerate(pairs):
-            d = paths[:, idx[t]] - paths[:, idx[s]]
-            sumsq[j] += float(np.einsum("i,i->", d, d))
+            np.subtract(paths[:b, idx[t]], paths[:b, idx[s]], out=d[:b])
+            sumsq[j] += float(np.einsum("i,i->", d[:b], d[:b]))
     measured = sumsq / n_paths
     bounds_cm1 = [3.0 * 1.0 * L * (t - s) ** 2 + 6.0 * epsilon**2 for s, t in pairs]
     bounds_cm2 = [3.0 * 2.0 * L * (t - s) ** 2 + 6.0 * epsilon**2 for s, t in pairs]
@@ -275,7 +276,7 @@ def smoothness_probe(
 def _coupled_grid_payoff_mse(
     params: GbmParams,
     strike: float,
-    eps: float,
+    m: int,
     T: int,
     n_paths: int,
     seed: int,
@@ -284,12 +285,11 @@ def _coupled_grid_payoff_mse(
     """Payoff MSE and sup per-point MSE between a path and its grid-rounding.
 
     One exact path from the flat estimators' kernel is built on the union of
-    the T monitoring times and the M = ceil(1/eps^2) grid; the coarse
-    version reads the same path at c(t) = floor(t M)/M.  This realizes the
+    the T monitoring times and the m-point sub-sampling grid; the coarse
+    version reads the same path at c(t) = floor(t m)/m.  This realizes the
     same joint law as refining the coarse path by Brownian bridging, with
     the rounding coupling used by the sub-sampling estimator.
     """
-    m = int(np.ceil(1.0 / eps**2))
     tf = np.arange(1, T + 1) / T
     c = np.floor(tf * m) / m
     union = np.union1d(tf, np.unique(c))
@@ -325,8 +325,10 @@ def subsample_error_probe(
     strike: float = 100.0,
     seed: int = 0,
 ) -> BoundReport:
-    """Coupled error of grid rounding at M = ceil(1/eps^2) points.
+    """Coupled error of grid rounding at the sub-sampling estimator's M points.
 
+    M = min(ceil(1/eps^2), T) is the grid ``pricing.price_subsample``
+    prices, so at M = T the error is zero and nothing is drawn.
     ``measured`` is the coupled payoff MSE E[(f(S_{c(t)}) - f(S_t))^2]; the
     reported bound is C_fit * eps^2 with the fitted constant
     C_fit = max measured/eps^2 over the sweep.  The averaging inside the
@@ -341,24 +343,28 @@ def subsample_error_probe(
         raise ValueError("need at least one eps value")
     if any(not 0.0 < e < 1.0 for e in eps_values):
         raise ValueError("eps values must lie in (0, 1)")
-    for eps in eps_values:
+    grid = [pricing._subsample_points(eps, T) for eps in eps_values]
+    for m in grid:
         # on the union of the T times and the M-point grid: the flat run's
-        # buffers, its fine and coarse copies of a block, and the grid vectors
-        n = T + int(np.ceil(1.0 / eps**2))
-        _check_probe_bytes("subsample-error", (3 * min(pricing._block_size(n), n_paths) + 11) * n)
+        # buffers, its fine and coarse copies of a block, and the grid vectors;
+        # at M = T nothing is drawn
+        if m < T:
+            n = T + m
+            _check_probe_bytes(
+                "subsample-error", (3 * min(pricing._block_size(n), n_paths) + 11) * n
+            )
     if params is None:
         params = GbmParams(100.0, 0.05, 0.2)
     payoff_mse, point_mse = [], []
-    for j, eps in enumerate(eps_values):
-        m = int(np.ceil(1.0 / eps**2))
-        if m >= T and m % T == 0:
+    for j, m in enumerate(grid):
+        if m == T:
             payoff_mse.append(0.0)
             point_mse.append(0.0)
             continue
-        pm, pp = _coupled_grid_payoff_mse(params, strike, eps, T, n_paths, seed, j)
+        pm, pp = _coupled_grid_payoff_mse(params, strike, m, T, n_paths, seed, j)
         payoff_mse.append(pm)
         point_mse.append(pp)
-    c_fit = max((m / e**2 for m, e in zip(payoff_mse, eps_values)), default=0.0)
+    c_fit = max((m / e**2 for m, e in zip(payoff_mse, eps_values) if m > 0.0), default=0.0)
     bounds = [c_fit * e * e for e in eps_values]
     ratios = []
     passes = [True]
@@ -372,9 +378,7 @@ def subsample_error_probe(
             passes.append(True)
     return BoundReport(
         bound_name="subsample_coupling",
-        parameter_grid=[
-            {"eps": e, "M": int(np.ceil(1.0 / e**2)), "T": T} for e in eps_values
-        ],
+        parameter_grid=[{"eps": e, "M": m, "T": T} for e, m in zip(eps_values, grid)],
         measured=payoff_mse,
         bound_values=bounds,
         passes=passes,

@@ -202,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run one estimator and print a JSON estimate")
     pr.add_argument("--method", required=True, choices=PRICE_METHODS)
     pr.add_argument("--T", type=int, default=64,
-                    help="monitoring points T of baseline, kl-nested, geometric-cf (default 64)")
+                    help="monitoring points T of the averaged payoff (default 64)")
     pr.add_argument("--epsilon", type=float, default=0.05,
-                    help="target accuracy for kl-nested/subsample (default 0.05)")
+                    help="target accuracy for kl-nested; subsample prices the grid of "
+                         "min(ceil(1/eps^2), T) points (default 0.05)")
     pr.add_argument("--paths", type=int, default=100_000,
                     help="Monte Carlo paths for flat estimators (default 100000)")
     pr.add_argument("--m0", type=int, default=None, help="outer samples (kl-nested)")

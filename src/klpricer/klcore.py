@@ -138,12 +138,16 @@ def truncation_index_bm(epsilon: float) -> int:
     The search brackets with the closed bound 2/(pi^2 L) <= eps^2 (valid
     since sum_{k>L} 1/(k - 1/2)^2 < 1/L) and then bisects on the exact
     trigamma tail, so the returned index is the exact minimizer of the
-    criterion.
+    criterion.  An epsilon whose closed bound is not finite (eps^2 underflows,
+    or 2/(pi^2 eps^2) overflows) is rejected.
     """
     if not (0.0 < epsilon):
         raise ValueError("epsilon must be positive")
     target = epsilon * epsilon
-    hi = max(1, int(np.ceil(2.0 / (np.pi**2 * target))))
+    bound = 2.0 / (np.pi**2 * target) if target > 0.0 else np.inf
+    if not np.isfinite(bound):
+        raise ValueError(f"truncation bound 2/(pi^2 eps^2) is not finite at eps = {epsilon}")
+    hi = max(1, int(np.ceil(bound)))
     if _tail_exact(1) <= target:
         return 1
     lo = 1  # invariant: tail(lo) > target, tail(hi) <= target

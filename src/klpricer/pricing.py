@@ -10,17 +10,21 @@ Four routes to a price are provided:
   the rejection sampler's acceptance rate against the path's own envelope
   (or from a plain average at uniformly drawn monitoring points,
   switchable); its estimand is E[(T^-1 sum_i G_L(i/T) - K)^+].
-* ``price_subsample``: flat Monte Carlo on a coarser uniform grid of
-  M = ceil(1/eps^2) points, exploiting that the process is fast-forwardable.
+* ``price_subsample``: flat Monte Carlo on the uniform grid of
+  m = min(ceil(1/eps^2), T) points, exploiting that the process is
+  fast-forwardable; at m = T it is the baseline, bit for bit.
 * ``geometric_asian_closed_form``: the lognormal closed form for the
   geometric-average payoff, used as an analytic oracle.
 
 Every route averages over a uniform grid i/m, i = 1..m: m = T for the
-baseline, the nested estimator and the closed form, m = ceil(1/eps^2) for
-sub-sampling.  The flat estimators (baseline, sub-sampling) share one body,
-``_price_flat``, and one kernel.  Paths come in blocks of about 1 MiB of
-grid rows, each drawn from its own stream keyed by (seed, block index) and
-built in one pass in one of the request's block buffers, one per thread.
+baseline, the nested estimator and the closed form, and
+m = min(ceil(1/eps^2), T) for sub-sampling, whose estimand is the price on
+that grid: it is the T-point price, with no bias, when ceil(1/eps^2) >= T,
+and carries an O(eps) bias allowance only below that.  The flat estimators
+(baseline, sub-sampling) share one body, ``_price_flat``, and one kernel.
+Paths come in blocks of about 1 MiB of grid rows, each drawn from its own
+stream keyed by (seed, block index) and built in one pass in one of the
+request's block buffers, one per thread.
 Several blocks run at once on one thread per usable core, and their payoff
 sums are added in block order, so every value is a pure function of (seed,
 path index) whatever the number of cores.  The buffer guard runs before
@@ -65,7 +69,7 @@ _BLOCK_BYTES = 1 << 20  # one flat-kernel block buffer: about one core's L2 shar
 _GROUP_BYTES = 1 << 16  # uniforms of one group, and one path table, of kl-nested draws
 _TABLE_T = 8192  # most monitoring points of a tabulated kl-nested path: one 64 KiB row
 _SUM_BLOCK = 4096  # kl-nested inner means turned into Python floats at a time
-_MAX_DOUBLES = 100_000_000  # resource guard on one vector of draws or grid points
+_MAX_DOUBLES = 100_000_000  # resource guard on kl-nested series points and coefficients
 _NESTED_BYTES = 32 * _MAX_DOUBLES  # resource guard on one kl-nested draw, and on all M0 draws
 _FLAT_BYTES = 1 << 28  # resource guard on the flat kernel's block buffers, all threads together
 _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
@@ -92,8 +96,9 @@ class Estimate:
     """A Monte Carlo price: value, outer standard error, sample counts and counters.
 
     ``diagnostics`` holds deterministic integer counters of the run, a pure
-    function of the request like the value: the flat estimators count their
-    ``blocks`` and ``normals_drawn``, and ``price_kl_nested`` lists its own.
+    function of the request like the value: the flat estimators give the
+    ``grid_points`` they priced and count their ``blocks`` and
+    ``normals_drawn``, and ``price_kl_nested`` lists its own.
     """
 
     value: float
@@ -243,8 +248,8 @@ def _average_call(params: GbmParams, n_times: int, strike: float):
 def _price_flat(params: GbmParams, strike: float, m: int, n_paths: int, seed: int) -> Estimate:
     """Flat MC of the average call on the grid i/m, i = 1..m, guarded before it allocates.
 
-    ``diagnostics`` counts the ``blocks`` and the ``normals_drawn``, one per
-    path and grid point.
+    ``diagnostics`` gives the m ``grid_points`` and counts the ``blocks`` and
+    the ``normals_drawn``, one per path and grid point.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -252,7 +257,11 @@ def _price_flat(params: GbmParams, strike: float, m: int, n_paths: int, seed: in
     times = np.arange(1, m + 1) / m
     payoff = _average_call(params, m, strike)
     sums = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff, workers)
-    diagnostics = {"blocks": -(-n_paths // _block_size(m)), "normals_drawn": n_paths * m}
+    diagnostics = {
+        "grid_points": m,
+        "blocks": -(-n_paths // _block_size(m)),
+        "normals_drawn": n_paths * m,
+    }
     return Estimate(*_mean_and_se(*sums, n_paths), n_paths, 1, diagnostics)
 
 
@@ -265,14 +274,19 @@ def price_baseline(params: GbmParams, spec: AsianPayoffSpec, n_paths: int, seed:
     return _price_flat(params, spec.strike, spec.monitoring_count, n_paths, seed)
 
 
-def _subsample_points(epsilon: float) -> int:
-    """Grid size M = ceil(1/eps^2) of the sub-sampling estimator, within the guard."""
+def _subsample_points(epsilon: float, T: int) -> int:
+    """Grid size m = min(ceil(1/eps^2), T) of the sub-sampling estimator.
+
+    1/eps^2 is compared with T before it is rounded up, so an eps whose
+    square underflows or whose 1/eps^2 overflows gives T.  The grid priced
+    is guarded by ``_check_flat_buffers``.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
-    m = int(np.ceil(1.0 / epsilon**2))
-    if m > _MAX_DOUBLES:
-        raise ValueError(f"sub-sampling grid of {m} points exceeds the resource guard")
-    return m
+    sq = float(epsilon) ** 2
+    if sq == 0.0 or 1.0 / sq >= T:  # Python floats: a 1/sq past the range is inf, no error
+        return T
+    return math.ceil(1.0 / sq)
 
 
 def _series_order(epsilon: float, L: int | None, T: int) -> int:
@@ -302,13 +316,18 @@ def _series_order(epsilon: float, L: int | None, T: int) -> int:
 def price_subsample(
     params: GbmParams, spec: AsianPayoffSpec, epsilon: float, n_paths: int, seed: int
 ) -> Estimate:
-    """Flat MC on the uniform M = ceil(1/eps^2) point grid with 1/M weights.
+    """Flat MC on the uniform grid of m = min(ceil(1/eps^2), T) points with 1/m weights.
 
-    The coarse grid stands in for the T monitoring points; its payoff MSE
-    against the T-point payoff is O(eps^2), so the estimate carries an
-    O(eps) bias allowance on top of the sampling error.
+    Estimand: the average call on the grid i/m.  When ceil(1/eps^2) >= T
+    there is nothing to sub-sample: m = T, and the estimate is
+    ``price_baseline``'s, bit for bit, with no bias.  Below that the m-point
+    grid stands in for the T monitoring points; its payoff MSE against the
+    T-point payoff is O(eps^2), so the estimate carries an O(eps) bias
+    allowance on top of the sampling error, and its cost does not grow
+    with T.
     """
-    return _price_flat(params, spec.strike, _subsample_points(epsilon), n_paths, seed)
+    m = _subsample_points(epsilon, spec.monitoring_count)
+    return _price_flat(params, spec.strike, m, n_paths, seed)
 
 
 def _haldane_mean(env, M1: int, n_prop):
@@ -550,8 +569,12 @@ def price_kl_nested(
     if inner_mode not in ("acceptance", "uniform"):
         raise ValueError("inner_mode must be 'acceptance' or 'uniform'")
     L = _series_order(epsilon, L, spec.monitoring_count)
-    M0 = int(np.ceil(_DEFAULT_SIZING / epsilon**2)) if M0 is None else M0
-    M1 = int(np.ceil(_DEFAULT_SIZING / epsilon**2)) if M1 is None else M1
+    sq = float(epsilon) ** 2
+    sizing = _DEFAULT_SIZING / sq if sq else math.inf
+    if (M0 is None or M1 is None) and math.isinf(sizing):
+        raise ValueError(f"default M0 = M1 = ceil(4/eps^2) is not finite at eps = {epsilon}")
+    M0 = math.ceil(sizing) if M0 is None else M0
+    M1 = math.ceil(sizing) if M1 is None else M1
     if M0 < 2 or M1 < 2:
         raise ValueError("M0 and M1 must be >= 2")
     if 8 * M0 > _NESTED_BYTES:  # one inner mean per draw

@@ -132,6 +132,12 @@ class StateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.size != 2**self.layout.total_qubits:
             raise ValueError("amplitude length does not match the layout")
+        if self.layout.value_qubits > self.codec.bits:
+            # codes past the codec's top would decode above it, and rotate to NaN
+            raise ValueError(
+                f"value register of {self.layout.value_qubits} qubits is wider than the "
+                f"{self.codec.bits}-bit codec"
+            )
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

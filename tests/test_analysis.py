@@ -113,6 +113,14 @@ class TestSubsampleProbe:
         rep = subsample_error_probe([1.0 / 16.0], T=64, n_paths=100, seed=1)
         assert rep.measured == [0.0]
 
+    def test_grid_capped_at_t_is_zero_error(self, draws):
+        # ceil(1/eps^2) = 100, 400 and beyond are past T = 64, which does not
+        # divide them: the estimator prices the T points, M = T, and no path
+        # is drawn
+        rep = subsample_error_probe([0.1, 0.05, 1e-200], T=64, n_paths=100, seed=1)
+        assert (rep.measured, draws) == ([0.0, 0.0, 0.0], [])
+        assert [p["M"] for p in rep.parameter_grid] == [64, 64, 64]
+
     def test_point_ratio_quadratic(self):
         rep = subsample_error_probe([0.1, 0.05], T=512, n_paths=12_000, seed=2)
         r = rep.extras["point_mse_halving_ratios"][0]
@@ -219,7 +227,7 @@ def test_probe_guard_counts_what_the_probe_holds(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run, need", [
-    (lambda: smoothness_probe(0.001, seed=1), 64_889_488_800),
+    (lambda: smoothness_probe(0.001, seed=1), 32_465_008_800),
     (lambda: truncation_error_sweep([8, 32, 128], L_ref=10**8, seed=1), 3_430_410_211_328),
     (lambda: subsample_error_probe([0.1, 0.05], T=40_000_000, n_paths=100_000), 11_200_028_000),
 ], ids=["smoothness", "truncation", "subsample-error"])

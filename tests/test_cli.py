@@ -67,7 +67,7 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize("argv", [
         ("--method", "kl-nested", "--m0", "1"),
-        ("--method", "subsample", "--epsilon", "0.00005", "--paths", "10"),
+        ("--method", "subsample", "--epsilon", "0.00005", "--T", "1000000000", "--paths", "10"),
         ("--method", "kl-nested", "--L", "-1"),
     ])
     def test_estimator_limits_exit_2(self, capsys, argv):
@@ -204,7 +204,7 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize("argv", [
         ("--method", "baseline", "--T", "100000000", "--paths", "2"),
-        ("--method", "subsample", "--epsilon", "0.0002", "--paths", "1000"),
+        ("--method", "subsample", "--epsilon", "0.0002", "--T", "100000000", "--paths", "1000"),
     ], ids=["baseline", "subsample"])
     def test_flat_buffer_guard_exits_2_before_any_draw(self, capsys, draws, argv):
         # one thread's block buffer alone holds 2 rows of 10^8 (8 of 2.5 x 10^7)
@@ -215,6 +215,52 @@ class TestPriceCommand:
         error = json.loads(err)
         assert error["code"] == 2
         assert error["error"].endswith("exceeds the 268435456-byte guard")
+
+    def test_subsample_at_t_points_prints_the_baseline(self, capsys):
+        # ceil(1/0.05^2) = 400 >= T = 64: sub-sampling prices the T points
+        outputs = []
+        for method in ("subsample", "baseline"):
+            _, out, _ = run_cli(capsys, "price", "--method", method, "--epsilon", "0.05",
+                                "--paths", "5000", "--seed", "3")
+            data = price_fields(out)
+            outputs.append((data["value"], data["std_error"], data["diagnostics"]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2] == {"grid_points": 64, "blocks": 3, "normals_drawn": 320_000}
+
+    @pytest.mark.parametrize("argv, error", [
+        (["price", "--method", "subsample", "--epsilon", "0.0002"], None),
+        (["price", "--method", "subsample", "--epsilon", "1e-160"], None),
+        (["price", "--method", "subsample", "--epsilon", "1e-200"], None),
+        (["price", "--method", "kl-nested", "--epsilon", "1e-160"],
+         "truncation bound 2/(pi^2 eps^2) is not finite at eps = 1e-160"),
+        (["price", "--method", "kl-nested", "--epsilon", "1e-200"],
+         "truncation bound 2/(pi^2 eps^2) is not finite at eps = 1e-200"),
+        (["price", "--method", "kl-nested", "--epsilon", "1e-200", "--L", "3"],
+         "default M0 = M1 = ceil(4/eps^2) is not finite at eps = 1e-200"),
+        (["analyze", "--probe", "smoothness", "--epsilon", "1e-200"],
+         "truncation bound 2/(pi^2 eps^2) is not finite at eps = 1e-200"),
+        (["analyze", "--probe", "subsample-error", "--epsilon", "1e-200"], None),
+        (["analyze", "--probe", "mapped", "--epsilon", "1e-200"], None),
+        (["analyze", "--probe", "convergence", "--method", "subsample", "--epsilon", "1e-200",
+          "--T", "4", "--budgets", "10,20,40,80", "--replicates", "2"], None),
+    ], ids=["subsample-2e-4", "subsample-1e-160", "subsample-1e-200", "kl-nested-1e-160",
+            "kl-nested-1e-200", "kl-nested-given-L", "smoothness", "subsample-error", "mapped",
+            "convergence"])
+    def test_tiny_epsilon_never_exits_1(self, capsys, tmp_path, argv, error):
+        # eps^2 underflows at 1e-200 and 1/eps^2 overflows at 1e-160, which
+        # exited 1 with a Python error; sub-sampling prices the T points, and
+        # a series order or sizing that is not finite is bad input.  A probe
+        # exits 1 only for a failed bound check (two replicates are too few for
+        # the convergence slope)
+        extra = ["--output-dir", str(tmp_path)] if argv[0] == "analyze" else []
+        got, out, err = run_cli(capsys, *argv, "--paths", "1000", "--seed", "1", *extra)
+        if error is None:
+            assert (got == 0, err) == (json.loads(out).get("all_pass", True), "")
+        else:
+            assert (got, out) == (2, "")
+            assert err.splitlines() == [json.dumps({"error": error, "code": 2})]
+        if argv[:3] == ["price", "--method", "subsample"]:
+            assert json.loads(out)["diagnostics"]["grid_points"] == 64
 
     def test_flat_buffer_guard_sizes_the_real_buffer(self, capsys, monkeypatch):
         # 2 paths of 5 x 10^6 points need an 80 MB buffer and three 40 MB
@@ -482,7 +528,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("argv, error", [
         (["--probe", "smoothness", "--epsilon", "0.001"],
-         "smoothness probe holds 64889488800 bytes, past the 268435456-byte guard"),
+         "smoothness probe holds 32465008800 bytes, past the 268435456-byte guard"),
         (["--probe", "truncation", "--L-ref", "100000000"],
          "truncation probe holds 3430410211328 bytes, past the 268435456-byte guard"),
         (["--probe", "subsample-error", "--T", "40000000"],

@@ -3,6 +3,7 @@
 import concurrent.futures
 import functools
 import itertools
+import math
 import sys
 import tracemalloc
 
@@ -27,6 +28,8 @@ from klpricer.process import GbmParams
 
 MARKET = GbmParams(100.0, 0.05, 0.2)
 SPEC64 = AsianPayoffSpec(strike=100.0, monitoring_count=64)
+# T above ceil(1/eps^2) at eps = 0.1 and 0.05, where sub-sampling prices M < T points
+SPEC1000 = AsianPayoffSpec(strike=100.0, monitoring_count=1000)
 TAG_GEOMETRIC = 4  # stream tag of the geometric-average Monte Carlo oracle
 GRID100 = np.arange(101) / 100  # k/100 for k = 0..100, with a leading t = 0
 # kl-nested requests (T, sizing) and their (value, std_error), which the
@@ -251,7 +254,7 @@ class TestFlatKernel:
         assert (est.value, est.std_error) == ref
 
     def test_subsample_matches_reference(self):
-        est = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=5000, seed=23)
+        est = price_subsample(MARKET, SPEC1000, epsilon=0.05, n_paths=5000, seed=23)
         t = np.arange(1, 401) / 400
         ref = _reference_arithmetic(MARKET, t, 100.0, 5000, 23)
         assert (est.value, est.std_error) == ref
@@ -281,7 +284,8 @@ class TestFlatKernel:
     @pytest.mark.parametrize("price", [
         pytest.param(lambda: price_baseline(MARKET, AsianPayoffSpec(100.0, 5_000_000), 8, seed=1),
                      id="baseline"),
-        pytest.param(lambda: price_subsample(MARKET, SPEC64, 4e-4, 8, seed=1), id="subsample"),
+        pytest.param(lambda: price_subsample(MARKET, AsianPayoffSpec(100.0, 10**7), 4e-4, 8,
+                                             seed=1), id="subsample"),
     ])
     def test_buffer_guard_runs_before_allocating(self, price):
         # 8 rows of 5 x 10^6 or 6.25 x 10^6 points pass the guard; a guard
@@ -339,7 +343,7 @@ class TestFlatKernel:
         sys.setswitchinterval(1e-5)
         try:
             base = price_baseline(MARKET, SPEC64, 3 * 65536 + 1000, seed=26)
-            sub = price_subsample(MARKET, SPEC64, 0.1, 2 * 65536 + 1000, seed=27)
+            sub = price_subsample(MARKET, SPEC1000, 0.1, 2 * 65536 + 1000, seed=27)
         finally:
             sys.setswitchinterval(interval)
         t64 = np.arange(1, 65) / 64
@@ -360,9 +364,9 @@ class TestFlatKernel:
     def test_diagnostics_pinned(self):
         # blocks of 2,048 rows at T = 64 and 327 rows at M = 400
         base = price_baseline(MARKET, SPEC64, 4000, seed=1)
-        sub = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=5000, seed=1)
-        assert base.diagnostics == {"blocks": 2, "normals_drawn": 256_000}
-        assert sub.diagnostics == {"blocks": 16, "normals_drawn": 2_000_000}
+        sub = price_subsample(MARKET, SPEC1000, epsilon=0.05, n_paths=5000, seed=1)
+        assert base.diagnostics == {"grid_points": 64, "blocks": 2, "normals_drawn": 256_000}
+        assert sub.diagnostics == {"grid_points": 400, "blocks": 16, "normals_drawn": 2_000_000}
         assert pricing._block_size(400) == 327
 
     def test_flat_prices_pinned(self):
@@ -370,7 +374,7 @@ class TestFlatKernel:
         # the reference comparisons above share the streams, so only a pin
         # catches a change to the draws
         base = price_baseline(MARKET, SPEC64, 3 * 65536 + 1000, seed=26)
-        sub = price_subsample(MARKET, SPEC64, 0.1, 2 * 65536 + 1000, seed=27)
+        sub = price_subsample(MARKET, SPEC1000, 0.1, 2 * 65536 + 1000, seed=27)
         assert (base.value, base.std_error) == (6.116572063332924, 0.019051434772774958)
         assert (sub.value, sub.std_error) == (6.08593176707843, 0.023261183474407823)
 
@@ -391,7 +395,7 @@ class TestFlatKernel:
                      id="baseline-1000"),
         pytest.param(lambda n: price_baseline(MARKET, SPEC64, n, seed=25), 65537, 64,
                      id="baseline-65537"),
-        pytest.param(lambda n: price_subsample(MARKET, SPEC64, 0.1, n, seed=25), 3000, 100,
+        pytest.param(lambda n: price_subsample(MARKET, SPEC1000, 0.1, n, seed=25), 3000, 100,
                      id="subsample"),
         pytest.param(lambda n: _geometric_mc(MARKET, GRID100, 100.0, n, 25), 3000, 100,
                      id="geometric-mc"),
@@ -412,7 +416,8 @@ class TestFlatKernel:
         assert sum(drawn) == n_paths * n_times
         assert len(drawn) == -(-n_paths // pricing._block_size(n_times))
         if isinstance(result, pricing.Estimate):
-            assert result.diagnostics == {"blocks": len(drawn), "normals_drawn": sum(drawn)}
+            assert result.diagnostics == {
+                "grid_points": n_times, "blocks": len(drawn), "normals_drawn": sum(drawn)}
 
 
 class TestSubsample:
@@ -421,12 +426,14 @@ class TestSubsample:
         assert (est.n_outer, est.n_inner) == (1000, 1)
 
     def test_resource_guard(self):
+        # the 10^10-point grid is below T, so it is priced, and guarded
         with pytest.raises(ValueError):
-            price_subsample(MARKET, SPEC64, epsilon=1e-5, n_paths=10, seed=0)
+            price_subsample(MARKET, AsianPayoffSpec(100.0, 10**11), epsilon=1e-5, n_paths=10,
+                            seed=0)
 
     def test_degenerate_riemann_sum(self):
         params = GbmParams(100.0, 0.05, 1e-12)
-        est = price_subsample(params, SPEC64, epsilon=0.1, n_paths=64, seed=2)
+        est = price_subsample(params, SPEC1000, epsilon=0.1, n_paths=64, seed=2)
         m = 100
         det = max(np.mean(100.0 * np.exp(0.05 * np.arange(1, m + 1) / m)) - 100.0, 0.0)
         assert est.value == pytest.approx(det, rel=1e-9)
@@ -434,12 +441,31 @@ class TestSubsample:
         assert abs(det - max(integral - 100.0, 0.0)) < 2.0 / m * 100 * 0.05
 
     def test_matches_baseline_when_grid_refines(self):
+        # ceil(1/eps^2) = 400 >= T: both price the T points, on their own seeds
         est_s = price_subsample(MARKET, SPEC64, epsilon=0.05, n_paths=200_000, seed=11)
         est_b = price_baseline(MARKET, SPEC64, 200_000, seed=12)
         se = np.hypot(est_s.std_error, est_b.std_error)
-        gap = geometric_asian_closed_form(MARKET, SPEC64) - \
-            geometric_asian_closed_form(MARKET, AsianPayoffSpec(100.0, 400))
-        assert abs(est_s.value - est_b.value) <= 3.0 * se + 2.0 * abs(gap)
+        assert abs(est_s.value - est_b.value) <= 3.0 * se
+
+    @pytest.mark.parametrize("spec, epsilon", [
+        (SPEC64, 0.1), (SPEC64, 0.05), (SPEC64, 1e-200),
+        (AsianPayoffSpec(100.0, 100), 0.1),  # M = T exactly
+    ], ids=["T64-eps0.1", "T64-eps0.05", "T64-eps1e-200", "T100-eps0.1"])
+    def test_is_the_baseline_when_its_grid_reaches_t(self, spec, epsilon):
+        # nothing to sub-sample: the same stream tag, kernel and Estimate
+        est = price_subsample(MARKET, spec, epsilon, 3000, seed=5)
+        assert est == price_baseline(MARKET, spec, 3000, seed=5)
+        assert est.diagnostics["grid_points"] == spec.monitoring_count
+
+    @pytest.mark.parametrize("epsilon, T, m", [
+        (0.05, 1000, 400), (0.05, 400, 400), (0.05, 64, 64), (0.1, 101, 100),
+        (2e-4, 64, 64), (2e-4, 10**8, 25_000_000),
+        (1e-160, 64, 64), (1e-200, 10**400, 10**400),
+        (1e-150, 10**400, math.ceil(1.0 / 1e-150**2)),
+    ])
+    def test_grid_size_is_capped_at_t(self, epsilon, T, m):
+        # eps^2 underflows at 1e-200, and 1/eps^2 overflows at 1e-160
+        assert pricing._subsample_points(epsilon, T) == m
 
 
 class TestNested:
@@ -838,6 +864,15 @@ def test_golden_file_matches_the_draws(golden, golden_market, golden_spec):
     # draws or the flat arithmetic that did not regenerate tests/golden.json
     est = price_baseline(golden_market, golden_spec, golden["check_paths"], golden["seed"])
     assert (est.value, est.std_error) == (golden["check_value"], golden["check_std_error"])
+
+
+def test_golden_subsample_prices_the_golden_option(golden):
+    # ceil(1/eps^2) >= T at the golden eps and T, so the sub-sampling
+    # reference is a T-point price on its own seed: it agrees with the
+    # baseline's to within sampling error
+    assert math.ceil(1.0 / golden["epsilon"] ** 2) >= golden["monitoring_count"]
+    se = math.hypot(golden["std_error"], golden["subsample_std_error"])
+    assert abs(golden["subsample_value"] - golden["value"]) <= 3.0 * se
 
 
 class TestGeometricClosedForm:

@@ -208,6 +208,15 @@ class TestValueRotation:
         rotated = attach_value_rotation(state)
         assert exact_success_probability(rotated, 1) == pytest.approx(1.0, abs=1e-12)
 
+    def test_value_register_wider_than_codec_rejected(self):
+        # value code 15 would decode to 15, past the 2-bit codec's top value
+        # of 3, and rotate to a NaN amplitude; the state is refused instead
+        layout = RegisterLayout(coeff_qubits=1, n_coeff_registers=1, time_qubits=0, value_qubits=4)
+        amps = np.zeros(2**5, dtype=complex)
+        amps[15] = 1.0
+        with pytest.raises(ValueError, match="4 qubits is wider than the 2-bit codec"):
+            qsim.StateVector(amps, layout, FixedPointCodec(bits=2, scale=1.0))
+
     def test_rotation_matches_per_amplitude_rotation(self):
         # the rotation per value code gives every amplitude the bits of the
         # rotation per amplitude, signed zeros included
