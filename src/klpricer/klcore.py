@@ -182,27 +182,29 @@ def _clenshaw(a: np.ndarray, t: np.ndarray, rows: np.ndarray | None = None) -> n
     ``a`` is one coefficient row or a 2-D array of rows: each row at every t,
     with shape a.shape[:-1] + t.shape, or, with ``rows``, row rows[j] at t[j].
     Every point goes through the same elementwise operations, so its value
-    does not depend on which other points or rows share the call.
+    does not depend on which other points or rows share the call.  Every row
+    at every t runs points-major, on shape (t.size, rows), so that each step
+    adds one contiguous row of a_k / k; the result is C-contiguous.
     """
     a0, d = a[..., 0], (a[..., 1:] / np.arange(1, a.shape[-1])).T  # d[k - 1] holds a_k / k
+    grid_shape = a0.shape + t.shape if rows is None and a.ndim == 2 else None
     if rows is not None:
         a0 = a0[rows]
-    elif a.ndim == 2:  # every row at every t
-        a0 = a0.reshape(a0.shape + (1,) * t.ndim)
-        d = d.reshape(d.shape + (1,) * t.ndim)
-    if len(d) == 0:
-        return a0 * t
-    x2 = 2.0 * _cospi(t)
-    s = _sinpi(t)
-    b1 = np.zeros(np.broadcast(a0, t).shape)
-    b2 = np.zeros_like(b1)
-    tmp = np.empty_like(b1)
-    for k in range(len(d) - 1, -1, -1):
-        np.multiply(x2, b1, out=tmp)
-        tmp -= b2
-        tmp += d[k] if rows is None else d[k][rows]
-        b2, b1, tmp = b1, tmp, b2
-    return a0 * t + _SQRT2_OVER_PI * s * b1
+    elif grid_shape is not None:
+        t, d = t.reshape(-1, 1), np.ascontiguousarray(d)
+    out = a0 * t
+    if len(d):
+        b1 = np.zeros(np.shape(out))
+        b2 = np.zeros_like(b1)
+        tmp = np.empty_like(b1)
+        x2 = np.multiply(2.0, _cospi(t), out=np.empty_like(b1))  # full shape, made once
+        for k in range(len(d) - 1, -1, -1):
+            np.multiply(x2, b1, out=tmp)
+            tmp -= b2
+            tmp += d[k] if rows is None else d[k].take(rows)
+            b2, b1, tmp = b1, tmp, b2
+        out += _SQRT2_OVER_PI * _sinpi(t) * b1
+    return out if grid_shape is None else np.ascontiguousarray(out.T).reshape(grid_shape)
 
 
 def wiener_eval_horner(coeffs: WienerCoefficients, t):

@@ -20,8 +20,9 @@ Every route averages over a uniform grid i/m, i = 1..m: m = T for the
 baseline, the nested estimator and the closed form, and
 m = min(ceil(1/eps^2), T) for sub-sampling, whose estimand is the price on
 that grid: it is the T-point price, with no bias, when ceil(1/eps^2) >= T,
-and carries an O(eps) bias allowance only below that.  The flat estimators
-(baseline, sub-sampling) share one body, ``_price_flat``, and one kernel.
+and below that overstates it by about c (1/m - 1/T), with c about 4.9 at
+the golden market (``price_subsample``).  The flat estimators (baseline,
+sub-sampling) share one body, ``_price_flat``, and one kernel.
 Paths come in blocks of about 1 MiB of grid rows, each drawn from its own
 stream keyed by (seed, block index) and built in one pass in one of the
 request's block buffers, one per thread.
@@ -36,8 +37,9 @@ acceptance.  A draw whose path is tabulated on the T points (T <= 8,192 and
 no more than its guessed first batch) knows its exact acceptance probability
 p, so that count is drawn from its law, M1 + NegBin(M1, p), in one call; the
 other draws run the sampler in vectorised rounds.  Memory is capped by
-``_GROUP_BYTES``, cost does not grow with T, and values do not depend on the
-grouping (see ``price_kl_nested``).
+``_GROUP_BYTES`` (a request peaks at about 0.9 MiB under tracemalloc at
+eps = 0.1, M0 = M1 = 400, T = 64), cost does not grow with T, and values do
+not depend on the grouping (see ``price_kl_nested``).
 
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
@@ -98,7 +100,8 @@ class Estimate:
     ``diagnostics`` holds deterministic integer counters of the run, a pure
     function of the request like the value: the flat estimators give the
     ``grid_points`` they priced and count their ``blocks`` and
-    ``normals_drawn``, and ``price_kl_nested`` lists its own.
+    ``normals_drawn``; ``price_kl_nested`` lists its own, ``tabulated_draws``
+    among them.
     """
 
     value: float
@@ -321,10 +324,11 @@ def price_subsample(
     Estimand: the average call on the grid i/m.  When ceil(1/eps^2) >= T
     there is nothing to sub-sample: m = T, and the estimate is
     ``price_baseline``'s, bit for bit, with no bias.  Below that the m-point
-    grid stands in for the T monitoring points; its payoff MSE against the
-    T-point payoff is O(eps^2), so the estimate carries an O(eps) bias
-    allowance on top of the sampling error, and its cost does not grow
-    with T.
+    grid stands in for the T monitoring points, and its price overstates
+    theirs by about c (1/m - 1/T): c is about 4.9 at the golden market
+    (s0 = K = 100, mu = 0.05, sigma = 0.2), from the level means of coupled
+    grids of 1 to 4,096 points.  That is about 4.9 eps^2 at m = ceil(1/eps^2),
+    0.044 at eps = 0.1 and T = 1,000.  Its cost does not grow with T.
     """
     m = _subsample_points(epsilon, spec.monitoring_count)
     return _price_flat(params, spec.strike, m, n_paths, seed)
@@ -377,7 +381,8 @@ def _rounds(
                 rngs[i].random(out=u[lo:hi])
             row = np.repeat(group, size)
             t = process.monitoring_times(u[:, 0], T)
-            b = _clenshaw(a[group[0]], t) if group.size == 1 else _clenshaw(a, t, row)
+            b = (_clenshaw(a[group[0]], t) if group.size == 1
+                 else _clenshaw(a[group], t, np.repeat(np.arange(group.size), size)))
             g = process.gbm_from_bm(b, t, params)
             env_p = env[row]
             if np.any(g > env_p * (1.0 + 1e-12)):
@@ -420,9 +425,8 @@ def _tabled_counts(rngs: list, table: np.ndarray, env: np.ndarray, M1: int) -> n
     if np.any(table > env[:, None] * (1.0 + 1e-12)):
         raise RuntimeError("path value exceeded the envelope; gmax contract violated")
     budget = process._STARVATION_FACTOR * M1
-    prob = np.minimum(table.mean(axis=1) / env, 1.0).tolist()
-    n_prop = np.empty(len(rngs), dtype=np.int64)
-    for j, (rng, p) in enumerate(zip(rngs, prob)):
+    n_prop = []
+    for rng, p in zip(rngs, np.minimum(table.mean(axis=1) / env, 1.0).tolist()):
         try:
             count = M1 + int(rng.negative_binomial(M1, p))
         except ValueError:  # numpy refuses the p above; the mean count, M1 / p, stands in
@@ -432,8 +436,8 @@ def _tabled_counts(rngs: list, table: np.ndarray, env: np.ndarray, M1: int) -> n
                 f"rejection sampler starved: {M1} acceptances at rate {p:.3g} take {count:.6g} "
                 f"proposals, past the budget of {budget} (check the envelope constant)"
             )
-        n_prop[j] = count
-    return n_prop
+        n_prop.append(count)
+    return np.array(n_prop, dtype=np.int64)
 
 
 def _acceptance_means(
@@ -441,14 +445,15 @@ def _acceptance_means(
 ) -> tuple[np.ndarray, dict]:
     """Haldane inner means of outer draws 0..M0-1, and counters, a run of draws at a time.
 
-    A run's coefficient rows fit ``_GROUP_BYTES``.  Its tabulated draws
-    (``price_kl_nested``) take their counts from tables of at most
-    ``_GROUP_BYTES``, the rest from the sampler's rounds; the split changes
-    no value.
+    A run is sized by its coefficient rows alone, 372 draws at L = 21 in
+    ``_GROUP_BYTES``.  Its tabulated draws (``price_kl_nested``) take their
+    counts from tables of at most ``_GROUP_BYTES``, the rest from the
+    sampler's rounds, which bound their uniforms; the split changes no value.
     """
     gbar = np.empty(M0)
-    counts = dict.fromkeys(("clipped", "proposals", "accepted", "series_points"), 0)
-    run = max(1, min(_GROUP_BYTES // 16 // process._MIN_BATCH, _GROUP_BYTES // (8 * (L + 1))))
+    keys = ("clipped", "proposals", "accepted", "series_points", "tabulated_draws")
+    counts = dict.fromkeys(keys, 0)
+    run = max(1, _GROUP_BYTES // (8 * (L + 1)))
     per_table = max(1, _GROUP_BYTES // (8 * T))  # path rows of one table
     grid = np.arange(1, T + 1) / T if T <= _TABLE_T else None
     streams = process.streams(seed, process.TAG_NESTED, range(M0))
@@ -459,6 +464,7 @@ def _acceptance_means(
         batch = process._batch_size(M1, process._first_batch_rate(a, env, params))
         tabled = (batch >= T) & (T <= _TABLE_T)
         rows = np.flatnonzero(tabled)
+        counts["tabulated_draws"] += rows.size
         for lo in range(0, rows.size, per_table):
             part = rows[lo : lo + per_table]
             table = process.gbm_from_bm(_clenshaw(a[part], grid), grid, params)
@@ -541,19 +547,22 @@ def price_kl_nested(
 
     The cost does not grow with T, up to T = 2^53, the most a 53-bit uniform
     can index.  A group's batches hold at most ``_GROUP_BYTES`` of uniforms:
-    the working memory is about 0.3 MiB at eps = 0.1, M0 = M1 = 400 and
-    T = 64, and 0.6 MiB at T = 2^20.  All M0 draws hold 8 bytes each, their
+    tracemalloc reads about 0.9 MiB at eps = 0.1, M0 = M1 = 400 and T = 64,
+    and 1.0 MiB at T = 2^20, most of it a run's streams and one table's
+    recurrence buffers.  All M0 draws hold 8 bytes each, their
     inner means, rejected past 3.2 GB; the payoffs are summed in draw order
     over blocks of them.  Uniform mode holds about 64 bytes per inner sample
     of one draw, M1 past 5 * 10^7 rejected.  Past T = 8,192 an acceptance-mode
     draw evaluates the series at M1 or more proposals, M1 past 10^8
-    rejected.  These guards run before anything is drawn.
+    rejected, and acceptance mode rejects an M1 past 9.2 * 10^12, whose
+    starvation budget passes int64.  These guards run before anything is
+    drawn.
 
     ``diagnostics`` counts ``clipped`` coefficients and ``series_points``
     (in acceptance mode the points of the path tables plus the proposals
     evaluated at their own time; in uniform mode M0 M1), and, in acceptance
-    mode, ``proposals`` through each draw's M1-th acceptance and
-    ``accepted`` (M0 M1).
+    mode, ``proposals`` through each draw's M1-th acceptance, ``accepted``
+    (M0 M1) and ``tabulated_draws``, whose counts came from a path table.
 
     Estimand: E[(T^-1 sum_i G_L(i/T) - K)^+] for the smoothed path G_L and
     T = ``spec.monitoring_count``.  Both inner means are unbiased per path, so
@@ -595,6 +604,10 @@ def price_kl_nested(
             f"{M1} acceptances per draw need at least {M1} series points at T > {_TABLE_T}, "
             f"past the {_MAX_DOUBLES}-point guard"
         )
+    most = np.iinfo(np.int64).max // process._STARVATION_FACTOR  # proposals count in int64
+    if inner_mode == "acceptance" and M1 > most:
+        raise ValueError(f"M1 = {M1} is past {most}, the most acceptances whose starvation "
+                         f"budget of {process._STARVATION_FACTOR} M1 proposals fits an int64 count")
     inner_means = _acceptance_means if inner_mode == "acceptance" else _uniform_means
     gbar, diagnostics = inner_means(params, spec.monitoring_count, L, M0, M1, seed)
     total = 0.0

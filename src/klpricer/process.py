@@ -279,7 +279,7 @@ def _coefficient_rows(rngs: list, L: int) -> tuple[np.ndarray, int]:
     """One row of L+1 normals from each stream, clamped to [-CLIP, CLIP], and the clamp count."""
     a = np.empty((len(rngs), L + 1))
     for row, rng in zip(a, rngs):
-        row[:] = rng.standard_normal(L + 1)
+        rng.standard_normal(out=row)
     n_clipped = int(np.count_nonzero(np.abs(a) > CLIP))
     return np.clip(a, -CLIP, CLIP, out=a), n_clipped
 

@@ -1,6 +1,7 @@
 """Front-end dispatch, validation exit codes, and output determinism."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -188,6 +189,27 @@ class TestPriceCommand:
         code, out, _ = run_cli(capsys, *HUGE_M1, "--T", "64")
         assert code == 0
         assert price_fields(out)["n_inner"] == 100_000_000_000
+
+    @pytest.mark.parametrize("argv, m1", [
+        (["--epsilon", "0.3", "--m0", "10", "--m1", str(10**20), "--seed", "1"], 10**20),
+        (["--epsilon", "1e-100", "--L", "3", "--m0", "10"], math.ceil(4.0 / 1e-100**2)),
+    ], ids=["given", "default"])
+    def test_m1_past_the_int64_budget_exits_2_before_any_draw(self, capsys, draws, argv, m1):
+        # the starvation budget, 10^6 M1 proposals, is counted in int64; past
+        # it the request exited 1 with "Python int too large to convert to C long"
+        code, out, err = run_cli(capsys, "price", "--method", "kl-nested", *argv)
+        assert (code, out, draws) == (2, "", [])
+        assert err.splitlines() == [json.dumps({
+            "error": f"M1 = {m1} is past 9223372036854, the most acceptances whose starvation "
+                     "budget of 1000000 M1 proposals fits an int64 count",
+            "code": 2,
+        })]
+
+    def test_m1_at_the_int64_budget_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "price", "--method", "kl-nested", "--epsilon", "0.3",
+                               "--m0", "2", "--m1", "9223372036854", "--seed", "1")
+        assert code == 0
+        assert price_fields(out)["n_inner"] == 9_223_372_036_854
 
     def test_monitoring_past_2_53_exits_2_before_any_draw(self, capsys, draws):
         # a uniform has 53 bits, so floor(u T) would skip monitoring points

@@ -752,13 +752,56 @@ class TestNested:
     def test_diagnostics_at_golden_market(self, golden_market, golden_spec):
         kw = dict(epsilon=0.2, M0=100, M1=100, seed=5)
         counts = price_kl_nested(golden_market, golden_spec, **kw).diagnostics
-        assert set(counts) == {"clipped", "proposals", "accepted", "series_points"}
+        assert set(counts) == {
+            "clipped", "proposals", "accepted", "series_points", "tabulated_draws"
+        }
         assert counts["clipped"] == 0
         assert counts["accepted"] == 100 * 100
         assert counts["proposals"] == _per_draw_nested(golden_market, golden_spec, **kw)[2]
 
+    @pytest.mark.parametrize("T, tabulated", [(64, 400), (1 << 20, 0)])
+    def test_tabulated_draws_reported(self, T, tabulated):
+        # the benchmark's nested sizing: every draw is tabulated at T = 64,
+        # and none past the tables' 8,192 points
+        spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
+        est = price_kl_nested(MARKET, spec, epsilon=0.1, M0=400, M1=400, seed=1)
+        assert est.diagnostics["tabulated_draws"] == tabulated
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    @pytest.mark.parametrize("T, kw, pinned", NESTED_PINS[:2])
+    def test_tabulated_p_is_the_one_row_mean(self, monkeypatch, budget, T, kw, pinned):
+        # a draw's value sees its table only through the negative binomial
+        # draw of p, which a last-bit change in p almost never moves; so each
+        # p drawn is compared, bit for bit, with the mean of the draw's own
+        # path row over its envelope, one table row per draw and all in one
+        drawn = []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def negative_binomial(self, n, p):
+                drawn.append(p)
+                return self.rng.negative_binomial(n, p)
+
+        tabled_counts = pricing._tabled_counts
+        monkeypatch.setattr(pricing, "_tabled_counts",
+                            lambda rngs, *rest: tabled_counts([Spy(r) for r in rngs], *rest))
+        monkeypatch.setattr(pricing, "_GROUP_BYTES", budget)
+        spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
+        est = price_kl_nested(MARKET, spec, **kw)
+        assert (est.value, est.std_error) == pinned
+        L, grid = truncation_index_bm(kw["epsilon"]), np.arange(1, T + 1) / T
+        want = []
+        for i in range(kw["M0"]):  # every draw is tabulated at these T
+            coeffs = process.sample_coefficients(
+                process.stream(kw["seed"], process.TAG_NESTED, i), L)
+            row = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, MARKET)
+            want.append(min(row.mean() / process.path_envelope(MARKET, coeffs.a), 1.0))
+        assert drawn == want
+
     def test_grouped_round_memory_is_bounded(self):
-        # the benchmark's nested request: about 0.3 MiB once warm; the first
+        # the benchmark's nested request: about 0.9 MiB once warm; the first
         # call peaks higher (one-time allocations)
         kw = dict(epsilon=0.1, M0=400, M1=400)
         price_kl_nested(MARKET, SPEC64, seed=1, **kw)

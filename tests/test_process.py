@@ -99,7 +99,9 @@ class TestSampleCoefficients:
         # lie beyond +-CLIP
         class Wide(np.random.Generator):
             def standard_normal(self, size=None, dtype=np.float64, out=None):
-                return 2.0 * CLIP * super().standard_normal(size, dtype=dtype, out=out)
+                z = super().standard_normal(size, dtype=dtype, out=out)
+                z *= 2.0 * CLIP  # in place: the rows are filled through out=
+                return z
 
         c = sample_coefficients(Wide(stream(5, 1, 3).bit_generator), 100_000)
         raw = 2.0 * CLIP * stream(5, 1, 3).standard_normal(100_001)

@@ -1,5 +1,7 @@
 """The scripts in ``scripts/`` load against the current package."""
 
+import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -21,3 +23,32 @@ def test_regenerate_golden_imports():
         capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+def test_bench_writes_finite_rows(tmp_path):
+    # a tiny config of every pinned row: the schema, and finite numbers only
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--scale", "0.001", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert set(report) == {"generator", "env", "rows"}
+    assert set(report["env"]) == {"python", "numpy", "nproc", "usable_cores", "cpu"}
+    assert list(report["rows"]) == [
+        "bulk", "sweep-1000", "sweep-2000", "sweep-4000", "sweep-8000", "sweep-16000",
+        "subsample", "nested", "nested-T1048576",
+    ]
+    numbers = []
+    for row in report["rows"].values():
+        assert set(row) == {"method", "T", "sizes", "seed", "repeats", "wall_s", "value",
+                            "std_error", "se2_x_s", "n_outer", "n_inner", "diagnostics"}
+        assert row["repeats"] >= 5
+        assert row["wall_s"]["min"] <= row["wall_s"]["median"] <= row["wall_s"]["max"]
+        assert row["se2_x_s"] == row["std_error"] ** 2 * row["wall_s"]["median"]
+        numbers += [*row["wall_s"].values(), row["value"], row["std_error"], row["se2_x_s"],
+                    *row["diagnostics"].values()]
+    assert numbers and all(math.isfinite(x) for x in numbers)
+    assert report["rows"]["nested"]["diagnostics"]["tabulated_draws"] == 2
+    assert report["rows"]["nested-T1048576"]["diagnostics"]["tabulated_draws"] == 0
