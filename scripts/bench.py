@@ -6,24 +6,19 @@ default market of ``klpricer price`` (s0 = K = 100, mu = 0.05, sigma = 0.2):
 the requests of the four ``perfbench`` workloads (bulk, the five sweep
 sizes, subsample, nested), and kl-nested at T = 2^20 with the nested sizing,
 where no draw is tabulated and every proposal runs the sampler's rounds.
-After one warm-up call a row is timed over ``--repeats`` calls (at least 5)
-on the same seed; it records the median, min and max wall time, the value,
-its standard error, SE^2 x the median seconds (variance reduction and speed
-on one scale) and the request's ``diagnostics``.  Every repeat must return
+After one warm-up call a row is timed over ``REPEATS`` calls on the same
+seed; it records the median, min and max wall time, the value, its standard
+error, SE^2 x the median seconds (variance reduction and speed on one
+scale) and the request's ``diagnostics``.  Every repeat must return
 the same estimate.  The ``env`` record gives Python, numpy, the cores the
 process may use and the CPU model.
 
     python scripts/bench.py                    # BENCH_<next free n>.json at the repo root
-    python scripts/bench.py --repeats 11 --out bench.json
-    python scripts/bench.py --scale 0.001 --out /tmp/quick.json
-
-``--scale`` multiplies every path and draw count, each kept at 2 or more,
-for a quick check of the script itself.
+    python scripts/bench.py --out bench.json
 """
 
 import argparse
 import json
-import math
 import os
 import pathlib
 import platform
@@ -42,9 +37,9 @@ from klpricer.process import GbmParams  # noqa: E402
 MARKET = {"s0": 100.0, "mu": 0.05, "sigma": 0.2}
 STRIKE = 100.0
 SEED = 1
-MIN_REPEATS = 5
+REPEATS = 11
 NESTED = {"epsilon": 0.1, "M0": 400, "M1": 400}
-# name -> (method, T, sizes); the counts among the sizes are scaled by --scale
+# name -> (method, T, keyword sizes of the price_<method> call)
 WORKLOADS = {
     "bulk": ("baseline", 64, {"n_paths": 1 << 20}),
     **{f"sweep-{n}": ("baseline", 64, {"n_paths": n}) for n in (1000, 2000, 4000, 8000, 16000)},
@@ -52,17 +47,15 @@ WORKLOADS = {
     "nested": ("kl_nested", 64, NESTED),
     "nested-T1048576": ("kl_nested", 1 << 20, NESTED),
 }
-COUNTS = ("n_paths", "M0", "M1")
 
-
-def run_row(method: str, T: int, sizes: dict, repeats: int) -> dict:
-    """Time one request ``repeats`` times after a warm-up call, and report it."""
+def run_row(method: str, T: int, sizes: dict) -> dict:
+    """Time one request ``REPEATS`` times after a warm-up call, and report it."""
     price = getattr(pricing, f"price_{method}")
     params = GbmParams(**MARKET)
     spec = pricing.AsianPayoffSpec(strike=STRIKE, monitoring_count=T)
     first = price(params, spec, **sizes, seed=SEED)
     seconds = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         est = price(params, spec, **sizes, seed=SEED)
         seconds.append(time.perf_counter() - start)
@@ -74,7 +67,7 @@ def run_row(method: str, T: int, sizes: dict, repeats: int) -> dict:
         "T": T,
         "sizes": sizes,
         "seed": SEED,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "wall_s": {"median": median, "min": min(seconds), "max": max(seconds)},
         "value": est.value,
         "std_error": est.std_error,
@@ -114,19 +107,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="output file (default: BENCH_<next free n>.json at the repo root)")
-    parser.add_argument("--repeats", type=int, default=MIN_REPEATS,
-                        help=f"timed calls per row, at least {MIN_REPEATS}")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="factor on every path and draw count (each kept >= 2)")
     args = parser.parse_args(argv)
-    if args.repeats < MIN_REPEATS:
-        parser.error(f"--repeats must be >= {MIN_REPEATS}")
-    if not (math.isfinite(args.scale) and args.scale > 0.0):
-        parser.error("--scale must be positive")
     rows = {}
     for name, (method, T, sizes) in WORKLOADS.items():
-        sizes = {k: max(2, round(v * args.scale)) if k in COUNTS else v for k, v in sizes.items()}
-        rows[name] = run_row(method, T, sizes, args.repeats)
+        rows[name] = run_row(method, T, sizes)
         wall = rows[name]["wall_s"]["median"]
         print(f"{name}: {1e3 * wall:.3f} ms, value {rows[name]['value']:.6f}", file=sys.stderr)
     out = args.out or next_free_path()

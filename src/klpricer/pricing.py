@@ -37,9 +37,9 @@ acceptance.  A draw whose path is tabulated on the T points (T <= 8,192 and
 no more than its guessed first batch) knows its exact acceptance probability
 p, so that count is drawn from its law, M1 + NegBin(M1, p), in one call; the
 other draws run the sampler in vectorised rounds.  Memory is capped by
-``_GROUP_BYTES`` (a request peaks at about 0.9 MiB under tracemalloc at
-eps = 0.1, M0 = M1 = 400, T = 64), cost does not grow with T, and values do
-not depend on the grouping (see ``price_kl_nested``).
+``_GROUP_BYTES`` and ``_RUN_DRAWS`` (a request peaks at about 0.8 MiB under
+tracemalloc at eps = 0.1, M0 = M1 = 400, T = 64), cost does not grow with T,
+and values do not depend on the grouping (see ``price_kl_nested``).
 
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
@@ -69,6 +69,7 @@ __all__ = [
 
 _BLOCK_BYTES = 1 << 20  # one flat-kernel block buffer: about one core's L2 share
 _GROUP_BYTES = 1 << 16  # uniforms of one group, and one path table, of kl-nested draws
+_RUN_DRAWS = 256  # most kl-nested draws of one run: their streams hold about 190 KB
 _TABLE_T = 8192  # most monitoring points of a tabulated kl-nested path: one 64 KiB row
 _SUM_BLOCK = 4096  # kl-nested inner means turned into Python floats at a time
 _MAX_DOUBLES = 100_000_000  # resource guard on kl-nested series points and coefficients
@@ -379,10 +380,10 @@ def _rounds(
             u = np.empty((int(stop[-1]), 2))
             for i, lo, hi in zip(group, start, stop):
                 rngs[i].random(out=u[lo:hi])
-            row = np.repeat(group, size)
+            local = np.repeat(np.arange(group.size), size)  # each proposal's draw in the group
+            row = group[local]
             t = process.monitoring_times(u[:, 0], T)
-            b = (_clenshaw(a[group[0]], t) if group.size == 1
-                 else _clenshaw(a[group], t, np.repeat(np.arange(group.size), size)))
+            b = _clenshaw(a[group[0]], t) if group.size == 1 else _clenshaw(a[group], t, local)
             g = process.gbm_from_bm(b, t, params)
             env_p = env[row]
             if np.any(g > env_p * (1.0 + 1e-12)):
@@ -445,15 +446,15 @@ def _acceptance_means(
 ) -> tuple[np.ndarray, dict]:
     """Haldane inner means of outer draws 0..M0-1, and counters, a run of draws at a time.
 
-    A run is sized by its coefficient rows alone, 372 draws at L = 21 in
-    ``_GROUP_BYTES``.  Its tabulated draws (``price_kl_nested``) take their
-    counts from tables of at most ``_GROUP_BYTES``, the rest from the
+    A run holds ``_RUN_DRAWS`` draws, fewer where their coefficient rows
+    pass ``_GROUP_BYTES``.  Its tabulated draws (``price_kl_nested``) take
+    their counts from tables of at most ``_GROUP_BYTES``, the rest from the
     sampler's rounds, which bound their uniforms; the split changes no value.
     """
     gbar = np.empty(M0)
     keys = ("clipped", "proposals", "accepted", "series_points", "tabulated_draws")
     counts = dict.fromkeys(keys, 0)
-    run = max(1, _GROUP_BYTES // (8 * (L + 1)))
+    run = max(1, min(_RUN_DRAWS, _GROUP_BYTES // (8 * (L + 1))))
     per_table = max(1, _GROUP_BYTES // (8 * T))  # path rows of one table
     grid = np.arange(1, T + 1) / T if T <= _TABLE_T else None
     streams = process.streams(seed, process.TAG_NESTED, range(M0))
@@ -547,16 +548,15 @@ def price_kl_nested(
 
     The cost does not grow with T, up to T = 2^53, the most a 53-bit uniform
     can index.  A group's batches hold at most ``_GROUP_BYTES`` of uniforms:
-    tracemalloc reads about 0.9 MiB at eps = 0.1, M0 = M1 = 400 and T = 64,
-    and 1.0 MiB at T = 2^20, most of it a run's streams and one table's
-    recurrence buffers.  All M0 draws hold 8 bytes each, their
-    inner means, rejected past 3.2 GB; the payoffs are summed in draw order
-    over blocks of them.  Uniform mode holds about 64 bytes per inner sample
-    of one draw, M1 past 5 * 10^7 rejected.  Past T = 8,192 an acceptance-mode
-    draw evaluates the series at M1 or more proposals, M1 past 10^8
-    rejected, and acceptance mode rejects an M1 past 9.2 * 10^12, whose
-    starvation budget passes int64.  These guards run before anything is
-    drawn.
+    tracemalloc reads about 0.8 MiB at eps = 0.1, M0 = M1 = 400 and T = 64,
+    and 0.9 MiB at T = 2^20, most of it a run's streams (``_RUN_DRAWS``)
+    and one group's or table's recurrence buffers.  All M0 draws hold 8 bytes
+    each, their inner means, rejected past 3.2 GB; the payoffs are summed in
+    draw order over blocks of them.  Uniform mode holds about 64 bytes per
+    inner sample of one draw, M1 past 5 * 10^7 rejected.  Past T = 8,192 an
+    acceptance-mode draw evaluates the series at M1 or more proposals, M1
+    past 10^8 rejected; an M1 past 9.2 * 10^12, whose starvation budget
+    passes int64, is rejected.  These guards run before anything is drawn.
 
     ``diagnostics`` counts ``clipped`` coefficients and ``series_points``
     (in acceptance mode the points of the path tables plus the proposals

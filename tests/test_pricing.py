@@ -801,7 +801,7 @@ class TestNested:
         assert drawn == want
 
     def test_grouped_round_memory_is_bounded(self):
-        # the benchmark's nested request: about 0.9 MiB once warm; the first
+        # the benchmark's nested request: about 0.8 MiB once warm; the first
         # call peaks higher (one-time allocations)
         kw = dict(epsilon=0.1, M0=400, M1=400)
         price_kl_nested(MARKET, SPEC64, seed=1, **kw)
@@ -809,6 +809,27 @@ class TestNested:
         try:
             start = tracemalloc.get_traced_memory()[0]
             price_kl_nested(MARKET, SPEC64, seed=2, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1 << 20
+
+    @pytest.mark.parametrize("T, kw", [
+        (1 << 20, dict(epsilon=0.1, M0=400, M1=400)),
+        (64, dict(epsilon=0.1, L=1, M0=8192, M1=400)),
+        (64, dict(epsilon=0.1, L=0, M0=8192, M1=400)),
+    ], ids=["T2^20", "L1", "L0"])
+    def test_run_memory_is_bounded(self, T, kw):
+        # a run holds one stream per draw, about 740 bytes each: sized by
+        # its coefficient rows alone, a run at L = 0 held 8,192 of them and
+        # the nested sizing at T = 2^20 peaked at 1.02 MiB; now at most
+        # about 0.9 MiB, the 64 KiB of inner means of 8,192 draws included
+        spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
+        price_kl_nested(MARKET, spec, seed=1, **kw)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            price_kl_nested(MARKET, spec, seed=2, **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

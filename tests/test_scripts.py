@@ -1,5 +1,6 @@
 """The scripts in ``scripts/`` load against the current package."""
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -25,14 +26,21 @@ def test_regenerate_golden_imports():
     assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
 
-def test_bench_writes_finite_rows(tmp_path):
-    # a tiny config of every pinned row: the schema, and finite numbers only
+def test_bench_writes_finite_rows(monkeypatch, tmp_path):
+    # every pinned row with its path and draw counts shrunk to 1/1000 (at
+    # least 2): the schema, and finite numbers only
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds src/ to it
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    tiny = {
+        name: (method, T, {k: max(2, v // 1000) if k in ("n_paths", "M0", "M1") else v
+                           for k, v in sizes.items()})
+        for name, (method, T, sizes) in bench.WORKLOADS.items()
+    }
+    monkeypatch.setattr(bench, "WORKLOADS", tiny)
     out = tmp_path / "bench.json"
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--scale", "0.001", "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    assert bench.main(["--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert set(report) == {"generator", "env", "rows"}
     assert set(report["env"]) == {"python", "numpy", "nproc", "usable_cores", "cpu"}
@@ -44,7 +52,7 @@ def test_bench_writes_finite_rows(tmp_path):
     for row in report["rows"].values():
         assert set(row) == {"method", "T", "sizes", "seed", "repeats", "wall_s", "value",
                             "std_error", "se2_x_s", "n_outer", "n_inner", "diagnostics"}
-        assert row["repeats"] >= 5
+        assert row["repeats"] == bench.REPEATS
         assert row["wall_s"]["min"] <= row["wall_s"]["median"] <= row["wall_s"]["max"]
         assert row["se2_x_s"] == row["std_error"] ** 2 * row["wall_s"]["median"]
         numbers += [*row["wall_s"].values(), row["value"], row["std_error"], row["se2_x_s"],
