@@ -12,7 +12,6 @@ imports anything but numpy and the standard library.
 from .klcore import (
     WienerCoefficients,
     truncation_index_bm,
-    wiener_eval,
     wiener_eval_horner,
 )
 from .process import (

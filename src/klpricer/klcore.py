@@ -6,15 +6,16 @@ built from the sine-series form
 
     B_L(t) = a0 t + (sqrt(2)/pi) * sum_{k=1..L} (a_k / k) sin(k pi t)
 
-with i.i.d. standard-normal coefficients a_k.  ``sine_basis`` is the one
-builder of the mode functions (sqrt(2)/pi) sin(k pi t)/k; ``wiener_eval`` is
-the direct series on it (the reference form, for one coefficient row or a
-batch of rows); ``wiener_eval_horner`` evaluates the same series through a
-single Clenshaw recurrence in cos(pi t), using
+with i.i.d. standard-normal coefficients a_k.  The one evaluator of the
+series is the Clenshaw recurrence in cos(pi t), ``_clenshaw``, using
 sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) with U the Chebyshev polynomials of
-the second kind.  Its recurrence, ``_clenshaw``, also takes a 2-D array of
-rows, on a grid or one row per point, for the nested estimator's runs of
-draws.  Everything here is stateless and safe to call concurrently.
+the second kind.  It takes one coefficient row, or a 2-D array of rows on a
+grid or one row per point: the nested estimator's path tables and rounds,
+the sampler and the amplitude encodings in ``qsim`` all read paths through
+it.  ``wiener_eval_horner`` is its checked front for one
+``WienerCoefficients`` row, and ``sine_basis`` builds the mode matrices
+(sqrt(2)/pi) sin(k pi t)/k for the probes in ``analysis``.  Everything here
+is stateless and safe to call concurrently.
 
 Two bases meet here.  The tail bounds and the truncation index use the KL
 eigenpairs (index k - 1/2), while synthesis uses the Wiener sine series
@@ -36,7 +37,6 @@ __all__ = [
     "WienerCoefficients",
     "sine_basis",
     "truncation_index_bm",
-    "wiener_eval",
     "wiener_eval_horner",
 ]
 
@@ -55,16 +55,10 @@ def _check_unit_interval(t) -> np.ndarray:
 
 
 def _sinpi(u):
-    """sin(pi u) with exact zeros at integer u (quadrant-folded argument)."""
-    r = np.mod(u, 2.0)
-    sign = np.where(r > 1.0, -1.0, 1.0)
-    r = np.where(r > 1.0, r - 1.0, r)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    return sign * np.sin(np.pi * r)
-
-
-def _cospi(u):
-    return _sinpi(np.asarray(u, dtype=float) + 0.5)
+    """sin(pi u) for u in [0, 2), with exact zeros at 0 and 1 (quadrant-folded argument)."""
+    r = np.where(u > 1.0, u - 1.0, u)
+    s = np.sin(np.pi * np.minimum(r, 1.0 - r))
+    return np.where(u > 1.0, -s, s)
 
 
 def sine_basis(k: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -160,22 +154,6 @@ def truncation_index_bm(epsilon: float) -> int:
     return hi
 
 
-def wiener_eval(a, t):
-    """Direct sine-series evaluation of smoothed paths at t in [0, 1].
-
-    This is the reference form a0 t + (sqrt(2)/pi) sum_k (a_k/k) sin(k pi t).
-    ``a`` is one coefficient row (a_0, ..., a_L) or a 2-D array of such rows;
-    the result has shape a.shape[:-1] + t.shape.
-    """
-    t = _check_unit_interval(t)
-    a = np.asarray(a, dtype=float)
-    tt = t.ravel()
-    k = np.arange(1, a.shape[-1], dtype=float)
-    out = np.multiply.outer(a[..., 0], tt) + a[..., 1:] @ sine_basis(k, tt)
-    out = out.reshape(a.shape[:-1] + t.shape)
-    return float(out) if out.ndim == 0 else out
-
-
 def _clenshaw(a: np.ndarray, t: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """The series at each t by the Clenshaw recurrence in cos(pi t), unchecked.
 
@@ -197,7 +175,7 @@ def _clenshaw(a: np.ndarray, t: np.ndarray, rows: np.ndarray | None = None) -> n
         b1 = np.zeros(np.shape(out))
         b2 = np.zeros_like(b1)
         tmp = np.empty_like(b1)
-        x2 = np.multiply(2.0, _cospi(t), out=np.empty_like(b1))  # full shape, made once
+        x2 = np.multiply(2.0, _sinpi(t + 0.5), out=np.empty_like(b1))  # full shape, made once
         for k in range(len(d) - 1, -1, -1):
             np.multiply(x2, b1, out=tmp)
             tmp -= b2
@@ -212,8 +190,8 @@ def wiener_eval_horner(coeffs: WienerCoefficients, t):
 
     Uses sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) and runs the standard
     second-kind Chebyshev recurrence backwards with preallocated buffers.
-    Agrees with ``wiener_eval`` to ~1e-9 relative error for |a_k| <= CLIP and
-    L <= 512.
+    Agrees with the direct sum over ``sine_basis`` (the tests' reference
+    form) to ~1e-9 relative error for |a_k| <= CLIP and L <= 512.
     """
     out = _clenshaw(coeffs.a, _check_unit_interval(t))
     return float(out) if out.ndim == 0 else out

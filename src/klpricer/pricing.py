@@ -465,22 +465,21 @@ def _acceptance_means(
         batch = process._batch_size(M1, process._first_batch_rate(a, env, params))
         tabled = (batch >= T) & (T <= _TABLE_T)
         rows = np.flatnonzero(tabled)
-        counts["tabulated_draws"] += rows.size
+        n_prop = np.empty(len(rngs), dtype=np.int64)
         for lo in range(0, rows.size, per_table):
             part = rows[lo : lo + per_table]
             table = process.gbm_from_bm(_clenshaw(a[part], grid), grid, params)
-            n_prop = _tabled_counts([rngs[i] for i in part], table, env[part], M1)
-            gbar[first + part] = _haldane_mean(env[part], M1, n_prop)
-            counts["proposals"] += int(n_prop.sum())
+            n_prop[part] = _tabled_counts([rngs[i] for i in part], table, env[part], M1)
             counts["series_points"] += table.size
         part = np.flatnonzero(~tabled)
         if part.size:
-            n_prop, points = _rounds(
+            n_prop[part], points = _rounds(
                 [rngs[i] for i in part], a[part], env[part], batch[part], M1, params, T
             )
-            gbar[first + part] = _haldane_mean(env[part], M1, n_prop)
-            counts["proposals"] += int(n_prop.sum())
             counts["series_points"] += points
+        gbar[first : first + len(rngs)] = _haldane_mean(env, M1, n_prop)
+        counts["proposals"] += int(n_prop.sum())
+        counts["tabulated_draws"] += rows.size
         counts["clipped"] += clipped
     counts["accepted"] = M0 * M1
     return gbar, counts

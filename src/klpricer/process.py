@@ -2,18 +2,19 @@
 
 Provides clipped standard-normal coefficient draws for the smoothed-path
 series, a rejection sampler that draws the monitoring times i/T with
-probability proportional to the path value there, and two envelopes that
-make the rejection step valid:
+probability proportional to the path value there, and the envelope that
+makes the rejection step valid.  There is one envelope formula:
+``path_envelope`` bounds one coefficient draw's path by
 
-* ``path_envelope`` bounds one coefficient draw's path,
-  s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)); the
-  nested estimator rejects against it, so proposals per acceptance stay
-  near the path's own sup/mean ratio.  It and the first-batch rate guess
-  work row-wise: one coefficient row gives one value, a 2-D array of rows
-  (a group of outer draws) gives one value per row from one call.
-* ``g_max_bound`` bounds every path whose coefficients lie in
-  [-CLIP, CLIP], the single normalisation that the amplitude encodings in
-  ``qsim`` need.
+    s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)).
+
+The nested estimator rejects against it, so proposals per acceptance stay
+near the path's own sup/mean ratio.  It and the first-batch rate guess work
+row-wise: one coefficient row gives one value, a 2-D array of rows (a group
+of outer draws) gives one value per row from one call.  ``g_max_bound`` is
+its all-CLIP case, the bound on every path whose coefficients lie in
+[-CLIP, CLIP]: the single normalisation that the amplitude encodings in
+``qsim`` need.
 
 The rejection sampler draws its proposals row-major from the one stream it
 is given, so the accepted times depend on the stream and the envelope, never
@@ -221,17 +222,16 @@ class GbmParams:
 def g_max_bound(params: GbmParams, L: int) -> float:
     """Envelope s0 exp(sigma CLIP (1 + (sqrt(2)/pi) H_L) + max(drift, 0)).
 
-    With every |a_k| <= CLIP the series satisfies
+    This is ``path_envelope`` at the row of L + 1 coefficients all at CLIP:
+    with every |a_k| <= CLIP the series satisfies
     |B_L(t)| <= CLIP (1 + (sqrt(2)/pi) sum_{k<=L} 1/k), so the returned value
     dominates the smoothed GBM everywhere on [0, 1].  One constant for all
     draws is what the amplitude encodings need; a rejection step for a known
-    draw should use the tighter ``path_envelope``.
+    draw should use the tighter ``path_envelope`` of its own row.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
-    harmonic = float(np.sum(1.0 / np.arange(1, L + 1))) if L > 0 else 0.0
-    sup_b = CLIP * (1.0 + _SQRT2_OVER_PI * harmonic)
-    return float(params.s0 * np.exp(params.sigma * sup_b + max(params.effective_drift, 0.0)))
+    return path_envelope(params, np.full(L + 1, CLIP))
 
 
 def _sup_abs_bm(a: np.ndarray):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .klcore import CLIP, wiener_eval
+from .klcore import CLIP, _clenshaw
 from .process import GbmParams, gbm_from_bm
 
 __all__ = [
@@ -185,7 +185,7 @@ def _semidigital_values(
     codes = _coefficient_codes(L + 1, n)
     a = gaussian_grid_values(n)[codes]
     times = np.arange(1, T + 1) / T
-    return codes, gbm_from_bm(wiener_eval(a, times), times, params)
+    return codes, gbm_from_bm(_clenshaw(a, times), times, params)
 
 
 def enumerated_mean(

@@ -1,9 +1,11 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from klpricer import process
+from klpricer.klcore import _check_unit_interval, sine_basis
 from klpricer.process import GbmParams
 from klpricer.pricing import AsianPayoffSpec
 
@@ -38,3 +40,20 @@ def draws(monkeypatch):
     monkeypatch.setattr(process, "streams",
                         lambda seed, tag, indices: opened.append((seed, tag, indices)))
     return opened
+
+
+def wiener_eval(a, t):
+    """Direct sine-series evaluation of smoothed paths at t in [0, 1].
+
+    This is the reference form a0 t + (sqrt(2)/pi) sum_k (a_k/k) sin(k pi t),
+    a matrix product on ``sine_basis``, against which the library's Clenshaw
+    recurrence is checked.  ``a`` is one coefficient row (a_0, ..., a_L) or a
+    2-D array of such rows; the result has shape a.shape[:-1] + t.shape.
+    """
+    t = _check_unit_interval(t)
+    a = np.asarray(a, dtype=float)
+    tt = t.ravel()
+    k = np.arange(1, a.shape[-1], dtype=float)
+    out = np.multiply.outer(a[..., 0], tt) + a[..., 1:] @ sine_basis(k, tt)
+    out = out.reshape(a.shape[:-1] + t.shape)
+    return float(out) if out.ndim == 0 else out

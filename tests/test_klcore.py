@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import wiener_eval
 from scipy.special import polygamma
 
 from klpricer import klcore
@@ -10,7 +11,6 @@ from klpricer.klcore import (
     WienerCoefficients,
     sine_basis,
     truncation_index_bm,
-    wiener_eval,
     wiener_eval_horner,
 )
 
@@ -177,6 +177,34 @@ class TestWienerEval:
             assert np.array_equal(got[rows == r], one)
             every = wiener_eval_horner(WienerCoefficients(a=a[r]), t)
             assert np.array_equal(grid[r].ravel(), every)
+
+
+def folded_sinpi(u):
+    """sin(pi u) for any real u by the general quadrant fold: mod 2, sign, mirror."""
+    r = np.mod(u, 2.0)
+    sign = np.where(r > 1.0, -1.0, 1.0)
+    r = np.where(r > 1.0, r - 1.0, r)
+    r = np.where(r > 0.5, 1.0 - r, r)
+    return sign * np.sin(np.pi * r)
+
+
+class TestSinpi:
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_bits_of_the_general_fold(self, shift):
+        # _sinpi folds only [0, 2), and every caller passes t or t + 1/2 for
+        # t in [0, 1]: proposal times i/2^20, grid points i/65536 and the
+        # edges, sign bits included
+        edges = [0.0, 0.5, 1.0, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0), 5e-324]
+        t = np.concatenate([np.arange(2**20 + 1) / 2**20, np.arange(1, 65537) / 65536, edges])
+        u = t + shift
+        got, expect = klcore._sinpi(u), folded_sinpi(u)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+    @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 1.0, 1.25, 1.5])
+    def test_zero_dimensional_input(self, u):
+        got, expect = klcore._sinpi(np.asarray(u)), folded_sinpi(np.asarray(u))
+        assert np.ndim(got) == 0
+        assert np.asarray(got).view(np.int64) == np.asarray(expect).view(np.int64)
 
 
 class TestCoefficientValidation:

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import wiener_eval
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -16,7 +17,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from klpricer import klcore, pricing, process
-from klpricer.klcore import CLIP, truncation_index_bm, wiener_eval, wiener_eval_horner
+from klpricer.klcore import CLIP, truncation_index_bm, wiener_eval_horner
 from klpricer.pricing import (
     AsianPayoffSpec,
     geometric_asian_closed_form,

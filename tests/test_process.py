@@ -172,6 +172,19 @@ class TestGmaxBound:
         params = GbmParams(1.0, 0.0, 1.0 / CLIP)
         assert g_max_bound(params, 0) == pytest.approx(np.e, rel=1e-12)
 
+    @pytest.mark.parametrize("L", [0, 1, 21, 4095])
+    @pytest.mark.parametrize("market", ["golden", (80.0, -0.1, 0.5)], ids=["golden", "s0=80"])
+    def test_bits_pinned(self, L, market, golden_market):
+        # the closed formula, s0 exp(sigma CLIP (1 + sqrt(2)/pi H_L) + max(drift, 0)),
+        # with the harmonic number H_L summed by np.sum; g_max_bound is
+        # path_envelope at the all-CLIP row, and CLIP = 8 being a power of
+        # two makes the two roundings agree
+        params = golden_market if market == "golden" else GbmParams(*market)
+        harmonic = float(np.sum(1.0 / np.arange(1, L + 1))) if L > 0 else 0.0
+        sup_b = CLIP * (1.0 + np.sqrt(2.0) / np.pi * harmonic)
+        expect = float(params.s0 * np.exp(params.sigma * sup_b + max(params.effective_drift, 0.0)))
+        assert g_max_bound(params, L) == expect
+
     def test_dominates_sampled_paths(self):
         L = 24
         bound = g_max_bound(MARKET, L)
