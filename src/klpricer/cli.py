@@ -125,17 +125,11 @@ def run_analyze(
     one_eps = args.probe in ("smoothness", "convergence")
     eps_text = args.epsilon or ("0.1" if one_eps else "0.1,0.05")
     if args.probe == "truncation":
-        report = analysis.truncation_error_sweep(
-            _list(args.L, int), L_ref=args.L_ref, n_paths=args.paths, seed=args.seed
-        )
+        report = analysis.truncation_error_sweep(_list(args.L, int))
     elif args.probe == "mapped":
-        report = analysis.verify_mapped_bound(
-            args.mu, args.sigma, _list(eps_text, float), n_samples=args.paths, seed=args.seed
-        )
+        report = analysis.verify_mapped_bound(args.mu, args.sigma, _list(eps_text, float))
     elif args.probe == "smoothness":
-        report = analysis.smoothness_probe(
-            _list(eps_text, float, one=True)[0], n_paths=args.paths, seed=args.seed
-        )
+        report = analysis.smoothness_probe(_list(eps_text, float, one=True)[0])
     elif args.probe == "subsample-error":
         report = analysis.subsample_error_probe(
             _list(eps_text, float),
@@ -220,10 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", parents=[market], help="run a bound-verification probe")
     an.add_argument("--probe", required=True, choices=PROBES)
-    an.add_argument("--L", default="8,32,128", help="comma list of truncation levels")
-    an.add_argument("--L-ref", type=int, default=4096, dest="L_ref")
+    an.add_argument("--L", default="8,32,128",
+                    help="comma list of truncation levels for truncation (default 8,32,128)")
     an.add_argument("--paths", type=int, default=100_000,
-                    help="paths or samples per grid point")
+                    help="paths per grid point for subsample-error (default 100000); "
+                         "convergence draws --replicates runs at each of its --budgets")
     an.add_argument("--epsilon", default=None,
                     help="comma list of epsilons for mapped and subsample-error (default "
                          "0.1,0.05); one epsilon for smoothness and convergence (default 0.1)")

@@ -127,13 +127,14 @@ def _tail_exact(L: int) -> float:
 
 
 def truncation_index_bm(epsilon: float) -> int:
-    """Smallest L whose tail variance bound is at most epsilon^2.
+    """Smallest L whose tail variance bound is at most epsilon^2, in closed form.
 
-    The search brackets with the closed bound 2/(pi^2 L) <= eps^2 (valid
-    since sum_{k>L} 1/(k - 1/2)^2 < 1/L) and then bisects on the exact
-    trigamma tail, so the returned index is the exact minimizer of the
-    criterion.  An epsilon whose closed bound is not finite (eps^2 underflows,
-    or 2/(pi^2 eps^2) overflows) is rejected.
+    With b = 2/(pi^2 eps^2), L = ceil(b) qualifies, since the tail is below
+    2/(pi^2 L).  No L <= ceil(b) - 2 does: psi_1(x) > 1/x + 1/(2x^2) gives
+    psi_1(L + 1/2) > (L + 1)/(L + 1/2)^2 > 1/(L + 1) > 1/b there.  So the
+    index is ceil(b) - 1 when its exact trigamma tail is at most eps^2, and
+    ceil(b) otherwise.  An epsilon whose closed bound is not finite (eps^2
+    underflows, or b overflows) is rejected.
     """
     if not (0.0 < epsilon):
         raise ValueError("epsilon must be positive")
@@ -142,16 +143,7 @@ def truncation_index_bm(epsilon: float) -> int:
     if not np.isfinite(bound):
         raise ValueError(f"truncation bound 2/(pi^2 eps^2) is not finite at eps = {epsilon}")
     hi = max(1, int(np.ceil(bound)))
-    if _tail_exact(1) <= target:
-        return 1
-    lo = 1  # invariant: tail(lo) > target, tail(hi) <= target
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _tail_exact(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return hi - 1 if hi > 1 and _tail_exact(hi - 1) <= target else hi
 
 
 def _clenshaw(a: np.ndarray, t: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:

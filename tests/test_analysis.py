@@ -23,46 +23,62 @@ from klpricer.process import GbmParams
 
 class TestTruncationSweep:
     def test_bounds_hold_at_reduced_size(self):
-        rep = truncation_error_sweep([8, 32], L_ref=512, n_paths=20_000, seed=3)
+        rep = truncation_error_sweep([8, 32])
         assert rep.all_pass
         assert rep.measured[0] > rep.measured[1]  # monotone decrease in L
-
-    def test_requires_wide_reference(self):
-        with pytest.raises(ValueError):
-            truncation_error_sweep([128], L_ref=256)
 
     def test_rejects_zero_order(self):
         # the bound 2/(pi^2 L) needs L >= 1
         with pytest.raises(ValueError):
-            truncation_error_sweep([0, 8], L_ref=512, n_paths=10)
+            truncation_error_sweep([0, 8])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             truncation_error_sweep([])
 
-    def test_reproducible_bit_for_bit(self):
-        a = truncation_error_sweep([16], L_ref=256, n_paths=5_000, seed=9)
-        b = truncation_error_sweep([16], L_ref=256, n_paths=5_000, seed=9)
-        assert a.measured == b.measured
+    def test_measured_is_the_exact_tail(self):
+        # E[(B(t) - B_L(t))^2] = sum_{k>L} 2 sin^2(k pi t)/(pi^2 k^2), and the
+        # sum over all k is t(1 - t); the rounding of L terms of size at most
+        # 1/4 bounds the difference
+        L_values = [8, 32, 128]
+        rep = truncation_error_sweep(L_values)
+        t = (np.arange(64) + 0.5) / 64
+        for L, m in zip(L_values, rep.measured):
+            k = np.arange(1, L + 1)[:, None]
+            head = np.sum(2.0 * np.sin(k * np.pi * t) ** 2 / (np.pi * k) ** 2, axis=0)
+            assert m == pytest.approx(np.max(t * (1.0 - t) - head), rel=0, abs=1e-16 * L)
+        assert (rep.n_samples, rep.seed) == (0, 0)
 
 
 class TestMappedBound:
     def test_zero_epsilon_is_zero(self):
-        rep = verify_mapped_bound(0.0, 0.2, [0.0], n_samples=100)
+        rep = verify_mapped_bound(0.0, 0.2, [0.0])
         assert rep.measured == [0.0]
         assert rep.all_pass
 
     def test_pure_noise_case_matches_quadrature(self):
-        # mu = 0, sigma = 0 collapses to E[(1 - e^Z)^2]
-        rep = verify_mapped_bound(0.0, 0.0, [0.1], n_samples=400_000, seed=5)
+        # mu = 0, sigma = 0 collapses to E[(1 - e^Z)^2]; the closed form
+        # cancels to eps^2 = 0.01, so it holds about 14 digits
+        rep = verify_mapped_bound(0.0, 0.0, [0.1])
         closed = 1.0 - 2.0 * np.exp(0.1**2 / 2) + np.exp(2 * 0.1**2)
-        assert rep.extras["quadrature_oracle"][0] == pytest.approx(closed, rel=1e-9)
-        assert abs(rep.extras["oracle_z_scores"][0]) < 3.0
+        assert rep.measured[0] == pytest.approx(closed, rel=1e-12, abs=0)
 
     def test_golden_parameters(self):
-        rep = verify_mapped_bound(0.0, 0.2, [0.05], n_samples=400_000, seed=6)
-        assert rep.measured[0] <= np.exp(0.04) * 0.0025 * 1.1
-        assert abs(rep.extras["oracle_z_scores"][0]) < 3.0
+        rep = verify_mapped_bound(0.0, 0.2, [0.05])
+        closed = np.exp(0.08) * (1.0 - 2.0 * np.exp(0.05**2 / 2) + np.exp(2 * 0.05**2))
+        assert rep.measured[0] == pytest.approx(closed, rel=1e-12, abs=0)
+        bound = np.exp(0.08 + 2 * 0.05**2) * 0.0025
+        assert rep.bound_values[0] == pytest.approx(bound, rel=1e-15, abs=0)
+        assert rep.measured[0] <= rep.bound_values[0]
+
+    @pytest.mark.parametrize("eps", [5e-9, 1e-10, 3e-14, 1e-60])
+    def test_passes_where_rounding_hides_the_margin(self, eps):
+        # the bound exceeds the distance by a relative eps^2/4, below a
+        # double's rounding here: the two closed forms, compared in floating
+        # point, read a failed check at each of these
+        rep = verify_mapped_bound(0.05, 0.2, [eps])
+        assert rep.all_pass
+        assert rep.measured[0] == pytest.approx(np.exp(0.18) * eps**2, rel=1e-15, abs=0)
 
     def test_epsilon_range_guard(self):
         with pytest.raises(ValueError):
@@ -77,9 +93,9 @@ class TestMappedBound:
         # the distance is E[e^{2X}] E[(1 - e^Z)^2], and E[e^{2X}] = e^{2 mu + 2 sigma^2}
         # exceeds (E e^X)^2 = e^{2 mu + sigma^2} by e^{sigma^2}: about 28% at sigma = 0.5
         mu, sigma = 0.05, 0.5
-        rep = verify_mapped_bound(mu, sigma, [eps], n_samples=1000, seed=1)
+        rep = verify_mapped_bound(mu, sigma, [eps])
         exact = np.exp(2 * mu + 2 * sigma**2) * (1 - 2 * np.exp(eps**2 / 2) + np.exp(2 * eps**2))
-        assert rep.extras["quadrature_oracle"][0] == pytest.approx(exact, rel=1e-12)
+        assert rep.measured[0] == pytest.approx(exact, rel=1e-12, abs=0)
         assert exact <= rep.bound_values[0] <= exact * np.exp(2 * eps**2)
 
 
@@ -90,21 +106,38 @@ def _pair_index(report, s, t):
 
 class TestSmoothnessProbe:
     def test_coincident_pair_is_zero(self):
-        rep = smoothness_probe(0.1, n_paths=2_000, seed=7)
+        rep = smoothness_probe(0.1)
         assert rep.measured[_pair_index(rep, 0.5, 0.5)] == 0.0
         assert rep.all_pass
 
     def test_exact_bm_reference_reported(self):
-        rep = smoothness_probe(0.1, n_paths=50_000, seed=8)
+        rep = smoothness_probe(0.1)
         i = _pair_index(rep, 0.2, 0.7)
         assert rep.extras["exact_bm_value"][i] == pytest.approx(0.5)
         # truncated increments stay close to the Brownian value
         assert rep.measured[i] == pytest.approx(0.5, rel=0.1)
 
     def test_default_grid_passes(self):
-        rep = smoothness_probe(0.1, n_paths=30_000, seed=9)
+        rep = smoothness_probe(0.1)
         assert rep.all_pass
         assert all(b2 >= b1 for b1, b2 in zip(rep.bound_values, rep.extras["bounds_cm2"]))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.02])
+    def test_measured_is_the_exact_increment_variance(self, eps):
+        # B_L(t) - B_L(s) = a_0 (t - s)
+        #                   + sum_{k<=L} a_k (sqrt(2)/(pi k)) (sin k pi t - sin k pi s);
+        # the rounding of a sum of L terms bounds the difference
+        rep = smoothness_probe(eps)
+        k = np.arange(1, rep.parameter_grid[0]["L"] + 1)
+        for p, m in zip(rep.parameter_grid, rep.measured):
+            s, t = p["s"], p["t"]
+            modes = 2.0 * (np.sin(k * np.pi * t) - np.sin(k * np.pi * s)) ** 2 / (np.pi * k) ** 2
+            assert m == pytest.approx((t - s) ** 2 + np.sum(modes), rel=1e-13, abs=1e-15)
+
+    def test_fine_epsilon_runs(self):
+        # L = 202,643 modes on the 8 distinct times: a 13 MB mode matrix
+        rep = smoothness_probe(0.001)
+        assert (rep.parameter_grid[0]["L"], rep.all_pass) == (202_643, True)
 
 
 class TestSubsampleProbe:
@@ -184,10 +217,10 @@ class TestConvergenceStudy:
 
 
 @pytest.mark.parametrize("run, message", [
-    # two equal levels leave an empty band and a rank-deficient slope fit
-    (lambda: truncation_error_sweep([8, 32, 8], L_ref=512, n_paths=10),
+    # two equal levels give a rank-deficient slope fit
+    (lambda: truncation_error_sweep([8, 32, 8]),
      r"L values must be distinct, got \[8, 8, 32\]"),
-    (lambda: verify_mapped_bound(0.0, 0.2, [0.1, 0.1], n_samples=10),
+    (lambda: verify_mapped_bound(0.0, 0.2, [0.1, 0.1]),
      r"eps values must be distinct, got \[0.1, 0.1\]"),
     (lambda: subsample_error_probe([0.2, 0.1, 0.2], T=64, n_paths=10),
      r"eps values must be distinct, got \[0.2, 0.1, 0.2\]"),
@@ -196,6 +229,16 @@ def test_repeated_grid_values_rejected_before_any_draw(draws, run, message):
     with pytest.raises(ValueError, match=message):
         run()
     assert draws == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda: truncation_error_sweep([8, 32, 128]),
+    lambda: smoothness_probe(0.1),
+    lambda: verify_mapped_bound(0.05, 0.2, [0.1, 0.05]),
+], ids=["truncation", "smoothness", "mapped"])
+def test_exact_probes_draw_nothing_and_pass_at_the_cli_defaults(draws, run):
+    rep = run()
+    assert (draws, rep.n_samples, rep.all_pass) == ([], 0, True)
 
 
 def _probe_peak(monkeypatch, run):
@@ -215,8 +258,8 @@ def _probe_peak(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run", [
-    lambda: truncation_error_sweep([8, 32], L_ref=1024, n_paths=9_000, seed=1),
-    lambda: smoothness_probe(0.02, n_paths=30_000, seed=1),
+    lambda: truncation_error_sweep([8, 32, 2048]),
+    lambda: smoothness_probe(0.005),
     lambda: subsample_error_probe([0.2, 0.1], T=4096, n_paths=3_000, seed=1),
 ], ids=["truncation", "smoothness", "subsample-error"])
 def test_probe_guard_counts_what_the_probe_holds(monkeypatch, run):
@@ -227,8 +270,8 @@ def test_probe_guard_counts_what_the_probe_holds(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run, need", [
-    (lambda: smoothness_probe(0.001, seed=1), 32_465_008_800),
-    (lambda: truncation_error_sweep([8, 32, 128], L_ref=10**8, seed=1), 3_430_410_211_328),
+    (lambda: smoothness_probe(1e-4), 4_052_847_400),
+    (lambda: truncation_error_sweep([8, 32, 10**6]), 1_536_000_000),
     (lambda: subsample_error_probe([0.1, 0.05], T=40_000_000, n_paths=100_000), 11_200_028_000),
 ], ids=["smoothness", "truncation", "subsample-error"])
 def test_probe_guard_runs_before_anything_is_allocated(draws, run, need):
@@ -263,7 +306,7 @@ class TestReportFiles:
         assert float(rows[1][2]) == 0.1
 
     def test_json_round_trip(self, tmp_path):
-        rep = truncation_error_sweep([16], L_ref=256, n_paths=2_000, seed=10)
+        rep = truncation_error_sweep([16])
         path = tmp_path / "r.json"
         write_report_json(rep, path)
         data = json.loads(path.read_text())

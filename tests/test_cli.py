@@ -468,7 +468,7 @@ class TestAnalyzeCommand:
     def test_truncation_probe_files(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
-            "analyze", "--probe", "truncation", "--L", "8,32", "--L-ref", "512",
+            "analyze", "--probe", "truncation", "--L", "8,32",
             "--paths", "4000", "--seed", "3", "--output-dir", str(tmp_path),
         )
         assert code == 0
@@ -549,10 +549,10 @@ class TestAnalyzeCommand:
             assert json.loads(err)["code"] == 2
 
     @pytest.mark.parametrize("argv, error", [
-        (["--probe", "smoothness", "--epsilon", "0.001"],
-         "smoothness probe holds 32465008800 bytes, past the 268435456-byte guard"),
-        (["--probe", "truncation", "--L-ref", "100000000"],
-         "truncation probe holds 3430410211328 bytes, past the 268435456-byte guard"),
+        (["--probe", "smoothness", "--epsilon", "0.0001"],
+         "smoothness probe holds 4052847400 bytes, past the 268435456-byte guard"),
+        (["--probe", "truncation", "--L", "8,32,1000000"],
+         "truncation probe holds 1536000000 bytes, past the 268435456-byte guard"),
         (["--probe", "subsample-error", "--T", "40000000"],
          "subsample-error probe holds 11200028000 bytes, past the 268435456-byte guard"),
         (["--probe", "truncation", "--L", "8,8"], "L values must be distinct, got [8, 8]"),
@@ -562,8 +562,13 @@ class TestAnalyzeCommand:
          "comma list '0.2,0.1' must hold one value"),
         (["--probe", "convergence", "--epsilon", "0.2,0.1"],
          "comma list '0.2,0.1' must hold one value"),
+        # C1 = e^800 overflows: the report held Infinity and passed
+        (["--probe", "mapped", "--mu", "400", "--paths", "1000"],
+         "bound constant C1 = exp(2 mu + 2 sigma^2 + 2 eps^2) overflows at mu = 400.0, "
+         "sigma = 0.2"),
     ], ids=["smoothness-bytes", "truncation-bytes", "subsample-error-bytes", "repeated-L",
-            "repeated-budgets", "smoothness-eps-list", "convergence-eps-list"])
+            "repeated-budgets", "smoothness-eps-list", "convergence-eps-list",
+            "mapped-c1-overflow"])
     def test_probe_request_exits_2_before_any_draw(self, capsys, draws, tmp_path, argv, error):
         code, out, err = run_cli(
             capsys, "analyze", *argv, "--seed", "1", "--output-dir", str(tmp_path)
@@ -671,12 +676,12 @@ def test_flat_output_independent_of_blas_threads():
 
 @pytest.mark.parametrize("probe, flags", [
     pytest.param("smoothness", ["--epsilon", "0.05"], id="smoothness"),
-    pytest.param("truncation", ["--L", "8,32", "--L-ref", "512"], id="truncation"),
+    pytest.param("truncation", ["--L", "8,32"], id="truncation"),
 ])
 def test_smoothness_report_independent_of_blas_threads(tmp_path, probe, flags):
-    # the smoothness probe's sums of squares went through BLAS dot products,
-    # and its report differed in the last bits between 1 and 2 threads; the
-    # matrix products (BLAS GEMM) split rows and columns, not inner sums
+    # a report is the same whatever the number of BLAS threads: a sum of
+    # squares through a threaded BLAS dot product splits its one sum, and
+    # moves the last bits between 1 and 2 threads
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / threads

@@ -72,8 +72,8 @@ class TestTruncationIndex:
 
 class TestTailBound:
     def test_exact_below_closed_and_monotone(self):
-        # truncation_index_bm brackets its search with the closed bound
-        # 2/(pi^2 L), which needs the exact tail to stay below it
+        # truncation_index_bm takes L = ceil(2/(pi^2 eps^2)) as qualifying,
+        # which needs the exact tail to stay below the closed bound 2/(pi^2 L)
         prev = np.inf
         for L in (1, 4, 16, 64, 256):
             exact = klcore._tail_exact(L)
@@ -90,7 +90,13 @@ class TestTailBound:
         assert np.max(np.abs(exact - scipy_tail(Ls)) / scipy_tail(Ls)) <= 1e-15
 
     def test_index_matches_scipy_bisection(self):
-        eps = np.geomspace(1e-4, 0.99, 50_000)
+        # and where 2/(pi^2 eps^2) is an integer L, with the float neighbours
+        # of those eps: the closed form decides between ceil(b) - 1 and ceil(b)
+        at_integer = np.sqrt(2.0 / (np.pi**2 * np.arange(1, 5000)))
+        eps = np.concatenate([
+            np.geomspace(1e-4, 0.99, 50_000),
+            np.nextafter(at_integer, 0.0), at_integer, np.nextafter(at_integer, 1.0),
+        ])
         assert [truncation_index_bm(e) for e in eps] == scipy_truncation_index(eps).tolist()
 
     @pytest.mark.parametrize("L", [1, 8, 21, 82])

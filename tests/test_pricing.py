@@ -495,6 +495,19 @@ class TestNested:
         # unbiased, so the gap is inner noise and O(1/M1) convexity bias
         assert abs(a.value - u.value) <= 0.35
 
+    @pytest.mark.parametrize("T, kw, pinned", [
+        (64, dict(epsilon=0.1, M0=400, M1=400, seed=9),
+         (6.945911129726653, 0.45019188648794667, {"clipped": 0, "series_points": 160_000})),
+        (7, dict(epsilon=0.2, M0=50, M1=50, seed=2),
+         (7.70211524261837, 1.4076849162213643, {"clipped": 0, "series_points": 2_500})),
+        (1 << 20, dict(epsilon=0.2, M0=40, M1=40, seed=1),
+         (7.042035884344702, 1.3686326740295258, {"clipped": 0, "series_points": 1_600})),
+    ])
+    def test_uniform_mode_pinned(self, T, kw, pinned):
+        spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
+        est = price_kl_nested(MARKET, spec, inner_mode="uniform", **kw)
+        assert (est.value, est.std_error, est.diagnostics) == pinned
+
     def test_haldane_inner_ratio_is_unbiased(self):
         # one fixed path and M1 = 4, where the naive M1 / n_prop ratio is ~9% high
         coeffs = process.sample_coefficients(process.stream(31, 1, 0), 21)
