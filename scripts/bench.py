@@ -4,8 +4,10 @@
 Each row is one pinned request to a public ``price_*`` function, at the
 default market of ``klpricer price`` (s0 = K = 100, mu = 0.05, sigma = 0.2):
 the requests of the four ``perfbench`` workloads (bulk, the five sweep
-sizes, subsample, nested), and kl-nested at T = 2^20 with the nested sizing,
-where no draw is tabulated and every proposal runs the sampler's rounds.
+sizes, subsample, nested); sub-sampling at T = 2^20 with the subsample
+sizing, where it prices its grid of ceil(1/eps^2) = 400 points in place of
+the T points; and kl-nested at T = 2^20 with the nested sizing, where no
+draw is tabulated and every proposal runs the sampler's rounds.
 After one warm-up call a row is timed over ``REPEATS`` calls on the same
 seed; it records the median, min and max wall time, the value, its standard
 error, SE^2 x the median seconds (variance reduction and speed on one
@@ -38,12 +40,14 @@ MARKET = {"s0": 100.0, "mu": 0.05, "sigma": 0.2}
 STRIKE = 100.0
 SEED = 1
 REPEATS = 11
+SUBSAMPLE = {"epsilon": 0.05, "n_paths": 1 << 17}
 NESTED = {"epsilon": 0.1, "M0": 400, "M1": 400}
 # name -> (method, T, keyword sizes of the price_<method> call)
 WORKLOADS = {
     "bulk": ("baseline", 64, {"n_paths": 1 << 20}),
     **{f"sweep-{n}": ("baseline", 64, {"n_paths": n}) for n in (1000, 2000, 4000, 8000, 16000)},
-    "subsample": ("subsample", 64, {"epsilon": 0.05, "n_paths": 1 << 17}),
+    "subsample": ("subsample", 64, SUBSAMPLE),
+    "subsample-T1048576": ("subsample", 1 << 20, SUBSAMPLE),
     "nested": ("kl_nested", 64, NESTED),
     "nested-T1048576": ("kl_nested", 1 << 20, NESTED),
 }

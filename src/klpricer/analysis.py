@@ -4,10 +4,10 @@ Each probe compares a measured quantity against the corresponding analytic
 bound and emits a machine-readable ``BoundReport``.  Three probes compute
 in closed form the expectation their bound is stated for, and draw
 nothing: the truncation tail, the smoothness of the truncated series and
-the distance of the mapped process.  Two measure by Monte Carlo: the
+the distance of the mapped process.  One measures by Monte Carlo: the
 sub-sampling coupling error with shared randomness (a single Brownian path
 read on two grids; comparing independent paths would measure the wrong
-quantity), and the convergence rate over independent replicates.
+quantity).
 
 Grids must hold distinct values.  Each probe whose arrays grow with its
 input counts the bytes they hold at most and rejects a request past the
@@ -35,7 +35,6 @@ __all__ = [
     "verify_mapped_bound",
     "smoothness_probe",
     "subsample_error_probe",
-    "convergence_study",
 ]
 
 
@@ -214,32 +213,32 @@ def _coupled_grid_payoff_mse(
     seed: int,
     stream_index: int,
 ) -> tuple[float, float]:
-    """Payoff MSE and sup per-point MSE between a path and its grid-rounding.
+    """Payoff MSE and sup per-point MSE between the T-point and the m-point grid.
 
     One exact path from the flat estimators' kernel is built on the union of
-    the T monitoring times and the m-point sub-sampling grid; the coarse
-    version reads the same path at c(t) = floor(t m)/m.  This realizes the
-    same joint law as refining the coarse path by Brownian bridging, with
-    the rounding coupling used by the sub-sampling estimator.
+    the T monitoring times i/T and the sub-sampling grid k/m.  The fine
+    payoff averages it over the T times, and the coarse payoff over the m
+    grid points with weights 1/m, as ``pricing.price_subsample`` does.  The
+    per-point error pairs each t with ceil(t m)/m, the grid point at or
+    after it.  This realizes the same joint law as refining the coarse path
+    by Brownian bridging.
     """
     tf = np.arange(1, T + 1) / T
-    c = np.floor(tf * m) / m
-    union = np.union1d(tf, np.unique(c))
-    union = union[union > 0.0]
+    grid = np.arange(1, m + 1) / m
+    union = np.union1d(tf, grid)
     fi = np.searchsorted(union, tf)
-    ci = np.searchsorted(union, c)
-    zero_c = c == 0.0
+    gi = np.searchsorted(union, grid)
+    ci = gi[-(-np.arange(1, T + 1) * m // T) - 1]  # ceil(i m / T) - 1, in integers
     point_sq = np.zeros(T)
 
     def payoff(logs: np.ndarray) -> np.ndarray:
         s = np.exp(logs, out=logs)
         s *= params.s0
+        coarse = np.maximum(s[:, gi].mean(axis=1) - strike, 0.0)
         s_fine = s[:, fi]
-        s_coarse = s[:, ci]
-        s_coarse[:, zero_c] = params.s0
         diff = np.maximum(s_fine.mean(axis=1) - strike, 0.0)
-        diff -= np.maximum(s_coarse.mean(axis=1) - strike, 0.0)
-        s_fine -= s_coarse
+        diff -= coarse
+        s_fine -= s[:, ci]
         point_sq[:] += np.einsum("ij,ij->j", s_fine, s_fine)
         return diff
 
@@ -257,19 +256,23 @@ def subsample_error_probe(
     strike: float = 100.0,
     seed: int = 0,
 ) -> BoundReport:
-    """Coupled error of grid rounding at the sub-sampling estimator's M points.
+    """Coupled error of the sub-sampling estimator's M-point grid.
 
     M = min(ceil(1/eps^2), T) is the grid ``pricing.price_subsample``
     prices, so at M = T the error is zero and nothing is drawn.
-    ``measured`` is the coupled payoff MSE E[(f(S_{c(t)}) - f(S_t))^2]; the
-    reported bound is C_fit * eps^2 with the fitted constant
-    C_fit = max measured/eps^2 over the sweep.  The averaging inside the
-    Asian payoff cancels most of the per-point error, so the payoff MSE
-    decays faster than eps^2; the sup-over-points coupled MSE, which is the
-    quantity the smoothness bounds control and which scales as eps^2, is
-    reported in the extras together with the eps-halving ratios of both
-    quantities (pass rule: per-point ratio within [3, 5] at each halving).
+    ``measured`` is the coupled payoff MSE E[(f(A_T) - f(A_M))^2], with A_T
+    a path's mean over the T monitoring times and A_M its mean over the M
+    grid points (``_coupled_grid_payoff_mse``); the reported bound is
+    C_fit * eps^2 with the fitted constant C_fit = max measured/eps^2 over
+    the sweep.  The averaging inside the Asian payoff cancels most of the
+    per-point error, so the payoff MSE decays faster than eps^2; the
+    sup-over-points coupled MSE, which is the quantity the smoothness bounds
+    control and which scales as eps^2, is reported in the extras together
+    with the eps-halving ratios of both quantities (pass rule: per-point
+    ratio within [3, 5] at each halving).
     """
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
     eps_values = _distinct([float(e) for e in eps_values], "eps values")
     if not eps_values:
         raise ValueError("need at least one eps value")
@@ -277,9 +280,9 @@ def subsample_error_probe(
         raise ValueError("eps values must lie in (0, 1)")
     grid = [pricing._subsample_points(eps, T) for eps in eps_values]
     for m in grid:
-        # on the union of the T times and the M-point grid: the flat run's
-        # buffers, its fine and coarse copies of a block, and the grid vectors;
-        # at M = T nothing is drawn
+        # on the union of the T times and the M-point grid, at most T + M
+        # points: the flat run's buffers, a block's fine and coupled coarse
+        # copies, and the grid vectors; at M = T nothing is drawn
         if m < T:
             n = T + m
             _check_probe_bytes(
@@ -329,69 +332,6 @@ def subsample_error_probe(
     )
 
 
-def convergence_study(
-    method: str,
-    budgets,
-    params: GbmParams | None = None,
-    strike: float = 100.0,
-    monitoring_count: int = 64,
-    epsilon: float = 0.05,
-    n_replicates: int = 50,
-    seed: int = 0,
-    oracle: float | None = None,
-) -> BoundReport:
-    """Log-log regression of RMSE against the sampling budget.
-
-    Each budget gets ``n_replicates`` independent estimates; RMSE is taken
-    against ``oracle`` (a large seed-pinned baseline run when not supplied).
-    Passes when the fitted slope is within -0.5 +/- 0.1, or when the RMSE sits
-    at machine scale (degenerate zero-variance case).
-    """
-    if method not in ("baseline", "subsample"):
-        raise ValueError("method must be 'baseline' or 'subsample'")
-    budgets = _distinct([int(n) for n in budgets], "budgets")
-    if len(budgets) < 4 or min(budgets) < 2:
-        raise ValueError("need at least 4 budget points, each >= 2")
-    if params is None:
-        params = GbmParams(100.0, 0.05, 0.2)
-    spec = pricing.AsianPayoffSpec(strike=strike, monitoring_count=monitoring_count)
-    if oracle is None:
-        ref_seed = _child_seed(seed, 9999, 0)
-        oracle = _price_for(method, params, spec, 1_000_000, epsilon, ref_seed).value
-    rmse = []
-    for bi, n in enumerate(budgets):
-        errs = np.empty(n_replicates)
-        for r in range(n_replicates):
-            est = _price_for(method, params, spec, n, epsilon, _child_seed(seed, bi, r))
-            errs[r] = est.value - oracle
-        rmse.append(float(np.sqrt(np.mean(errs**2))))
-    degenerate = all(r < 1e-9 * params.s0 for r in rmse)
-    if degenerate:
-        slope, stderr = float("nan"), float("nan")
-        passes = [True] * len(budgets)
-    else:
-        coef, cov = np.polyfit(np.log(budgets), np.log(rmse), 1, cov=True)
-        slope, stderr = float(coef[0]), float(np.sqrt(cov[0, 0]))
-        ok = abs(slope + 0.5) <= 0.1
-        passes = [ok] * len(budgets)
-    c0 = rmse[0] * np.sqrt(budgets[0])
-    return BoundReport(
-        bound_name=f"convergence_{method}",
-        parameter_grid=[{"n": n, "method": method} for n in budgets],
-        measured=rmse,
-        bound_values=[float(c0 / np.sqrt(n)) for n in budgets],
-        passes=passes,
-        n_samples=n_replicates,
-        seed=seed,
-        extras={
-            "slope": slope,
-            "slope_stderr": stderr,
-            "oracle": float(oracle),
-            "degenerate": degenerate,
-        },
-    )
-
-
 def _distinct(values: list, name: str) -> list:
     if len(set(values)) < len(values):
         raise ValueError(f"{name} must be distinct, got {values}")
@@ -407,16 +347,3 @@ def _check_probe_bytes(probe: str, n_words: int) -> None:
 
 def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
-
-
-def _price_for(
-    method: str,
-    params: GbmParams,
-    spec: pricing.AsianPayoffSpec,
-    n_paths: int,
-    epsilon: float,
-    seed: int,
-) -> pricing.Estimate:
-    if method == "baseline":
-        return pricing.price_baseline(params, spec, n_paths, seed)
-    return pricing.price_subsample(params, spec, epsilon, n_paths, seed)

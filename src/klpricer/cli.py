@@ -9,13 +9,13 @@ Two subcommands:
   a JSON summary; the exit status reflects whether every bound check passed.
 
 Each flag and its default are declared once, in ``build_parser``; only
-``analyze --epsilon`` defaults by probe, to 0.1 for the one-epsilon probes
-(smoothness, convergence) and 0.1,0.05 for the others.  The parsed
-namespace is the request: ``main`` checks its seed, builds the market and
-payoff from it, and dispatches it.  The library validates its own input
-before anything is drawn, and raises ``ValueError`` only for bad input; the
-CLI itself checks only the seed, the discount rate, the probes' sizes and
-that a one-epsilon probe gets one.  Each method checks only the flags it
+``analyze --epsilon`` defaults by probe, to 0.1 for smoothness, the one
+single-epsilon probe, and 0.1,0.05 for the others.  The parsed namespace is
+the request: ``main`` checks its seed, builds the market and payoff from
+it, and dispatches it.  The library validates its own input before
+anything is drawn, and raises ``ValueError`` only for bad input; the CLI
+itself checks only the seed, the discount rate, and that a single-epsilon
+probe gets one value.  Each method and probe checks only the flags it
 reads, so ``--method baseline --m0 1`` prices as usual.
 
 Exit codes: 0 success, 1 runtime failure (including failed bound checks
@@ -45,7 +45,7 @@ from . import pricing, process
 __all__ = ["main"]
 
 PRICE_METHODS = ("baseline", "kl-nested", "subsample", "geometric-cf", "qsim-check")
-PROBES = ("truncation", "mapped", "smoothness", "subsample-error", "convergence")
+PROBES = ("truncation", "mapped", "smoothness", "subsample-error")
 
 def _qsim_check(params: process.GbmParams, monitoring_count: int) -> pricing.Estimate:
     """Tiny-layout faithfulness check of the amplitude encoding.
@@ -120,34 +120,20 @@ def run_analyze(
 ) -> tuple[analysis.BoundReport, dict]:
     from . import analysis
 
-    if args.paths < 2 or args.replicates < 2:
-        raise ValueError("paths and replicates must be >= 2")
-    one_eps = args.probe in ("smoothness", "convergence")
-    eps_text = args.epsilon or ("0.1" if one_eps else "0.1,0.05")
+    eps_text = args.epsilon or ("0.1" if args.probe == "smoothness" else "0.1,0.05")
     if args.probe == "truncation":
         report = analysis.truncation_error_sweep(_list(args.L, int))
     elif args.probe == "mapped":
         report = analysis.verify_mapped_bound(args.mu, args.sigma, _list(eps_text, float))
     elif args.probe == "smoothness":
         report = analysis.smoothness_probe(_list(eps_text, float, one=True)[0])
-    elif args.probe == "subsample-error":
+    else:
         report = analysis.subsample_error_probe(
             _list(eps_text, float),
             T=spec.monitoring_count,
             n_paths=args.paths,
             params=params,
             strike=spec.strike,
-            seed=args.seed,
-        )
-    else:
-        report = analysis.convergence_study(
-            args.method,
-            _list(args.budgets, int),
-            params=params,
-            strike=spec.strike,
-            monitoring_count=spec.monitoring_count,
-            epsilon=_list(eps_text, float, one=True)[0],
-            n_replicates=args.replicates,
             seed=args.seed,
         )
     base = f"{args.output_dir.rstrip('/')}/{args.probe}_report"
@@ -198,8 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--T", type=int, default=64,
                     help="monitoring points T of the averaged payoff (default 64)")
     pr.add_argument("--epsilon", type=float, default=0.05,
-                    help="target accuracy for kl-nested; subsample prices the grid of "
-                         "min(ceil(1/eps^2), T) points (default 0.05)")
+                    help="kl-nested takes its L and M0 = M1 = ceil(4/eps^2) from it, which "
+                         "gives an SE of about 5 eps, not eps, at the default market; "
+                         "subsample prices the grid of min(ceil(1/eps^2), T) points "
+                         "(default 0.05)")
     pr.add_argument("--paths", type=int, default=100_000,
                     help="Monte Carlo paths for flat estimators (default 100000)")
     pr.add_argument("--m0", type=int, default=None, help="outer samples (kl-nested)")
@@ -217,15 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--L", default="8,32,128",
                     help="comma list of truncation levels for truncation (default 8,32,128)")
     an.add_argument("--paths", type=int, default=100_000,
-                    help="paths per grid point for subsample-error (default 100000); "
-                         "convergence draws --replicates runs at each of its --budgets")
+                    help="coupled paths per grid point for subsample-error (default 100000)")
     an.add_argument("--epsilon", default=None,
                     help="comma list of epsilons for mapped and subsample-error (default "
-                         "0.1,0.05); one epsilon for smoothness and convergence (default 0.1)")
-    an.add_argument("--T", type=int, default=1024)
-    an.add_argument("--method", choices=("baseline", "subsample"), default="baseline")
-    an.add_argument("--budgets", default="1000,4000,16000,64000")
-    an.add_argument("--replicates", type=int, default=50)
+                         "0.1,0.05); one epsilon for smoothness (default 0.1)")
+    an.add_argument("--T", type=int, default=1024,
+                    help="monitoring points T of subsample-error's averaged payoff "
+                         "(default 1024)")
     an.add_argument("--output-dir", default=".", dest="output_dir")
     return parser
 

@@ -569,8 +569,11 @@ def price_kl_nested(
     payoff is convex in the inner mean) and the bias of clipping
     coefficients at ``klcore.CLIP``, whose per-draw probability is below 1.3e-15.
 
-    Defaults: L is the truncation index for ``epsilon`` and
-    M0 = M1 = ceil(4 / eps^2).
+    Defaults: ``epsilon`` sets L, the truncation index for it, and
+    M0 = M1 = ceil(4 / eps^2).  That sizing assumes a payoff standard
+    deviation of 2, and does not deliver an SE of eps: at the default market
+    (s0 = K = 100, mu = 0.05, sigma = 0.2, T = 64, seed 1) the SE is 1.020
+    at eps = 0.2 and 0.499 at eps = 0.1, about 5 eps.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")

@@ -10,7 +10,6 @@ import pytest
 from klpricer import analysis
 from klpricer.analysis import (
     BoundReport,
-    convergence_study,
     smoothness_probe,
     subsample_error_probe,
     truncation_error_sweep,
@@ -176,43 +175,21 @@ class TestSubsampleProbe:
         for m, b in zip(rep.measured, rep.bound_values):
             assert m <= b * (1 + 1e-12)
 
-
-class TestConvergenceStudy:
-    def test_baseline_slope(self, golden):
-        rep = convergence_study(
-            "baseline",
-            [500, 2000, 8000, 32000],
-            n_replicates=30,
-            seed=4,
-            oracle=golden["value"],
-        )
-        assert abs(rep.extras["slope"] + 0.5) <= 0.15
-
-    def test_degenerate_zero_variance(self):
+    def test_measured_prices_the_estimators_grid(self):
+        # on a deterministic path the payoff gap is A_T - A_M, the T-point
+        # mean less the M-point grid mean that price_subsample averages
         params = GbmParams(100.0, 0.05, 1e-12)
-        rep = convergence_study(
-            "baseline", [100, 200, 400, 800], params=params, n_replicates=3, seed=5
-        )
-        assert rep.extras["degenerate"]
-        assert rep.all_pass
+        rep = subsample_error_probe([0.2, 0.1], T=256, n_paths=100, params=params, seed=1)
+        for point, measured in zip(rep.parameter_grid, rep.measured):
+            a_t, a_m = (np.mean(100.0 * np.exp(params.effective_drift * np.arange(1, n + 1) / n))
+                        for n in (256, point["M"]))
+            assert measured == pytest.approx((a_t - a_m) ** 2, rel=1e-9, abs=0)
+        assert [p["M"] for p in rep.parameter_grid] == [25, 100]
 
-    def test_needs_four_budgets(self):
-        with pytest.raises(ValueError):
-            convergence_study("baseline", [100, 200], n_replicates=3, seed=6)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            convergence_study("nope", [1, 2, 3, 4], seed=0)
-
-    @pytest.mark.parametrize("budgets, message", [
-        ([100, 100, 100, 100], "budgets must be distinct"),
-        ([100, 200, 400, 400], "budgets must be distinct"),
-        ([1, 200, 400, 800], "each >= 2"),
-    ])
-    def test_budgets_checked_before_the_oracle(self, draws, budgets, message):
-        # the 10^6-path oracle runs only for a grid that can be fitted
-        with pytest.raises(ValueError, match=message):
-            convergence_study("baseline", budgets, n_replicates=3, seed=6)
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_n_paths_checked_before_any_draw(self, draws, n_paths):
+        with pytest.raises(ValueError, match=r"^n_paths must be >= 2$"):
+            subsample_error_probe([0.1, 0.05], T=1024, n_paths=n_paths, seed=1)
         assert draws == []
 
 

@@ -263,17 +263,13 @@ class TestPriceCommand:
          "truncation bound 2/(pi^2 eps^2) is not finite at eps = 1e-200"),
         (["analyze", "--probe", "subsample-error", "--epsilon", "1e-200"], None),
         (["analyze", "--probe", "mapped", "--epsilon", "1e-200"], None),
-        (["analyze", "--probe", "convergence", "--method", "subsample", "--epsilon", "1e-200",
-          "--T", "4", "--budgets", "10,20,40,80", "--replicates", "2"], None),
     ], ids=["subsample-2e-4", "subsample-1e-160", "subsample-1e-200", "kl-nested-1e-160",
-            "kl-nested-1e-200", "kl-nested-given-L", "smoothness", "subsample-error", "mapped",
-            "convergence"])
+            "kl-nested-1e-200", "kl-nested-given-L", "smoothness", "subsample-error", "mapped"])
     def test_tiny_epsilon_never_exits_1(self, capsys, tmp_path, argv, error):
         # eps^2 underflows at 1e-200 and 1/eps^2 overflows at 1e-160, which
         # exited 1 with a Python error; sub-sampling prices the T points, and
         # a series order or sizing that is not finite is bad input.  A probe
-        # exits 1 only for a failed bound check (two replicates are too few for
-        # the convergence slope)
+        # exits 1 only for a failed bound check
         extra = ["--output-dir", str(tmp_path)] if argv[0] == "analyze" else []
         got, out, err = run_cli(capsys, *argv, "--paths", "1000", "--seed", "1", *extra)
         if error is None:
@@ -479,21 +475,11 @@ class TestAnalyzeCommand:
         assert (tmp_path / "truncation_report.csv").exists()
 
     def test_unknown_probe_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(["analyze", "--probe", "nosuch"])
-        assert exc.value.code == 2
-
-    def test_convergence_probe_has_slope(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys,
-            "analyze", "--probe", "convergence", "--method", "baseline",
-            "--budgets", "200,400,800,1600", "--replicates", "6", "--T", "64",
-            "--seed", "5", "--output-dir", str(tmp_path),
-        )
-        # the probe ran (exit 1 only flags a bound check at these tiny budgets)
-        assert code in (0, 1)
-        report = json.loads((tmp_path / "convergence_report.json").read_text())
-        assert "slope" in report["extras"]
+        # convergence, a plain Monte Carlo rate check, is not one of the paper's bounds
+        for probe in ("nosuch", "convergence"):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(["analyze", "--probe", probe])
+            assert exc.value.code == 2
 
     def test_mapped_probe(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -530,14 +516,13 @@ class TestAnalyzeCommand:
         # each case is rejected before the probe writes a file; L = 0 and
         # eps = 0 would divide by zero
         for i, argv in enumerate([
-            ("--probe", "truncation", "--paths", "1"),
+            ("--probe", "subsample-error", "--paths", "1"),
             ("--probe", "truncation", "--L", "0"),
             ("--probe", "subsample-error", "--epsilon", "0"),
             # an empty comma list is invalid, not a grid with nothing to check
             ("--probe", "mapped", "--epsilon", ","),
             ("--probe", "subsample-error", "--epsilon", ","),
             ("--probe", "smoothness", "--epsilon", ","),
-            ("--probe", "convergence", "--epsilon", ","),
             ("--probe", "truncation", "--L", ","),
         ]):
             out_dir = tmp_path / str(i)
@@ -556,19 +541,14 @@ class TestAnalyzeCommand:
         (["--probe", "subsample-error", "--T", "40000000"],
          "subsample-error probe holds 11200028000 bytes, past the 268435456-byte guard"),
         (["--probe", "truncation", "--L", "8,8"], "L values must be distinct, got [8, 8]"),
-        (["--probe", "convergence", "--budgets", "100,100,100,100"],
-         "budgets must be distinct, got [100, 100, 100, 100]"),
         (["--probe", "smoothness", "--epsilon", "0.2,0.1"],
-         "comma list '0.2,0.1' must hold one value"),
-        (["--probe", "convergence", "--epsilon", "0.2,0.1"],
          "comma list '0.2,0.1' must hold one value"),
         # C1 = e^800 overflows: the report held Infinity and passed
         (["--probe", "mapped", "--mu", "400", "--paths", "1000"],
          "bound constant C1 = exp(2 mu + 2 sigma^2 + 2 eps^2) overflows at mu = 400.0, "
          "sigma = 0.2"),
     ], ids=["smoothness-bytes", "truncation-bytes", "subsample-error-bytes", "repeated-L",
-            "repeated-budgets", "smoothness-eps-list", "convergence-eps-list",
-            "mapped-c1-overflow"])
+            "smoothness-eps-list", "mapped-c1-overflow"])
     def test_probe_request_exits_2_before_any_draw(self, capsys, draws, tmp_path, argv, error):
         code, out, err = run_cli(
             capsys, "analyze", *argv, "--seed", "1", "--output-dir", str(tmp_path)
@@ -580,11 +560,9 @@ class TestAnalyzeCommand:
         (["--probe", "smoothness", "--paths", "2000"], "0.1"),
         (["--probe", "mapped", "--paths", "2000"], "0.1,0.05"),
         (["--probe", "subsample-error", "--paths", "200", "--T", "64"], "0.1,0.05"),
-        (["--probe", "convergence", "--T", "4", "--budgets", "10,20,40,80",
-          "--replicates", "2"], "0.1"),
-    ], ids=["smoothness", "mapped", "subsample-error", "convergence"])
+    ], ids=["smoothness", "mapped", "subsample-error"])
     def test_default_epsilon_per_probe(self, capsys, tmp_path, argv, epsilon):
-        # one epsilon for smoothness and convergence, a list for the others
+        # one epsilon for smoothness, a list for the others
         reports = []
         for flags in ([], ["--epsilon", epsilon]):
             out_dir = tmp_path / str(len(flags))

@@ -1,7 +1,8 @@
 """Every public name is used by the program, not only by its tests, the
-command line reads only public names of the library, and the package
-depends on numpy alone."""
+command line reads only public names of the library and every option it
+declares, and the package depends on numpy alone."""
 
+import argparse
 import ast
 import pathlib
 import re
@@ -103,6 +104,40 @@ def test_cli_reads_no_private_name_of_the_library():
     # the library validates its own input, so the front end has no reason
     # to call a private helper to find out what a method will reject
     assert private_reads(ROOT / "src" / "klpricer" / "cli.py") == []
+
+
+def args_reads(path: pathlib.Path, functions: set) -> set:
+    """Attributes read as ``args.<name>`` inside the named top-level functions of ``path``."""
+    reads = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            reads.update(
+                sub.attr for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "args"
+            )
+    return reads
+
+
+def test_every_cli_option_is_read():
+    # an option that its command never reads is a dead flag: it parses, and
+    # changes nothing.  A command's options are read in main or in
+    # run_<command>, and only the code is read here, none of it run
+    from klpricer import cli
+
+    path = ROOT / "src" / "klpricer" / "cli.py"
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"price", "analyze"}
+    unread = {
+        name: sorted(
+            action.dest for action in parser._actions
+            if action.dest != "help"
+            and action.dest not in args_reads(path, {"main", f"run_{name}"})
+        )
+        for name, parser in commands.items()
+    }
+    assert unread == dict.fromkeys(commands, [])
 
 
 def imported_roots(path: pathlib.Path) -> set:

@@ -46,7 +46,7 @@ def test_bench_writes_finite_rows(monkeypatch, tmp_path):
     assert set(report["env"]) == {"python", "numpy", "nproc", "usable_cores", "cpu"}
     assert list(report["rows"]) == [
         "bulk", "sweep-1000", "sweep-2000", "sweep-4000", "sweep-8000", "sweep-16000",
-        "subsample", "nested", "nested-T1048576",
+        "subsample", "subsample-T1048576", "nested", "nested-T1048576",
     ]
     numbers = []
     for row in report["rows"].values():
@@ -60,3 +60,4 @@ def test_bench_writes_finite_rows(monkeypatch, tmp_path):
     assert numbers and all(math.isfinite(x) for x in numbers)
     assert report["rows"]["nested"]["diagnostics"]["tabulated_draws"] == 2
     assert report["rows"]["nested-T1048576"]["diagnostics"]["tabulated_draws"] == 0
+    assert report["rows"]["subsample-T1048576"]["diagnostics"]["grid_points"] == 400
