@@ -1,13 +1,11 @@
 """Verification of the error bounds behind the estimators.
 
 Each probe compares a measured quantity against the corresponding analytic
-bound and emits a machine-readable ``BoundReport``.  Three probes compute
-in closed form the expectation their bound is stated for, and draw
-nothing: the truncation tail, the smoothness of the truncated series and
-the distance of the mapped process.  One measures by Monte Carlo: the
-sub-sampling coupling error with shared randomness (a single Brownian path
-read on two grids; comparing independent paths would measure the wrong
-quantity).
+bound, stated in advance, and emits a machine-readable ``BoundReport``.
+All four compute in closed form the expectation their bound is stated for,
+and none draws: the truncation tail, the smoothness of the truncated
+series, the distance of the mapped process and the mean-square error of
+the sub-sampling estimator's grid.
 
 Grids must hold distinct values.  Each probe whose arrays grow with its
 input counts the bytes they hold at most and rejects a request past the
@@ -42,10 +40,7 @@ __all__ = [
 class BoundReport:
     """One probe's grid of measurements against its bound.
 
-    ``passes[i]`` is True iff measured[i] <= bound_values[i], except where a
-    probe documents a different rule: the sub-sampling probe's per-point rule
-    is stored in ``extras['pass_rule']``.  ``n_samples`` and ``seed`` are 0
-    for a probe that draws nothing.
+    ``passes[i]`` is True iff measured[i] <= bound_values[i], for every probe.
     """
 
     bound_name: str
@@ -53,8 +48,6 @@ class BoundReport:
     measured: list
     bound_values: list
     passes: list
-    n_samples: int = 0
-    seed: int = 0
     extras: dict = field(default_factory=dict)
 
     @property
@@ -74,9 +67,10 @@ def write_report_csv(report: BoundReport, path) -> None:
 
 
 def write_report_json(report: BoundReport, path) -> None:
+    """Strict JSON: a non-finite value raises ``ValueError`` before the file is opened."""
+    text = json.dumps(asdict(report), indent=2, sort_keys=True, default=float, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def truncation_error_sweep(L_values) -> BoundReport:
@@ -101,14 +95,16 @@ def truncation_error_sweep(L_values) -> BoundReport:
     np.cumsum(np.square(head, out=head), axis=0, out=head)  # row L - 1: sum_{k<=L} phi_k^2
     measured = (t - t * t - head[np.array(L_values) - 1]).max(axis=1)
     bounds = [2.0 / (np.pi**2 * L) for L in L_values]
-    slope = float(np.polyfit(np.log(L_values), np.log(measured), 1)[0]) if len(L_values) > 1 else float("nan")
+    extras = {"t_grid_size": int(t.size)}
+    if len(L_values) > 1:
+        extras["loglog_slope"] = float(np.polyfit(np.log(L_values), np.log(measured), 1)[0])
     return BoundReport(
         bound_name="truncation_tail",
         parameter_grid=[{"L": L} for L in L_values],
         measured=[float(m) for m in measured],
         bound_values=bounds,
         passes=[float(m) <= b for m, b in zip(measured, bounds)],
-        extras={"loglog_slope": slope, "t_grid_size": int(t.size)},
+        extras=extras,
     )
 
 
@@ -204,131 +200,97 @@ def smoothness_probe(epsilon: float) -> BoundReport:
     )
 
 
-def _coupled_grid_payoff_mse(
-    params: GbmParams,
-    strike: float,
-    m: int,
-    T: int,
-    n_paths: int,
-    seed: int,
-    stream_index: int,
-) -> tuple[float, float]:
-    """Payoff MSE and sup per-point MSE between the T-point and the m-point grid.
-
-    One exact path from the flat estimators' kernel is built on the union of
-    the T monitoring times i/T and the sub-sampling grid k/m.  The fine
-    payoff averages it over the T times, and the coarse payoff over the m
-    grid points with weights 1/m, as ``pricing.price_subsample`` does.  The
-    per-point error pairs each t with ceil(t m)/m, the grid point at or
-    after it.  This realizes the same joint law as refining the coarse path
-    by Brownian bridging.
-    """
-    tf = np.arange(1, T + 1) / T
-    grid = np.arange(1, m + 1) / m
-    union = np.union1d(tf, grid)
-    fi = np.searchsorted(union, tf)
-    gi = np.searchsorted(union, grid)
-    ci = gi[-(-np.arange(1, T + 1) * m // T) - 1]  # ceil(i m / T) - 1, in integers
-    point_sq = np.zeros(T)
-
-    def payoff(logs: np.ndarray) -> np.ndarray:
-        s = np.exp(logs, out=logs)
-        s *= params.s0
-        coarse = np.maximum(s[:, gi].mean(axis=1) - strike, 0.0)
-        s_fine = s[:, fi]
-        diff = np.maximum(s_fine.mean(axis=1) - strike, 0.0)
-        diff -= coarse
-        s_fine -= s[:, ci]
-        point_sq[:] += np.einsum("ij,ij->j", s_fine, s_fine)
-        return diff
-
-    child = _child_seed(seed, 3, stream_index)
-    # one thread, so that the blocks add into point_sq in block order
-    _, pay_sq = pricing._flat_moments(params, union, n_paths, child, process.TAG_ANALYSIS, payoff)
-    return pay_sq / n_paths, float((point_sq / n_paths).max())
+def _grid_mse(params: GbmParams, T: int, m: int) -> float:
+    """E[(A_T - A_M)^2] by ``subsample_error_probe``'s split sums on the union of i/T and k/m."""
+    fine, coarse = np.arange(1, T + 1) / T, np.arange(1, m + 1) / m
+    u = np.union1d(fine, coarse)
+    w = np.zeros(u.size)
+    w[np.searchsorted(u, fine)] = 1.0 / T
+    w[np.searchsorted(u, coarse)] -= 1.0 / m
+    del fine, coarse
+    drift = np.sum(w * np.expm1(params.mu * u))
+    v = np.exp(params.mu * u)
+    v *= w
+    r = np.cumsum(v[::-1])[::-1]  # R_i
+    r *= 2.0
+    r -= v
+    r *= v
+    u *= params.sigma**2
+    r *= np.expm1(u, out=u)
+    return params.s0 * params.s0 * float(drift * drift + np.sum(r))
 
 
 def subsample_error_probe(
-    eps_values,
-    T: int = 1024,
-    n_paths: int = 50_000,
-    params: GbmParams | None = None,
-    strike: float = 100.0,
-    seed: int = 0,
+    eps_values, T: int = 1024, params: GbmParams | None = None
 ) -> BoundReport:
-    """Coupled error of the sub-sampling estimator's M-point grid.
+    """Mean-square error of the sub-sampling estimator's M-point grid, in closed form.
 
     M = min(ceil(1/eps^2), T) is the grid ``pricing.price_subsample``
-    prices, so at M = T the error is zero and nothing is drawn.
-    ``measured`` is the coupled payoff MSE E[(f(A_T) - f(A_M))^2], with A_T
-    a path's mean over the T monitoring times and A_M its mean over the M
-    grid points (``_coupled_grid_payoff_mse``); the reported bound is
-    C_fit * eps^2 with the fitted constant C_fit = max measured/eps^2 over
-    the sweep.  The averaging inside the Asian payoff cancels most of the
-    per-point error, so the payoff MSE decays faster than eps^2; the
-    sup-over-points coupled MSE, which is the quantity the smoothness bounds
-    control and which scales as eps^2, is reported in the extras together
-    with the eps-halving ratios of both quantities (pass rule: per-point
-    ratio within [3, 5] at each halving).
+    prices.  ``measured`` is E[(A_T - A_M)^2], with A_T = T^-1 sum_i S(i/T)
+    the path's mean over the T monitoring times and A_M = M^-1 sum_k S(k/M)
+    its mean over the grid.  From E[S(s) S(t)] = s0^2 e^{mu (s + t) + sigma^2 min(s, t)},
+    on the sorted union u of the two grids with weights w, +1/T on the
+    monitoring times and -1/M on the grid (added where the grids share a
+    point), it is
+
+        s0^2 [(sum_i w_i expm1(mu u_i))^2 + sum_i v_i expm1(sigma^2 u_i) (2 R_i - v_i)],
+
+    v_i = w_i e^{mu u_i} and R_i = sum_{j>=i} v_j.  The weights sum to zero,
+    so the split keeps both terms free of the cancellation that w C w has
+    when sigma is small.  The bound, stated in advance, is
+
+        s0^2 e^{(2 mu + sigma^2)^+} [e^{2 mu^+/M} expm1(sigma^2/M) + expm1(|mu|/M)^2],
+
+    the largest E[(S(t) - S(s))^2] over |t - s| < 1/M: since
+    A_T - A_M = int_0^1 (S(ceil(uT)/T) - S(ceil(uM)/M)) du, Jensen bounds its
+    mean square by that.  The call payoff is 1-Lipschitz, so sqrt(measured)
+    also bounds the bias of ``price_subsample``.  At M = T the error is zero.
+    A market whose 2 ln s0 + (2 mu + sigma^2)^+ overflows is rejected before
+    anything is computed, and one where a measured value or a bound still
+    overflows a double, after.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
+    if T < 1:
+        raise ValueError("T must be >= 1")
     eps_values = _distinct([float(e) for e in eps_values], "eps values")
     if not eps_values:
         raise ValueError("need at least one eps value")
     if any(not 0.0 < e < 1.0 for e in eps_values):
         raise ValueError("eps values must lie in (0, 1)")
-    grid = [pricing._subsample_points(eps, T) for eps in eps_values]
-    for m in grid:
-        # on the union of the T times and the M-point grid, at most T + M
-        # points: the flat run's buffers, a block's fine and coupled coarse
-        # copies, and the grid vectors; at M = T nothing is drawn
-        if m < T:
-            n = T + m
-            _check_probe_bytes(
-                "subsample-error", (3 * min(pricing._block_size(n), n_paths) + 11) * n
-            )
     if params is None:
         params = GbmParams(100.0, 0.05, 0.2)
-    payoff_mse, point_mse = [], []
-    for j, m in enumerate(grid):
-        if m == T:
-            payoff_mse.append(0.0)
-            point_mse.append(0.0)
-            continue
-        pm, pp = _coupled_grid_payoff_mse(params, strike, m, T, n_paths, seed, j)
-        payoff_mse.append(pm)
-        point_mse.append(pp)
-    c_fit = max((m / e**2 for m, e in zip(payoff_mse, eps_values) if m > 0.0), default=0.0)
-    bounds = [c_fit * e * e for e in eps_values]
-    ratios = []
-    passes = [True]
-    for i in range(1, len(eps_values)):
-        if abs(eps_values[i - 1] / eps_values[i] - 2.0) < 1e-9 and point_mse[i] > 0:
-            r = point_mse[i - 1] / point_mse[i]
-            ratios.append(r)
-            passes.append(3.0 <= r <= 5.0)
-        else:
-            ratios.append(float("nan"))
-            passes.append(True)
+    s0, mu, var = params.s0, params.mu, params.sigma**2
+    growth = max(2.0 * mu + var, 0.0)
+    if not 2.0 * math.log(s0) + growth < process.LOG_DBL_MAX:
+        raise ValueError(
+            f"second moment s0^2 exp((2 mu + sigma^2)^+) overflows at s0 = {s0}, mu = {mu}, "
+            f"sigma = {params.sigma}"
+        )
+    grid = [pricing._subsample_points(eps, T) for eps in eps_values]
+    for m in grid:
+        if m < T:
+            # the two grids, np.union1d's two copies of them, its mask and its result
+            _check_probe_bytes("subsample-error", 5 * (T + m))
+    inv_m = 1.0 / np.array(grid, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        measured = [_grid_mse(params, T, m) if m < T else 0.0 for m in grid]
+        bounds = math.exp(2.0 * math.log(s0) + growth) * (
+            np.exp(2.0 * max(mu, 0.0) * inv_m) * np.expm1(var * inv_m)
+            + np.expm1(abs(mu) * inv_m) ** 2
+        )
+    bounds = bounds.tolist()
+    # past the guard above, a tiny s0 can still overflow e^{mu u}, a large sigma
+    # expm1(sigma^2 u), and a strong drift the bound's product of two factors
+    if not all(map(math.isfinite, measured + bounds)):
+        raise ValueError(
+            f"subsample-error probe overflows a double at s0 = {s0}, mu = {mu}, "
+            f"sigma = {params.sigma}"
+        )
     return BoundReport(
-        bound_name="subsample_coupling",
+        bound_name="subsample_grid_mse",
         parameter_grid=[{"eps": e, "M": m, "T": T} for e, m in zip(eps_values, grid)],
-        measured=payoff_mse,
+        measured=measured,
         bound_values=bounds,
-        passes=passes,
-        n_samples=n_paths,
-        seed=seed,
-        extras={
-            "fitted_constant": c_fit,
-            "sup_point_mse": point_mse,
-            "point_mse_halving_ratios": ratios,
-            "payoff_mse_halving_ratios": [
-                payoff_mse[i - 1] / payoff_mse[i] if payoff_mse[i] > 0 else float("nan")
-                for i in range(1, len(eps_values))
-            ],
-            "pass_rule": "per-point halving ratio in [3, 5]",
-        },
+        passes=[x <= b for x, b in zip(measured, bounds)],
     )
 
 
@@ -343,7 +305,3 @@ def _check_probe_bytes(probe: str, n_words: int) -> None:
     need, limit = 8 * n_words, pricing._FLAT_BYTES
     if need > limit:
         raise ValueError(f"{probe} probe holds {need} bytes, past the {limit}-byte guard")
-
-
-def _child_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])

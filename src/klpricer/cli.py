@@ -5,21 +5,24 @@ Two subcommands:
 * ``price``  runs one estimator and prints the estimate as a single JSON
   object (value, std_error, method, n_outer, n_inner, seed, wall_time_ms,
   and the estimator's integer ``diagnostics`` counters).
-* ``analyze`` runs one verification probe and writes its report as CSV plus
-  a JSON summary; the exit status reflects whether every bound check passed.
+* ``analyze`` runs one verification probe and writes its report as strict
+  JSON and as CSV, then prints a JSON summary; the exit status reflects
+  whether every bound check passed.  No probe draws, so ``analyze`` takes
+  no seed, path count or strike.
 
 Each flag and its default are declared once, in ``build_parser``; only
 ``analyze --epsilon`` defaults by probe, to 0.1 for smoothness, the one
 single-epsilon probe, and 0.1,0.05 for the others.  The parsed namespace is
-the request: ``main`` checks its seed, builds the market and payoff from
-it, and dispatches it.  The library validates its own input before
-anything is drawn, and raises ``ValueError`` only for bad input; the CLI
-itself checks only the seed, the discount rate, and that a single-epsilon
-probe gets one value.  Each method and probe checks only the flags it
-reads, so ``--method baseline --m0 1`` prices as usual.
+the request: ``main`` builds the market from it (and, for ``price``, checks
+the seed and builds the payoff) and dispatches it.  The library validates
+its own input before anything is drawn, and raises ``ValueError`` only for
+bad input; the CLI itself checks only the seed, the discount rate, and that
+a single-epsilon probe gets one value.  Each method and probe checks only
+the flags it reads, so ``--method baseline --m0 1`` prices as usual.
 
 Exit codes: 0 success, 1 runtime failure (including failed bound checks
-and a non-finite estimate), 2 validation failure (a ``ValueError``).
+and a non-finite estimate), 2 validation failure (a ``ValueError``, or a
+flag the parser rejects).  ``--help`` prints help and exits 0.
 Failures are emitted as a single JSON line on stderr; the estimate is
 strict JSON, never Infinity or NaN.  Given the same configuration and seed
 the JSON output is byte-identical up to the wall_time_ms field, whatever
@@ -116,7 +119,7 @@ def run_price(
 
 
 def run_analyze(
-    args: argparse.Namespace, params: process.GbmParams, spec: pricing.AsianPayoffSpec
+    args: argparse.Namespace, params: process.GbmParams
 ) -> tuple[analysis.BoundReport, dict]:
     from . import analysis
 
@@ -128,25 +131,12 @@ def run_analyze(
     elif args.probe == "smoothness":
         report = analysis.smoothness_probe(_list(eps_text, float, one=True)[0])
     else:
-        report = analysis.subsample_error_probe(
-            _list(eps_text, float),
-            T=spec.monitoring_count,
-            n_paths=args.paths,
-            params=params,
-            strike=spec.strike,
-            seed=args.seed,
-        )
+        report = analysis.subsample_error_probe(_list(eps_text, float), T=args.T, params=params)
     base = f"{args.output_dir.rstrip('/')}/{args.probe}_report"
     csv_path, json_path = base + ".csv", base + ".json"
+    analysis.write_report_json(report, json_path)  # first: it raises on a non-finite value
     analysis.write_report_csv(report, csv_path)
-    analysis.write_report_json(report, json_path)
-    summary = {
-        "probe": args.probe,
-        "all_pass": report.all_pass,
-        "seed": args.seed,
-        "csv": csv_path,
-        "json": json_path,
-    }
+    summary = {"probe": args.probe, "all_pass": report.all_pass, "csv": csv_path, "json": json_path}
     return report, summary
 
 
@@ -163,9 +153,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises ``ValueError`` on a bad flag, where argparse prints usage and exits."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache  # parsing never changes the parser; building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="klpricer",
         description="Monte Carlo pricing of discretely monitored Asian options on GBM",
     )
@@ -174,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     market.add_argument("--s0", type=float, default=100.0, help="initial price (default 100)")
     market.add_argument("--mu", type=float, default=0.05, help="drift (default 0.05)")
     market.add_argument("--sigma", type=float, default=0.2, help="volatility (default 0.2)")
-    market.add_argument("--strike", type=float, default=100.0, help="strike (default 100)")
-    market.add_argument("--seed", type=int, default=None,
-                        help="stream seed; defaults to fresh entropy, echoed in the output")
 
     pr = sub.add_parser("price", parents=[market],
                         help="run one estimator and print a JSON estimate")
     pr.add_argument("--method", required=True, choices=PRICE_METHODS)
+    pr.add_argument("--strike", type=float, default=100.0, help="strike (default 100)")
+    pr.add_argument("--seed", type=int, default=None,
+                    help="stream seed; defaults to fresh entropy, echoed in the output")
     pr.add_argument("--T", type=int, default=64,
                     help="monitoring points T of the averaged payoff (default 64)")
     pr.add_argument("--epsilon", type=float, default=0.05,
@@ -200,37 +197,34 @@ def build_parser() -> argparse.ArgumentParser:
                     help="flat rate applied as exp(-r) to the final value (default 0)")
     pr.add_argument("--output", default=None, help="also write the JSON estimate here")
 
-    an = sub.add_parser("analyze", parents=[market], help="run a bound-verification probe")
+    an = sub.add_parser("analyze", parents=[market],
+                        help="run a bound-verification probe; no probe draws")
     an.add_argument("--probe", required=True, choices=PROBES)
     an.add_argument("--L", default="8,32,128",
                     help="comma list of truncation levels for truncation (default 8,32,128)")
-    an.add_argument("--paths", type=int, default=100_000,
-                    help="coupled paths per grid point for subsample-error (default 100000)")
     an.add_argument("--epsilon", default=None,
                     help="comma list of epsilons for mapped and subsample-error (default "
                          "0.1,0.05); one epsilon for smoothness (default 0.1)")
     an.add_argument("--T", type=int, default=1024,
-                    help="monitoring points T of subsample-error's averaged payoff "
-                         "(default 1024)")
+                    help="monitoring points T against whose mean subsample-error measures "
+                         "the grid's mean (default 1024)")
     an.add_argument("--output-dir", default=".", dest="output_dir")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, matching the validation convention
-        return int(exc.code or 0)
-    if args.seed is None:
-        args.seed = secrets.randbits(32)
-    try:
-        if args.seed < 0:
-            raise ValueError("seed must be non-negative")
-        params = process.GbmParams(args.s0, args.mu, args.sigma)
-        spec = pricing.AsianPayoffSpec(args.strike, args.T)
-        if args.command == "price":
+        args = build_parser().parse_args(argv)  # --help exits 0 here
+        if args.command == "analyze":
+            report, summary = run_analyze(args, process.GbmParams(args.s0, args.mu, args.sigma))
+            text, code = json.dumps(summary), 0 if report.all_pass else 1
+        else:
+            if args.seed is None:
+                args.seed = secrets.randbits(32)
+            if args.seed < 0:
+                raise ValueError("seed must be non-negative")
+            params = process.GbmParams(args.s0, args.mu, args.sigma)
+            spec = pricing.AsianPayoffSpec(args.strike, args.T)
             # overflow surfaces as the non-finite estimate error, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 text = json.dumps(run_price(args, params, spec), allow_nan=False)
@@ -238,9 +232,6 @@ def main(argv=None) -> int:
                 with open(args.output, "w") as fh:
                     fh.write(text + "\n")
             code = 0
-        else:
-            report, summary = run_analyze(args, params, spec)
-            text, code = json.dumps(summary), 0 if report.all_pass else 1
     except ValueError as exc:
         return _fail(str(exc), 2)
     except Exception as exc:  # noqa: BLE001

@@ -58,7 +58,6 @@ __all__ = [
 # Stream tags keep draws for different purposes out of each other's keyspace.
 TAG_PATHS = 2
 TAG_NESTED = 3
-TAG_ANALYSIS = 8
 
 # Proposal batches for the rejection sampler.  Their sizes change only how
 # many uniforms are drawn ahead, never which proposals are accepted.

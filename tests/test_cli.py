@@ -270,8 +270,11 @@ class TestPriceCommand:
         # exited 1 with a Python error; sub-sampling prices the T points, and
         # a series order or sizing that is not finite is bad input.  A probe
         # exits 1 only for a failed bound check
-        extra = ["--output-dir", str(tmp_path)] if argv[0] == "analyze" else []
-        got, out, err = run_cli(capsys, *argv, "--paths", "1000", "--seed", "1", *extra)
+        if argv[0] == "analyze":
+            extra = ["--output-dir", str(tmp_path)]
+        else:
+            extra = ["--paths", "1000", "--seed", "1"]
+        got, out, err = run_cli(capsys, *argv, *extra)
         if error is None:
             assert (got == 0, err) == (json.loads(out).get("all_pass", True), "")
         else:
@@ -413,6 +416,11 @@ class TestPriceCommand:
         code, out, _ = run_cli(capsys, "price", "--method", "qsim-check", *argv, "--seed", "5")
         assert (code, price_fields(out)["value"]) == (0, value)
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "price", "--method", "geometric-cf", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "seed must be non-negative", "code": 2}
+
     def test_entropy_seed_echoed(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf")
         assert code == 0
@@ -460,12 +468,38 @@ class TestPriceCommand:
         assert outputs() == reused
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["price", "--method", "nosuch"],
+     "argument --method: invalid choice: 'nosuch' (choose from 'baseline', 'kl-nested', "
+     "'subsample', 'geometric-cf', 'qsim-check')"),
+    (["price", "--method", "baseline", "--paths", "abc"],
+     "argument --paths: invalid int value: 'abc'"),
+    (["analyze", "--probe", "truncation", "--paths", "10"], "unrecognized arguments: --paths 10"),
+    # no probe draws or prices a payoff
+    (["analyze", "--probe", "subsample-error", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["analyze", "--probe", "subsample-error", "--strike", "100"],
+     "unrecognized arguments: --strike 100"),
+], ids=["bad-choice", "bad-int", "analyze-paths", "analyze-seed", "analyze-strike"])
+def test_rejected_flag_prints_one_json_line(capsys, draws, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, draws) == (2, "", [])
+    assert err.splitlines() == [json.dumps({"error": error, "code": 2})]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["price", "--help"], ["analyze", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert captured.out.startswith("usage: klpricer")
+
+
 class TestAnalyzeCommand:
     def test_truncation_probe_files(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
-            "analyze", "--probe", "truncation", "--L", "8,32",
-            "--paths", "4000", "--seed", "3", "--output-dir", str(tmp_path),
+            "analyze", "--probe", "truncation", "--L", "8,32", "--output-dir", str(tmp_path),
         )
         assert code == 0
         summary = json.loads(out)
@@ -477,15 +511,15 @@ class TestAnalyzeCommand:
     def test_unknown_probe_exits_2(self, capsys):
         # convergence, a plain Monte Carlo rate check, is not one of the paper's bounds
         for probe in ("nosuch", "convergence"):
-            with pytest.raises(SystemExit) as exc:
-                cli.build_parser().parse_args(["analyze", "--probe", probe])
-            assert exc.value.code == 2
+            code, out, err = run_cli(capsys, "analyze", "--probe", probe)
+            assert (code, out, len(err.splitlines())) == (2, "", 1)
+            error = json.loads(err)["error"]
+            assert error.startswith(f"argument --probe: invalid choice: '{probe}'")
 
     def test_mapped_probe(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
-            "analyze", "--probe", "mapped", "--epsilon", "0.05,0.1",
-            "--paths", "50000", "--seed", "6", "--output-dir", str(tmp_path),
+            "analyze", "--probe", "mapped", "--epsilon", "0.05,0.1", "--output-dir", str(tmp_path),
         )
         assert code == 0
         assert json.loads(out)["all_pass"] is True
@@ -495,18 +529,18 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(
             capsys,
             "analyze", "--probe", "mapped", "--epsilon", "0.1", "--sigma", "0.3",
-            "--paths", "200000", "--seed", "1", "--output-dir", str(tmp_path),
+            "--output-dir", str(tmp_path),
         )
         assert (code, json.loads(out)["all_pass"]) == (0, True)
 
+    # analyze takes no strike: the --strike cases are rejected by the parser
     @pytest.mark.parametrize("flag,value", [
         ("--sigma", "nan"), ("--s0", "inf"), ("--mu", "nan"), ("--strike", "nan"),
         ("--strike", "-1"),
     ])
     def test_invalid_market_exits_2_before_any_probe(self, capsys, tmp_path, flag, value):
         code, out, err = run_cli(
-            capsys, "analyze", "--probe", "mapped", flag, value, "--paths", "1000",
-            "--seed", "1", "--output-dir", str(tmp_path),
+            capsys, "analyze", "--probe", "mapped", flag, value, "--output-dir", str(tmp_path),
         )
         assert (code, out, list(tmp_path.iterdir())) == (2, "", [])
         assert len(err.splitlines()) == 1
@@ -516,7 +550,7 @@ class TestAnalyzeCommand:
         # each case is rejected before the probe writes a file; L = 0 and
         # eps = 0 would divide by zero
         for i, argv in enumerate([
-            ("--probe", "subsample-error", "--paths", "1"),
+            ("--probe", "subsample-error", "--T", "0"),
             ("--probe", "truncation", "--L", "0"),
             ("--probe", "subsample-error", "--epsilon", "0"),
             # an empty comma list is invalid, not a grid with nothing to check
@@ -527,9 +561,7 @@ class TestAnalyzeCommand:
         ]):
             out_dir = tmp_path / str(i)
             out_dir.mkdir()
-            code, out, err = run_cli(
-                capsys, "analyze", *argv, "--seed", "1", "--output-dir", str(out_dir)
-            )
+            code, out, err = run_cli(capsys, "analyze", *argv, "--output-dir", str(out_dir))
             assert (code, out, list(out_dir.iterdir())) == (2, "", []), argv
             assert json.loads(err)["code"] == 2
 
@@ -539,27 +571,40 @@ class TestAnalyzeCommand:
         (["--probe", "truncation", "--L", "8,32,1000000"],
          "truncation probe holds 1536000000 bytes, past the 268435456-byte guard"),
         (["--probe", "subsample-error", "--T", "40000000"],
-         "subsample-error probe holds 11200028000 bytes, past the 268435456-byte guard"),
+         "subsample-error probe holds 1600004000 bytes, past the 268435456-byte guard"),
         (["--probe", "truncation", "--L", "8,8"], "L values must be distinct, got [8, 8]"),
         (["--probe", "smoothness", "--epsilon", "0.2,0.1"],
          "comma list '0.2,0.1' must hold one value"),
         # C1 = e^800 overflows: the report held Infinity and passed
-        (["--probe", "mapped", "--mu", "400", "--paths", "1000"],
+        (["--probe", "mapped", "--mu", "400"],
          "bound constant C1 = exp(2 mu + 2 sigma^2 + 2 eps^2) overflows at mu = 400.0, "
          "sigma = 0.2"),
+        # s0^2 e^800 overflows: the report held Infinity and NaN
+        (["--probe", "subsample-error", "--mu", "400"],
+         "second moment s0^2 exp((2 mu + sigma^2)^+) overflows at s0 = 100.0, mu = 400.0, "
+         "sigma = 0.2"),
+        # markets past that guard's reach: e^800, expm1(900) and the bound's e^900
+        (["--probe", "subsample-error", "--s0", "1e-200", "--mu", "800"],
+         "subsample-error probe overflows a double at s0 = 1e-200, mu = 800.0, sigma = 0.2"),
+        (["--probe", "subsample-error", "--sigma", "30", "--mu", "-500", "--epsilon", "0.5",
+          "--T", "8"],
+         "subsample-error probe overflows a double at s0 = 100.0, mu = -500.0, sigma = 30.0"),
+        (["--probe", "subsample-error", "--mu", "300", "--sigma", "0.01", "--epsilon", "0.9",
+          "--T", "4"],
+         "subsample-error probe overflows a double at s0 = 100.0, mu = 300.0, sigma = 0.01"),
     ], ids=["smoothness-bytes", "truncation-bytes", "subsample-error-bytes", "repeated-L",
-            "smoothness-eps-list", "mapped-c1-overflow"])
+            "smoothness-eps-list", "mapped-c1-overflow", "subsample-error-overflow",
+            "subsample-error-tiny-s0", "subsample-error-large-sigma",
+            "subsample-error-bound-overflow"])
     def test_probe_request_exits_2_before_any_draw(self, capsys, draws, tmp_path, argv, error):
-        code, out, err = run_cli(
-            capsys, "analyze", *argv, "--seed", "1", "--output-dir", str(tmp_path)
-        )
+        code, out, err = run_cli(capsys, "analyze", *argv, "--output-dir", str(tmp_path))
         assert (code, out, draws, list(tmp_path.iterdir())) == (2, "", [], [])
         assert err.splitlines() == [json.dumps({"error": error, "code": 2})]
 
     @pytest.mark.parametrize("argv, epsilon", [
-        (["--probe", "smoothness", "--paths", "2000"], "0.1"),
-        (["--probe", "mapped", "--paths", "2000"], "0.1,0.05"),
-        (["--probe", "subsample-error", "--paths", "200", "--T", "64"], "0.1,0.05"),
+        (["--probe", "smoothness"], "0.1"),
+        (["--probe", "mapped"], "0.1,0.05"),
+        (["--probe", "subsample-error", "--T", "64"], "0.1,0.05"),
     ], ids=["smoothness", "mapped", "subsample-error"])
     def test_default_epsilon_per_probe(self, capsys, tmp_path, argv, epsilon):
         # one epsilon for smoothness, a list for the others
@@ -567,16 +612,25 @@ class TestAnalyzeCommand:
         for flags in ([], ["--epsilon", epsilon]):
             out_dir = tmp_path / str(len(flags))
             out_dir.mkdir()
-            run_cli(capsys, "analyze", *argv, *flags, "--seed", "2", "--output-dir", str(out_dir))
+            run_cli(capsys, "analyze", *argv, *flags, "--output-dir", str(out_dir))
             reports.append(next(out_dir.glob("*.json")).read_bytes())
         assert reports[0] == reports[1]
 
-    def test_negative_seed_exits_2(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, "analyze", "--probe", "mapped", "--seed", "-1", "--output-dir", str(tmp_path)
-        )
-        assert (code, out, list(tmp_path.iterdir())) == (2, "", [])
-        assert json.loads(err) == {"error": "seed must be non-negative", "code": 2}
+    @pytest.mark.parametrize("argv", [
+        *(["--probe", probe] for probe in cli.PROBES),
+        ["--probe", "truncation", "--L", "8"],
+    ], ids=[*cli.PROBES, "truncation-one-L"])
+    def test_reports_are_strict_json(self, capsys, tmp_path, argv):
+        # a single L has no log-log slope: it was written as NaN with exit 0
+        code, out, _ = run_cli(capsys, "analyze", *argv, "--output-dir", str(tmp_path))
+        assert (code, json.loads(out)["all_pass"]) == (0, True)
+
+        def reject(constant):
+            raise ValueError(f"non-finite {constant} in the report")
+
+        report = json.loads((tmp_path / f"{argv[1]}_report.json").read_text(),
+                            parse_constant=reject)
+        assert all(report["passes"])
 
 
 def test_multi_block_overflow_prints_one_stderr_line():
@@ -655,6 +709,7 @@ def test_flat_output_independent_of_blas_threads():
 @pytest.mark.parametrize("probe, flags", [
     pytest.param("smoothness", ["--epsilon", "0.05"], id="smoothness"),
     pytest.param("truncation", ["--L", "8,32"], id="truncation"),
+    pytest.param("subsample-error", ["--epsilon", "0.2,0.1"], id="subsample-error"),
 ])
 def test_smoothness_report_independent_of_blas_threads(tmp_path, probe, flags):
     # a report is the same whatever the number of BLAS threads: a sum of
@@ -668,7 +723,7 @@ def test_smoothness_report_independent_of_blas_threads(tmp_path, probe, flags):
                "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
         subprocess.run(
             [sys.executable, "-m", "klpricer.cli", "analyze", "--probe", probe, *flags,
-             "--paths", "20000", "--seed", "3", "--output-dir", str(out)],
+             "--output-dir", str(out)],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         reports.append((out / f"{probe}_report.json").read_bytes())
