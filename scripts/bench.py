@@ -6,8 +6,8 @@ default market of ``klpricer price`` (s0 = K = 100, mu = 0.05, sigma = 0.2):
 the requests of the four ``perfbench`` workloads (bulk, the five sweep
 sizes, subsample, nested); sub-sampling at T = 2^20 with the subsample
 sizing, where it prices its grid of ceil(1/eps^2) = 400 points in place of
-the T points; and kl-nested at T = 2^20 with the nested sizing, where no
-draw is tabulated and every proposal runs the sampler's rounds.
+the T points; and kl-nested at T = 2^20 with the nested sizing, where every
+draw's inner mean comes from Gauss-Legendre quadrature, not a T-point table.
 After one warm-up call a row is timed over ``REPEATS`` calls on the same
 seed; it records the median, min and max wall time, the value, its standard
 error, SE^2 x the median seconds (variance reduction and speed on one

@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import secrets
+import os
 import sys
 import time
 
@@ -220,7 +220,7 @@ def main(argv=None) -> int:
             text, code = json.dumps(summary), 0 if report.all_pass else 1
         else:
             if args.seed is None:
-                args.seed = secrets.randbits(32)
+                args.seed = int.from_bytes(os.urandom(4), "little")
             if args.seed < 0:
                 raise ValueError("seed must be non-negative")
             params = process.GbmParams(args.s0, args.mu, args.sigma)

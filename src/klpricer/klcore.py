@@ -10,7 +10,7 @@ with i.i.d. standard-normal coefficients a_k.  The one evaluator of the
 series is the Clenshaw recurrence in cos(pi t), ``_clenshaw``, using
 sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) with U the Chebyshev polynomials of
 the second kind.  It takes one coefficient row, or a 2-D array of rows on a
-grid or one row per point: the nested estimator's path tables and rounds,
+grid or one row per point: the nested estimator's path and quadrature tables,
 the sampler and the amplitude encodings in ``qsim`` all read paths through
 it.  ``wiener_eval_horner`` is its checked front for one
 ``WienerCoefficients`` row, and ``sine_basis`` builds the mode matrices

@@ -22,24 +22,19 @@ m = min(ceil(1/eps^2), T) for sub-sampling, whose estimand is the price on
 that grid: it is the T-point price, with no bias, when ceil(1/eps^2) >= T,
 and below that overstates it by about c (1/m - 1/T), with c about 4.9 at
 the golden market (``price_subsample``).  The flat estimators (baseline,
-sub-sampling) share one body, ``_price_flat``, and one kernel.
-Paths come in blocks of about 1 MiB of grid rows, each drawn from its own
-stream keyed by (seed, block index) and built in one pass in one of the
-request's block buffers, one per thread.
-Several blocks run at once on one thread per usable core, and their payoff
-sums are added in block order, so every value is a pure function of (seed,
-path index) whatever the number of cores.  The buffer guard runs before
-anything is allocated.
+sub-sampling) share one body, ``_price_flat``, and one kernel: blocks of
+about 1 MiB of grid rows, each drawn from its own stream keyed by (seed,
+block index) and built in one pass in one of the request's block buffers,
+run on one thread per usable core, with their payoff sums added in block
+order, so every value is a pure function of (seed, path index) whatever
+the number of cores.  The buffer guard runs before anything is allocated.
 
-The nested estimator's acceptance mode needs, per outer draw, only the
-number of proposals the rejection sampler spends through its M1-th
-acceptance.  A draw whose path is tabulated on the T points (T <= 8,192 and
-no more than its guessed first batch) knows its exact acceptance probability
-p, so that count is drawn from its law, M1 + NegBin(M1, p), in one call; the
-other draws run the sampler in vectorised rounds.  Memory is capped by
-``_GROUP_BYTES`` and ``_RUN_DRAWS`` (a request peaks at about 0.8 MiB under
-tracemalloc at eps = 0.1, M0 = M1 = 400, T = 64), cost does not grow with T,
-and values do not depend on the grouping (see ``price_kl_nested``).
+The nested estimator's acceptance mode draws each outer draw's rejection
+sampler count from its law, M1 + NegBin(M1, p), with p the draw's exact
+inner mean over its envelope: a T-point table sum, or Gauss-Legendre
+quadrature with Euler-Maclaurin corrections within 1e-13 relative.  A
+draw's cost is bounded by its own row, whatever T or sigma is, and values
+do not depend on how draws are grouped (``price_kl_nested``).
 
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
@@ -47,6 +42,7 @@ discount factor scale the final value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -55,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import process
-from .klcore import _clenshaw, truncation_index_bm, wiener_eval_horner
+from .klcore import _SQRT2_OVER_PI, _clenshaw, truncation_index_bm, wiener_eval_horner
 from .process import GbmParams
 
 __all__ = [
@@ -68,12 +64,13 @@ __all__ = [
 ]
 
 _BLOCK_BYTES = 1 << 20  # one flat-kernel block buffer: about one core's L2 share
-_GROUP_BYTES = 1 << 16  # uniforms of one group, and one path table, of kl-nested draws
+_GROUP_BYTES = 1 << 16  # one path or quadrature table of kl-nested draws
 _RUN_DRAWS = 256  # most kl-nested draws of one run: their streams hold about 190 KB
-_TABLE_T = 8192  # most monitoring points of a tabulated kl-nested path: one 64 KiB row
+_TABLE_POINTS = 8192  # most monitoring points of one path-table row: 64 KiB
 _SUM_BLOCK = 4096  # kl-nested inner means turned into Python floats at a time
-_MAX_DOUBLES = 100_000_000  # resource guard on kl-nested series points and coefficients
-_NESTED_BYTES = 32 * _MAX_DOUBLES  # resource guard on one kl-nested draw, and on all M0 draws
+_NESTED_BYTES = 3_200_000_000  # resource guard on one kl-nested draw, and on all M0 draws
+_INNER_TOL = 1e-13  # relative error bound of a kl-nested inner mean by quadrature
+_MIN_NODES = 64  # fewest Gauss-Legendre nodes of a kl-nested inner mean
 _FLAT_BYTES = 1 << 28  # resource guard on the flat kernel's block buffers, all threads together
 _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
 
@@ -299,8 +296,8 @@ def _series_order(epsilon: float, L: int | None, T: int) -> int:
     An outer draw holds its L + 1 coefficients and, while its envelope is
     computed, three more arrays as long: about 32 (L + 1) bytes (tracemalloc
     reads 4.0 times 8 (L + 1) at L = 10^6).  A series pass takes one Python
-    step per coefficient: a draw took 2.7 s (uniform mode) and 4.9 s
-    (acceptance) at L = 10^6 on a 2-core Xeon.  A series past ``_MAX_DOUBLES``
+    step per coefficient: a draw took 4.5 s (uniform mode, M1 = 400) and
+    5.1 s (acceptance, T = 64) at L = 10^6 on a 2-core Xeon.  A series past 10^8
     coefficients, 3.2 GB and 4.5 to 8 minutes per draw, is rejected.
     """
     if T > 1 << 53:
@@ -338,96 +335,135 @@ def price_subsample(
 def _haldane_mean(env, M1: int, n_prop):
     """Unbiased mean of a path over the T monitoring points from M1 acceptances.
 
-    Proposals until the M1-th acceptance are negative binomial with success
-    probability p = mean_i G_L(i/T) / env, and (M1 - 1)/(n_prop - 1) is unbiased
-    for p (Haldane 1945), so env (M1 - 1)/(n_prop - 1) is unbiased for the
-    mean.  The naive M1 / n_prop overstates it by a factor of about
-    1 + (1 - p)/M1.  Takes one draw's envelope and proposal count, or arrays
-    of them.
+    With p = mean_i G_L(i/T) / env, (M1 - 1)/(n_prop - 1) is unbiased for p
+    (Haldane 1945), where the naive M1 / n_prop overstates it by a factor of
+    about 1 + (1 - p)/M1.  Takes scalars or arrays.
     """
     return env * (M1 - 1) / (n_prop - 1)
 
 
-def _rounds(
-    rngs: list, a: np.ndarray, env: np.ndarray, batch: np.ndarray,
-    M1: int, params: GbmParams, T: int,
-) -> tuple[np.ndarray, int]:
-    """Proposals each draw of a run spends through its M1-th acceptance, and points evaluated.
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
 
-    The rejection sampler of draws whose path is not tabulated.  Draw j has
-    coefficient row ``a[j]``, envelope ``env[j]``, stream ``rngs[j]`` and
-    first batch ``batch[j]``; later batches are sized from its own counts, as
-    in ``process.rejection_sample_times``, and each proposal gets the bits
-    that sampler would give it.  A round draws the batches of the draws
-    still short of M1 acceptances in groups of at most ``_GROUP_BYTES`` of
-    uniforms (at least one draw each), and evaluates the series at each
-    proposal's time ``process.monitoring_times(u, T)``.
+    Newton's method on P_n, by its three-term recurrence, from
+    cos(pi (i - 1/4)/(n + 1/2)), in elementwise numpy: no bit depends on BLAS.
     """
-    cap = _GROUP_BYTES // 16  # proposals of one group: two uniforms each
-    budget = process._STARVATION_FACTOR * M1
-    hits = np.zeros(len(rngs), dtype=np.int64)
-    spent = np.zeros(len(rngs), dtype=np.int64)  # proposals, through the M1-th acceptance
-    points = 0
-    live = np.arange(len(rngs))
-    while live.size:
-        ends = np.cumsum(batch)
-        j = 0
-        while j < live.size:
-            k = max(j + 1, int(np.searchsorted(ends, ends[j] - batch[j] + cap, side="right")))
-            group, size = live[j:k], batch[j:k]
-            stop = np.cumsum(size)
-            start = stop - size
-            u = np.empty((int(stop[-1]), 2))
-            for i, lo, hi in zip(group, start, stop):
-                rngs[i].random(out=u[lo:hi])
-            local = np.repeat(np.arange(group.size), size)  # each proposal's draw in the group
-            row = group[local]
-            t = process.monitoring_times(u[:, 0], T)
-            b = _clenshaw(a[group[0]], t) if group.size == 1 else _clenshaw(a[group], t, local)
-            g = process.gbm_from_bm(b, t, params)
-            env_p = env[row]
-            if np.any(g > env_p * (1.0 + 1e-12)):
-                raise RuntimeError("path value exceeded the envelope; gmax contract violated")
-            accepted = np.cumsum(u[:, 1] * env_p <= g)  # acceptances through each proposal
-            through = accepted[stop - 1]
-            got = through.copy()  # acceptances of each draw in this group
-            got[1:] -= through[:-1]
-            # the M1-th acceptance, past the batch for a draw still short
-            last = np.searchsorted(accepted, through - got + M1 - hits[group])
-            spent[group] += np.minimum(last - start + 1, size)
-            hits[group] += got
-            points += row.size
-            j = k
-        live = live[hits[live] < M1]
-        starved = live[spent[live] >= budget]
-        if starved.size:
-            raise process.RejectionStarvedError(
-                f"rejection sampler starved: the budget of {budget} proposals produced "
-                f"{hits[starved[0]]}/{M1} acceptances (check the envelope constant)"
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones(n), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - (dx := p1 / dp)
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    nodes, weights = (1.0 + x) / 2, 1.0 / ((1.0 - x * x) * dp * dp)
+    nodes.flags.writeable = weights.flags.writeable = False  # the cache hands them to every caller
+    return nodes, weights
+
+
+def _quadrature_nodes(a: np.ndarray, params: GbmParams, T: int) -> np.ndarray:
+    """Gauss-Legendre nodes n of each row's inner mean, 0 where it sums its T-point table.
+
+    The rule and its two bounds are stated in ``price_kl_nested``.
+    """
+    n = np.zeros(len(a), dtype=np.int64)
+    if T <= _MIN_NODES:
+        return n
+    A, k = np.abs(a[:, 1:]), np.arange(1.0, a.shape[1])
+    sigma, drift = params.sigma, params.effective_drift
+    x = [sigma * np.sqrt(2.0) * np.pi**j * np.einsum("ij,j->i", A, k**j) for j in range(7)]
+    x[0] += sigma * np.abs(a[:, 0]) + abs(drift)  # x[j] bounds |phi^(j+1)|
+    y = [np.ones(len(a))]  # complete Bell polynomials Y_0..Y_7 of x
+    for m in range(7):
+        y.append(sum(math.comb(m, i) * y[m - i] * x[i] for i in range(m + 1)))
+    t_em = (2 * 1.0083492773819228 * y[7] / _INNER_TOL) ** (1 / 7) / (2 * np.pi)  # zeta(7)
+    need = np.flatnonzero(T > np.maximum(_MIN_NODES, t_em))
+    if need.size:
+        A /= k  # in place: a row holds at most 4 arrays of L doubles, its own included
+        sup = np.abs(a[need, 0]) + _SQRT2_OVER_PI * np.einsum("ij->i", A)[need]  # of |B_L|
+        rho = 1.0 + 2.0 ** np.arange(-30.0, 7.0)  # the Bernstein ellipses tried
+        c, s = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            sines = sum(  # sum_k |a_k|/k cosh(k pi Im t) on E_rho, 256 k at a time
+                np.einsum("ij,jg->ig", A[need, lo : lo + 256], np.cosh(np.outer(k[lo : lo + 256], np.pi * s / 2)))
+                for lo in range(0, k.size, 256)
             )
-        # with no acceptance yet, a rate of 1/spent grows the batches geometrically
-        rate = np.maximum(hits[live], 1) / spent[live]
-        batch = np.minimum(process._batch_size(M1 - hits[live], rate), budget - spent[live])
-    return spent, points
+            log_m = np.abs(a[need, :1]) * (1 + c) / 2 + _SQRT2_OVER_PI * sines  # of M(rho) / s0
+            log_m = sigma * (log_m + sup[:, None]) + abs(drift) * (1 + c) / 2
+            excess = math.log(32 / 15 / _INNER_TOL) + log_m - np.log(rho * rho - 1)
+            best = np.fmin.reduce(1 + excess / (2 * np.log(rho)), axis=1)
+        nodes = np.maximum(_MIN_NODES, 2.0 ** np.ceil(np.log2(np.fmin(best, 2.0**62))))
+        n[need] = np.where(nodes < T, nodes, 0)
+    return n
 
 
-def _tabled_counts(rngs: list, table: np.ndarray, env: np.ndarray, M1: int) -> np.ndarray:
-    """Proposals through the M1-th acceptance of tabulated draws, drawn from their exact law.
-
-    Row j of ``table`` is draw j's path on the T monitoring points, so its
-    mean over ``env[j]`` is the probability p that one proposal is accepted,
-    and the count is M1 + NegBin(M1, p), one draw from ``rngs[j]``.  The
-    whole row is checked against the envelope.  A count past the starvation
-    budget raises ``RejectionStarvedError``, as the sampler would; so does a
-    p too small for numpy to draw the count, (M1 + 10 sqrt(M1))(1 - p)/p past
-    about 2^63 (p below 1e-18 at M1 = 2), or a p of 0 or NaN from an infinite
-    envelope.
-    """
-    if np.any(table > env[:, None] * (1.0 + 1e-12)):
+def _path(a: np.ndarray, t: np.ndarray, env: np.ndarray, params: GbmParams) -> np.ndarray:
+    """Rows of G_L at the times t, checked against each row's envelope."""
+    g = process.gbm_from_bm(_clenshaw(a, t), t, params)
+    if np.any(g > env[:, None] * (1.0 + 1e-12)):
         raise RuntimeError("path value exceeded the envelope; gmax contract violated")
+    return g
+
+
+def _quadrature_means(a: np.ndarray, env: np.ndarray, params: GbmParams, T: int, n: int):
+    """Each row's T^-1 sum_i G_L(i/T) by n-node Gauss-Legendre and Euler-Maclaurin through G^(5)."""
+    x, w = _gauss_legendre(n)
+    g = _path(a, np.concatenate(([0.0], x, [1.0])), env, params)
+    k, b = np.arange(1.0, a.shape[1]), []
+    for j in (0, 2, 4):  # sqrt(2) pi^j sum_k k^j a_k e^k, e = 1 at t = 0 and -1 at t = 1
+        odd, even = (np.einsum("ij,j->i", a[:, 1 + p :: 2], k[p::2] ** j) for p in (0, 1))
+        b.append(np.sqrt(2.0) * np.pi**j * np.stack([even + odd, even - odd], axis=1))
+    d1 = params.sigma * (a[:, :1] + b[0]) + params.effective_drift  # phi' at both ends
+    d3, d5 = -params.sigma * b[1], params.sigma * b[2]  # phi''' and phi^(5)
+    ends = g[:, [0, -1]]
+    terms = (ends, ends * d1, ends * (d1**3 + d3), ends * (d1**5 + 10 * d1**2 * d3 + d5))
+    mean = np.einsum("ij,j->i", g[:, 1:-1], w)
+    for term, div in zip(terms, (2 * T, 12 * T**2, -720 * T**4, 30240 * T**6)):
+        mean += (term[:, 1] - term[:, 0]) / div
+    return mean
+
+
+def _inner_means(a: np.ndarray, env: np.ndarray, params: GbmParams, T: int):
+    """Exact inner means T^-1 sum_i G_L(i/T) of the rows, the points evaluated, the rows tabulated.
+
+    Tables hold at most ``_GROUP_BYTES``, or one row; a row's mean has the same
+    bits whichever rows share its table.  A T-point row is summed in chunks of
+    ``_TABLE_POINTS``: up to that, its mean is ``table.mean``'s.
+    """
+    n = _quadrature_nodes(a, params, T)
+    means = np.empty(len(a))
+    points = 0
+    for size in sorted(set(n.tolist())):  # np.unique imports numpy.ma: 30 ms on first use
+        rows = np.flatnonzero(n == size)
+        width = size + 2 if size else min(T, _TABLE_POINTS)
+        per = max(1, _GROUP_BYTES // (8 * width))
+        for part in (rows[lo : lo + per] for lo in range(0, rows.size, per)):
+            points += part.size * (size + 2 if size else T)
+            if size:
+                means[part] = _quadrature_means(a[part], env[part], params, T, size)
+                continue
+            total = 0.0
+            for first in range(0, T, width):
+                t = np.arange(first + 1, min(first + width, T) + 1) / T
+                total = total + _path(a[part], t, env[part], params).sum(axis=1)
+            means[part] = total / T
+    return means, points, int(np.count_nonzero(n == 0))
+
+
+def _tabled_counts(rngs: list, means: np.ndarray, env: np.ndarray, M1: int) -> np.ndarray:
+    """Proposals through each draw's M1-th acceptance, drawn from their exact law.
+
+    Draw j's count is M1 + NegBin(M1, p), one draw from ``rngs[j]``, for p its
+    inner mean over ``env[j]``.  A count past the starvation budget raises
+    ``RejectionStarvedError``, as the sampler would; so does a p too small
+    for numpy to draw the count, (M1 + 10 sqrt(M1))(1 - p)/p past about 2^63
+    (p below 1e-18 at M1 = 2), or a p of 0 or NaN from an infinite envelope.
+    """
     budget = process._STARVATION_FACTOR * M1
     n_prop = []
-    for rng, p in zip(rngs, np.minimum(table.mean(axis=1) / env, 1.0).tolist()):
+    for rng, p in zip(rngs, np.minimum(means / env, 1.0).tolist()):
         try:
             count = M1 + int(rng.negative_binomial(M1, p))
         except ValueError:  # numpy refuses the p above; the mean count, M1 / p, stands in
@@ -446,40 +482,23 @@ def _acceptance_means(
 ) -> tuple[np.ndarray, dict]:
     """Haldane inner means of outer draws 0..M0-1, and counters, a run of draws at a time.
 
-    A run holds ``_RUN_DRAWS`` draws, fewer where their coefficient rows
-    pass ``_GROUP_BYTES``.  Its tabulated draws (``price_kl_nested``) take
-    their counts from tables of at most ``_GROUP_BYTES``, the rest from the
-    sampler's rounds, which bound their uniforms; the split changes no value.
+    A run holds ``_RUN_DRAWS`` draws, fewer where their rows pass ``_GROUP_BYTES``.
     """
     gbar = np.empty(M0)
     keys = ("clipped", "proposals", "accepted", "series_points", "tabulated_draws")
     counts = dict.fromkeys(keys, 0)
     run = max(1, min(_RUN_DRAWS, _GROUP_BYTES // (8 * (L + 1))))
-    per_table = max(1, _GROUP_BYTES // (8 * T))  # path rows of one table
-    grid = np.arange(1, T + 1) / T if T <= _TABLE_T else None
     streams = process.streams(seed, process.TAG_NESTED, range(M0))
     for first in range(0, M0, run):
         rngs = list(itertools.islice(streams, run))
         a, clipped = process._coefficient_rows(rngs, L)
         env = process.path_envelope(params, a)
-        batch = process._batch_size(M1, process._first_batch_rate(a, env, params))
-        tabled = (batch >= T) & (T <= _TABLE_T)
-        rows = np.flatnonzero(tabled)
-        n_prop = np.empty(len(rngs), dtype=np.int64)
-        for lo in range(0, rows.size, per_table):
-            part = rows[lo : lo + per_table]
-            table = process.gbm_from_bm(_clenshaw(a[part], grid), grid, params)
-            n_prop[part] = _tabled_counts([rngs[i] for i in part], table, env[part], M1)
-            counts["series_points"] += table.size
-        part = np.flatnonzero(~tabled)
-        if part.size:
-            n_prop[part], points = _rounds(
-                [rngs[i] for i in part], a[part], env[part], batch[part], M1, params, T
-            )
-            counts["series_points"] += points
+        means, points, tabulated = _inner_means(a, env, params, T)
+        n_prop = _tabled_counts(rngs, means, env, M1)
         gbar[first : first + len(rngs)] = _haldane_mean(env, M1, n_prop)
         counts["proposals"] += int(n_prop.sum())
-        counts["tabulated_draws"] += rows.size
+        counts["series_points"] += points
+        counts["tabulated_draws"] += tabulated
         counts["clipped"] += clipped
     counts["accepted"] = M0 * M1
     return gbar, counts
@@ -523,51 +542,50 @@ def price_kl_nested(
     from outer variation only.
 
     How acceptance mode gets n_prop.  Outer draw i reads its L + 1
-    coefficients from its own stream, (seed, ``process.TAG_NESTED``, i).  Its
-    path is tabulated when T <= 8,192 and T is at most its guessed first
-    batch, ``process._batch_size(M1, process._first_batch_rate(...))``,
-    which is max(64, 1.2 M1 / r) capped at 2^20 for a guessed acceptance
-    rate r that depends on the coefficients and the market only.  So the
-    rule is a pure function of (coefficients, params, M1, T), and it keeps
-    the cost flat in T: a draw costs T points, no more than its guessed
-    first batch, or one point per proposal.
-    * A tabulated draw's path row on the T-point grid gives its exact
-      acceptance probability p = mean_i G_L(i/T) / env, so n_prop is
-      M1 + NegBin(M1, p), one ``negative_binomial`` call on its stream right
-      after the coefficients; this is the law of the sampler's count.  Its
-      tables hold at most ``_GROUP_BYTES`` (64 KiB) of rows.
-    * Any other draw runs the sampler (``_rounds``), each proposal evaluated
-      at its own time, with the bits ``process.rejection_sample_times`` would
-      give it on the draw's stream; runs of draws share vectorised rounds.
-    A value is a pure function of (params, T, L, M0, M1, seed): neither the
-    grouping (``_GROUP_BYTES``) nor the sizes of the sampler's batches move
-    it, though below T = 8,192 the first-batch guess does, through the
-    tabulation rule.  A draw whose M1 acceptances need more than 10^6 M1
-    proposals raises ``process.RejectionStarvedError``.
+    coefficients from its own stream, (seed, ``process.TAG_NESTED``, i), then
+    draws n_prop = M1 + NegBin(M1, gbar / env) from it, the law of the
+    sampler's count, for its exact inner mean gbar = T^-1 sum_i G_L(i/T):
+    the T-point table mean when T <= max(n, T_EM), else n-node
+    Gauss-Legendre on [0, 1] plus the Euler-Maclaurin corrections through
+    G^(5).  With phi = sigma B_L + drift t, two bounds set n and T_EM from the
+    draw's own |a_k| in O(L), each at most ``_INNER_TOL`` = 1e-13 of gbar:
+    * T_EM, where the Euler-Maclaurin remainder, at most
+      2 zeta(7) (2 pi T)^-7 Y_7 int G, reaches 1e-13 int G; Y_7 is the
+      complete Bell polynomial of the bounds |phi^(j)| <= sigma sqrt(2)
+      pi^(j-1) sum_k |a_k| k^(j-1), plus sigma |a0| + |drift| at j = 1;
+    * n, the least power of two >= 64 whose Gauss-Legendre error bound
+      (32/15) M rho^(2-2n)/(rho^2 - 1) (Trefethen 2008, SIAM Review 50(1),
+      Thm 4.5, on [0, 1]), minimised over rho, is at most 1e-13 of the least
+      path value s0 exp(-sigma sup|B_L| + min(drift, 0)), with M from
+      |sin k pi z| <= cosh(k pi Im z) on the Bernstein ellipse E_rho.
+    So every draw at T <= 64 is tabulated.  A value is a pure function of
+    (params, T, L, M0, M1, seed), whatever the grouping into runs and tables
+    of at most ``_GROUP_BYTES``.  A count past 10^6 M1 proposals raises
+    ``process.RejectionStarvedError``.
 
-    The cost does not grow with T, up to T = 2^53, the most a 53-bit uniform
-    can index.  A group's batches hold at most ``_GROUP_BYTES`` of uniforms:
-    tracemalloc reads about 0.8 MiB at eps = 0.1, M0 = M1 = 400 and T = 64,
-    and 0.9 MiB at T = 2^20, most of it a run's streams (``_RUN_DRAWS``)
-    and one group's or table's recurrence buffers.  All M0 draws hold 8 bytes
-    each, their inner means, rejected past 3.2 GB; the payoffs are summed in
-    draw order over blocks of them.  Uniform mode holds about 64 bytes per
-    inner sample of one draw, M1 past 5 * 10^7 rejected.  Past T = 8,192 an
-    acceptance-mode draw evaluates the series at M1 or more proposals, M1
-    past 10^8 rejected; an M1 past 9.2 * 10^12, whose starvation budget
-    passes int64, is rejected.  These guards run before anything is drawn.
+    A draw evaluates its series at n + 2 points or at T <= max(n, T_EM), so
+    its cost is bounded by its own row, whatever T (up to 2^53, the most a
+    53-bit uniform can index), sigma or M1 is.  tracemalloc reads about
+    0.8 MiB at eps = 0.1, M0 = M1 = 400, T = 64.  Each of the M0 draws holds
+    8 bytes, its inner mean, rejected past 3.2 GB; the payoffs are summed
+    in draw order over blocks of them.  Uniform mode holds about 64 bytes
+    per inner sample of one draw, M1 past 5 * 10^7 rejected.  An M1 past
+    9.2 * 10^12, whose starvation budget passes int64, is rejected.  These
+    guards run before anything is drawn.
 
     ``diagnostics`` counts ``clipped`` coefficients and ``series_points``
-    (in acceptance mode the points of the path tables plus the proposals
-    evaluated at their own time; in uniform mode M0 M1), and, in acceptance
-    mode, ``proposals`` through each draw's M1-th acceptance, ``accepted``
-    (M0 M1) and ``tabulated_draws``, whose counts came from a path table.
+    (in acceptance mode the points of the path and quadrature tables; M0 M1
+    in uniform mode), and, in acceptance mode, the drawn ``proposals``,
+    ``accepted`` (M0 M1) and ``tabulated_draws``, whose means are table sums.
 
     Estimand: E[(T^-1 sum_i G_L(i/T) - K)^+] for the smoothed path G_L and
     T = ``spec.monitoring_count``.  Both inner means are unbiased per path, so
-    what remains is the O(1/M1) convexity bias of a nested estimator (the
-    payoff is convex in the inner mean) and the bias of clipping
-    coefficients at ``klcore.CLIP``, whose per-draw probability is below 1.3e-15.
+    what remains is the bias of clipping coefficients at ``klcore.CLIP``,
+    whose per-draw probability is below 1.3e-15, and the convexity bias of
+    a nested estimator (the payoff is convex in the inner mean): about
+    50/M1 at the golden market (s0 = K = 100, mu = 0.05, sigma = 0.2,
+    T = 64, eps = 0.1), 2.89 +- 0.08 at M1 = 16 and 0.13 +- 0.02 at M1 = 400
+    against exact inner means (``test_convexity_bias_falls_with_m1``).
 
     Defaults: ``epsilon`` sets L, the truncation index for it, and
     M0 = M1 = ceil(4 / eps^2).  That sizing assumes a payoff standard
@@ -598,13 +616,6 @@ def price_kl_nested(
         raise ValueError(
             f"{M1} inner samples need {64 * M1} bytes per draw, past the "
             f"{_NESTED_BYTES}-byte guard"
-        )
-    # past _TABLE_T no draw is tabulated: each evaluates the series at its
-    # proposals, at least M1 of them
-    if inner_mode == "acceptance" and spec.monitoring_count > _TABLE_T and M1 > _MAX_DOUBLES:
-        raise ValueError(
-            f"{M1} acceptances per draw need at least {M1} series points at T > {_TABLE_T}, "
-            f"past the {_MAX_DOUBLES}-point guard"
         )
     most = np.iinfo(np.int64).max // process._STARVATION_FACTOR  # proposals count in int64
     if inner_mode == "acceptance" and M1 > most:

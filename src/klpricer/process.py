@@ -8,20 +8,18 @@ makes the rejection step valid.  There is one envelope formula:
 
     s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)).
 
-The nested estimator rejects against it, so proposals per acceptance stay
-near the path's own sup/mean ratio.  It and the first-batch rate guess work
-row-wise: one coefficient row gives one value, a 2-D array of rows (a group
-of outer draws) gives one value per row from one call.  ``g_max_bound`` is
-its all-CLIP case, the bound on every path whose coefficients lie in
-[-CLIP, CLIP]: the single normalisation that the amplitude encodings in
-``qsim`` need.
+The nested estimator's proposals per acceptance, env over the path's mean,
+stay near the path's own sup/mean ratio.  It works row-wise: a 2-D array of
+coefficient rows (a run of outer draws) gives one value per row.
+``g_max_bound`` is its all-CLIP case, the bound on every path whose
+coefficients lie in [-CLIP, CLIP]: the single normalisation that the
+amplitude encodings in ``qsim`` need.
 
 The rejection sampler draws its proposals row-major from the one stream it
 is given, so the accepted times depend on the stream and the envelope, never
 on how proposals are split into batches.  ``rejection_sample_times`` runs it
-for one draw; the nested estimator runs the same proposals for a run of
-draws in rounds (``pricing._rounds``), except for draws whose path it
-tabulates, which draw the sampler's proposal count from its law.
+for one draw; the nested estimator draws the sampler's proposal count from
+its law instead, from each draw's exact inner mean.
 
 Randomness is keyed: every stream is an SFC64 generator seeded through
 ``SeedSequence`` from (seed, stream tag, index), so any block or outer draw
@@ -253,25 +251,15 @@ def path_envelope(params: GbmParams, a: np.ndarray):
 
 
 def _first_batch_rate(a: np.ndarray, gmax, params: GbmParams):
-    """Acceptance-rate guess that sizes the first proposal batch, per coefficient row.
+    """Acceptance-rate guess that sizes the sampler's first proposal batch, per coefficient row.
 
-    The nested estimator also tabulates a draw's path when T is at most that
-    batch (``pricing.price_kl_nested``).  The path is at least gmin = s0 exp(-sigma sup|B_L| + min(drift, 0)), so
+    The path is at least gmin = s0 exp(-sigma sup|B_L| + min(drift, 0)), so
     gmin / gmax bounds the acceptance probability from below; its square root
     sits between that bound and 1.
     """
     log_inf = -params.sigma * _sup_abs_bm(a) + min(params.effective_drift, 0.0)
     log_ratio = np.log(params.s0) + log_inf - np.log(gmax)
     return np.maximum(np.exp(0.5 * log_ratio), _MIN_RATE)
-
-
-def _batch_size(remaining, rate):
-    """Proposals to draw for ``remaining`` acceptances at acceptance rate ``rate``.
-
-    A NaN rate (from an envelope that is not positive) gives the floor, so
-    the first batch still runs and the envelope check reports the fault.
-    """
-    return np.fmin(np.fmax(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH).astype(np.int64)
 
 
 def _coefficient_rows(rngs: list, L: int) -> tuple[np.ndarray, int]:
@@ -344,7 +332,8 @@ def rejection_sample_times(
             rate = max(n_accepted, 1) / n_proposals
         else:
             rate = _first_batch_rate(coeffs.a, gmax, params)
-        batch = int(min(_batch_size(remaining, rate), budget - n_proposals))
+        batch = int(np.fmin(np.fmax(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH))  # NaN: floor
+        batch = min(batch, budget - n_proposals)
         u = rng.random((batch, 2))
         t = monitoring_times(u[:, 0], T)
         g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)

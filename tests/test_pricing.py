@@ -35,11 +35,11 @@ TAG_GEOMETRIC = 4  # stream tag of the geometric-average Monte Carlo oracle
 GRID100 = np.arange(101) / 100  # k/100 for k = 0..100, with a leading t = 0
 # kl-nested requests (T, sizing) and their (value, std_error), which the
 # one-draw-at-a-time reference gives too: every draw is tabulated at T = 64
-# and 7, and none at T = 2^20
+# and 7, and none at T = 2^20, where each inner mean is a quadrature
 NESTED_PINS = [
     (64, dict(epsilon=0.1, M0=400, M1=400, seed=7), (6.07164828788031, 0.39801126168131234)),
     (7, dict(epsilon=0.2, M0=40, M1=50, seed=12), (8.940792132707397, 1.8821638381001073)),
-    (1 << 20, dict(epsilon=0.2, M0=40, M1=50, seed=3), (7.55079604839279, 1.6256486148212501)),
+    (1 << 20, dict(epsilon=0.2, M0=40, M1=50, seed=3), (7.051924451969528, 1.4702392198068333)),
 ]
 
 
@@ -522,10 +522,11 @@ class TestNested:
         inner = pricing._haldane_mean(env, 4, n_prop)
         assert abs(inner.mean() - exact) <= 3.0 * inner.std(ddof=1) / np.sqrt(n)
 
-    @pytest.mark.parametrize("T", [64, 7])
+    @pytest.mark.parametrize("T", [64, 7, 1 << 20])
     def test_tabulated_count_follows_the_sampler_law(self, T):
-        # a tabulated draw's count, M1 + NegBin(M1, p), against the proposals
-        # the rejection sampler spends on the same fixed path, M1 = 4: a
+        # a draw's count, M1 + NegBin(M1, p) for its inner mean (a table at
+        # T = 64 and 7, a quadrature at T = 2^20), against the proposals the
+        # rejection sampler spends on the same fixed path, M1 = 4: a
         # two-sample KS test, and the Haldane mean within 3 SE of the exact
         # mean over the T points.  Counts drawn at 1.05 p, or without the
         # + M1, fail both checks.
@@ -533,8 +534,9 @@ class TestNested:
         coeffs = process.sample_coefficients(process.stream(31, 1, 0), 21)
         env = process.path_envelope(MARKET, coeffs.a)
         grid = np.arange(1, T + 1) / T
-        row = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, MARKET)
-        exact = row.mean()
+        exact = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, MARKET).mean()
+        mean, _, tabulated = pricing._inner_means(coeffs.a[None], np.array([env]), MARKET, T)
+        assert tabulated == (T < 1 << 20)
         sampled = np.array([
             process.rejection_sample_times(process.stream(31, 3, i), coeffs, M1, env, MARKET, T)[1]
             for i in range(n)
@@ -548,8 +550,7 @@ class TestNested:
             return bool(agrees and abs(inner.mean() - exact) <= 3.0 * se)
 
         counts = pricing._tabled_counts(
-            list(process.streams(31, 5, range(n))), np.broadcast_to(row, (n, T)),
-            np.full(n, env), M1,
+            list(process.streams(31, 5, range(n))), np.full(n, mean[0]), np.full(n, env), M1
         )
         assert law_holds(counts)
         rng = process.stream(31, 6, T)
@@ -564,24 +565,22 @@ class TestNested:
         assert (est.value, est.std_error) == (7.938895806735973, 1.388123726284527)
 
     def test_batch_sizes_leave_price_unchanged(self, monkeypatch):
-        # past the path tables' bound of 8192 points, where every draw runs
-        # the sampler in batches; below it the first-batch guess also decides
-        # which draws are tabulated, so it is part of the estimator there
+        # every count is drawn from its law, so nothing of the sampler's
+        # batching, nor the sampler itself, is called on the price path
         kw = dict(epsilon=0.2, M0=40, M1=50, seed=12)
-        specs = [AsianPayoffSpec(strike=100.0, monitoring_count=T) for T in (8193, 1 << 20)]
+        specs = [AsianPayoffSpec(strike=100.0, monitoring_count=T) for T in (100, 8193, 1 << 20)]
 
         def prices():
-            # series_points counts evaluations, which batch sizes do change
-            return [(e.value, e.std_error, e.diagnostics["proposals"])
-                    for e in (price_kl_nested(MARKET, spec, **kw) for spec in specs)]
+            return [price_kl_nested(MARKET, spec, **kw) for spec in specs]
 
         ref = prices()
-        # one proposal per batch, and the old 4096 floor with a 1e-2 guess
-        for floor, rate in ((1, 1.0), (4096, 1e-2)):
-            monkeypatch.setattr(process, "_MIN_BATCH", floor)
-            monkeypatch.setattr(process, "_first_batch_rate",
-                                lambda a, *args, r=rate: np.full(np.shape(a)[:-1], r))
-            assert prices() == ref
+
+        def unused(*args):
+            raise AssertionError("the price path ran the sampler")
+
+        monkeypatch.setattr(process, "_first_batch_rate", unused)
+        monkeypatch.setattr(process, "rejection_sample_times", unused)
+        assert prices() == ref
 
     @pytest.mark.parametrize("T, kw, pinned", NESTED_PINS)
     def test_grouped_round_matches_per_draw_sampler(self, T, kw, pinned):
@@ -594,33 +593,26 @@ class TestNested:
     def test_grouping_leaves_estimate_unchanged(self, monkeypatch, T, kw, pinned):
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
         ref = price_kl_nested(MARKET, spec, **kw)
-        ref.diagnostics.pop("series_points")
-        # one draw per group and one path row per table, then every draw in
-        # one group and every path in one table; T = 2^20 has no tables, and
-        # its series points count evaluations, which groups do not change
+        # one path row per table, then every draw of a run in one table; T
+        # points a tabulated draw, 64 Gauss-Legendre nodes and 2 ends a
+        # quadrature draw at T = 2^20
+        assert ref.diagnostics["series_points"] == kw["M0"] * (T if T < 1 << 20 else 66)
         for budget in (1, 1 << 40):
             monkeypatch.setattr(pricing, "_GROUP_BYTES", budget)
-            est = price_kl_nested(MARKET, spec, **kw)
-            points = est.diagnostics.pop("series_points")
-            assert est == ref
-            if T < 1 << 20:
-                assert points == kw["M0"] * T
-            else:
-                assert points >= ref.diagnostics["proposals"]
+            assert price_kl_nested(MARKET, spec, **kw) == ref
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         sigma=st.floats(0.1, 2.0),
-        T=st.one_of(st.integers(1, 200), st.just(1 << 20)),
+        T=st.one_of(st.integers(1, 200), st.just(8193), st.just(1 << 20)),
         M0=st.integers(2, 20),
         M1=st.integers(2, 60),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_rounds_match_per_draw_sampler(self, sigma, T, M0, M1, seed):
-        # small T tabulates paths and draws their counts, draws with short
-        # first batches and T = 2^20 evaluate every proposal, and a high sigma
-        # or small M1 sends draws into later rounds; at T <= 2 a sigma near 2
-        # can push a draw's acceptance rate below the starvation guard's 10^-6
+    def test_grouped_request_matches_per_draw_reference(self, sigma, T, M0, M1, seed):
+        # small T tabulates paths, T = 8193 and 2^20 take quadratures, and
+        # a high sigma raises T_EM and n; at T <= 2 a sigma near 2 can push a
+        # draw's acceptance rate below the starvation guard's 10^-6
         assume(T > 2 or sigma <= 1.5)
         params = GbmParams(100.0, 0.05, sigma)
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
@@ -630,33 +622,35 @@ class TestNested:
         assert got == _per_draw_nested(params, spec, **kw)
 
     def test_tables_bounded_and_split_by_draw(self, monkeypatch):
-        # at sigma = 2 and T = 1000 most draws guess a first batch of more
-        # than T proposals: each of those is tabulated, in tables of at most
-        # 8 rows (64 KiB), and the others evaluate their proposals; a
-        # per-draw first-round dedup evaluated 243,056 points here
+        # at sigma = 2 and T = 500 some draws' T_EM passes T: those are
+        # tabulated, the others take 64-node quadratures, each table at most
+        # 64 KiB; at L = 507 and T = 10,000 each draw is tabulated, and its
+        # row is summed in chunks of 8,192 points
         tables = []
 
         def clenshaw(a, t, rows=None):
-            if rows is None and a.ndim == 2:  # not a lone draw's proposals
-                tables.append(a.shape[0] * t.size)
+            tables.append((a.shape[0], t.size))
             return klcore._clenshaw(a, t, rows)
 
         monkeypatch.setattr(pricing, "_clenshaw", clenshaw)
-        params = GbmParams(100.0, 0.05, 2.0)
-        spec = AsianPayoffSpec(strike=100.0, monitoring_count=1000)
-        kw = dict(epsilon=0.2, M0=40, M1=50, seed=3)
-        est = price_kl_nested(params, spec, **kw)
-        assert est.diagnostics["series_points"] == 37_668
-        assert tables == [8000, 8000, 8000, 8000, 1000]
-        assert (est.value, est.std_error, est.diagnostics["proposals"]) == _per_draw_nested(
-            params, spec, **kw)
+        for sigma, T, kw, want in [
+            (2.0, 500, dict(epsilon=0.2, M0=40, M1=50, seed=3), [(10, 500), (30, 66)]),
+            (0.2, 10_000, dict(epsilon=0.02, M0=2, M1=50, seed=3), [(1, 8192), (1, 1808)] * 2),
+        ]:
+            tables.clear()
+            params = GbmParams(100.0, 0.05, sigma)
+            spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
+            est = price_kl_nested(params, spec, **kw)
+            assert tables == want
+            assert est.diagnostics["series_points"] == sum(r * t for r, t in want)
+            assert (est.value, est.std_error, est.diagnostics["proposals"]) == _per_draw_nested(
+                params, spec, **kw)
 
     def test_cost_does_not_grow_with_T(self):
-        # the paper's poly-log-in-T cost: past the path table's bounds every
-        # proposal is evaluated at its own time, so T enters only through
-        # floor(u T) and the counts are the same at every T
+        # the paper's poly-log-in-T cost: past T_EM and n every draw takes
+        # its quadrature, n + 2 = 130 points here, at every T
         counts = {
-            (d["proposals"], d["series_points"])
+            (d["series_points"], d["tabulated_draws"])
             for d in (
                 price_kl_nested(
                     MARKET, AsianPayoffSpec(100.0, T), epsilon=0.1, M0=400, M1=400, seed=1
@@ -664,7 +658,95 @@ class TestNested:
                 for T in (1 << 20, 1 << 30, 1 << 40, 1 << 50)
             )
         }
-        assert counts == {(252_205, 305_528)}
+        assert counts == {(400 * 130, 0)}
+
+    @pytest.mark.parametrize("T", [8193, 1 << 20])
+    @pytest.mark.parametrize("sigma", [0.2, 3.0])
+    @pytest.mark.parametrize("L", [21, 82])
+    def test_inner_mean_matches_the_t_point_sum(self, T, sigma, L):
+        # Gauss-Legendre with Euler-Maclaurin corrections against the brute
+        # T-point mean of the same rows, summed through _clenshaw in chunks
+        params = GbmParams(100.0, 0.05, sigma)
+        a, _ = process._coefficient_rows(list(process.streams(5, 3, range(6))), L)
+        env = process.path_envelope(params, a)
+        assert np.all(pricing._quadrature_nodes(a, params, T) > 0)
+        mean, points, tabulated = pricing._inner_means(a, env, params, T)
+        chunks = (np.arange(lo + 1, min(lo + 65536, T) + 1) / T for lo in range(0, T, 65536))
+        brute = sum(process.gbm_from_bm(klcore._clenshaw(a, t), t, params).sum(axis=1)
+                    for t in chunks) / T
+        assert tabulated == 0 and points < 6 * T
+        np.testing.assert_allclose(mean, brute, rtol=1e-12, atol=0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(0.05, 3.0),
+        L=st.integers(0, 60),
+        T=st.integers(65, 1 << 16),
+        mu=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_quadrature_error_within_its_stated_bound(self, sigma, L, T, mu, seed):
+        # the rule's promise: a draw's inner mean is within _INNER_TOL
+        # (1e-13) of its T-point sum, relative, whichever way it is taken
+        params = GbmParams(100.0, mu, sigma)
+        a, _ = process._coefficient_rows(list(process.streams(seed, 3, range(4))), L)
+        env = process.path_envelope(params, a)
+        mean, _, _ = pricing._inner_means(a, env, params, T)
+        t = np.arange(1, T + 1) / T
+        brute = process.gbm_from_bm(wiener_eval(a, t), t, params).mean(axis=1)
+        assert np.all(np.abs(mean - brute) <= pricing._INNER_TOL * brute)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(0.05, 3.0),
+        L=st.integers(0, 8),
+        T=st.integers(1, 64),
+        mu=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_euler_maclaurin_remainder_within_its_bound(self, sigma, L, T, mu, seed):
+        # the corrections through G^(5) at small T, where each of them
+        # matters: 512-node Gauss-Legendre plus the corrections errs from
+        # the T-point mean by at most the stated remainder,
+        # 2 zeta(7) (2 pi T)^-7 Y_7 int G, recomputed here from the bounds on
+        # |phi^(j)|, plus 1e-13 for the quadrature and rounding
+        params = GbmParams(100.0, mu, sigma)
+        a, _ = process._coefficient_rows(list(process.streams(seed, 3, range(4))), L)
+        mean = pricing._quadrature_means(a, process.path_envelope(params, a), params, T, 512)
+        t = np.arange(1, T + 1) / T
+        brute = process.gbm_from_bm(wiener_eval(a, t), t, params).mean(axis=1)
+        nodes, weights = pricing._gauss_legendre(512)
+        integral = (process.gbm_from_bm(wiener_eval(a, nodes), nodes, params) * weights).sum(axis=1)
+        k = np.arange(1, L + 1)
+        x = [sigma * np.sqrt(2) * np.pi**j * (np.abs(a[:, 1:]) * k**j).sum(axis=1) for j in range(7)]
+        x[0] = x[0] + sigma * np.abs(a[:, 0]) + abs(params.effective_drift)
+        y = [np.ones(len(a))]  # complete Bell polynomials of x
+        for m in range(7):
+            y.append(sum(math.comb(m, i) * y[m - i] * x[i] for i in range(m + 1)))
+        remainder = 2 * 1.0083492773819228 * (2 * np.pi * T) ** -7.0 * y[7] * integral
+        assert np.all(np.abs(mean - brute) <= remainder + 1e-13 * brute)
+
+    def test_convexity_bias_falls_with_m1(self, golden_market, golden_spec):
+        # d = f(Haldane mean) - f(exact mean) samples the nested estimator's
+        # convexity bias draw by draw, with only inner noise: at the golden
+        # market (T = 64, eps = 0.1) about 50/M1, 2.89 +- 0.08 at M1 = 16 and
+        # 0.13 +- 0.02 at M1 = 400 at this seed
+        M0, L = 20_000, truncation_index_bm(0.1)
+        a, _ = process._coefficient_rows(list(process.streams(17, process.TAG_NESTED, range(M0))), L)
+        env = process.path_envelope(golden_market, a)
+        exact = np.concatenate([
+            pricing._inner_means(a[lo : lo + 256], env[lo : lo + 256], golden_market, 64)[0]
+            for lo in range(0, M0, 256)
+        ])
+        bias = {}
+        for M1 in (16, 400):
+            counts = pricing._tabled_counts(list(process.streams(17, 9, range(M0))), exact, env, M1)
+            d = (np.maximum(pricing._haldane_mean(env, M1, counts) - golden_spec.strike, 0.0)
+                 - np.maximum(exact - golden_spec.strike, 0.0))
+            bias[M1] = (d.mean(), d.std(ddof=1) / np.sqrt(M0))
+        (b16, se16), (b400, se400) = bias[16], bias[400]
+        assert b16 - b400 > 5.0 * np.hypot(se16, se400)
+        assert 20.0 < 16 * b16 < 60.0 and 0.0 < b400 < 0.2
 
     def test_monitoring_count_past_2_53_rejected(self):
         # floor(u T) reaches every index up to T = 2^53 and no further
@@ -725,15 +807,16 @@ class TestNested:
                             inner_mode="uniform")
         assert draws == []
 
-    def test_starvation_guard_in_round_loop(self, monkeypatch):
+    def test_starvation_guard_on_quadrature_draws(self, monkeypatch):
         # an envelope 10^9 times too high accepts almost nothing; the guard
-        # budget is scaled down so the request fails fast.  T = 2^20 has no
-        # path tables, so every draw runs the sampler's rounds.
+        # budget is scaled down so the request fails fast.  At T = 2^20 the
+        # first draw's count, drawn from its quadrature's law, is past it.
         envelope = process.path_envelope
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e9 * envelope(params, a))
         monkeypatch.setattr(process, "_STARVATION_FACTOR", 1000)
         with pytest.raises(process.RejectionStarvedError,
-                           match="the budget of 10000 proposals produced 0/10 acceptances"):
+                           match="10 acceptances at rate 8.65e-10 take 4.44917e[+]09 proposals, "
+                                 "past the budget of 10000"):
             price_kl_nested(MARKET, AsianPayoffSpec(100.0, 1 << 20), epsilon=0.2, M0=3, M1=10,
                             seed=1)
 
@@ -886,12 +969,12 @@ class TestNested:
 def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
     """kl-nested in acceptance mode, one outer draw at a time.
 
-    The reference for the grouped runs, under the same tabulation rule: a
-    draw with T <= 8192 and T no more than its guessed first batch draws its
-    count, M1 + NegBin(M1, p), from its path's exact acceptance probability p
-    on its own stream; any other draw runs ``process.rejection_sample_times``.
-    Returns (value, std_error, proposals through every draw's M1-th
-    acceptance).
+    The reference for the grouped runs: each draw's count is
+    M1 + NegBin(M1, p) on its own stream, for p its exact inner mean over its
+    envelope.  A tabulated draw's mean is its path's mean on the T points,
+    computed here; a quadrature draw's comes from ``pricing._inner_means`` on
+    its row alone.  Returns (value, std_error, proposals through every draw's
+    M1-th acceptance).
     """
     L = truncation_index_bm(epsilon)
     T = spec.monitoring_count
@@ -901,13 +984,12 @@ def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
         rng = process.stream(seed, process.TAG_NESTED, i)
         coeffs = process.sample_coefficients(rng, L)
         env = process.path_envelope(params, coeffs.a)
-        guess = process._batch_size(M1, process._first_batch_rate(coeffs.a, env, params))
-        if T <= 8192 and T <= guess:
+        if pricing._quadrature_nodes(coeffs.a[None], params, T)[0] == 0 and T <= 8192:
             grid = np.arange(1, T + 1) / T
-            p = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, params).mean() / env
-            n_prop = M1 + int(rng.negative_binomial(M1, min(p, 1.0)))
+            mean = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, params).mean()
         else:
-            _, n_prop = process.rejection_sample_times(rng, coeffs, M1, env, params, T)
+            mean = pricing._inner_means(coeffs.a[None], np.array([env]), params, T)[0][0]
+        n_prop = M1 + int(rng.negative_binomial(M1, min(mean / env, 1.0)))
         pay = max(pricing._haldane_mean(env, M1, n_prop) - spec.strike, 0.0)
         total += pay
         total_sq += pay * pay
