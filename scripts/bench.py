@@ -13,7 +13,9 @@ seed; it records the median, min and max wall time, the value, its standard
 error, SE^2 x the median seconds (variance reduction and speed on one
 scale) and the request's ``diagnostics``.  Every repeat must return
 the same estimate.  The ``env`` record gives Python, numpy, the cores the
-process may use and the CPU model.
+process may use, the CPU model, the BLAS thread count set in the
+environment (null when unset) and the threads the flat kernel runs the
+``bulk`` row on, by ``pricing._flat_moments``'s rule.
 
     python scripts/bench.py                    # BENCH_<next free n>.json at the repo root
     python scripts/bench.py --out bench.json
@@ -82,6 +84,12 @@ def run_row(method: str, T: int, sizes: dict) -> dict:
     }
 
 
+def flat_threads(T: int, n_paths: int) -> int:
+    """Threads of a flat request: min(usable cores, blocks, threads whose buffers fit the guard)."""
+    blocks = -(-n_paths // pricing._block_size(T))
+    return min(pricing._cpu_count(), blocks, pricing._FLAT_BYTES // pricing._check_flat_buffers(T, n_paths))
+
+
 def environment() -> dict:
     cpu = platform.processor()
     try:
@@ -97,6 +105,9 @@ def environment() -> dict:
         "nproc": os.cpu_count(),
         "usable_cores": pricing._cpu_count(),
         "cpu": cpu,
+        "blas_threads": next((int(os.environ[v]) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                              if os.environ.get(v)), None),
+        "flat_threads": flat_threads(WORKLOADS["bulk"][1], WORKLOADS["bulk"][2]["n_paths"]),
     }
 
 

@@ -4,7 +4,8 @@ Two subcommands:
 
 * ``price``  runs one estimator and prints the estimate as a single JSON
   object (value, std_error, method, n_outer, n_inner, seed, wall_time_ms,
-  and the estimator's integer ``diagnostics`` counters).
+  and the estimator's ``diagnostics``: integer counters, and kl-nested's
+  ``plain_value`` and ``plain_std_error``, floats discounted as the value is).
 * ``analyze`` runs one verification probe and writes its report as strict
   JSON and as CSV, then prints a JSON summary; the exit status reflects
   whether every bound check passed.  No probe draws, so ``analyze`` takes
@@ -104,8 +105,10 @@ def run_price(
     wall_ms = (time.perf_counter() - start) * 1000.0
     discount = float(np.exp(-args.discount_rate))
     value, std_error = est.value * discount, est.std_error * discount
-    if not (np.isfinite(value) and np.isfinite(std_error)):
-        raise FloatingPointError(f"non-finite estimate: value {value}, std_error {std_error}")
+    diagnostics = {k: v * discount if isinstance(v, float) else v for k, v in est.diagnostics.items()}
+    prices = [value, std_error, *(v for v in diagnostics.values() if isinstance(v, float))]
+    if not np.all(np.isfinite(prices)):
+        raise FloatingPointError(f"non-finite estimate: value {value}, std_error {std_error}, {diagnostics}")
     return {
         "value": value,
         "std_error": std_error,
@@ -114,7 +117,7 @@ def run_price(
         "n_inner": est.n_inner,
         "seed": args.seed,
         "wall_time_ms": wall_ms,
-        "diagnostics": est.diagnostics,
+        "diagnostics": diagnostics,
     }
 
 
@@ -181,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--T", type=int, default=64,
                     help="monitoring points T of the averaged payoff (default 64)")
     pr.add_argument("--epsilon", type=float, default=0.05,
-                    help="kl-nested takes its L and M0 = M1 = ceil(4/eps^2) from it, which "
-                         "gives an SE of about 5 eps, not eps, at the default market; "
+                    help="kl-nested takes its L and M0 = M1 = ceil(4/eps^2) from it: an SE of "
+                         "0.38 at eps 0.2 and 0.12 at eps 0.1 at the default market, T = 64; "
                          "subsample prices the grid of min(ceil(1/eps^2), T) points "
                          "(default 0.05)")
     pr.add_argument("--paths", type=int, default=100_000,

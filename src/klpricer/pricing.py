@@ -14,7 +14,8 @@ Four routes to a price are provided:
   m = min(ceil(1/eps^2), T) points, exploiting that the process is
   fast-forwardable; at m = T it is the baseline, bit for bit.
 * ``geometric_asian_closed_form``: the lognormal closed form for the
-  geometric-average payoff, used as an analytic oracle.
+  geometric-average payoff, on the exact path or on kl-nested's G_L, used as
+  an analytic oracle and as kl-nested's control variate.
 
 Every route averages over a uniform grid i/m, i = 1..m: m = T for the
 baseline, the nested estimator and the closed form, and
@@ -34,7 +35,8 @@ sampler count from its law, M1 + NegBin(M1, p), with p the draw's exact
 inner mean over its envelope: a T-point table sum, or Gauss-Legendre
 quadrature with Euler-Maclaurin corrections within 1e-13 relative.  A
 draw's cost is bounded by its own row, whatever T or sigma is, and values
-do not depend on how draws are grouped (``price_kl_nested``).
+do not depend on how draws are grouped (``price_kl_nested``).  Its payoffs
+carry their geometric twins as a control variate, at one dot product a draw.
 
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
@@ -67,7 +69,7 @@ _BLOCK_BYTES = 1 << 20  # one flat-kernel block buffer: about one core's L2 shar
 _GROUP_BYTES = 1 << 16  # one path or quadrature table of kl-nested draws
 _RUN_DRAWS = 256  # most kl-nested draws of one run: their streams hold about 190 KB
 _TABLE_POINTS = 8192  # most monitoring points of one path-table row: 64 KiB
-_SUM_BLOCK = 4096  # kl-nested inner means turned into Python floats at a time
+_SUM_BLOCK = 4096  # kl-nested draws whose payoffs are summed at a time
 _NESTED_BYTES = 3_200_000_000  # resource guard on one kl-nested draw, and on all M0 draws
 _INNER_TOL = 1e-13  # relative error bound of a kl-nested inner mean by quadrature
 _MIN_NODES = 64  # fewest Gauss-Legendre nodes of a kl-nested inner mean
@@ -99,7 +101,7 @@ class Estimate:
     function of the request like the value: the flat estimators give the
     ``grid_points`` they priced and count their ``blocks`` and
     ``normals_drawn``; ``price_kl_nested`` lists its own, ``tabulated_draws``
-    among them.
+    among them, and two floats, its ``plain_value`` and ``plain_std_error``.
     """
 
     value: float
@@ -294,11 +296,12 @@ def _series_order(epsilon: float, L: int | None, T: int) -> int:
     """Series order L >= 0 of kl-nested, the truncation index for eps by default, and T <= 2^53.
 
     An outer draw holds its L + 1 coefficients and, while its envelope is
-    computed, three more arrays as long: about 32 (L + 1) bytes (tracemalloc
-    reads 4.0 times 8 (L + 1) at L = 10^6).  A series pass takes one Python
-    step per coefficient: a draw took 4.5 s (uniform mode, M1 = 400) and
-    5.1 s (acceptance, T = 64) at L = 10^6 on a 2-core Xeon.  A series past 10^8
-    coefficients, 3.2 GB and 4.5 to 8 minutes per draw, is rejected.
+    computed, three more arrays as long, beside the request's L + 1 geometric
+    weights: about 40 (L + 1) bytes (tracemalloc reads 5.0 times 8 (L + 1) at
+    L = 10^6).  A series pass takes one Python step per coefficient: a draw
+    took 4.5 s (uniform mode, M1 = 400) and 5.1 s (acceptance, T = 64) at
+    L = 10^6 on a 2-core Xeon.  A series past 8 * 10^7 coefficients, 3.2 GB
+    and 6 to 7 minutes per draw, is rejected.
     """
     if T > 1 << 53:
         raise ValueError("kl-nested needs T <= 2^53, the monitoring points a uniform can reach")
@@ -306,9 +309,9 @@ def _series_order(epsilon: float, L: int | None, T: int) -> int:
         L = truncation_index_bm(epsilon)
     if L < 0:
         raise ValueError("L must be >= 0")
-    if 32 * (L + 1) > _NESTED_BYTES:
+    if 40 * (L + 1) > _NESTED_BYTES:
         raise ValueError(
-            f"series of {L + 1} coefficients needs about {32 * (L + 1)} bytes per draw, "
+            f"series of {L + 1} coefficients needs about {40 * (L + 1)} bytes per draw, "
             f"past the {_NESTED_BYTES}-byte guard"
         )
     return L
@@ -344,21 +347,25 @@ def _haldane_mean(env, M1: int, n_prop):
 
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [0, 1], n even.
 
     Newton's method on P_n, by its three-term recurrence, from
     cos(pi (i - 1/4)/(n + 1/2)), in elementwise numpy: no bit depends on BLAS.
+    It runs in place on the n/2 roots in (0, 1] alone, and mirrors them.
     """
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    x = np.cos(np.pi * (np.arange(n // 2, 0, -1) - 0.25) / (n + 0.5))
     for _ in range(100):
-        p0, p1 = np.ones(n), x
-        for k in range(1, n):
-            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        p0, p1, step = np.ones(x.size), x.copy(), np.empty_like(x)
+        for k in range(1, n):  # ((2k + 1) x P_k - k P_(k-1))/(k + 1)
+            np.multiply(np.multiply(x, 2 * k + 1, out=step), p1, out=step)
+            step -= np.multiply(p0, k, out=p0)
+            p0, p1, step = p1, np.divide(step, k + 1, out=step), p0
         dp = n * (x * p1 - p0) / (x * x - 1.0)
         x = x - (dx := p1 / dp)
         if np.max(np.abs(dx)) <= 1e-15:
             break
-    nodes, weights = (1.0 + x) / 2, 1.0 / ((1.0 - x * x) * dp * dp)
+    weights = 1.0 / ((1.0 - x * x) * dp * dp)
+    nodes, weights = (1.0 + np.concatenate((-x[::-1], x))) / 2, np.concatenate((weights[::-1], weights))
     nodes.flags.writeable = weights.flags.writeable = False  # the cache hands them to every caller
     return nodes, weights
 
@@ -478,13 +485,13 @@ def _tabled_counts(rngs: list, means: np.ndarray, env: np.ndarray, M1: int) -> n
 
 
 def _acceptance_means(
-    params: GbmParams, T: int, L: int, M0: int, M1: int, seed: int
-) -> tuple[np.ndarray, dict]:
-    """Haldane inner means of outer draws 0..M0-1, and counters, a run of draws at a time.
+    params: GbmParams, T: int, L: int, M0: int, M1: int, seed: int, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Haldane inner means of outer draws 0..M0-1, their rows times w, and counters.
 
     A run holds ``_RUN_DRAWS`` draws, fewer where their rows pass ``_GROUP_BYTES``.
     """
-    gbar = np.empty(M0)
+    gbar, aw = np.empty(M0), np.empty(M0)
     keys = ("clipped", "proposals", "accepted", "series_points", "tabulated_draws")
     counts = dict.fromkeys(keys, 0)
     run = max(1, min(_RUN_DRAWS, _GROUP_BYTES // (8 * (L + 1))))
@@ -496,27 +503,29 @@ def _acceptance_means(
         means, points, tabulated = _inner_means(a, env, params, T)
         n_prop = _tabled_counts(rngs, means, env, M1)
         gbar[first : first + len(rngs)] = _haldane_mean(env, M1, n_prop)
+        aw[first : first + len(rngs)] = np.einsum("ij,j->i", a, w)  # by row, not by BLAS
         counts["proposals"] += int(n_prop.sum())
         counts["series_points"] += points
         counts["tabulated_draws"] += tabulated
         counts["clipped"] += clipped
     counts["accepted"] = M0 * M1
-    return gbar, counts
+    return gbar, aw, counts
 
 
 def _uniform_means(
-    params: GbmParams, T: int, L: int, M0: int, M1: int, seed: int
-) -> tuple[np.ndarray, dict]:
-    """Plain inner means at M1 uniformly drawn monitoring times per outer draw, and counters."""
-    gbar = np.empty(M0)
+    params: GbmParams, T: int, L: int, M0: int, M1: int, seed: int, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Plain inner means at M1 uniform monitoring times, rows times w, and counters."""
+    gbar, aw = np.empty(M0), np.empty(M0)
     clipped = 0
     for i in range(M0):
         rng = process.stream(seed, process.TAG_NESTED, i)
         coeffs = process.sample_coefficients(rng, L)
+        aw[i] = np.einsum("ij,j->i", coeffs.a[None], w)[0]
         t = process.monitoring_times(rng.random(M1), T)
         gbar[i] = np.mean(process.gbm_from_bm(wiener_eval_horner(coeffs, t), t, params))
         clipped += coeffs.n_clipped
-    return gbar, {"clipped": clipped, "series_points": M0 * M1}
+    return gbar, aw, {"clipped": clipped, "series_points": M0 * M1}
 
 
 def price_kl_nested(
@@ -540,6 +549,14 @@ def price_kl_nested(
     ``uniform`` instead averages the path value at M1 uniformly drawn
     monitoring times (``process.monitoring_times``).  Standard error comes
     from outer variation only.
+
+    Control variate (Kemna & Vorst 1990): the estimate averages Y - X + E[X],
+    Y = (gbar - K)^+ and X = (s0 exp(sigma a.w + drift w_0) - K)^+ on the
+    draw's geometric mean over the T points (``_geometric_weights``), E[X] by
+    ``geometric_asian_closed_form`` at L.  At coefficient 1 the estimand is
+    unchanged, draw by draw; for an einsum per run it cuts the outer variance
+    about 15x at the default market.  ``plain_value`` and ``plain_std_error``
+    in ``diagnostics`` average Y alone.
 
     How acceptance mode gets n_prop.  Outer draw i reads its L + 1
     coefficients from its own stream, (seed, ``process.TAG_NESTED``, i), then
@@ -567,8 +584,8 @@ def price_kl_nested(
     its cost is bounded by its own row, whatever T (up to 2^53, the most a
     53-bit uniform can index), sigma or M1 is.  tracemalloc reads about
     0.8 MiB at eps = 0.1, M0 = M1 = 400, T = 64.  Each of the M0 draws holds
-    8 bytes, its inner mean, rejected past 3.2 GB; the payoffs are summed
-    in draw order over blocks of them.  Uniform mode holds about 64 bytes
+    16 bytes, its inner mean and a.w, rejected past 3.2 GB; the payoffs are
+    summed in draw order over blocks of them.  Uniform mode holds about 64 bytes
     per inner sample of one draw, M1 past 5 * 10^7 rejected.  An M1 past
     9.2 * 10^12, whose starvation budget passes int64, is rejected.  These
     guards run before anything is drawn.
@@ -580,18 +597,17 @@ def price_kl_nested(
 
     Estimand: E[(T^-1 sum_i G_L(i/T) - K)^+] for the smoothed path G_L and
     T = ``spec.monitoring_count``.  Both inner means are unbiased per path, so
-    what remains is the bias of clipping coefficients at ``klcore.CLIP``,
-    whose per-draw probability is below 1.3e-15, and the convexity bias of
-    a nested estimator (the payoff is convex in the inner mean): about
-    50/M1 at the golden market (s0 = K = 100, mu = 0.05, sigma = 0.2,
-    T = 64, eps = 0.1), 2.89 +- 0.08 at M1 = 16 and 0.13 +- 0.02 at M1 = 400
-    against exact inner means (``test_convexity_bias_falls_with_m1``).
+    what remains is the bias of clipping coefficients at ``klcore.CLIP``
+    (E[X] ignores it), whose per-draw probability is below 1.3e-15, and the
+    convexity bias of a nested estimator (the payoff is convex in the inner
+    mean): about 50/M1 at the golden market (s0 = K = 100, mu = 0.05,
+    sigma = 0.2, T = 64, eps = 0.1), 2.89 +- 0.08 at M1 = 16 and 0.13 +- 0.02
+    at M1 = 400 against exact inner means (``test_convexity_bias_falls_with_m1``).
 
     Defaults: ``epsilon`` sets L, the truncation index for it, and
-    M0 = M1 = ceil(4 / eps^2).  That sizing assumes a payoff standard
-    deviation of 2, and does not deliver an SE of eps: at the default market
-    (s0 = K = 100, mu = 0.05, sigma = 0.2, T = 64, seed 1) the SE is 1.020
-    at eps = 0.2 and 0.499 at eps = 0.1, about 5 eps.
+    M0 = M1 = ceil(4 / eps^2).  At the default market (s0 = K = 100,
+    mu = 0.05, sigma = 0.2, T = 64, seed 1) the SE is 0.379 at eps = 0.2 and
+    0.117 at eps = 0.1, about 1.9 eps and 1.2 eps (plain: 1.020 and 0.499).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -606,9 +622,9 @@ def price_kl_nested(
     M1 = math.ceil(sizing) if M1 is None else M1
     if M0 < 2 or M1 < 2:
         raise ValueError("M0 and M1 must be >= 2")
-    if 8 * M0 > _NESTED_BYTES:  # one inner mean per draw
+    if 16 * M0 > _NESTED_BYTES:  # an inner mean and a.w per draw
         raise ValueError(
-            f"{M0} outer draws need {8 * M0} bytes, past the {_NESTED_BYTES}-byte guard"
+            f"{M0} outer draws need {16 * M0} bytes, past the {_NESTED_BYTES}-byte guard"
         )
     # a uniform-mode draw holds its M1 times, uniforms and path values, and
     # their temporaries: 64 bytes per inner sample at its peak (tracemalloc)
@@ -622,16 +638,19 @@ def price_kl_nested(
         raise ValueError(f"M1 = {M1} is past {most}, the most acceptances whose starvation "
                          f"budget of {process._STARVATION_FACTOR} M1 proposals fits an int64 count")
     inner_means = _acceptance_means if inner_mode == "acceptance" else _uniform_means
-    gbar, diagnostics = inner_means(params, spec.monitoring_count, L, M0, M1, seed)
-    total = 0.0
-    total_sq = 0.0
+    w = _geometric_weights(spec.monitoring_count, L)
+    gbar, aw, diagnostics = inner_means(params, spec.monitoring_count, L, M0, M1, seed, w)
+    twin, drift = geometric_asian_closed_form(params, spec, L), params.effective_drift * w[0]
+    sums = [0.0] * 4  # of the plain payoffs, their squares, the controlled ones, their squares
     for lo in range(0, M0, _SUM_BLOCK):
-        for g in gbar[lo : lo + _SUM_BLOCK].tolist():  # in draw order
-            pay = max(g - spec.strike, 0.0)
-            total += pay
-            total_sq += pay * pay
-    mean, se = _mean_and_se(total, total_sq, M0)
-    return Estimate(mean, se, M0, M1, diagnostics)
+        pay = np.maximum(gbar[lo : lo + _SUM_BLOCK] - spec.strike, 0.0)
+        geo = params.s0 * np.exp(params.sigma * aw[lo : lo + _SUM_BLOCK] + drift)
+        ctrl = pay - np.maximum(geo - spec.strike, 0.0) + twin
+        # accumulate adds one value at a time, in draw order: a Python loop's bits
+        sums = [float(np.add.accumulate(np.concatenate(([total], x)))[-1])
+                for total, x in zip(sums, (pay, pay * pay, ctrl, ctrl * ctrl))]
+    diagnostics["plain_value"], diagnostics["plain_std_error"] = _mean_and_se(*sums[:2], M0)
+    return Estimate(*_mean_and_se(*sums[2:], M0), M0, M1, diagnostics)
 
 
 def _norm_cdf(x: float) -> float:
@@ -643,7 +662,20 @@ def _norm_cdf(x: float) -> float:
     return 1.0 - tail if z > 0.0 else tail
 
 
-def geometric_asian_closed_form(params: GbmParams, spec: AsianPayoffSpec) -> float:
+def _geometric_weights(T: int, L: int) -> np.ndarray:
+    """w_0..w_L, the means over i/T, i = 1..T, of t and of each sine mode of B_L.
+
+    w_0 = (T+1)/(2T), and w_k = (sqrt(2)/pi) cot(k pi/(2T))/(kT) for odd k, from
+    sum_i sin(k pi i/T), with k taken mod 2T (cot's period); 0 for even k.
+    """
+    w, k = np.zeros(L + 1), np.arange(1.0, L + 1, 2.0)
+    w[0] = (T + 1) / (2 * T)
+    x = np.fmod(k, 2 * T) * np.pi / (2 * T)  # cos/sin, as np.tan maps 128 KiB more of numpy
+    w[1::2] = _SQRT2_OVER_PI * np.cos(x) / (np.sin(x) * k * T)
+    return w
+
+
+def geometric_asian_closed_form(params: GbmParams, spec: AsianPayoffSpec, L: int | None = None) -> float:
     """Closed-form price of the geometric-average call monitored at i/T, i = 1..T.
 
     The log of the geometric average A_G = (prod_i S(i/T))^(1/T) is Gaussian
@@ -655,11 +687,16 @@ def geometric_asian_closed_form(params: GbmParams, spec: AsianPayoffSpec) -> flo
 
     Each moment is one correctly rounded integer ratio, so the cost is O(1)
     in T.  Degenerate variance collapses to the deterministic payoff and
-    K <= 0 collapses to the mean of A_G.
+    K <= 0 collapses to the mean of A_G.  Given L >= 0 it prices the call on
+    kl-nested's G_L instead, in O(L): v = sigma^2 sum_j w_j^2 (``_geometric_weights``).
     """
     T, strike = spec.monitoring_count, spec.strike
     m = float(np.log(params.s0) + params.effective_drift * ((T + 1) / (2 * T)))
-    v = float(params.sigma**2 * ((T + 1) * (2 * T + 1) / (6 * T * T)))
+    if L is None:
+        v = float(params.sigma**2 * ((T + 1) * (2 * T + 1) / (6 * T * T)))
+    else:
+        w = _geometric_weights(T, L)
+        v = float(params.sigma**2 * np.einsum("i,i->", w, w))
     if strike <= 0.0:
         return float(np.exp(m + 0.5 * v) - strike)
     if v <= 0.0:

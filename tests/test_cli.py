@@ -101,7 +101,7 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize("inner", ["acceptance", "uniform"])
     def test_outer_draw_guard_exits_2_before_any_draw(self, capsys, draws, inner):
-        # 10^11 outer draws would need 800 GB; the guard runs before anything
+        # 10^11 outer draws would need 1.6 TB; the guard runs before anything
         # is allocated, so the request fails fast with exit 2, not exit 1
         # with numpy's "Unable to allocate"
         tracemalloc.start()
@@ -116,7 +116,7 @@ class TestPriceCommand:
         assert (code, out, draws) == (2, "", [])
         assert peak < 1 << 20
         assert json.loads(err) == {
-            "error": "100000000000 outer draws need 800000000000 bytes, "
+            "error": "100000000000 outer draws need 1600000000000 bytes, "
                      "past the 3200000000-byte guard",
             "code": 2,
         }
@@ -163,8 +163,8 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize("flag", ["--L=100000000", "--epsilon=1e-5"])
     def test_series_order_guard_exits_2_before_any_draw(self, capsys, draws, flag):
-        # each outer draw holds L + 1 coefficients, which the 10^8-double guard
-        # caps; eps = 1e-5 resolves to L = 2,026,423,673
+        # each outer draw holds L + 1 coefficients, which the 8 * 10^7-double
+        # guard caps; eps = 1e-5 resolves to L = 2,026,423,673
         code, out, err = run_cli(
             capsys, "price", "--method", "kl-nested", flag, "--m0", "2", "--m1", "2",
             "--seed", "1",
@@ -363,7 +363,7 @@ class TestPriceCommand:
         assert nested(4, 3) != nested(64, 3)
         if inner == "acceptance":
             # the value test_snapped_price_pinned pins for the T = 7 average
-            assert nested(7, 2) == (7.938895806735973, 1.388123726284527)
+            assert nested(7, 2) == (6.98115697735156, 0.7465024018946773)
 
     def test_geometric_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf", "--seed", "3")

@@ -33,14 +33,24 @@ SPEC64 = AsianPayoffSpec(strike=100.0, monitoring_count=64)
 SPEC1000 = AsianPayoffSpec(strike=100.0, monitoring_count=1000)
 TAG_GEOMETRIC = 4  # stream tag of the geometric-average Monte Carlo oracle
 GRID100 = np.arange(101) / 100  # k/100 for k = 0..100, with a leading t = 0
-# kl-nested requests (T, sizing) and their (value, std_error), which the
-# one-draw-at-a-time reference gives too: every draw is tabulated at T = 64
-# and 7, and none at T = 2^20, where each inner mean is a quadrature
+# kl-nested requests (T, sizing) and their (value, std_error, plain_value,
+# plain_std_error), which the one-draw-at-a-time reference gives too: every
+# draw is tabulated at T = 64 and 7, and none at T = 2^20, where each inner
+# mean is a quadrature
 NESTED_PINS = [
-    (64, dict(epsilon=0.1, M0=400, M1=400, seed=7), (6.07164828788031, 0.39801126168131234)),
-    (7, dict(epsilon=0.2, M0=40, M1=50, seed=12), (8.940792132707397, 1.8821638381001073)),
-    (1 << 20, dict(epsilon=0.2, M0=40, M1=50, seed=3), (7.051924451969528, 1.4702392198068333)),
+    (64, dict(epsilon=0.1, M0=400, M1=400, seed=7),
+     (6.482783523061586, 0.11206651391400427, 6.07164828788031, 0.39801126168131234)),
+    (7, dict(epsilon=0.2, M0=40, M1=50, seed=12),
+     (7.7769087336700675, 0.7910515460672107, 8.940792132707397, 1.8821638381001073)),
+    (1 << 20, dict(epsilon=0.2, M0=40, M1=50, seed=3),
+     (6.570932498959792, 0.741537180018681, 7.051924451969528, 1.4702392198068333)),
 ]
+
+
+def _nested_fields(est):
+    """(value, std_error, plain_value, plain_std_error, proposals) of a kl-nested estimate."""
+    d = est.diagnostics
+    return est.value, est.std_error, d["plain_value"], d["plain_std_error"], d["proposals"]
 
 
 def average_call(path_values, strike):
@@ -497,11 +507,17 @@ class TestNested:
 
     @pytest.mark.parametrize("T, kw, pinned", [
         (64, dict(epsilon=0.1, M0=400, M1=400, seed=9),
-         (6.945911129726653, 0.45019188648794667, {"clipped": 0, "series_points": 160_000})),
+         (6.172993305224017, 0.030513722475158905, {
+             "clipped": 0, "series_points": 160_000,
+             "plain_value": 6.945911129726653, "plain_std_error": 0.45019188648794667})),
         (7, dict(epsilon=0.2, M0=50, M1=50, seed=2),
-         (7.70211524261837, 1.4076849162213643, {"clipped": 0, "series_points": 2_500})),
+         (6.744376413233958, 0.14384451930638742, {
+             "clipped": 0, "series_points": 2_500,
+             "plain_value": 7.70211524261837, "plain_std_error": 1.4076849162213643})),
         (1 << 20, dict(epsilon=0.2, M0=40, M1=40, seed=1),
-         (7.042035884344702, 1.3686326740295258, {"clipped": 0, "series_points": 1_600})),
+         (6.029468491113839, 0.17715719667919436, {
+             "clipped": 0, "series_points": 1_600,
+             "plain_value": 7.042035884344702, "plain_std_error": 1.3686326740295258})),
     ])
     def test_uniform_mode_pinned(self, T, kw, pinned):
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
@@ -562,7 +578,8 @@ class TestNested:
         # (T = 7 is no power of 2)
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=7)
         est = price_kl_nested(MARKET, spec, epsilon=0.2, M0=50, M1=50, seed=2)
-        assert (est.value, est.std_error) == (7.938895806735973, 1.388123726284527)
+        assert _nested_fields(est)[:4] == (
+            6.98115697735156, 0.7465024018946773, 7.938895806735973, 1.388123726284527)
 
     def test_batch_sizes_leave_price_unchanged(self, monkeypatch):
         # every count is drawn from its law, so nothing of the sampler's
@@ -586,8 +603,36 @@ class TestNested:
     def test_grouped_round_matches_per_draw_sampler(self, T, kw, pinned):
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
         est = price_kl_nested(MARKET, spec, **kw)
-        assert (est.value, est.std_error) == pinned
-        assert (*pinned, est.diagnostics["proposals"]) == _per_draw_nested(MARKET, spec, **kw)
+        assert _nested_fields(est)[:4] == pinned
+        assert _nested_fields(est) == _per_draw_nested(MARKET, spec, **kw)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        M0=st.one_of(st.integers(2, 3 * pricing._SUM_BLOCK + 2), st.sampled_from(
+            [k * pricing._SUM_BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_payoff_sums_are_the_draw_order_loop(self, M0, seed):
+        # a block of payoffs at a time, by np.add.accumulate from the running
+        # totals: the bits of one Python loop over the draws, in draw order,
+        # wherever M0 cuts a _SUM_BLOCK; the inner means and a.w are stubbed
+        rng = np.random.default_rng(seed)
+        gbar, aw = 100.0 * np.exp(0.2 * rng.standard_normal(M0)), rng.standard_normal(M0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pricing, "_acceptance_means", lambda *args: (gbar, aw, {"proposals": 0}))
+            est = price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=M0, M1=4, seed=1)
+        L = truncation_index_bm(0.2)
+        w0 = pricing._geometric_weights(64, L)[0]
+        twin = geometric_asian_closed_form(MARKET, SPEC64, L)
+        geo = MARKET.s0 * np.exp(MARKET.sigma * aw + MARKET.effective_drift * w0)
+        sums = [0.0] * 4
+        for g, x in zip(gbar.tolist(), geo.tolist()):
+            pay = max(g - 100.0, 0.0)
+            ctrl = pay - max(x - 100.0, 0.0) + twin
+            for j, v in enumerate((pay, pay * pay, ctrl, ctrl * ctrl)):
+                sums[j] += v
+        want = (*pricing._mean_and_se(*sums[2:], M0), *pricing._mean_and_se(*sums[:2], M0), 0)
+        assert _nested_fields(est) == want
 
     @pytest.mark.parametrize("T, kw, pinned", NESTED_PINS)
     def test_grouping_leaves_estimate_unchanged(self, monkeypatch, T, kw, pinned):
@@ -618,8 +663,7 @@ class TestNested:
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
         kw = dict(epsilon=0.2, M0=M0, M1=M1, seed=seed)
         est = price_kl_nested(params, spec, **kw)
-        got = (est.value, est.std_error, est.diagnostics["proposals"])
-        assert got == _per_draw_nested(params, spec, **kw)
+        assert _nested_fields(est) == _per_draw_nested(params, spec, **kw)
 
     def test_tables_bounded_and_split_by_draw(self, monkeypatch):
         # at sigma = 2 and T = 500 some draws' T_EM passes T: those are
@@ -643,8 +687,7 @@ class TestNested:
             est = price_kl_nested(params, spec, **kw)
             assert tables == want
             assert est.diagnostics["series_points"] == sum(r * t for r, t in want)
-            assert (est.value, est.std_error, est.diagnostics["proposals"]) == _per_draw_nested(
-                params, spec, **kw)
+            assert _nested_fields(est) == _per_draw_nested(params, spec, **kw)
 
     def test_cost_does_not_grow_with_T(self):
         # the paper's poly-log-in-T cost: past T_EM and n every draw takes
@@ -759,35 +802,37 @@ class TestNested:
                 )
 
     def test_series_guard_stated_in_bytes(self):
-        # a draw peaks near 4 arrays of L + 1 doubles: 10^8 coefficients pass
-        pricing._series_order(0.1, 10**8 - 1, 64)
-        with pytest.raises(ValueError, match="needs about 3200000032 bytes per draw, "
+        # a draw peaks near 5 arrays of L + 1 doubles, the geometric weights
+        # among them: 8 * 10^7 coefficients pass
+        pricing._series_order(0.1, 8 * 10**7 - 1, 64)
+        with pytest.raises(ValueError, match="needs about 3200000040 bytes per draw, "
                                              "past the 3200000000-byte guard"):
-            pricing._series_order(0.1, 10**8, 64)
+            pricing._series_order(0.1, 8 * 10**7, 64)
 
     @pytest.mark.parametrize("mode", ["acceptance", "uniform"])
     def test_outer_draw_guard_stated_in_bytes(self, monkeypatch, mode):
-        # each outer draw holds 8 bytes: 4 * 10^8 draws fill the 3.2 GB
+        # each outer draw holds 16 bytes: 2 * 10^8 draws fill the 3.2 GB
         # guard; the inner means are stubbed so that nothing runs
         means = []
-        monkeypatch.setattr(pricing, f"_{mode}_means",
-                            lambda params, T, L, M0, *rest: means.append(M0) or (np.ones(2), {}))
+        monkeypatch.setattr(pricing, f"_{mode}_means", lambda params, T, L, M0, *rest: (
+            means.append(M0) or (np.ones(2), np.zeros(2), {})))
         kw = dict(epsilon=0.2, M1=4, seed=1, inner_mode=mode)
-        price_kl_nested(MARKET, SPEC64, M0=400_000_000, **kw)
-        with pytest.raises(ValueError, match="400000001 outer draws need 3200000008 bytes, "
+        price_kl_nested(MARKET, SPEC64, M0=200_000_000, **kw)
+        with pytest.raises(ValueError, match="200000001 outer draws need 3200000016 bytes, "
                                              "past the 3200000000-byte guard"):
-            price_kl_nested(MARKET, SPEC64, M0=400_000_001, **kw)
-        assert means == [400_000_000]
+            price_kl_nested(MARKET, SPEC64, M0=200_000_001, **kw)
+        assert means == [200_000_000]
 
-    def test_outer_draws_hold_8_bytes_each(self, monkeypatch):
-        # the rate the M0 guard counts: the inner means, 8 bytes a draw, and
-        # the payoffs summed over bounded blocks of them; summed over
-        # gbar.tolist(), a Python float and list slot a draw, this read 8 MB.
-        # The inner means are stubbed, so the test reads what the outer sum
-        # holds.
+    def test_outer_draws_hold_16_bytes_each(self, monkeypatch):
+        # the rate the M0 guard counts: the inner means and the rows times
+        # the geometric weights, 16 bytes a draw, and the payoffs summed over
+        # bounded blocks of them; summed over gbar.tolist(), a Python float
+        # and list slot a draw, this read 8 MB more.  The inner means are
+        # stubbed, so the test reads what the outer sum holds; every
+        # geometric mean is below the strike, so X = 0
         M0 = 200_000
-        monkeypatch.setattr(pricing, "_acceptance_means",
-                            lambda params, T, L, M0, *rest: (np.full(M0, 101.0), {}))
+        monkeypatch.setattr(pricing, "_acceptance_means", lambda params, T, L, M0, *rest: (
+            np.full(M0, 101.0), np.full(M0, -10.0), {}))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -795,8 +840,11 @@ class TestNested:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (est.value, est.std_error) == (1.0, 0.0)
-        assert 8 * M0 <= peak - start <= 8 * M0 + (1 << 18)
+        twin = geometric_asian_closed_form(MARKET, SPEC64, truncation_index_bm(0.2))
+        assert (est.diagnostics["plain_value"], est.diagnostics["plain_std_error"]) == (1.0, 0.0)
+        # M0 sequential adds of one value drift by at most M0 ulps
+        assert est.value == pytest.approx(1.0 + twin, rel=M0 * 2**-52) and est.std_error < 1e-6
+        assert 16 * M0 <= peak - start <= 16 * M0 + (1 << 18)
 
     def test_uniform_inner_guard_stated_in_bytes(self, draws):
         # a uniform-mode draw holds 64 bytes per inner sample: 5 * 10^7
@@ -850,11 +898,12 @@ class TestNested:
         kw = dict(epsilon=0.2, M0=100, M1=100, seed=5)
         counts = price_kl_nested(golden_market, golden_spec, **kw).diagnostics
         assert set(counts) == {
-            "clipped", "proposals", "accepted", "series_points", "tabulated_draws"
+            "clipped", "proposals", "accepted", "series_points", "tabulated_draws",
+            "plain_value", "plain_std_error",
         }
         assert counts["clipped"] == 0
         assert counts["accepted"] == 100 * 100
-        assert counts["proposals"] == _per_draw_nested(golden_market, golden_spec, **kw)[2]
+        assert counts["proposals"] == _per_draw_nested(golden_market, golden_spec, **kw)[-1]
 
     @pytest.mark.parametrize("T, tabulated", [(64, 400), (1 << 20, 0)])
     def test_tabulated_draws_reported(self, T, tabulated):
@@ -887,7 +936,7 @@ class TestNested:
         monkeypatch.setattr(pricing, "_GROUP_BYTES", budget)
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
         est = price_kl_nested(MARKET, spec, **kw)
-        assert (est.value, est.std_error) == pinned
+        assert _nested_fields(est)[:4] == pinned
         L, grid = truncation_index_bm(kw["epsilon"]), np.arange(1, T + 1) / T
         want = []
         for i in range(kw["M0"]):  # every draw is tabulated at these T
@@ -973,12 +1022,16 @@ def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
     M1 + NegBin(M1, p) on its own stream, for p its exact inner mean over its
     envelope.  A tabulated draw's mean is its path's mean on the T points,
     computed here; a quadrature draw's comes from ``pricing._inner_means`` on
-    its row alone.  Returns (value, std_error, proposals through every draw's
-    M1-th acceptance).
+    its row alone.  Each draw's payoff Y carries its control variate,
+    Y - X + E[X], with X from its own row.  Returns (value, std_error,
+    plain_value, plain_std_error, proposals through every draw's M1-th
+    acceptance).
     """
     L = truncation_index_bm(epsilon)
     T = spec.monitoring_count
-    total = total_sq = 0.0
+    w = pricing._geometric_weights(T, L)
+    twin = geometric_asian_closed_form(params, spec, L)
+    total = total_sq = plain = plain_sq = 0.0
     proposals = 0
     for i in range(M0):
         rng = process.stream(seed, process.TAG_NESTED, i)
@@ -991,10 +1044,16 @@ def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
             mean = pricing._inner_means(coeffs.a[None], np.array([env]), params, T)[0][0]
         n_prop = M1 + int(rng.negative_binomial(M1, min(mean / env, 1.0)))
         pay = max(pricing._haldane_mean(env, M1, n_prop) - spec.strike, 0.0)
-        total += pay
-        total_sq += pay * pay
+        log_geo = params.sigma * np.einsum("ij,j->i", coeffs.a[None], w)[0]
+        geo = params.s0 * np.exp(log_geo + params.effective_drift * w[0])
+        ctrl = pay - max(geo - spec.strike, 0.0) + twin
+        plain += pay
+        plain_sq += pay * pay
+        total += ctrl
+        total_sq += ctrl * ctrl
         proposals += n_prop
-    return (*pricing._mean_and_se(total, total_sq, M0), proposals)
+    return (*pricing._mean_and_se(total, total_sq, M0),
+            *pricing._mean_and_se(plain, plain_sq, M0), proposals)
 
 
 def _nested_reference_price(params, strike, L, n_outer, seed):
@@ -1039,6 +1098,34 @@ class TestGeometricClosedForm:
     def test_golden_value_pinned(self, golden, golden_market, golden_spec):
         assert geometric_asian_closed_form(golden_market, golden_spec) == \
             golden["geometric_closed_form"]
+
+    @pytest.mark.parametrize("T, L", [(1, 40), (7, 21), (64, 21), (64, 500), (1000, 507)])
+    def test_l_mode_weights_are_the_direct_sums(self, T, L):
+        # w_0 the mean of i/T and w_k = (sqrt(2)/pi) sum_i sin(k pi i/T)/(kT),
+        # each sine's argument reduced mod 2 pi in integers; L passes 2T at
+        # T = 1, 7 and 64
+        i, k = np.arange(1, T + 1), np.arange(1, L + 1)
+        sines = np.sin(np.pi * (np.outer(k, i) % (2 * T)) / T).sum(axis=1)
+        direct = np.concatenate(([i.mean() / T], np.sqrt(2) / np.pi * sines / (k * T)))
+        np.testing.assert_allclose(pricing._geometric_weights(T, L), direct, rtol=0, atol=2e-16)
+
+    @pytest.mark.parametrize("sigma", [0.2, 1.0])
+    def test_l_mode_matches_monte_carlo(self, sigma):
+        # the geometric mean of G_L over the T points, from the tests' direct
+        # series on unclipped rows, against the L-mode closed form; L = 40 > 2T
+        params = GbmParams(100.0, 0.05, sigma)
+        T, L, n = 16, 40, 100_000
+        t = np.arange(1, T + 1) / T
+        a = process.stream(14, 98).standard_normal((n, L + 1))
+        log_mean = (params.sigma * wiener_eval(a, t) + params.effective_drift * t).mean(axis=1)
+        pay = np.maximum(params.s0 * np.exp(log_mean) - 100.0, 0.0)
+        cf = geometric_asian_closed_form(params, AsianPayoffSpec(100.0, T), L)
+        assert abs(pay.mean() - cf) <= 3.0 * pay.std(ddof=1) / np.sqrt(n)
+
+    def test_l_mode_tends_to_the_t_point_form(self):
+        # B_L tends to Brownian motion, so its geometric twin to the T-point one
+        exact = geometric_asian_closed_form(MARKET, SPEC64)
+        assert abs(geometric_asian_closed_form(MARKET, SPEC64, 10**5) - exact) <= 1e-6
 
     def test_degenerate_sigma(self):
         params = GbmParams(100.0, 0.05, 1e-14)

@@ -43,7 +43,10 @@ def test_bench_writes_finite_rows(monkeypatch, tmp_path):
     assert bench.main(["--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert set(report) == {"generator", "env", "rows"}
-    assert set(report["env"]) == {"python", "numpy", "nproc", "usable_cores", "cpu"}
+    assert set(report["env"]) == {"python", "numpy", "nproc", "usable_cores", "cpu",
+                                  "blas_threads", "flat_threads"}
+    # the shrunk bulk row is one block of 1,048 paths: one thread
+    assert report["env"]["flat_threads"] == 1
     assert list(report["rows"]) == [
         "bulk", "sweep-1000", "sweep-2000", "sweep-4000", "sweep-8000", "sweep-16000",
         "subsample", "subsample-T1048576", "nested", "nested-T1048576",
