@@ -15,7 +15,8 @@ scale) and the request's ``diagnostics``.  Every repeat must return
 the same estimate.  The ``env`` record gives Python, numpy, the cores the
 process may use, the CPU model, the BLAS thread count set in the
 environment (null when unset) and the threads the flat kernel runs the
-``bulk`` row on, by ``pricing._flat_moments``'s rule.
+``bulk`` row on, from ``pricing._flat_threads``: min(usable cores, blocks,
+threads whose block buffers fit ``process.GUARD_BYTES``).
 
     python scripts/bench.py                    # BENCH_<next free n>.json at the repo root
     python scripts/bench.py --out bench.json
@@ -84,12 +85,6 @@ def run_row(method: str, T: int, sizes: dict) -> dict:
     }
 
 
-def flat_threads(T: int, n_paths: int) -> int:
-    """Threads of a flat request: min(usable cores, blocks, threads whose buffers fit the guard)."""
-    blocks = -(-n_paths // pricing._block_size(T))
-    return min(pricing._cpu_count(), blocks, pricing._FLAT_BYTES // pricing._check_flat_buffers(T, n_paths))
-
-
 def environment() -> dict:
     cpu = platform.processor()
     try:
@@ -107,7 +102,7 @@ def environment() -> dict:
         "cpu": cpu,
         "blas_threads": next((int(os.environ[v]) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
                               if os.environ.get(v)), None),
-        "flat_threads": flat_threads(WORKLOADS["bulk"][1], WORKLOADS["bulk"][2]["n_paths"]),
+        "flat_threads": pricing._flat_threads(WORKLOADS["bulk"][1], WORKLOADS["bulk"][2]["n_paths"]),
     }
 
 

@@ -8,8 +8,8 @@ series, the distance of the mapped process and the mean-square error of
 the sub-sampling estimator's grid.
 
 Grids must hold distinct values.  Each probe whose arrays grow with its
-input counts the bytes they hold at most and rejects a request past the
-flat kernel's guard, before it allocates anything.
+input counts the bytes they hold at most and passes the count to
+``process.check_bytes`` before it allocates anything.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def truncation_error_sweep(L_values) -> BoundReport:
     # identically, which would make the sup degenerate.
     t = (np.arange(64) + 0.5) / 64
     # the mode matrix of the largest L with sine_basis's two temporaries
-    _check_probe_bytes("truncation", 3 * L_values[-1] * t.size)
+    process.check_bytes("truncation probe", 8 * 3 * L_values[-1] * t.size)
     head = sine_basis(np.arange(1, L_values[-1] + 1, dtype=float), t)
     np.cumsum(np.square(head, out=head), axis=0, out=head)  # row L - 1: sum_{k<=L} phi_k^2
     measured = (t - t * t - head[np.array(L_values) - 1]).max(axis=1)
@@ -178,7 +178,7 @@ def smoothness_probe(epsilon: float) -> BoundReport:
     L = truncation_index_bm(epsilon)
     times = np.unique(np.asarray(pairs, dtype=float).ravel())
     # the mode matrix with sine_basis's two temporaries, and one pair's increments
-    _check_probe_bytes("smoothness", L * (3 * times.size + 1))
+    process.check_bytes("smoothness probe", 8 * L * (3 * times.size + 1))
     modes = sine_basis(np.arange(1, L + 1, dtype=float), times)
     col = {t: i for i, t in enumerate(times)}
     measured = []
@@ -269,7 +269,7 @@ def subsample_error_probe(
     for m in grid:
         if m < T:
             # the two grids, np.union1d's two copies of them, its mask and its result
-            _check_probe_bytes("subsample-error", 5 * (T + m))
+            process.check_bytes("subsample-error probe", 8 * 5 * (T + m))
     inv_m = 1.0 / np.array(grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         measured = [_grid_mse(params, T, m) if m < T else 0.0 for m in grid]
@@ -298,10 +298,3 @@ def _distinct(values: list, name: str) -> list:
     if len(set(values)) < len(values):
         raise ValueError(f"{name} must be distinct, got {values}")
     return values
-
-
-def _check_probe_bytes(probe: str, n_words: int) -> None:
-    """Reject a probe holding ``n_words`` 8-byte words past the flat kernel's guard."""
-    need, limit = 8 * n_words, pricing._FLAT_BYTES
-    if need > limit:
-        raise ValueError(f"{probe} probe holds {need} bytes, past the {limit}-byte guard")

@@ -70,10 +70,8 @@ _GROUP_BYTES = 1 << 16  # one path or quadrature table of kl-nested draws
 _RUN_DRAWS = 256  # most kl-nested draws of one run: their streams hold about 190 KB
 _TABLE_POINTS = 8192  # most monitoring points of one path-table row: 64 KiB
 _SUM_BLOCK = 4096  # kl-nested draws whose payoffs are summed at a time
-_NESTED_BYTES = 3_200_000_000  # resource guard on one kl-nested draw, and on all M0 draws
 _INNER_TOL = 1e-13  # relative error bound of a kl-nested inner mean by quadrature
 _MIN_NODES = 64  # fewest Gauss-Legendre nodes of a kl-nested inner mean
-_FLAT_BYTES = 1 << 28  # resource guard on the flat kernel's block buffers, all threads together
 _DEFAULT_SIZING = 4.0  # M0 = M1 = ceil(_DEFAULT_SIZING / eps^2)
 
 
@@ -143,20 +141,23 @@ def _block_payoffs(
 
 
 def _check_flat_buffers(n_times: int, n_paths: int) -> int:
-    """Bytes a one-thread flat run holds, rejected past ``_FLAT_BYTES``.
+    """Bytes a one-thread flat run holds, checked by ``process.check_bytes``.
 
     The run holds three vectors as long as the grid (``dt`` and the two
     legs), one block buffer of min(block, n_paths) grid rows, and that
     block's payoff vector.  Each further thread holds another buffer and
-    payoff vector, so ``_FLAT_BYTES`` // this many threads fit the guard.
-    Not counted: the iteration buffer, at most 64 KiB, that numpy's
+    payoff vector, so ``process.GUARD_BYTES`` // this many threads fit the
+    guard.  Not counted: the iteration buffer, at most 64 KiB, that numpy's
     broadcasting ufuncs allocate in each thread.
     """
     rows = min(_block_size(n_times), n_paths)
-    need = ((rows + 3) * n_times + rows) * 8
-    if need > _FLAT_BYTES:
-        raise ValueError(f"flat kernel buffer of {need} bytes exceeds the {_FLAT_BYTES}-byte guard")
-    return need
+    return process.check_bytes("flat kernel buffer", ((rows + 3) * n_times + rows) * 8)
+
+
+def _flat_threads(n_times: int, n_paths: int) -> int:
+    """Threads of a guarded flat run: min(usable cores, blocks, threads whose buffers fit)."""
+    need = _check_flat_buffers(n_times, n_paths)
+    return min(_cpu_count(), -(-n_paths // _block_size(n_times)), process.GUARD_BYTES // need)
 
 
 def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -180,24 +181,23 @@ def _flat_moments(
     seed: int,
     tag: int,
     payoff,
-    workers: int = 1,
+    threads: int = 1,
 ) -> tuple[float, float]:
     """Flat MC: sum and sum of squares of ``payoff`` over n_paths exact paths on ``times``.
 
     Paths come in blocks of ``_block_size`` rows, block i from stream
     (seed, tag, i), and the block sums are added in block order, so the
     result is the same whatever the number of threads.  Blocks run on
-    min(usable cores, blocks, ``workers``) threads (numpy's fills and ufuncs
-    release the GIL), each under the caller's numpy error state, which worker
-    threads do not inherit; a single thread is the calling thread.  The legs
-    are computed once, and each thread's block buffer is allocated here, in
-    the calling thread: buffers allocated in the workers grew the peak RSS
-    through glibc's per-thread arenas.  ``_price_flat`` sizes ``workers`` so
-    that the threads' buffers together stay within ``_FLAT_BYTES``.
+    ``threads`` threads (numpy's fills and ufuncs release the GIL), each
+    under the caller's numpy error state, which worker threads do not
+    inherit; a single thread is the calling thread.  The legs are computed
+    once, and each thread's block buffer is allocated here, in the calling
+    thread: buffers allocated in the workers grew the peak RSS through
+    glibc's per-thread arenas.  ``_price_flat`` takes ``threads`` from
+    ``_flat_threads``, so that their buffers together stay within the guard.
     """
     block = _block_size(times.size)
     rows = [min(block, n_paths - start) for start in range(0, n_paths, block)]
-    threads = min(_cpu_count(), len(rows), workers)
     dt = np.diff(times, prepend=0.0)
     legs = params.sigma * np.sqrt(dt), params.effective_drift * dt
     free = [np.empty((rows[0], times.size)) for _ in range(threads)]
@@ -256,10 +256,10 @@ def _price_flat(params: GbmParams, strike: float, m: int, n_paths: int, seed: in
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    workers = _FLAT_BYTES // _check_flat_buffers(m, n_paths)
+    threads = _flat_threads(m, n_paths)
     times = np.arange(1, m + 1) / m
     payoff = _average_call(params, m, strike)
-    sums = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff, workers)
+    sums = _flat_moments(params, times, n_paths, seed, process.TAG_PATHS, payoff, threads)
     diagnostics = {
         "grid_points": m,
         "blocks": -(-n_paths // _block_size(m)),
@@ -298,10 +298,11 @@ def _series_order(epsilon: float, L: int | None, T: int) -> int:
     An outer draw holds its L + 1 coefficients and, while its envelope is
     computed, three more arrays as long, beside the request's L + 1 geometric
     weights: about 40 (L + 1) bytes (tracemalloc reads 5.0 times 8 (L + 1) at
-    L = 10^6).  A series pass takes one Python step per coefficient: a draw
-    took 4.5 s (uniform mode, M1 = 400) and 5.1 s (acceptance, T = 64) at
-    L = 10^6 on a 2-core Xeon.  A series past 8 * 10^7 coefficients, 3.2 GB
-    and 6 to 7 minutes per draw, is rejected.
+    L = 10^6), which ``process.check_bytes`` guards: a series past 26,843,545
+    coefficients, 1 GiB, is rejected.  A series pass takes one Python step
+    per coefficient: a draw took 4.5 s (uniform mode, M1 = 400) and 5.1 s
+    (acceptance, T = 64) at L = 10^6 on a 2-core Xeon, so about 2 minutes
+    at the guard.
     """
     if T > 1 << 53:
         raise ValueError("kl-nested needs T <= 2^53, the monitoring points a uniform can reach")
@@ -309,11 +310,7 @@ def _series_order(epsilon: float, L: int | None, T: int) -> int:
         L = truncation_index_bm(epsilon)
     if L < 0:
         raise ValueError("L must be >= 0")
-    if 40 * (L + 1) > _NESTED_BYTES:
-        raise ValueError(
-            f"series of {L + 1} coefficients needs about {40 * (L + 1)} bytes per draw, "
-            f"past the {_NESTED_BYTES}-byte guard"
-        )
+    process.check_bytes(f"a draw's series of {L + 1} coefficients", 40 * (L + 1))
     return L
 
 
@@ -584,11 +581,11 @@ def price_kl_nested(
     its cost is bounded by its own row, whatever T (up to 2^53, the most a
     53-bit uniform can index), sigma or M1 is.  tracemalloc reads about
     0.8 MiB at eps = 0.1, M0 = M1 = 400, T = 64.  Each of the M0 draws holds
-    16 bytes, its inner mean and a.w, rejected past 3.2 GB; the payoffs are
-    summed in draw order over blocks of them.  Uniform mode holds about 64 bytes
-    per inner sample of one draw, M1 past 5 * 10^7 rejected.  An M1 past
-    9.2 * 10^12, whose starvation budget passes int64, is rejected.  These
-    guards run before anything is drawn.
+    16 bytes, its inner mean and a.w, so ``process.GUARD_BYTES`` (1 GiB)
+    rejects M0 past 2^26; the payoffs are summed in draw order over blocks of
+    them.  Uniform mode holds about 64 bytes per inner sample of one draw, M1
+    past 2^24 rejected.  An M1 past 9.2 * 10^12, whose starvation budget
+    passes int64, is rejected.  These guards run before anything is drawn.
 
     ``diagnostics`` counts ``clipped`` coefficients and ``series_points``
     (in acceptance mode the points of the path and quadrature tables; M0 M1
@@ -622,17 +619,11 @@ def price_kl_nested(
     M1 = math.ceil(sizing) if M1 is None else M1
     if M0 < 2 or M1 < 2:
         raise ValueError("M0 and M1 must be >= 2")
-    if 16 * M0 > _NESTED_BYTES:  # an inner mean and a.w per draw
-        raise ValueError(
-            f"{M0} outer draws need {16 * M0} bytes, past the {_NESTED_BYTES}-byte guard"
-        )
+    process.check_bytes(f"outer sample of {M0} draws", 16 * M0)  # an inner mean and a.w each
     # a uniform-mode draw holds its M1 times, uniforms and path values, and
     # their temporaries: 64 bytes per inner sample at its peak (tracemalloc)
-    if inner_mode == "uniform" and 64 * M1 > _NESTED_BYTES:
-        raise ValueError(
-            f"{M1} inner samples need {64 * M1} bytes per draw, past the "
-            f"{_NESTED_BYTES}-byte guard"
-        )
+    if inner_mode == "uniform":
+        process.check_bytes(f"uniform-mode draw of {M1} inner samples", 64 * M1)
     most = np.iinfo(np.int64).max // process._STARVATION_FACTOR  # proposals count in int64
     if inner_mode == "acceptance" and M1 > most:
         raise ValueError(f"M1 = {M1} is past {most}, the most acceptances whose starvation "
@@ -640,7 +631,7 @@ def price_kl_nested(
     inner_means = _acceptance_means if inner_mode == "acceptance" else _uniform_means
     w = _geometric_weights(spec.monitoring_count, L)
     gbar, aw, diagnostics = inner_means(params, spec.monitoring_count, L, M0, M1, seed, w)
-    twin, drift = geometric_asian_closed_form(params, spec, L), params.effective_drift * w[0]
+    twin, drift = _geometric_call(params, spec, w), params.effective_drift * w[0]
     sums = [0.0] * 4  # of the plain payoffs, their squares, the controlled ones, their squares
     for lo in range(0, M0, _SUM_BLOCK):
         pay = np.maximum(gbar[lo : lo + _SUM_BLOCK] - spec.strike, 0.0)
@@ -690,12 +681,16 @@ def geometric_asian_closed_form(params: GbmParams, spec: AsianPayoffSpec, L: int
     K <= 0 collapses to the mean of A_G.  Given L >= 0 it prices the call on
     kl-nested's G_L instead, in O(L): v = sigma^2 sum_j w_j^2 (``_geometric_weights``).
     """
+    return _geometric_call(params, spec, None if L is None else _geometric_weights(spec.monitoring_count, L))
+
+
+def _geometric_call(params: GbmParams, spec: AsianPayoffSpec, w: np.ndarray | None) -> float:
+    """``geometric_asian_closed_form`` on the exact path (w None), or on G_L given its weights w."""
     T, strike = spec.monitoring_count, spec.strike
     m = float(np.log(params.s0) + params.effective_drift * ((T + 1) / (2 * T)))
-    if L is None:
+    if w is None:
         v = float(params.sigma**2 * ((T + 1) * (2 * T + 1) / (6 * T * T)))
     else:
-        w = _geometric_weights(T, L)
         v = float(params.sigma**2 * np.einsum("i,i->", w, w))
     if strike <= 0.0:
         return float(np.exp(m + 0.5 * v) - strike)

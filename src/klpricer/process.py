@@ -28,6 +28,13 @@ depend on how work is divided among workers.  ``stream`` builds one such
 generator; ``streams`` builds the generators of many indices under one tag,
 bit for bit the same, running ``SeedSequence``'s hash once over an array of
 indices instead of once per index in Python-level calls.
+
+One byte budget, ``GUARD_BYTES`` = 1 GiB, guards every request: each caller
+counts what its structure holds at most and passes it to ``check_bytes``,
+before anything is allocated.  They count one flat-kernel thread's buffers
+(the threads share the budget); a kl-nested draw's series, its M0 outer
+draws and a uniform-mode draw's inner samples; an ``analysis`` probe's
+arrays; and a ``qsim`` layout's complex128 state (1 GiB is 26 qubits).
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ import numpy as np
 from .klcore import _SQRT2_OVER_PI, CLIP, WienerCoefficients, _check_unit_interval, wiener_eval_horner
 
 __all__ = [
+    "GUARD_BYTES",
+    "check_bytes",
     "GbmParams",
     "RejectionStarvedError",
     "stream",
@@ -64,6 +73,8 @@ _MAX_BATCH = 1 << 20
 _MIN_RATE = 1e-6  # floor of an acceptance rate that sizes a first batch
 _STARVATION_FACTOR = 1_000_000
 
+GUARD_BYTES = 1 << 30  # the one resource guard: the most bytes a guarded structure may hold
+
 LOG_DBL_MAX = float(np.log(np.finfo(float).max))  # exp overflows past this
 
 # numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of
@@ -81,6 +92,13 @@ class RejectionStarvedError(RuntimeError):
 
     Signals a badly chosen envelope constant rather than bad luck.
     """
+
+
+def check_bytes(what: str, need: int) -> int:
+    """``need``, the bytes ``what`` holds; ``ValueError`` when it is past ``GUARD_BYTES``."""
+    if need > GUARD_BYTES:
+        raise ValueError(f"{what} needs {need} bytes, past the {GUARD_BYTES}-byte guard")
+    return need
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

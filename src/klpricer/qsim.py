@@ -16,8 +16,8 @@ normalise by the codec's top value, the decoded top code.
 
 Register order within a basis index, most significant to least significant:
 coefficient registers (register 0 first), time register, value register,
-ancillas.  Resource guard: at most 26 qubits total, a 1 GiB state, checked
-before anything is allocated.
+ancillas.  Resource guard: ``process.check_bytes`` on a layout's complex128
+state, 16 bytes an amplitude (1 GiB is 26 qubits), before anything is allocated.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .klcore import CLIP, _clenshaw
-from .process import GbmParams, gbm_from_bm
+from .process import GbmParams, check_bytes, gbm_from_bm
 
 __all__ = [
     "RegisterLayout",
@@ -41,12 +41,6 @@ __all__ = [
     "build_quantized_subsample_state",
     "exact_success_probability",
 ]
-
-# A 26-qubit complex128 state is 2^26 x 16 bytes = 1 GiB.  The value
-# rotation builds one from a 25-qubit state and works per value code, so
-# tracemalloc puts its allocations at the state it returns (1 GiB at the
-# guard) beside its 0.5 GiB input.
-MAX_QUBITS = 26
 
 
 @dataclass
@@ -64,11 +58,8 @@ class RegisterLayout:
             raise ValueError("need at least one coefficient register of width >= 1")
         if self.time_qubits < 0 or self.value_qubits < 0 or self.ancilla_count < 0:
             raise ValueError("register widths must be non-negative")
-        if self.total_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"layout uses {self.total_qubits} qubits, a {16 << self.total_qubits}-byte "
-                f"complex128 state; the guard is {MAX_QUBITS} qubits, {16 << MAX_QUBITS} bytes"
-            )
+        # the value rotation allocates the state it returns, beside its half-size input
+        check_bytes(f"{self.total_qubits}-qubit complex128 state", 16 << self.total_qubits)
 
     @property
     def total_qubits(self) -> int:
@@ -197,7 +188,7 @@ def enumerated_mean(
     by its Gaussian pmf, and returns the mean of the values after a round trip
     through ``codec`` (what the encoding's ancilla-zero probability times
     ``codec.top`` equals) together with the unquantized mean.  The encoding's
-    layout passes the qubit guard before anything is enumerated.
+    layout passes the byte guard before anything is enumerated.
     """
     _semidigital_layout(L, T, n, codec)
     codes, g = _semidigital_values(params, L, T, n)
@@ -234,7 +225,7 @@ def attach_value_rotation(state: StateVector) -> StateVector:
     With top = ``state.codec.top``, each basis amplitude alpha with decoded
     value v becomes alpha sqrt(v/top) on ancilla 0 and alpha sqrt(1 - v/top)
     on ancilla 1, so the ancilla-zero probability is the mean decoded value
-    over top.  The output layout passes the qubit guard before anything is
+    over top.  The output layout passes the byte guard before anything is
     allocated, and the rotation works per value code: the 2^v decoded values
     and their square roots are computed once and multiplied into views of
     the output, so no temporary is as long as the state.

@@ -301,9 +301,9 @@ def test_exact_probes_draw_nothing_and_pass_at_the_cli_defaults(draws, run):
 def _probe_peak(monkeypatch, run):
     """Bytes a probe's guard counts, and the tracemalloc peak of a warm run."""
     counted = []
-    check = analysis._check_probe_bytes
-    monkeypatch.setattr(analysis, "_check_probe_bytes",
-                        lambda probe, n: counted.append(8 * n) or check(probe, n))
+    check = process.check_bytes
+    monkeypatch.setattr(process, "check_bytes",
+                        lambda what, need: counted.append(need) or check(what, need))
     run()
     tracemalloc.start()
     try:
@@ -334,7 +334,8 @@ def test_probe_guard_counts_what_the_probe_holds(monkeypatch, run):
 def test_probe_guard_runs_before_anything_is_allocated(draws, run, need):
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"holds {need} bytes, past the 268435456-byte guard"):
+        with pytest.raises(ValueError, match=f"probe needs {need} bytes, "
+                                             "past the 1073741824-byte guard"):
             run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -116,8 +116,8 @@ class TestPriceCommand:
         assert (code, out, draws) == (2, "", [])
         assert peak < 1 << 20
         assert json.loads(err) == {
-            "error": "100000000000 outer draws need 1600000000000 bytes, "
-                     "past the 3200000000-byte guard",
+            "error": "outer sample of 100000000000 draws needs 1600000000000 bytes, "
+                     "past the 1073741824-byte guard",
             "code": 2,
         }
 
@@ -132,8 +132,8 @@ class TestPriceCommand:
         assert (code, out, draws) == (2, "", [])
         assert len(err.splitlines()) == 1
         assert json.loads(err) == {
-            "error": "100000000000 inner samples need 6400000000000 bytes per draw, "
-                     "past the 3200000000-byte guard",
+            "error": "uniform-mode draw of 100000000000 inner samples needs 6400000000000 "
+                     "bytes, past the 1073741824-byte guard",
             "code": 2,
         }
 
@@ -163,8 +163,8 @@ class TestPriceCommand:
 
     @pytest.mark.parametrize("flag", ["--L=100000000", "--epsilon=1e-5"])
     def test_series_order_guard_exits_2_before_any_draw(self, capsys, draws, flag):
-        # each outer draw holds L + 1 coefficients, which the 8 * 10^7-double
-        # guard caps; eps = 1e-5 resolves to L = 2,026,423,673
+        # each outer draw holds L + 1 coefficients, 40 bytes each, which the
+        # 1 GiB guard caps; eps = 1e-5 resolves to L = 2,026,423,673
         code, out, err = run_cli(
             capsys, "price", "--method", "kl-nested", flag, "--m0", "2", "--m1", "2",
             "--seed", "1",
@@ -225,13 +225,14 @@ class TestPriceCommand:
     ], ids=["baseline", "subsample"])
     def test_flat_buffer_guard_exits_2_before_any_draw(self, capsys, draws, argv):
         # one thread's block buffer alone holds 2 rows of 10^8 (8 of 2.5 x 10^7)
-        # doubles, 1.6 GB, past the 256 MiB guard
+        # doubles, 1.6 GB, past the 1 GiB guard
         code, out, err = run_cli(capsys, "price", *argv, "--seed", "1")
         assert (code, out, draws) == (2, "", [])
         assert len(err.splitlines()) == 1
         error = json.loads(err)
         assert error["code"] == 2
-        assert error["error"].endswith("exceeds the 268435456-byte guard")
+        assert error["error"].startswith("flat kernel buffer needs ")
+        assert error["error"].endswith(" bytes, past the 1073741824-byte guard")
 
     def test_subsample_at_t_points_prints_the_baseline(self, capsys):
         # ceil(1/0.05^2) = 400 >= T = 64: sub-sampling prices the T points
@@ -562,11 +563,11 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("argv, error", [
         (["--probe", "smoothness", "--epsilon", "0.0001"],
-         "smoothness probe holds 4052847400 bytes, past the 268435456-byte guard"),
+         "smoothness probe needs 4052847400 bytes, past the 1073741824-byte guard"),
         (["--probe", "truncation", "--L", "8,32,1000000"],
-         "truncation probe holds 1536000000 bytes, past the 268435456-byte guard"),
+         "truncation probe needs 1536000000 bytes, past the 1073741824-byte guard"),
         (["--probe", "subsample-error", "--T", "40000000"],
-         "subsample-error probe holds 1600004000 bytes, past the 268435456-byte guard"),
+         "subsample-error probe needs 1600004000 bytes, past the 1073741824-byte guard"),
         (["--probe", "truncation", "--L", "8,8"], "L values must be distinct, got [8, 8]"),
         (["--probe", "smoothness", "--epsilon", "0.2,0.1"],
          "comma list '0.2,0.1' must hold one value"),

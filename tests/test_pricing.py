@@ -293,17 +293,19 @@ class TestFlatKernel:
                                   _reference_payoffs(n_times, n_paths, seed))
 
     @pytest.mark.parametrize("price", [
-        pytest.param(lambda: price_baseline(MARKET, AsianPayoffSpec(100.0, 5_000_000), 8, seed=1),
+        pytest.param(lambda: price_baseline(MARKET, AsianPayoffSpec(100.0, 13_000_000), 8, seed=1),
                      id="baseline"),
-        pytest.param(lambda: price_subsample(MARKET, AsianPayoffSpec(100.0, 10**7), 4e-4, 8,
+        pytest.param(lambda: price_subsample(MARKET, AsianPayoffSpec(100.0, 10**8), 2.5e-4, 8,
                                              seed=1), id="subsample"),
     ])
     def test_buffer_guard_runs_before_allocating(self, price):
-        # 8 rows of 5 x 10^6 or 6.25 x 10^6 points pass the guard; a guard
-        # checked after the grid and the first buffer peaked at 81 and 95 MiB
+        # 8 rows of 1.3 x 10^7 or 1.6 x 10^7 points and the grid vectors need
+        # 1.14 or 1.41 GB, past the 1 GiB guard; a guard checked after the
+        # grid and the first buffer would have allocated about 1 GB first
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="exceeds the 268435456-byte guard"):
+            with pytest.raises(ValueError, match=r"flat kernel buffer needs \d+ bytes, "
+                                                 "past the 1073741824-byte guard"):
                 price()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -341,7 +343,7 @@ class TestFlatKernel:
         ref = price_baseline(MARKET, SPEC64, 3 * 65536, seed=26)
         monkeypatch.setattr(pricing, "_cpu_count", lambda: 3)
         buffer = pricing._check_flat_buffers(64, 3 * 65536)
-        monkeypatch.setattr(pricing, "_FLAT_BYTES", 2 * buffer + 1)
+        monkeypatch.setattr(process, "GUARD_BYTES", 2 * buffer + 1)
         assert price_baseline(MARKET, SPEC64, 3 * 65536, seed=26) == ref
         assert pools == [2]
 
@@ -803,25 +805,25 @@ class TestNested:
 
     def test_series_guard_stated_in_bytes(self):
         # a draw peaks near 5 arrays of L + 1 doubles, the geometric weights
-        # among them: 8 * 10^7 coefficients pass
-        pricing._series_order(0.1, 8 * 10**7 - 1, 64)
-        with pytest.raises(ValueError, match="needs about 3200000040 bytes per draw, "
-                                             "past the 3200000000-byte guard"):
-            pricing._series_order(0.1, 8 * 10**7, 64)
+        # among them: 26,843,545 coefficients, 40 bytes each, fit 1 GiB
+        pricing._series_order(0.1, 26_843_544, 64)
+        with pytest.raises(ValueError, match="a draw's series of 26843546 coefficients needs "
+                                             "1073741840 bytes, past the 1073741824-byte guard"):
+            pricing._series_order(0.1, 26_843_545, 64)
 
     @pytest.mark.parametrize("mode", ["acceptance", "uniform"])
     def test_outer_draw_guard_stated_in_bytes(self, monkeypatch, mode):
-        # each outer draw holds 16 bytes: 2 * 10^8 draws fill the 3.2 GB
-        # guard; the inner means are stubbed so that nothing runs
+        # each outer draw holds 16 bytes: 2^26 draws fill the 1 GiB guard;
+        # the inner means are stubbed so that nothing runs
         means = []
         monkeypatch.setattr(pricing, f"_{mode}_means", lambda params, T, L, M0, *rest: (
             means.append(M0) or (np.ones(2), np.zeros(2), {})))
         kw = dict(epsilon=0.2, M1=4, seed=1, inner_mode=mode)
-        price_kl_nested(MARKET, SPEC64, M0=200_000_000, **kw)
-        with pytest.raises(ValueError, match="200000001 outer draws need 3200000016 bytes, "
-                                             "past the 3200000000-byte guard"):
-            price_kl_nested(MARKET, SPEC64, M0=200_000_001, **kw)
-        assert means == [200_000_000]
+        price_kl_nested(MARKET, SPEC64, M0=1 << 26, **kw)
+        with pytest.raises(ValueError, match="outer sample of 67108865 draws needs 1073741840 "
+                                             "bytes, past the 1073741824-byte guard"):
+            price_kl_nested(MARKET, SPEC64, M0=(1 << 26) + 1, **kw)
+        assert means == [1 << 26]
 
     def test_outer_draws_hold_16_bytes_each(self, monkeypatch):
         # the rate the M0 guard counts: the inner means and the rows times
@@ -847,11 +849,11 @@ class TestNested:
         assert 16 * M0 <= peak - start <= 16 * M0 + (1 << 18)
 
     def test_uniform_inner_guard_stated_in_bytes(self, draws):
-        # a uniform-mode draw holds 64 bytes per inner sample: 5 * 10^7
-        # samples fill the 3.2 GB guard, checked before anything is drawn
-        with pytest.raises(ValueError, match="50000001 inner samples need 3200000064 bytes "
-                                             "per draw, past the 3200000000-byte guard"):
-            price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=2, M1=50_000_001, seed=1,
+        # a uniform-mode draw holds 64 bytes per inner sample: 2^24 samples
+        # fill the 1 GiB guard, checked before anything is drawn
+        with pytest.raises(ValueError, match="uniform-mode draw of 16777217 inner samples needs "
+                                             "1073741888 bytes, past the 1073741824-byte guard"):
+            price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=2, M1=(1 << 24) + 1, seed=1,
                             inner_mode="uniform")
         assert draws == []
 

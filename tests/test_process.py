@@ -1,4 +1,6 @@
-"""Path generation, coefficient draws, envelopes, and rejection sampling."""
+"""Path generation, coefficient draws, envelopes, rejection sampling, and the byte guard."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, kstest, norm
 
-from klpricer import pricing, process
+from klpricer import analysis, pricing, process, qsim
 from klpricer.klcore import CLIP, WienerCoefficients, wiener_eval_horner
 from klpricer.process import (
     GbmParams,
@@ -19,6 +21,14 @@ from klpricer.process import (
 )
 
 MARKET = GbmParams(100.0, 0.05, 0.2)
+SPEC64 = pricing.AsianPayoffSpec(100.0, 64)
+
+
+def _eight_qubit_state():
+    """A 4 KiB state with a 4-qubit value register, ready for the value rotation."""
+    layout = qsim.RegisterLayout(coeff_qubits=2, n_coeff_registers=2, time_qubits=0, value_qubits=4)
+    return qsim.StateVector(np.full(256, 1 / 16, dtype=complex), layout,
+                            qsim.FixedPointCodec.for_range(4, 10.0))
 
 
 class TestGbmParams:
@@ -50,6 +60,42 @@ class TestGbmParams:
         with pytest.raises(ValueError, match="^sigma\\^2 overflows$"):
             GbmParams(100.0, 0.05, 1e160)
         assert np.isfinite(GbmParams(100.0, 0.05, 1e154).effective_drift)
+
+
+class TestGuardBytes:
+    @pytest.mark.parametrize("run, what, need", [
+        (lambda: pricing.price_baseline(MARKET, SPEC64, 1000, seed=1),
+         "flat kernel buffer", 521_536),
+        (lambda: pricing.price_subsample(MARKET, pricing.AsianPayoffSpec(100.0, 1000), 0.1, 1000,
+                                         seed=1), "flat kernel buffer", 810_400),
+        (lambda: analysis.truncation_error_sweep([8, 32]), "truncation probe", 49_152),
+        (lambda: analysis.smoothness_probe(0.05), "smoothness probe", 16_400),
+        (lambda: analysis.subsample_error_probe([0.1], T=1024), "subsample-error probe", 44_960),
+        (lambda: pricing.price_kl_nested(MARKET, SPEC64, 0.1, M0=2, M1=2, L=1000, seed=1),
+         "a draw's series of 1001 coefficients", 40_040),
+        (lambda: pricing.price_kl_nested(MARKET, SPEC64, 0.1, seed=1),
+         "outer sample of 400 draws", 6_400),
+        (lambda: pricing.price_kl_nested(MARKET, SPEC64, 0.1, M0=2, seed=1, inner_mode="uniform"),
+         "uniform-mode draw of 400 inner samples", 25_600),
+        (lambda: qsim.RegisterLayout(coeff_qubits=3, n_coeff_registers=3, time_qubits=0,
+                                     value_qubits=0), "9-qubit complex128 state", 8_192),
+        (lambda: qsim.attach_value_rotation(_eight_qubit_state()), "9-qubit complex128 state",
+         8_192),
+    ], ids=["baseline", "subsample", "truncation", "smoothness", "subsample-error",
+            "nested-series", "nested-outer", "nested-uniform", "layout", "rotation"])
+    def test_one_constant_moves_every_guard(self, monkeypatch, draws, run, what, need):
+        # a 4 KiB budget refuses each small request, at its own count and
+        # with the one message, before anything is drawn or allocated
+        monkeypatch.setattr(process, "GUARD_BYTES", 1 << 12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{what} needs {need} bytes, past the 4096-byte guard"
+        assert (draws, peak < 1 << 20) == ([], True)
 
 
 class TestStreams:

@@ -326,8 +326,8 @@ class TestResourceGuard:
 
     def test_cap_stated_in_bytes(self):
         # 27 qubits of complex128 are 2 GiB, past the 1 GiB of 26
-        with pytest.raises(ValueError, match=r"a 2147483648-byte complex128 state; "
-                                             r"the guard is 26 qubits, 1073741824 bytes"):
+        with pytest.raises(ValueError, match="27-qubit complex128 state needs 2147483648 bytes, "
+                                             "past the 1073741824-byte guard"):
             RegisterLayout(coeff_qubits=8, n_coeff_registers=2, time_qubits=3, value_qubits=8)
 
     @pytest.mark.parametrize("build", [
@@ -341,7 +341,8 @@ class TestResourceGuard:
         # codes would be enumerated first (400 MB or 9 GB of them)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="qubits, a .*-byte complex128 state; the guard"):
+            with pytest.raises(ValueError, match="-qubit complex128 state needs .* bytes, "
+                                                 "past the 1073741824-byte guard"):
                 build(FixedPointCodec(8, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -354,10 +355,11 @@ class TestResourceGuard:
         layout = RegisterLayout(coeff_qubits=4, n_coeff_registers=3, time_qubits=2, value_qubits=4)
         amps = np.full(1 << 18, 2.0**-9, dtype=complex)
         state = qsim.StateVector(amps, layout, FixedPointCodec.for_range(4, 10.0))
-        monkeypatch.setattr(qsim, "MAX_QUBITS", 18)
+        monkeypatch.setattr(process, "GUARD_BYTES", 16 << 18)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="guard is 18 qubits"):
+            with pytest.raises(ValueError, match="19-qubit complex128 state needs 8388608 bytes, "
+                                                 "past the 4194304-byte guard"):
                 attach_value_rotation(state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
