@@ -1,5 +1,6 @@
 """Path generation, coefficient draws, envelopes, rejection sampling, and the byte guard."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -387,6 +388,19 @@ class TestRejectionSampler:
             got = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, T)
             assert got[1] == ref[1]
             assert np.array_equal(got[0], ref[0])
+
+    @pytest.mark.parametrize("T, n_prop, digest", [
+        (16, 422, "98e83817b9f5fea11225fdb897d67bdde4c69d5c30a81bef60eaca65e232629b"),
+        (1 << 20, 425, "91a73332a101a92425bcc1571695dc7751449f606070b90fdfbd689f21d5ad36"),
+    ])
+    def test_draws_pinned(self, T, n_prop, digest):
+        # the batch-invariance test above compares the sampler with itself;
+        # this pins its proposal count and the bits of its accepted times
+        coeffs = sample_coefficients(stream(14, 3, 0), 12)
+        env = path_envelope(MARKET, coeffs.a)
+        times, got = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, T)
+        assert got == n_prop
+        assert hashlib.sha256(times.tobytes()).hexdigest() == digest
 
     def test_determinism(self):
         coeffs = sample_coefficients(stream(12, 3, 9), 8)
