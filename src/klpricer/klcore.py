@@ -9,13 +9,13 @@ built from the sine-series form
 with i.i.d. standard-normal coefficients a_k.  The one evaluator of the
 series is the Clenshaw recurrence in cos(pi t), ``_clenshaw``, using
 sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) with U the Chebyshev polynomials of
-the second kind.  It takes one coefficient row, or a 2-D array of rows on a
-grid or one row per point: the nested estimator's path and quadrature tables,
-the sampler and the amplitude encodings in ``qsim`` all read paths through
-it.  ``wiener_eval_horner`` is its checked front for one
-``WienerCoefficients`` row, and ``sine_basis`` builds the mode matrices
-(sqrt(2)/pi) sin(k pi t)/k for the probes in ``analysis``.  Everything here
-is stateless and safe to call concurrently.
+the second kind.  It takes one coefficient row, or a 2-D array of rows, each
+at every point: the nested estimator's path and quadrature tables, the
+sampler and the amplitude encodings in ``qsim`` all read paths through it.
+``wiener_eval_horner`` is its checked front for one ``WienerCoefficients``
+row, and ``sine_basis`` builds the mode matrices (sqrt(2)/pi) sin(k pi t)/k
+for the probes in ``analysis``.  Everything here is stateless and safe to
+call concurrently.
 
 Two bases meet here.  The tail bounds and the truncation index use the KL
 eigenpairs (index k - 1/2), while synthesis uses the Wiener sine series
@@ -146,21 +146,19 @@ def truncation_index_bm(epsilon: float) -> int:
     return hi - 1 if hi > 1 and _tail_exact(hi - 1) <= target else hi
 
 
-def _clenshaw(a: np.ndarray, t: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+def _clenshaw(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The series at each t by the Clenshaw recurrence in cos(pi t), unchecked.
 
-    ``a`` is one coefficient row or a 2-D array of rows: each row at every t,
-    with shape a.shape[:-1] + t.shape, or, with ``rows``, row rows[j] at t[j].
-    Every point goes through the same elementwise operations, so its value
-    does not depend on which other points or rows share the call.  Every row
-    at every t runs points-major, on shape (t.size, rows), so that each step
-    adds one contiguous row of a_k / k; the result is C-contiguous.
+    ``a`` is one coefficient row, giving t's shape, or a 2-D array of rows,
+    each at every t, giving shape a.shape[:-1] + t.shape.  Every point goes
+    through the same elementwise operations, so its value does not depend on
+    which other points or rows share the call.  A 2-D array runs
+    points-major, on shape (t.size, rows), so that each step adds one
+    contiguous row of a_k / k; the result is C-contiguous.
     """
     a0, d = a[..., 0], (a[..., 1:] / np.arange(1, a.shape[-1])).T  # d[k - 1] holds a_k / k
-    grid_shape = a0.shape + t.shape if rows is None and a.ndim == 2 else None
-    if rows is not None:
-        a0 = a0[rows]
-    elif grid_shape is not None:
+    grid_shape = a0.shape + t.shape if a.ndim == 2 else None
+    if grid_shape is not None:
         t, d = t.reshape(-1, 1), np.ascontiguousarray(d)
     out = a0 * t
     if len(d):
@@ -171,7 +169,7 @@ def _clenshaw(a: np.ndarray, t: np.ndarray, rows: np.ndarray | None = None) -> n
         for k in range(len(d) - 1, -1, -1):
             np.multiply(x2, b1, out=tmp)
             tmp -= b2
-            tmp += d[k] if rows is None else d[k].take(rows)
+            tmp += d[k]
             b2, b1, tmp = b1, tmp, b2
         out += _SQRT2_OVER_PI * _sinpi(t) * b1
     return out if grid_shape is None else np.ascontiguousarray(out.T).reshape(grid_shape)

@@ -17,9 +17,11 @@ amplitude encodings in ``qsim`` need.
 
 The rejection sampler draws its proposals row-major from the one stream it
 is given, so the accepted times depend on the stream and the envelope, never
-on how proposals are split into batches.  ``rejection_sample_times`` runs it
-for one draw; the nested estimator draws the sampler's proposal count from
-its law instead, from each draw's exact inner mean.
+on how proposals are split into batches: its first batch is sized as if
+every proposal were accepted, its later ones from the observed rate.
+``rejection_sample_times`` runs it for one draw; the nested estimator draws
+the sampler's proposal count from its law instead, from each draw's exact
+inner mean.
 
 Randomness is keyed: every stream is an SFC64 generator seeded through
 ``SeedSequence`` from (seed, stream tag, index), so any block or outer draw
@@ -70,7 +72,6 @@ TAG_NESTED = 3
 # many uniforms are drawn ahead, never which proposals are accepted.
 _MIN_BATCH = 64
 _MAX_BATCH = 1 << 20
-_MIN_RATE = 1e-6  # floor of an acceptance rate that sizes a first batch
 _STARVATION_FACTOR = 1_000_000
 
 GUARD_BYTES = 1 << 30  # the one resource guard: the most bytes a guarded structure may hold
@@ -249,12 +250,6 @@ def g_max_bound(params: GbmParams, L: int) -> float:
     return path_envelope(params, np.full(L + 1, CLIP))
 
 
-def _sup_abs_bm(a: np.ndarray):
-    # |B_L(t)| <= |a0| + (sqrt(2)/pi) sum_k |a_k|/k for every t in [0, 1]
-    a = np.abs(a)
-    return a[..., 0] + _SQRT2_OVER_PI * np.sum(a[..., 1:] / np.arange(1, a.shape[-1]), axis=-1)
-
-
 def path_envelope(params: GbmParams, a: np.ndarray):
     """Envelope s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)).
 
@@ -263,21 +258,12 @@ def path_envelope(params: GbmParams, a: np.ndarray):
     smoothed GBM of its own coefficient draw on [0, 1], and is at most
     ``g_max_bound(params, L)``.
     """
-    log_sup = params.sigma * _sup_abs_bm(a) + max(params.effective_drift, 0.0)
+    a = np.abs(a)
+    # |B_L(t)| <= |a0| + (sqrt(2)/pi) sum_k |a_k|/k for every t in [0, 1]
+    sup_abs_bm = a[..., 0] + _SQRT2_OVER_PI * np.sum(a[..., 1:] / np.arange(1, a.shape[-1]), axis=-1)
+    log_sup = params.sigma * sup_abs_bm + max(params.effective_drift, 0.0)
     env = params.s0 * np.exp(log_sup)
     return float(env) if env.ndim == 0 else env
-
-
-def _first_batch_rate(a: np.ndarray, gmax, params: GbmParams):
-    """Acceptance-rate guess that sizes the sampler's first proposal batch, per coefficient row.
-
-    The path is at least gmin = s0 exp(-sigma sup|B_L| + min(drift, 0)), so
-    gmin / gmax bounds the acceptance probability from below; its square root
-    sits between that bound and 1.
-    """
-    log_inf = -params.sigma * _sup_abs_bm(a) + min(params.effective_drift, 0.0)
-    log_ratio = np.log(params.s0) + log_inf - np.log(gmax)
-    return np.maximum(np.exp(0.5 * log_ratio), _MIN_RATE)
 
 
 def _coefficient_rows(rngs: list, L: int) -> tuple[np.ndarray, int]:
@@ -326,10 +312,10 @@ def rejection_sample_times(
     accepted times and the number of proposals consumed through the final
     acceptance; the expected proposals per acceptance is
     gmax / mean_i G_L(i/T).  The series is evaluated once per proposal, so
-    the cost does not grow with T.  Batches are sized from the observed
-    acceptance rate (the first from ``_first_batch_rate``).  Raises
-    ``RejectionStarvedError`` when 10^6 * count proposals produce fewer than
-    ``count`` acceptances.
+    the cost does not grow with T.  The first batch is sized as if every
+    proposal were accepted, the later ones from the observed acceptance
+    rate.  Raises ``RejectionStarvedError`` when 10^6 * count proposals
+    produce fewer than ``count`` acceptances.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -344,14 +330,10 @@ def rejection_sample_times(
                 f"rejection sampler starved: {n_proposals} proposals produced "
                 f"{n_accepted}/{count} acceptances (check the envelope constant)"
             )
-        if n_proposals:
-            # with no acceptance yet the rate is below about 1/n_proposals, so
-            # the batches grow geometrically instead of jumping to _MAX_BATCH
-            rate = max(n_accepted, 1) / n_proposals
-        else:
-            rate = _first_batch_rate(coeffs.a, gmax, params)
-        batch = int(np.fmin(np.fmax(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH))  # NaN: floor
-        batch = min(batch, budget - n_proposals)
+        # with no acceptance yet the rate is below about 1/n_proposals, so
+        # the batches grow geometrically instead of jumping to _MAX_BATCH
+        rate = max(n_accepted, 1) / n_proposals if n_proposals else 1.0
+        batch = int(min(max(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH, budget - n_proposals))
         u = rng.random((batch, 2))
         t = monitoring_times(u[:, 0], T)
         g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)

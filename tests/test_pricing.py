@@ -597,7 +597,6 @@ class TestNested:
         def unused(*args):
             raise AssertionError("the price path ran the sampler")
 
-        monkeypatch.setattr(process, "_first_batch_rate", unused)
         monkeypatch.setattr(process, "rejection_sample_times", unused)
         assert prices() == ref
 
@@ -674,9 +673,9 @@ class TestNested:
         # row is summed in chunks of 8,192 points
         tables = []
 
-        def clenshaw(a, t, rows=None):
+        def clenshaw(a, t):
             tables.append((a.shape[0], t.size))
-            return klcore._clenshaw(a, t, rows)
+            return klcore._clenshaw(a, t)
 
         monkeypatch.setattr(pricing, "_clenshaw", clenshaw)
         for sigma, T, kw, want in [

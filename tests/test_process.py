@@ -270,8 +270,6 @@ class TestPathEnvelope:
         a = np.array([sample_coefficients(stream(3, 3, i), 21).a for i in range(50)])
         env = path_envelope(MARKET, a)
         assert env.tolist() == [path_envelope(MARKET, row) for row in a]
-        rate = process._first_batch_rate(a, env, MARKET)
-        assert rate.tolist() == [process._first_batch_rate(r, e, MARKET) for r, e in zip(a, env)]
 
     def test_all_coefficients_at_clip_match_global_bound(self):
         coeffs = WienerCoefficients(a=np.full(13, -CLIP))
@@ -382,9 +380,10 @@ class TestRejectionSampler:
         coeffs = sample_coefficients(stream(14, 3, 0), 12)
         env = path_envelope(MARKET, coeffs.a)
         ref = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, T)
-        for floor, rate in ((1, 1.0), (4096, 1e-2), (100_000, 1e-4)):
+        # a ceiling of 7 makes every batch short of the proposals it needs
+        for floor, ceiling in ((1, 1 << 20), (4096, 1 << 20), (100_000, 1 << 20), (1, 7)):
             monkeypatch.setattr(process, "_MIN_BATCH", floor)
-            monkeypatch.setattr(process, "_first_batch_rate", lambda *args, r=rate: r)
+            monkeypatch.setattr(process, "_MAX_BATCH", ceiling)
             got = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, T)
             assert got[1] == ref[1]
             assert np.array_equal(got[0], ref[0])
