@@ -4,8 +4,13 @@ Two subcommands:
 
 * ``price``  runs one estimator and prints the estimate as a single JSON
   object (value, std_error, method, n_outer, n_inner, seed, wall_time_ms,
-  and the estimator's ``diagnostics``: integer counters, and kl-nested's
-  ``plain_value`` and ``plain_std_error``, floats discounted as the value is).
+  and the estimator's ``diagnostics``).  The diagnostics are integer
+  counters: ``grid_points``, ``blocks`` and ``normals_drawn`` for baseline
+  and subsample; ``clipped``, ``series_points`` and ``normals_drawn`` for
+  kl-nested, in acceptance mode also ``proposals``, ``accepted``,
+  ``tabulated_draws`` and ``envelope_cells``; and kl-nested's
+  ``plain_value`` and ``plain_std_error``, floats discounted as the value
+  is.  geometric-cf and qsim-check give none.
 * ``analyze`` runs one verification probe and writes its report as strict
   JSON and as CSV, then prints a JSON summary; the exit status reflects
   whether every bound check passed.  No probe draws, so ``analyze`` takes
@@ -185,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="monitoring points T of the averaged payoff (default 64)")
     pr.add_argument("--epsilon", type=float, default=0.05,
                     help="kl-nested takes its L and M0 = M1 = ceil(4/eps^2) from it: an SE of "
-                         "0.38 at eps 0.2 and 0.12 at eps 0.1 at the default market, T = 64; "
+                         "0.18 at eps 0.2 and 0.045 at eps 0.1 at the default market, T = 64; "
                          "subsample prices the grid of min(ceil(1/eps^2), T) points "
                          "(default 0.05)")
     pr.add_argument("--paths", type=int, default=100_000,

@@ -7,15 +7,17 @@ built from the sine-series form
     B_L(t) = a0 t + (sqrt(2)/pi) * sum_{k=1..L} (a_k / k) sin(k pi t)
 
 with i.i.d. standard-normal coefficients a_k.  The one evaluator of the
-series is the Clenshaw recurrence in cos(pi t), ``_clenshaw``, using
-sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) with U the Chebyshev polynomials of
-the second kind.  It takes one coefficient row, or a 2-D array of rows, each
-at every point: the nested estimator's path and quadrature tables, the
-sampler and the amplitude encodings in ``qsim`` all read paths through it.
+series is a contraction, ``_series(a, basis)``: one ``np.einsum`` of the
+coefficient rows against ``series_basis(L, t)``, the rows [t; sine_basis(1..L,
+t)] at a grid of points, which a caller builds once per grid.  It takes one
+coefficient row, or a 2-D array of rows, each at every point: the nested
+estimator's path and quadrature tables and cell midpoints, the sampler and
+the amplitude encodings in ``qsim`` all read paths through it.
 ``wiener_eval_horner`` is its checked front for one ``WienerCoefficients``
-row, and ``sine_basis`` builds the mode matrices (sqrt(2)/pi) sin(k pi t)/k
-for the probes in ``analysis``.  Everything here is stateless and safe to
-call concurrently.
+row at any points, and ``sine_basis`` builds the mode matrices
+(sqrt(2)/pi) sin(k pi t)/k for the probes in ``analysis``; ``series_basis``
+holds its rows bit for bit.  Everything here is stateless and safe to call
+concurrently.
 
 Two bases meet here.  The tail bounds and the truncation index use the KL
 eigenpairs (index k - 1/2), while synthesis uses the Wiener sine series
@@ -35,6 +37,7 @@ import numpy as np
 __all__ = [
     "CLIP",
     "WienerCoefficients",
+    "series_basis",
     "sine_basis",
     "truncation_index_bm",
     "wiener_eval_horner",
@@ -45,6 +48,7 @@ __all__ = [
 CLIP = 8.0
 
 _SQRT2_OVER_PI = np.sqrt(2.0) / np.pi
+_BASIS_BYTES = 1 << 20  # most bytes of a series basis built at once: a larger grid's goes in parts
 
 
 def _check_unit_interval(t) -> np.ndarray:
@@ -52,13 +56,6 @@ def _check_unit_interval(t) -> np.ndarray:
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("time argument must lie in [0, 1]")
     return t
-
-
-def _sinpi(u):
-    """sin(pi u) for u in [0, 2), with exact zeros at 0 and 1 (quadrant-folded argument)."""
-    r = np.where(u > 1.0, u - 1.0, u)
-    s = np.sin(np.pi * np.minimum(r, 1.0 - r))
-    return np.where(u > 1.0, -s, s)
 
 
 def sine_basis(k: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -146,42 +143,54 @@ def truncation_index_bm(epsilon: float) -> int:
     return hi - 1 if hi > 1 and _tail_exact(hi - 1) <= target else hi
 
 
-def _clenshaw(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The series at each t by the Clenshaw recurrence in cos(pi t), unchecked.
+def series_basis(L: int, t: np.ndarray) -> np.ndarray:
+    """The (L + 1, t.size) matrix whose rows are t and ``sine_basis(1..L, t)``, bit for bit.
 
-    ``a`` is one coefficient row, giving t's shape, or a 2-D array of rows,
-    each at every t, giving shape a.shape[:-1] + t.shape.  Every point goes
-    through the same elementwise operations, so its value does not depend on
-    which other points or rows share the call.  A 2-D array runs
-    points-major, on shape (t.size, rows), so that each step adds one
-    contiguous row of a_k / k; the result is C-contiguous.
+    ``_series`` contracts coefficient rows against it.  It holds 8 (L + 1)
+    bytes a point and is built in place, with no temporary as large, so
+    callers size it in bytes by that before they build it.
     """
-    a0, d = a[..., 0], (a[..., 1:] / np.arange(1, a.shape[-1])).T  # d[k - 1] holds a_k / k
-    grid_shape = a0.shape + t.shape if a.ndim == 2 else None
-    if grid_shape is not None:
-        t, d = t.reshape(-1, 1), np.ascontiguousarray(d)
-    out = a0 * t
-    if len(d):
-        b1 = np.zeros(np.shape(out))
-        b2 = np.zeros_like(b1)
-        tmp = np.empty_like(b1)
-        x2 = np.multiply(2.0, _sinpi(t + 0.5), out=np.empty_like(b1))  # full shape, made once
-        for k in range(len(d) - 1, -1, -1):
-            np.multiply(x2, b1, out=tmp)
-            tmp -= b2
-            tmp += d[k]
-            b2, b1, tmp = b1, tmp, b2
-        out += _SQRT2_OVER_PI * _sinpi(t) * b1
-    return out if grid_shape is None else np.ascontiguousarray(out.T).reshape(grid_shape)
+    basis = np.empty((L + 1, t.size))
+    basis[0] = t
+    k = np.arange(1.0, L + 1)
+    modes = np.multiply.outer(k, t, out=basis[1:])
+    modes *= np.pi
+    np.sin(modes, out=modes)
+    modes *= _SQRT2_OVER_PI
+    modes /= k[:, None]
+    return basis
+
+
+def _series(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The series of each row of ``a`` at the basis's points: shape a.shape[:-1] + (points,).
+
+    ``np.einsum`` runs no BLAS, and with the points in its inner loop, which
+    a C-contiguous basis of two or more points puts there, it adds
+    a0 t + a_1 basis_1 + ... in k order at every point.  So a value does not
+    depend on which other rows or points share the call, nor on a thread
+    count.  At one point the mode axis would be einsum's inner loop, a dot
+    product that adds in SIMD lanes, so there the terms are accumulated in k
+    order instead, in place.
+    """
+    if basis.shape[1] == 1:
+        terms = a * basis[:, 0]
+        return np.add.accumulate(terms, axis=-1, out=terms)[..., -1:].copy()
+    return np.einsum("...k,kt->...t", a, np.ascontiguousarray(basis))
 
 
 def wiener_eval_horner(coeffs: WienerCoefficients, t):
-    """Clenshaw-recurrence evaluation of the same series, O(L) per point.
+    """The series of one coefficient row at the times t in [0, 1], by ``_series``.
 
-    Uses sin(k pi t) = sin(pi t) U_{k-1}(cos pi t) and runs the standard
-    second-kind Chebyshev recurrence backwards with preallocated buffers.
-    Agrees with the direct sum over ``sine_basis`` (the tests' reference
-    form) to ~1e-9 relative error for |a_k| <= CLIP and L <= 512.
+    The points are evaluated in chunks whose basis holds at most
+    ``_BASIS_BYTES``, or one point, 8 (L + 1) bytes (the nested estimator's
+    series guard bounds L).  Each point's value has the bits of the same
+    contraction at that point alone.  Agrees with the direct sum over
+    ``sine_basis`` (the tests' reference form) to ~1e-9 relative error for
+    |a_k| <= CLIP and L <= 512.
     """
-    out = _clenshaw(coeffs.a, _check_unit_interval(t))
-    return float(out) if out.ndim == 0 else out
+    t = _check_unit_interval(t)
+    flat, out = t.ravel(), np.empty(t.size)
+    step = max(1, _BASIS_BYTES // (8 * coeffs.a.size))
+    for lo in range(0, flat.size, step):
+        out[lo : lo + step] = _series(coeffs.a, series_basis(coeffs.order, flat[lo : lo + step]))
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)

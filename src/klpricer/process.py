@@ -2,23 +2,34 @@
 
 Provides clipped standard-normal coefficient draws for the smoothed-path
 series, a rejection sampler that draws the monitoring times i/T with
-probability proportional to the path value there, and the envelope that
-makes the rejection step valid.  There is one envelope formula:
-``path_envelope`` bounds one coefficient draw's path by
+probability proportional to the path value there, and the envelopes that
+make the rejection step valid.  There is one envelope formula, at two
+widths.  ``path_envelope`` bounds one coefficient draw's path on all of
+[0, 1] by
 
-    s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)).
+    env = s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)),
 
-The nested estimator's proposals per acceptance, env over the path's mean,
-stay near the path's own sup/mean ratio.  It works row-wise: a 2-D array of
-coefficient rows (a run of outer draws) gives one value per row.
-``g_max_bound`` is its all-CLIP case, the bound on every path whose
+and ``cell_envelopes`` bounds it on each of J cells ((c - 1)/J, c/J] by the
+path at the cell's midpoint m_c plus a Lipschitz margin,
+
+    env_c = min(env, s0 exp(sigma B_L(m_c) + drift m_c + (sigma Lip + |drift|)/(2J))),
+
+with Lip = |a0| + sqrt(2) sum_k |a_k| >= |B_L'|.  ``envelope_cells`` picks J
+from sigma, the drift and L, and ``cell_counts`` gives the monitoring points
+n_c in each cell.  The nested estimator's proposals per acceptance, the
+cells' mean T^-1 sum_c n_c env_c over the path's mean, stay near 1 where
+env's stay near the path's own sup/mean ratio.  Both work row-wise: a 2-D
+array of coefficient rows (a run of outer draws) gives one value per row.
+``g_max_bound`` is the all-CLIP case of env, the bound on every path whose
 coefficients lie in [-CLIP, CLIP]: the single normalisation that the
 amplitude encodings in ``qsim`` need.
 
 The rejection sampler draws its proposals row-major from the one stream it
 is given, so the accepted times depend on the stream and the envelope, never
 on how proposals are split into batches: its first batch is sized as if
-every proposal were accepted, its later ones from the observed rate.
+every proposal were accepted, its later ones from the observed rate.  It
+proposes by cells, a cell with probability proportional to n_c env_c and a
+point uniformly in it; one bound is the one-cell case.
 ``rejection_sample_times`` runs it for one draw; the nested estimator draws
 the sampler's proposal count from its law instead, from each draw's exact
 inner mean.
@@ -42,6 +53,7 @@ arrays; and a ``qsim`` layout's complex128 state (1 GiB is 26 qubits).
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -62,6 +74,9 @@ __all__ = [
     "monitoring_times",
     "g_max_bound",
     "path_envelope",
+    "envelope_cells",
+    "cell_counts",
+    "cell_envelopes",
 ]
 
 # Stream tags keep draws for different purposes out of each other's keyspace.
@@ -73,6 +88,7 @@ TAG_NESTED = 3
 _MIN_BATCH = 64
 _MAX_BATCH = 1 << 20
 _STARVATION_FACTOR = 1_000_000
+_CELL_SLACK = 0.05  # the most log-margin (sigma E[Lip] + |drift|)/(2J) that J cells leave
 
 GUARD_BYTES = 1 << 30  # the one resource guard: the most bytes a guarded structure may hold
 
@@ -243,7 +259,8 @@ def g_max_bound(params: GbmParams, L: int) -> float:
     |B_L(t)| <= CLIP (1 + (sqrt(2)/pi) sum_{k<=L} 1/k), so the returned value
     dominates the smoothed GBM everywhere on [0, 1].  One constant for all
     draws is what the amplitude encodings need; a rejection step for a known
-    draw should use the tighter ``path_envelope`` of its own row.
+    draw should use the tighter ``path_envelope`` or ``cell_envelopes`` of
+    its own row.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -264,6 +281,63 @@ def path_envelope(params: GbmParams, a: np.ndarray):
     log_sup = params.sigma * sup_abs_bm + max(params.effective_drift, 0.0)
     env = params.s0 * np.exp(log_sup)
     return float(env) if env.ndim == 0 else env
+
+
+def envelope_cells(params: GbmParams, L: int, points: int) -> int:
+    """Cells J of a draw's ``cell_envelopes``: a power of two, a function of (sigma, drift, L, points).
+
+    J is the least power of two whose margin at the mean |a_k| = sqrt(2/pi),
+    (sigma sqrt(2/pi) (1 + sqrt(2) L) + |drift|)/(2J), is at most 0.05, but
+    no more than the largest power of two within max(64, points), for
+    ``points`` the draw's table points or quadrature nodes: so a draw
+    evaluates no more cell midpoints than that.
+    """
+    slack = params.sigma * math.sqrt(2.0 / math.pi) * (1.0 + math.sqrt(2.0) * L)
+    slack += abs(params.effective_drift)
+    most = 1 << (max(64, int(points)).bit_length() - 1)
+    J = 1
+    while J < most and slack / (2 * J) > _CELL_SLACK:
+        J *= 2
+    return J
+
+
+def cell_counts(T: int, J: int) -> np.ndarray:
+    """Monitoring points i/T in each cell ((c - 1)/J, c/J], c = 1..J, as int64.
+
+    n_c = floor(cT/J) - floor((c - 1)T/J); with T = qJ + r, floor(cT/J) is
+    cq + floor(cr/J), exact in int64 for T <= 2^53 and J < 2^31.
+    """
+    q, r = divmod(T, J)
+    c = np.arange(J + 1, dtype=np.int64)
+    return np.diff(c * q + c * r // J)
+
+
+def cell_envelopes(
+    params: GbmParams, a: np.ndarray, env: np.ndarray, J: int, cells: np.ndarray, b_mid: np.ndarray
+) -> np.ndarray:
+    """Bounds env_c of each row's path on the J cells ((c - 1)/J, c/J], shape (rows, J).
+
+    ``a`` holds the coefficient rows, ``env`` their ``path_envelope``,
+    ``cells`` the 0-based indices of the cells bounded (those holding a
+    monitoring point) and ``b_mid`` the rows' series at those cells'
+    midpoints m_c = (c + 1/2)/J.  There env_c is the formula of the module
+    docstring: |B_L'| <= Lip, so it dominates the path within 1/(2J) of
+    m_c, and the cap keeps it at most env.  The other cells hold env.
+    """
+    A = np.abs(a)
+    lip = A[:, 0] + np.sqrt(2.0) * np.einsum("ij->i", A[:, 1:])
+    bound = params.sigma * b_mid
+    bound += params.effective_drift * ((cells + 0.5) / J)
+    bound += ((params.sigma * lip + abs(params.effective_drift)) / (2 * J))[:, None]
+    with np.errstate(over="ignore"):  # an overflowing bound is capped at env below
+        np.exp(bound, out=bound)
+    bound *= params.s0
+    np.minimum(bound, env[:, None], out=bound)
+    if cells.size == J:
+        return bound
+    out = np.repeat(env[:, None], J, axis=1)
+    out[:, cells] = bound
+    return out
 
 
 def _coefficient_rows(rngs: list, L: int) -> tuple[np.ndarray, int]:
@@ -301,24 +375,33 @@ def rejection_sample_times(
     rng: np.random.Generator,
     coeffs: WienerCoefficients,
     count: int,
-    gmax: float,
+    gmax,
     params: GbmParams,
     T: int,
 ) -> tuple[np.ndarray, int]:
     """Draw ``count`` of the monitoring times i/T with pmf G_L(i/T) / sum_j G_L(j/T).
 
-    Proposes a time ``monitoring_times(u, T)`` for a uniform u together with a
-    uniform z, and accepts it when z <= G_L(a, t) / gmax.  Returns the
-    accepted times and the number of proposals consumed through the final
-    acceptance; the expected proposals per acceptance is
-    gmax / mean_i G_L(i/T).  The series is evaluated once per proposal, so
-    the cost does not grow with T.  The first batch is sized as if every
-    proposal were accepted, the later ones from the observed acceptance
-    rate.  Raises ``RejectionStarvedError`` when 10^6 * count proposals
-    produce fewer than ``count`` acceptances.
+    ``gmax`` is one bound of the path on [0, 1], or an array of J bounds
+    env_c on the cells ((c - 1)/J, c/J] (``cell_envelopes``).  A proposal
+    takes two uniforms u and z: u picks cell c with probability
+    n_c env_c / sum_c n_c env_c (``cell_counts``), and, rescaled to the
+    cell, one of its n_c points t = i/T; the proposal is accepted when
+    z env_c <= G_L(a, t).  One bound is the one-cell case, whose time is
+    ``monitoring_times(u, T)``.  Returns the accepted times and the number of
+    proposals consumed through the final acceptance; the expected proposals
+    per acceptance is sum_c n_c env_c / sum_i G_L(i/T).  The series is
+    evaluated once per proposal, so the cost does not grow with T.  The first
+    batch is sized as if every proposal were accepted, the later ones from
+    the observed acceptance rate.  Raises ``RejectionStarvedError`` when
+    10^6 * count proposals produce fewer than ``count`` acceptances.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    bounds = np.atleast_1d(np.asarray(gmax, dtype=float))
+    counts = cell_counts(T, bounds.size).astype(float)
+    starts = np.cumsum(counts) - counts  # the points before each cell
+    mass = np.cumsum(np.where(counts > 0, counts * bounds, 0.0))
+    edges = mass / mass[-1] if bounds.size > 1 else np.ones(1)  # one cell takes every u
     accepted: list[np.ndarray] = []
     n_accepted = 0
     n_proposals = 0
@@ -335,11 +418,15 @@ def rejection_sample_times(
         rate = max(n_accepted, 1) / n_proposals if n_proposals else 1.0
         batch = int(min(max(_MIN_BATCH, 1.2 * remaining / rate), _MAX_BATCH, budget - n_proposals))
         u = rng.random((batch, 2))
-        t = monitoring_times(u[:, 0], T)
+        c = np.searchsorted(edges, u[:, 0], side="right")
+        lower = np.where(c > 0, edges[c - 1], 0.0)
+        i = np.minimum(np.floor((u[:, 0] - lower) / (edges[c] - lower) * counts[c]), counts[c] - 1)
+        t = (starts[c] + i + 1.0) / T
         g = gbm_from_bm(wiener_eval_horner(coeffs, t), t, params)
-        if np.any(g > gmax * (1.0 + 1e-12)):
+        env = bounds[c]
+        if np.any(g > env * (1.0 + 1e-12)):
             raise ValueError("path value exceeded the envelope; gmax contract violated")
-        hits = np.flatnonzero(u[:, 1] * gmax <= g)
+        hits = np.flatnonzero(u[:, 1] * env <= g)
         if hits.size >= remaining:
             last = hits[remaining - 1]
             accepted.append(t[hits[:remaining]])

@@ -17,7 +17,8 @@ normalise by the codec's top value, the decoded top code.
 Register order within a basis index, most significant to least significant:
 coefficient registers (register 0 first), time register, value register,
 ancillas.  Resource guard: ``process.check_bytes`` on a layout's complex128
-state, 16 bytes an amplitude (1 GiB is 26 qubits), before anything is allocated.
+state, 16 bytes an amplitude (1 GiB is 26 qubits), before anything is allocated,
+and on the series basis of the semi-digital state's T points.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .klcore import CLIP, _clenshaw
+from .klcore import CLIP, _series, series_basis
 from .process import GbmParams, check_bytes, gbm_from_bm
 
 __all__ = [
@@ -176,7 +177,8 @@ def _semidigital_values(
     codes = _coefficient_codes(L + 1, n)
     a = gaussian_grid_values(n)[codes]
     times = np.arange(1, T + 1) / T
-    return codes, gbm_from_bm(_clenshaw(a, times), times, params)
+    check_bytes(f"series basis of {L + 1} modes at {T} points", 8 * (L + 1) * T)
+    return codes, gbm_from_bm(_series(a, series_basis(L, times)), times, params)
 
 
 def enumerated_mean(

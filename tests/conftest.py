@@ -46,8 +46,8 @@ def wiener_eval(a, t):
     """Direct sine-series evaluation of smoothed paths at t in [0, 1].
 
     This is the reference form a0 t + (sqrt(2)/pi) sum_k (a_k/k) sin(k pi t),
-    a matrix product on ``sine_basis``, against which the library's Clenshaw
-    recurrence is checked.  ``a`` is one coefficient row (a_0, ..., a_L) or a
+    a matrix product on ``sine_basis`` (BLAS may split its sums), against
+    which the library's contraction is checked.  ``a`` is one coefficient row (a_0, ..., a_L) or a
     2-D array of such rows; the result has shape a.shape[:-1] + t.shape.
     """
     t = _check_unit_interval(t)

@@ -308,10 +308,10 @@ class TestPriceCommand:
         assert json.loads(err)["code"] == 1
 
     def test_envelope_violation_exits_1(self, capsys, monkeypatch):
-        # an envelope below the path is a fault of the program, not of the
-        # request, so it must not take the exit 2 of a ValueError
-        envelope = process.path_envelope
-        monkeypatch.setattr(process, "path_envelope", lambda params, a: 0.5 * envelope(params, a))
+        # cell bounds below the path are a fault of the program, not of the
+        # request, so they must not take the exit 2 of a ValueError
+        cells = process.cell_envelopes
+        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 0.5 * cells(*args))
         code, out, err = run_cli(
             capsys, "price", "--method", "kl-nested", "--epsilon", "0.2", "--m0", "10",
             "--m1", "10", "--seed", "1",
@@ -322,13 +322,14 @@ class TestPriceCommand:
         }
 
     def test_starved_sampler_exits_1(self, capsys):
-        # at sigma = 3 the path's envelope is so loose that a T = 1 draw
-        # accepts a proposal with probability 5.7e-7: 20 acceptances take
-        # more than the 2 * 10^7 proposals of the starvation budget.  The
-        # request is valid, so it exits 1, and fast: the count is drawn from
-        # its law, not proposal by proposal.
+        # at sigma = 35 a T = 1 draw's cell bound, whose margin grows with
+        # sigma and the drift, is so loose that a proposal is accepted with
+        # probability 9.8e-7: 20 acceptances take more than the 2 * 10^7
+        # proposals of the starvation budget.  The request is valid, so it
+        # exits 1, and fast: the count is drawn from its law, not proposal
+        # by proposal.
         code, out, err = run_cli(
-            capsys, "price", "--method", "kl-nested", "--sigma", "3", "--T", "1",
+            capsys, "price", "--method", "kl-nested", "--sigma", "35", "--T", "1",
             "--epsilon", "0.2", "--m0", "20", "--m1", "20", "--seed", "1",
         )
         assert (code, out) == (1, "")
@@ -337,12 +338,27 @@ class TestPriceCommand:
         assert error["code"] == 1
         assert error["error"].startswith("rejection sampler starved: 20 acceptances at rate ")
 
+    def test_high_sigma_single_point_prices(self, capsys):
+        # a request the per-path envelope alone would starve (acceptance
+        # rate 5.7e-7): its one point lies in one of J = 64 cells, whose
+        # bound is the path at the cell's midpoint times
+        # exp((sigma Lip + |drift|)/128)
+        code, out, err = run_cli(
+            capsys, "price", "--method", "kl-nested", "--sigma", "3", "--T", "1",
+            "--epsilon", "0.2", "--m0", "20", "--m1", "20", "--seed", "1",
+        )
+        assert (code, err) == (0, "")
+        data = price_fields(out)
+        assert (data["value"], data["diagnostics"]["proposals"]) == (91.71306656452975, 517)
+        assert data["diagnostics"]["envelope_cells"] == 64
+
     def test_rate_too_small_to_draw_exits_1(self, capsys, monkeypatch):
-        # an envelope 10^20 times too high: numpy's negative_binomial refuses
+        # envelopes 10^20 times too high: numpy's negative_binomial refuses
         # such a rate with a ValueError, which must not reach the exit 2 of
         # bad input
-        envelope = process.path_envelope
+        envelope, cells = process.path_envelope, process.cell_envelopes
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e20 * envelope(params, a))
+        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 1e20 * cells(*args))
         code, out, err = run_cli(
             capsys, "price", "--method", "kl-nested", "--epsilon", "0.2", "--m0", "4",
             "--m1", "4", "--seed", "1",
@@ -364,7 +380,7 @@ class TestPriceCommand:
         assert nested(4, 3) != nested(64, 3)
         if inner == "acceptance":
             # the value test_snapped_price_pinned pins for the T = 7 average
-            assert nested(7, 2) == (6.98115697735156, 0.7465024018946773)
+            assert nested(7, 2) == (7.176214368894899, 0.3009660076679615)
 
     def test_geometric_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf", "--seed", "3")

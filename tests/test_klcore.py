@@ -168,44 +168,63 @@ class TestWienerEval:
 
     @pytest.mark.parametrize("L", [0, 1, 21])
     def test_recurrence_over_rows_is_bitwise_one_row(self, L):
-        # every row at every point, as wiener_eval lays them out, gives each
-        # point the one-row bits
+        # every row at every point, one contraction over a grid, gives each
+        # point the one-row bits of wiener_eval_horner
         rng = np.random.default_rng(8)
         a = np.clip(rng.standard_normal((5, L + 1)), -CLIP, CLIP)
         t = rng.random(300)
-        grid = klcore._clenshaw(a, t.reshape(20, 15))
-        assert grid.shape == (5, 20, 15)
+        grid = klcore._series(a, klcore.series_basis(L, t))
+        assert grid.shape == (5, 300)
         for r in range(5):
             every = wiener_eval_horner(WienerCoefficients(a=a[r]), t)
-            assert np.array_equal(grid[r].ravel(), every)
+            assert np.array_equal(grid[r], every)
 
 
-def folded_sinpi(u):
-    """sin(pi u) for any real u by the general quadrant fold: mod 2, sign, mirror."""
-    r = np.mod(u, 2.0)
-    sign = np.where(r > 1.0, -1.0, 1.0)
-    r = np.where(r > 1.0, r - 1.0, r)
-    r = np.where(r > 0.5, 1.0 - r, r)
-    return sign * np.sin(np.pi * r)
+def modes_in_k_order(a, basis):
+    """a0 t + a_1 basis_1 + ... + a_L basis_L, one ufunc add per mode, in k order."""
+    out = a[..., :1] * basis[0]
+    for k in range(1, basis.shape[0]):
+        out = out + a[..., k : k + 1] * basis[k]
+    return out
 
 
-class TestSinpi:
-    @pytest.mark.parametrize("shift", [0.0, 0.5])
-    def test_bits_of_the_general_fold(self, shift):
-        # _sinpi folds only [0, 2), and every caller passes t or t + 1/2 for
-        # t in [0, 1]: proposal times i/2^20, grid points i/65536 and the
-        # edges, sign bits included
-        edges = [0.0, 0.5, 1.0, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0), 5e-324]
-        t = np.concatenate([np.arange(2**20 + 1) / 2**20, np.arange(1, 65537) / 65536, edges])
-        u = t + shift
-        got, expect = klcore._sinpi(u), folded_sinpi(u)
-        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+class TestSeriesContraction:
+    @pytest.mark.parametrize("L", [0, 1, 21, 507])
+    def test_adds_modes_in_k_order(self, L):
+        # the contraction's bits are the k-order loop's, for one row, one
+        # point, and any subset of rows or points: no value depends on what
+        # shares its call
+        rng = np.random.default_rng(40 + L)
+        a = np.clip(rng.standard_normal((7, L + 1)), -CLIP, CLIP)
+        t = np.concatenate([[0.0, 1.0], rng.random(63)])
+        basis = klcore.series_basis(L, t)
+        full = klcore._series(a, basis)
+        assert np.array_equal(full, modes_in_k_order(a, basis))
+        for r in range(len(a)):
+            assert np.array_equal(klcore._series(a[r], basis), full[r])
+            for j in (0, 1, 30, 64):
+                assert np.array_equal(klcore._series(a[r], basis[:, j : j + 1]), full[r, j : j + 1])
+        for rows in (slice(0, 1), slice(2, 5), [6, 0, 3]):
+            for cols in (slice(0, 1), slice(1, 3), slice(5, 64), [64, 2, 9]):
+                part = klcore._series(a[rows], basis[:, cols])
+                assert np.array_equal(part, full[rows][:, cols])
 
-    @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 1.0, 1.25, 1.5])
-    def test_zero_dimensional_input(self, u):
-        got, expect = klcore._sinpi(np.asarray(u)), folded_sinpi(np.asarray(u))
-        assert np.ndim(got) == 0
-        assert np.asarray(got).view(np.int64) == np.asarray(expect).view(np.int64)
+    @pytest.mark.parametrize("L", [0, 1, 21, 507])
+    def test_basis_rows_are_the_sine_modes(self, L):
+        t = np.random.default_rng(3).random(50)
+        basis = klcore.series_basis(L, t)
+        assert np.array_equal(basis[0], t)
+        assert np.array_equal(basis[1:], sine_basis(np.arange(1.0, L + 1), t))
+
+    def test_chunked_points_keep_their_bits(self, monkeypatch):
+        # wiener_eval_horner evaluates its points in chunks of _BASIS_BYTES
+        # of basis; each point keeps its bits whatever the chunk
+        coeffs = WienerCoefficients(a=np.clip(np.random.default_rng(9).standard_normal(22), -CLIP, CLIP))
+        t = np.random.default_rng(10).random((40, 25))
+        ref = wiener_eval_horner(coeffs, t)
+        for budget in (1, 8 * 22 * 7, 1 << 40):
+            monkeypatch.setattr(klcore, "_BASIS_BYTES", budget)
+            assert np.array_equal(wiener_eval_horner(coeffs, t), ref)
 
 
 class TestCoefficientValidation:

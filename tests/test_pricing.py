@@ -39,11 +39,11 @@ GRID100 = np.arange(101) / 100  # k/100 for k = 0..100, with a leading t = 0
 # mean is a quadrature
 NESTED_PINS = [
     (64, dict(epsilon=0.1, M0=400, M1=400, seed=7),
-     (6.482783523061586, 0.11206651391400427, 6.07164828788031, 0.39801126168131234)),
+     (6.181498663048614, 0.04578011891437194, 5.770363427867339, 0.37846459490112494)),
     (7, dict(epsilon=0.2, M0=40, M1=50, seed=12),
-     (7.7769087336700675, 0.7910515460672107, 8.940792132707397, 1.8821638381001073)),
+     (6.9144609532702805, 0.3812076979850311, 8.078344352307608, 1.690833865613649)),
     (1 << 20, dict(epsilon=0.2, M0=40, M1=50, seed=3),
-     (6.570932498959792, 0.741537180018681, 7.051924451969528, 1.4702392198068333)),
+     (5.541119123728262, 0.4232475589133558, 6.022111076737996, 1.213814911371411)),
 ]
 
 
@@ -509,16 +509,16 @@ class TestNested:
 
     @pytest.mark.parametrize("T, kw, pinned", [
         (64, dict(epsilon=0.1, M0=400, M1=400, seed=9),
-         (6.172993305224017, 0.030513722475158905, {
-             "clipped": 0, "series_points": 160_000,
+         (6.172993305224018, 0.030513722475157972, {
+             "clipped": 0, "series_points": 25_600, "normals_drawn": 8_800,
              "plain_value": 6.945911129726653, "plain_std_error": 0.45019188648794667})),
         (7, dict(epsilon=0.2, M0=50, M1=50, seed=2),
-         (6.744376413233958, 0.14384451930638742, {
-             "clipped": 0, "series_points": 2_500,
-             "plain_value": 7.70211524261837, "plain_std_error": 1.4076849162213643})),
+         (6.74437641323396, 0.14384451930638678, {
+             "clipped": 0, "series_points": 350, "normals_drawn": 350,
+             "plain_value": 7.702115242618369, "plain_std_error": 1.407684916221365})),
         (1 << 20, dict(epsilon=0.2, M0=40, M1=40, seed=1),
-         (6.029468491113839, 0.17715719667919436, {
-             "clipped": 0, "series_points": 1_600,
+         (6.029468491113838, 0.17715719667919436, {
+             "clipped": 0, "series_points": 1_600, "normals_drawn": 280,
              "plain_value": 7.042035884344702, "plain_std_error": 1.3686326740295258})),
     ])
     def test_uniform_mode_pinned(self, T, kw, pinned):
@@ -543,37 +543,40 @@ class TestNested:
     @pytest.mark.parametrize("T", [64, 7, 1 << 20])
     def test_tabulated_count_follows_the_sampler_law(self, T):
         # a draw's count, M1 + NegBin(M1, p) for its inner mean (a table at
-        # T = 64 and 7, a quadrature at T = 2^20), against the proposals the
-        # rejection sampler spends on the same fixed path, M1 = 4: a
-        # two-sample KS test, and the Haldane mean within 3 SE of the exact
-        # mean over the T points.  Counts drawn at 1.05 p, or without the
-        # + M1, fail both checks.
+        # T = 64 and 7, a quadrature at T = 2^20) over its cells' mean
+        # envelope, against the proposals the rejection sampler spends on
+        # the same fixed path and the same cell bounds, M1 = 4: a two-sample
+        # KS test, and the Haldane mean within 3 SE of the exact mean over
+        # the T points.  Counts drawn at 0.95 p, or without the + M1, fail
+        # both checks.
         n, M1 = 20_000, 4
         coeffs = process.sample_coefficients(process.stream(31, 1, 0), 21)
-        env = process.path_envelope(MARKET, coeffs.a)
+        env = np.array([process.path_envelope(MARKET, coeffs.a)])
         grid = np.arange(1, T + 1) / T
         exact = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, MARKET).mean()
-        mean, _, tabulated = pricing._inner_means(coeffs.a[None], np.array([env]), MARKET, T)
-        assert tabulated == (T < 1 << 20)
+        mean, ebar, inner = pricing._inner_means(coeffs.a[None], env, MARKET, T)
+        assert inner["tabulated_draws"] == (T < 1 << 20)
+        nodes = pricing._quadrature_nodes(coeffs.a[None], MARKET, T)[0]
+        bound = pricing._cell_bounds(coeffs.a[None], env, MARKET, T, nodes, {})[0][0]
         sampled = np.array([
-            process.rejection_sample_times(process.stream(31, 3, i), coeffs, M1, env, MARKET, T)[1]
+            process.rejection_sample_times(process.stream(31, 3, i), coeffs, M1, bound, MARKET, T)[1]
             for i in range(n)
         ])
 
         def law_holds(counts):
             with np.errstate(divide="ignore", invalid="ignore"):
-                inner = pricing._haldane_mean(env, M1, counts)
+                inner = pricing._haldane_mean(ebar[0], M1, counts)
                 se = inner.std(ddof=1) / np.sqrt(n)
             agrees = stats.ks_2samp(sampled, counts).pvalue > 1e-3
             return bool(agrees and abs(inner.mean() - exact) <= 3.0 * se)
 
         counts = pricing._tabled_counts(
-            list(process.streams(31, 5, range(n))), np.full(n, mean[0]), np.full(n, env), M1
+            list(process.streams(31, 5, range(n))), np.full(n, mean[0]), np.full(n, ebar[0]), M1
         )
         assert law_holds(counts)
         rng = process.stream(31, 6, T)
-        assert not law_holds(M1 + rng.negative_binomial(M1, 1.05 * exact / env, n))
-        assert not law_holds(rng.negative_binomial(M1, exact / env, n))
+        assert not law_holds(M1 + rng.negative_binomial(M1, 0.95 * exact / ebar[0], n))
+        assert not law_holds(rng.negative_binomial(M1, exact / ebar[0], n))
 
     def test_snapped_price_pinned(self):
         # the path tabulated on the monitoring points i/T, bit for bit
@@ -581,7 +584,7 @@ class TestNested:
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=7)
         est = price_kl_nested(MARKET, spec, epsilon=0.2, M0=50, M1=50, seed=2)
         assert _nested_fields(est)[:4] == (
-            6.98115697735156, 0.7465024018946773, 7.938895806735973, 1.388123726284527)
+            7.176214368894899, 0.3009660076679615, 8.133953198279308, 1.3986860880001528)
 
     def test_batch_sizes_leave_price_unchanged(self, monkeypatch):
         # every count is drawn from its law, so nothing of the sampler's
@@ -640,9 +643,11 @@ class TestNested:
         spec = AsianPayoffSpec(strike=100.0, monitoring_count=T)
         ref = price_kl_nested(MARKET, spec, **kw)
         # one path row per table, then every draw of a run in one table; T
-        # points a tabulated draw, 64 Gauss-Legendre nodes and 2 ends a
-        # quadrature draw at T = 2^20
-        assert ref.diagnostics["series_points"] == kw["M0"] * (T if T < 1 << 20 else 66)
+        # points and a midpoint per cell that holds one a tabulated draw
+        # (J = 64 cells at eps = 0.1, 16 at eps = 0.2), 64 Gauss-Legendre
+        # nodes, 2 ends and J = 16 midpoints a quadrature draw at T = 2^20
+        per_draw = {64: 64 + 64, 7: 7 + 7, 1 << 20: 66 + 16}[T]
+        assert ref.diagnostics["series_points"] == kw["M0"] * per_draw
         for budget in (1, 1 << 40):
             monkeypatch.setattr(pricing, "_GROUP_BYTES", budget)
             assert price_kl_nested(MARKET, spec, **kw) == ref
@@ -668,19 +673,27 @@ class TestNested:
 
     def test_tables_bounded_and_split_by_draw(self, monkeypatch):
         # at sigma = 2 and T = 500 some draws' T_EM passes T: those are
-        # tabulated, the others take 64-node quadratures, each table at most
-        # 64 KiB; at L = 507 and T = 10,000 each draw is tabulated, and its
-        # row is summed in chunks of 8,192 points
+        # tabulated, with 256 cell midpoints, the others take 64-node
+        # quadratures with 64, each table at most 64 KiB; at L = 507 and
+        # T = 10,000 each draw is tabulated, with 2,048 midpoints, and its
+        # row is summed in chunks of 8,192 points, the series of each chunk
+        # 258 points (1 MiB of basis) at a time
         tables = []
 
-        def clenshaw(a, t):
-            tables.append((a.shape[0], t.size))
-            return klcore._clenshaw(a, t)
+        def series(a, basis):
+            tables.append((a.shape[0], basis.shape[1]))
+            return klcore._series(a, basis)
 
-        monkeypatch.setattr(pricing, "_clenshaw", clenshaw)
+        def by_basis(rows, points):
+            step = (1 << 20) // (8 * 508)
+            return [(rows, min(step, points - lo)) for lo in range(0, points, step)]
+
+        monkeypatch.setattr(pricing, "_series", series)
         for sigma, T, kw, want in [
-            (2.0, 500, dict(epsilon=0.2, M0=40, M1=50, seed=3), [(10, 500), (30, 66)]),
-            (0.2, 10_000, dict(epsilon=0.02, M0=2, M1=50, seed=3), [(1, 8192), (1, 1808)] * 2),
+            (2.0, 500, dict(epsilon=0.2, M0=40, M1=50, seed=3),
+             [(10, 256), (10, 500), (30, 64), (30, 66)]),
+            (0.2, 10_000, dict(epsilon=0.02, M0=2, M1=50, seed=3),
+             (by_basis(1, 2048) + by_basis(1, 8192) + by_basis(1, 1808)) * 2),
         ]:
             tables.clear()
             params = GbmParams(100.0, 0.05, sigma)
@@ -692,7 +705,8 @@ class TestNested:
 
     def test_cost_does_not_grow_with_T(self):
         # the paper's poly-log-in-T cost: past T_EM and n every draw takes
-        # its quadrature, n + 2 = 130 points here, at every T
+        # its quadrature, n + 2 = 130 points and J = 64 cell midpoints here,
+        # at every T
         counts = {
             (d["series_points"], d["tabulated_draws"])
             for d in (
@@ -702,23 +716,23 @@ class TestNested:
                 for T in (1 << 20, 1 << 30, 1 << 40, 1 << 50)
             )
         }
-        assert counts == {(400 * 130, 0)}
+        assert counts == {(400 * (130 + 64), 0)}
 
     @pytest.mark.parametrize("T", [8193, 1 << 20])
     @pytest.mark.parametrize("sigma", [0.2, 3.0])
     @pytest.mark.parametrize("L", [21, 82])
     def test_inner_mean_matches_the_t_point_sum(self, T, sigma, L):
         # Gauss-Legendre with Euler-Maclaurin corrections against the brute
-        # T-point mean of the same rows, summed through _clenshaw in chunks
+        # T-point mean of the same rows, summed through _series in chunks
         params = GbmParams(100.0, 0.05, sigma)
         a, _ = process._coefficient_rows(list(process.streams(5, 3, range(6))), L)
         env = process.path_envelope(params, a)
         assert np.all(pricing._quadrature_nodes(a, params, T) > 0)
-        mean, points, tabulated = pricing._inner_means(a, env, params, T)
-        chunks = (np.arange(lo + 1, min(lo + 65536, T) + 1) / T for lo in range(0, T, 65536))
-        brute = sum(process.gbm_from_bm(klcore._clenshaw(a, t), t, params).sum(axis=1)
-                    for t in chunks) / T
-        assert tabulated == 0 and points < 6 * T
+        mean, _, inner = pricing._inner_means(a, env, params, T)
+        chunks = (np.arange(lo + 1, min(lo + 4096, T) + 1) / T for lo in range(0, T, 4096))
+        brute = sum(process.gbm_from_bm(klcore._series(a, klcore.series_basis(L, t)), t, params)
+                    .sum(axis=1) for t in chunks) / T
+        assert inner["tabulated_draws"] == 0 and inner["series_points"] < 6 * T
         np.testing.assert_allclose(mean, brute, rtol=1e-12, atol=0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -735,7 +749,7 @@ class TestNested:
         params = GbmParams(100.0, mu, sigma)
         a, _ = process._coefficient_rows(list(process.streams(seed, 3, range(4))), L)
         env = process.path_envelope(params, a)
-        mean, _, _ = pricing._inner_means(a, env, params, T)
+        mean = pricing._inner_means(a, env, params, T)[0]
         t = np.arange(1, T + 1) / T
         brute = process.gbm_from_bm(wiener_eval(a, t), t, params).mean(axis=1)
         assert np.all(np.abs(mean - brute) <= pricing._INNER_TOL * brute)
@@ -756,7 +770,8 @@ class TestNested:
         # |phi^(j)|, plus 1e-13 for the quadrature and rounding
         params = GbmParams(100.0, mu, sigma)
         a, _ = process._coefficient_rows(list(process.streams(seed, 3, range(4))), L)
-        mean = pricing._quadrature_means(a, process.path_envelope(params, a), params, T, 512)
+        env = process.path_envelope(params, a)[:, None]  # one cell
+        mean = pricing._quadrature_means(a, env, params, T, 512, {})
         t = np.arange(1, T + 1) / T
         brute = process.gbm_from_bm(wiener_eval(a, t), t, params).mean(axis=1)
         nodes, weights = pricing._gauss_legendre(512)
@@ -770,27 +785,55 @@ class TestNested:
         remainder = 2 * 1.0083492773819228 * (2 * np.pi * T) ** -7.0 * y[7] * integral
         assert np.all(np.abs(mean - brute) <= remainder + 1e-13 * brute)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(0.1, 3.0),
+        T=st.one_of(st.integers(1, 200), st.just(1 << 20)),
+        L=st.integers(0, 100),
+        mu=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cell_bounds_dominate_the_path(self, sigma, T, L, mu, seed):
+        # each cell bound dominates G_L, evaluated by the direct sum, at
+        # every table point (4,096 of them, drawn, at T = 2^20) and every
+        # quadrature node and end in its cell, within the contract's
+        # 1e-12; and the cells' mean over the T points is at most the
+        # per-path envelope, so no draw's acceptance rate falls below that
+        # envelope's
+        params = GbmParams(100.0, mu, sigma)
+        a, _ = process._coefficient_rows(list(process.streams(seed, 3, range(4))), L)
+        env = process.path_envelope(params, a)
+        points = np.arange(1, T + 1) if T <= 200 else np.random.default_rng(seed).integers(1, T + 1, 4096)
+        for row, n in enumerate(pricing._quadrature_nodes(a, params, T).tolist()):
+            bound, ebar, _ = pricing._cell_bounds(a[row : row + 1], env[row : row + 1], params, T, n, {})
+            assert ebar[0] <= env[row]
+            t = np.concatenate([points / T, [0.0, 1.0], pricing._gauss_legendre(max(n, 64))[0]])
+            g = process.gbm_from_bm(wiener_eval(a[row], t), t, params)
+            cell = np.maximum(np.ceil(t * bound.shape[1]) - 1.0, 0.0).astype(np.intp)
+            assert np.all(g <= bound[0, cell] * (1.0 + 1e-12))
+
     def test_convexity_bias_falls_with_m1(self, golden_market, golden_spec):
         # d = f(Haldane mean) - f(exact mean) samples the nested estimator's
         # convexity bias draw by draw, with only inner noise: at the golden
-        # market (T = 64, eps = 0.1) about 50/M1, 2.89 +- 0.08 at M1 = 16 and
-        # 0.13 +- 0.02 at M1 = 400 at this seed
+        # market (T = 64, eps = 0.1) about 6/M1 to 9/M1, 0.392 +- 0.025 at M1 = 16 and
+        # 0.022 +- 0.006 at M1 = 400 at this seed, against the cells' mean
+        # envelope
         M0, L = 20_000, truncation_index_bm(0.1)
         a, _ = process._coefficient_rows(list(process.streams(17, process.TAG_NESTED, range(M0))), L)
         env = process.path_envelope(golden_market, a)
-        exact = np.concatenate([
-            pricing._inner_means(a[lo : lo + 256], env[lo : lo + 256], golden_market, 64)[0]
+        exact, ebar = np.concatenate([
+            pricing._inner_means(a[lo : lo + 256], env[lo : lo + 256], golden_market, 64)[:2]
             for lo in range(0, M0, 256)
-        ])
+        ], axis=1)
         bias = {}
         for M1 in (16, 400):
-            counts = pricing._tabled_counts(list(process.streams(17, 9, range(M0))), exact, env, M1)
-            d = (np.maximum(pricing._haldane_mean(env, M1, counts) - golden_spec.strike, 0.0)
+            counts = pricing._tabled_counts(list(process.streams(17, 9, range(M0))), exact, ebar, M1)
+            d = (np.maximum(pricing._haldane_mean(ebar, M1, counts) - golden_spec.strike, 0.0)
                  - np.maximum(exact - golden_spec.strike, 0.0))
             bias[M1] = (d.mean(), d.std(ddof=1) / np.sqrt(M0))
         (b16, se16), (b400, se400) = bias[16], bias[400]
         assert b16 - b400 > 5.0 * np.hypot(se16, se400)
-        assert 20.0 < 16 * b16 < 60.0 and 0.0 < b400 < 0.2
+        assert 3.0 < 16 * b16 < 9.0 and 0.0 < b400 < 0.04
 
     def test_monitoring_count_past_2_53_rejected(self):
         # floor(u T) reaches every index up to T = 2^53 and no further
@@ -857,26 +900,29 @@ class TestNested:
         assert draws == []
 
     def test_starvation_guard_on_quadrature_draws(self, monkeypatch):
-        # an envelope 10^9 times too high accepts almost nothing; the guard
+        # cell bounds, and the path envelope that caps their mean, 10^9 times
+        # too high accept almost nothing; the guard
         # budget is scaled down so the request fails fast.  At T = 2^20 the
         # first draw's count, drawn from its quadrature's law, is past it.
-        envelope = process.path_envelope
+        envelope, cells = process.path_envelope, process.cell_envelopes
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e9 * envelope(params, a))
+        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 1e9 * cells(*args))
         monkeypatch.setattr(process, "_STARVATION_FACTOR", 1000)
         with pytest.raises(process.RejectionStarvedError,
-                           match="10 acceptances at rate 8.65e-10 take 4.44917e[+]09 proposals, "
+                           match="10 acceptances at rate 9.65e-10 take 3.99022e[+]09 proposals, "
                                  "past the budget of 10000"):
             price_kl_nested(MARKET, AsianPayoffSpec(100.0, 1 << 20), epsilon=0.2, M0=3, M1=10,
                             seed=1)
 
     def test_starvation_guard_on_tabulated_draws(self, monkeypatch):
-        # the same envelope at T = 64: the first draw's count, drawn from its
-        # law, is past the budget
-        envelope = process.path_envelope
+        # the same envelopes at T = 64: the first draw's count, drawn from
+        # its law, is past the budget
+        envelope, cells = process.path_envelope, process.cell_envelopes
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e9 * envelope(params, a))
+        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 1e9 * cells(*args))
         monkeypatch.setattr(process, "_STARVATION_FACTOR", 1000)
         with pytest.raises(process.RejectionStarvedError,
-                           match="10 acceptances at rate 8.66e-10 take 4.44595e[+]09 proposals, "
+                           match="10 acceptances at rate 9.66e-10 take 3.98733e[+]09 proposals, "
                                  "past the budget of 10000"):
             price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=3, M1=10, seed=1)
 
@@ -884,26 +930,37 @@ class TestNested:
     def test_rate_too_small_to_draw_is_starved(self, monkeypatch, M1):
         # at p below about 1e-18 numpy's negative_binomial raises ValueError,
         # which the CLI would report as bad input; the draw is starved
-        envelope = process.path_envelope
+        envelope, cells = process.path_envelope, process.cell_envelopes
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e20 * envelope(params, a))
+        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 1e20 * cells(*args))
         with pytest.raises(process.RejectionStarvedError, match=r"acceptances at rate \d\.\d+e-2\d take "):
             price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=3, M1=M1, seed=1)
 
+    def test_underflowing_envelope_is_starved_at_rate_0(self):
+        # at sigma = 40 and T = 1 each draw's path and its cell bound
+        # underflow to 0: the rate is 0, not 0/0
+        with pytest.raises(process.RejectionStarvedError, match="20 acceptances at rate 0 take inf "):
+            price_kl_nested(GbmParams(100.0, 0.05, 40.0), AsianPayoffSpec(100.0, 1), epsilon=0.2,
+                            M0=20, M1=20, seed=1)
+
     def test_envelope_below_path_violates_contract(self, monkeypatch):
-        envelope = process.path_envelope
-        monkeypatch.setattr(process, "path_envelope", lambda params, a: 0.5 * envelope(params, a))
+        cells = process.cell_envelopes
+        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 0.5 * cells(*args))
         with pytest.raises(RuntimeError, match="exceeded the envelope"):
             price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=10, M1=10, seed=1)
 
     def test_diagnostics_at_golden_market(self, golden_market, golden_spec):
         kw = dict(epsilon=0.2, M0=100, M1=100, seed=5)
         counts = price_kl_nested(golden_market, golden_spec, **kw).diagnostics
-        assert set(counts) == {
+        assert list(counts) == [
             "clipped", "proposals", "accepted", "series_points", "tabulated_draws",
-            "plain_value", "plain_std_error",
-        }
+            "envelope_cells", "normals_drawn", "plain_value", "plain_std_error",
+        ]
         assert counts["clipped"] == 0
         assert counts["accepted"] == 100 * 100
+        # T = 64 points and the midpoints of J = 16 cells, and L + 1 normals a draw
+        assert counts["envelope_cells"] == 16 and counts["series_points"] == 100 * (64 + 16)
+        assert counts["normals_drawn"] == 100 * (truncation_index_bm(0.2) + 1)
         assert counts["proposals"] == _per_draw_nested(golden_market, golden_spec, **kw)[-1]
 
     @pytest.mark.parametrize("T, tabulated", [(64, 400), (1 << 20, 0)])
@@ -920,7 +977,8 @@ class TestNested:
         # a draw's value sees its table only through the negative binomial
         # draw of p, which a last-bit change in p almost never moves; so each
         # p drawn is compared, bit for bit, with the mean of the draw's own
-        # path row over its envelope, one table row per draw and all in one
+        # path row over its cells' mean bound, one table row per draw and
+        # all in one
         drawn = []
 
         class Spy:
@@ -944,11 +1002,13 @@ class TestNested:
             coeffs = process.sample_coefficients(
                 process.stream(kw["seed"], process.TAG_NESTED, i), L)
             row = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, MARKET)
-            want.append(min(row.mean() / process.path_envelope(MARKET, coeffs.a), 1.0))
+            env = np.array([process.path_envelope(MARKET, coeffs.a)])
+            ebar = pricing._cell_bounds(coeffs.a[None], env, MARKET, T, 0, {})[1][0]
+            want.append(min(row.mean() / ebar, 1.0))
         assert drawn == want
 
     def test_grouped_round_memory_is_bounded(self):
-        # the benchmark's nested request: about 0.8 MiB once warm; the first
+        # the benchmark's nested request: about 0.6 MiB once warm; the first
         # call peaks higher (one-time allocations)
         kw = dict(epsilon=0.1, M0=400, M1=400)
         price_kl_nested(MARKET, SPEC64, seed=1, **kw)
@@ -1026,7 +1086,8 @@ def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
     its row alone.  Each draw's payoff Y carries its control variate,
     Y - X + E[X], with X from its own row.  Returns (value, std_error,
     plain_value, plain_std_error, proposals through every draw's M1-th
-    acceptance).
+    acceptance).  The envelope is the draw's cells' mean over the T points,
+    from ``pricing._cell_bounds`` on its row alone.
     """
     L = truncation_index_bm(epsilon)
     T = spec.monitoring_count
@@ -1037,14 +1098,16 @@ def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
     for i in range(M0):
         rng = process.stream(seed, process.TAG_NESTED, i)
         coeffs = process.sample_coefficients(rng, L)
-        env = process.path_envelope(params, coeffs.a)
-        if pricing._quadrature_nodes(coeffs.a[None], params, T)[0] == 0 and T <= 8192:
+        env = np.array([process.path_envelope(params, coeffs.a)])
+        nodes = pricing._quadrature_nodes(coeffs.a[None], params, T)[0]
+        ebar = pricing._cell_bounds(coeffs.a[None], env, params, T, nodes, {})[1][0]
+        if nodes == 0 and T <= 8192:
             grid = np.arange(1, T + 1) / T
             mean = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, params).mean()
         else:
-            mean = pricing._inner_means(coeffs.a[None], np.array([env]), params, T)[0][0]
-        n_prop = M1 + int(rng.negative_binomial(M1, min(mean / env, 1.0)))
-        pay = max(pricing._haldane_mean(env, M1, n_prop) - spec.strike, 0.0)
+            mean = pricing._inner_means(coeffs.a[None], env, params, T)[0][0]
+        n_prop = M1 + int(rng.negative_binomial(M1, min(mean / ebar, 1.0)))
+        pay = max(pricing._haldane_mean(ebar, M1, n_prop) - spec.strike, 0.0)
         log_geo = params.sigma * np.einsum("ij,j->i", coeffs.a[None], w)[0]
         geo = params.s0 * np.exp(log_geo + params.effective_drift * w[0])
         ctrl = pay - max(geo - spec.strike, 0.0) + twin

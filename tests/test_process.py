@@ -401,6 +401,33 @@ class TestRejectionSampler:
         assert got == n_prop
         assert hashlib.sha256(times.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("T", [16, 1 << 20])
+    def test_one_cell_is_the_scalar_bound(self, T):
+        coeffs = sample_coefficients(stream(14, 3, 0), 12)
+        env = path_envelope(MARKET, coeffs.a)
+        times, n_prop = rejection_sample_times(stream(14, 3, 1), coeffs, 300, env, MARKET, T)
+        cell_times, cell_prop = rejection_sample_times(
+            stream(14, 3, 1), coeffs, 300, np.array([env]), MARKET, T)
+        assert cell_prop == n_prop and np.array_equal(cell_times, times)
+
+    @pytest.mark.parametrize("T", [50, 7])
+    def test_cells_keep_the_target_pmf(self, T):
+        # proposals by cells, a cell with probability n_c env_c / sum, then
+        # a point in it: the accepted times keep the pmf G_L(i/T) / sum_j,
+        # and the rate is the path's mean over the cells' mean, sum_c n_c
+        # env_c / T; J = 64 cells here, so 14 hold no point at T = 50 and
+        # 57 at T = 7
+        L, n = 16, 50_000
+        coeffs = sample_coefficients(stream(4, 3, 1), L)
+        env = np.array([path_envelope(MARKET, coeffs.a)])
+        bound, ebar, _ = pricing._cell_bounds(coeffs.a[None], env, MARKET, T, 0, {})
+        assert bound.shape == (1, 64)
+        times, n_prop = rejection_sample_times(stream(4, 3, 2), coeffs, n, bound[0], MARKET, T)
+        pmf, mean = grid_pmf(coeffs, MARKET, T)
+        assert chi2_stat(times, pmf) < chi2.ppf(1.0 - 1e-3, df=T - 1)
+        p = mean / ebar[0]
+        assert abs(n / n_prop - p) <= 3.0 * np.sqrt(p * (1 - p) / n_prop)
+
     def test_determinism(self):
         coeffs = sample_coefficients(stream(12, 3, 9), 8)
         gmax = g_max_bound(MARKET, 8)

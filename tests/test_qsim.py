@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klpricer import process, qsim
-from klpricer.klcore import CLIP, _clenshaw
+from klpricer.klcore import CLIP, _series, series_basis
 from klpricer.process import GbmParams, g_max_bound
 from klpricer.qsim import (
     FixedPointCodec,
@@ -267,7 +267,7 @@ class TestMirror:
 
         a = gaussian_grid_values(2)[qsim._coefficient_codes(2, 2)]
         t = process.monitoring_times((np.arange(T) + 0.5) / T, T)
-        g = process.gbm_from_bm(_clenshaw(a, t), t, params)
+        g = process.gbm_from_bm(_series(a, series_basis(1, t)), t, params)
         sampler = codec.decode(codec.encode(g)).mean(axis=1)
         assert np.max(np.abs(statevector - sampler)) <= 1e-12 * gmax
 
