@@ -6,8 +6,12 @@ default market of ``klpricer price`` (s0 = K = 100, mu = 0.05, sigma = 0.2):
 the requests of the four ``perfbench`` workloads (bulk, the five sweep
 sizes, subsample, nested); sub-sampling at T = 2^20 with the subsample
 sizing, where it prices its grid of ceil(1/eps^2) = 400 points in place of
-the T points; and kl-nested at T = 2^20 with the nested sizing, where every
-draw's inner mean comes from Gauss-Legendre quadrature, not a T-point table.
+the T points; kl-nested at T = 2^20 with the nested sizing, where every
+draw's inner mean comes from Gauss-Legendre quadrature, not a T-point table;
+and the start-up rows, ``geometric-cf`` (the closed form) and ``qsim-check``
+(the 2-qubit statevector check), whose requests cost little past start-up:
+each of their calls is a fresh ``python -m klpricer.cli price`` process,
+interpreter start and imports included, its estimate read from the JSON.
 After one warm-up call a row is timed over ``REPEATS`` calls on the same
 seed; it records the median, min and max wall time, the value, its standard
 error, SE^2 x the median seconds (variance reduction and speed on one
@@ -28,6 +32,7 @@ import os
 import pathlib
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -53,11 +58,28 @@ WORKLOADS = {
     "subsample-T1048576": ("subsample", 1 << 20, SUBSAMPLE),
     "nested": ("kl_nested", 64, NESTED),
     "nested-T1048576": ("kl_nested", 1 << 20, NESTED),
+    "geometric-cf": ("geometric-cf", 64, {}),
+    "qsim-check": ("qsim-check", 64, {}),
 }
+START_UP = ("geometric-cf", "qsim-check")  # methods timed as fresh processes
+
+
+def start_up(method: str):
+    """A row's call as one fresh ``klpricer price --method <method>`` process."""
+    def price(params, spec, seed):
+        argv = [sys.executable, "-m", "klpricer.cli", "price", "--method", method, "--seed", str(seed),
+                "--s0", repr(params.s0), "--mu", repr(params.mu), "--sigma", repr(params.sigma),
+                "--strike", repr(spec.strike), "--T", str(spec.monitoring_count)]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = json.loads(subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
+        return pricing.Estimate(out["value"], out["std_error"], out["n_outer"], out["n_inner"],
+                                out["diagnostics"])
+    return price
+
 
 def run_row(method: str, T: int, sizes: dict) -> dict:
     """Time one request ``REPEATS`` times after a warm-up call, and report it."""
-    price = getattr(pricing, f"price_{method}")
+    price = start_up(method) if method in START_UP else getattr(pricing, f"price_{method}")
     params = GbmParams(**MARKET)
     spec = pricing.AsianPayoffSpec(strike=STRIKE, monitoring_count=T)
     first = price(params, spec, **sizes, seed=SEED)

@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="monitoring points T of the averaged payoff (default 64)")
     pr.add_argument("--epsilon", type=float, default=0.05,
                     help="kl-nested takes its L and M0 = M1 = ceil(4/eps^2) from it: an SE of "
-                         "0.18 at eps 0.2 and 0.045 at eps 0.1 at the default market, T = 64; "
+                         "0.13 at eps 0.2 and 0.033 at eps 0.1 at the default market, T = 64; "
                          "subsample prices the grid of min(ceil(1/eps^2), T) points "
                          "(default 0.05)")
     pr.add_argument("--paths", type=int, default=100_000,

@@ -11,7 +11,7 @@ series is a contraction, ``_series(a, basis)``: one ``np.einsum`` of the
 coefficient rows against ``series_basis(L, t)``, the rows [t; sine_basis(1..L,
 t)] at a grid of points, which a caller builds once per grid.  It takes one
 coefficient row, or a 2-D array of rows, each at every point: the nested
-estimator's path and quadrature tables and cell midpoints, the sampler and
+estimator's path and quadrature tables and cell edges, the sampler and
 the amplitude encodings in ``qsim`` all read paths through it.
 ``wiener_eval_horner`` is its checked front for one ``WienerCoefficients``
 row at any points, and ``sine_basis`` builds the mode matrices

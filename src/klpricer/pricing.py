@@ -430,24 +430,27 @@ def _grid_series(a: np.ndarray, t: np.ndarray, bases: dict, key) -> np.ndarray:
 
 
 def _cell_bounds(a: np.ndarray, env: np.ndarray, params: GbmParams, T: int, n: int, bases: dict):
-    """Each row's ``process.cell_envelopes``, their mean over the T points, and the midpoints evaluated.
+    """Each row's ``process.cell_envelopes``, their mean over the T points, and the edges evaluated.
 
     J is ``process.envelope_cells`` at the draw's n quadrature nodes, or,
     for a table (n = 0), at the points of one table chunk,
     min(T, ``_TABLE_POINTS``), so that a row's bounds hold no more than its
-    table does.  The mean, T^-1 sum_c n_c env_c, is summed by row, so its
-    bits do not depend on which rows share the call, and is capped at env,
-    which bounds every cell, so that rounding cannot lift it past env.
+    table does.  The series is evaluated at the edges of the cells that hold
+    a point: all J + 1 when T >= J, else the union of their edges.  The
+    mean, T^-1 sum_c n_c env_c, is summed by row, so its bits do not depend
+    on which rows share the call, and is capped at env, which bounds every
+    cell, so that rounding cannot lift it past env.
     """
     J = process.envelope_cells(params, a.shape[1] - 1, n or min(T, _TABLE_POINTS))
     counts = process.cell_counts(T, J)
     cells = np.flatnonzero(counts)
-    b_mid = _grid_series(a, (cells + 0.5) / J, bases, ("cells", J))
-    bound = process.cell_envelopes(params, a, env, J, cells, b_mid)
+    edges = np.arange(J + 1) if cells.size == J else np.union1d(cells, cells + 1)
+    b = _grid_series(a, edges / J, bases, ("edges", J))
+    bound = process.cell_envelopes(params, a, env, J, cells, edges, b)
     # C order, as every row of a full bound is: einsum then sums each row alike
     occupied = bound if cells.size == J else np.ascontiguousarray(bound[:, cells])
     mean = np.einsum("ij,j->i", occupied, counts[cells].astype(float)) / T
-    return bound, np.minimum(mean, env), cells.size
+    return bound, np.minimum(mean, env), edges.size
 
 
 def _path(a: np.ndarray, t: np.ndarray, bound: np.ndarray, params: GbmParams, bases: dict, key):
@@ -486,7 +489,7 @@ def _inner_means(a: np.ndarray, env: np.ndarray, params: GbmParams, T: int, base
     whichever rows share its table.  A T-point row is summed in chunks of
     ``_TABLE_POINTS``: up to that, its mean is ``table.mean``'s.  Every point
     is checked against its cell's bound.  The counters are the
-    ``series_points`` evaluated, cell midpoints included, the
+    ``series_points`` evaluated, cell edges included, the
     ``tabulated_draws`` and the most ``envelope_cells`` of a draw.
     """
     bases = {} if bases is None else bases
@@ -612,14 +615,14 @@ def price_kl_nested(
 
     Outer loop: sample a coefficient vector per path.  Inner loop, default
     mode ``acceptance``: the rejection sampler against the path's own cell
-    envelope (``process.cell_envelopes``: a bound env_c on each of J cells
-    of [0, 1]) spends n_prop proposals through its M1-th accepted monitoring
-    time, and the path's monitoring average is recovered as
+    envelope (``process.cell_envelopes``: on each of J cells [l, r] of
+    [0, 1], env_c = s0 exp(max(phi(l), phi(r)) + sigma S2/(8 J^2)), phi the
+    log-path and S2 >= |B_L''|) spends n_prop proposals through its M1-th
+    accepted monitoring time, and the path's monitoring average is recovered as
     ebar (M1 - 1)/(n_prop - 1), for ebar = T^-1 sum_c n_c env_c the bound's
     mean over the T points (n_c of them in cell c), mirroring how that
     average appears as a measurement probability in the amplitude encoding.
-    Mode
-    ``uniform`` instead averages the path value at M1 uniformly drawn
+    Mode ``uniform`` instead averages the path value at M1 uniformly drawn
     monitoring times (``process.monitoring_times``).  Standard error comes
     from outer variation only.
 
@@ -652,17 +655,17 @@ def price_kl_nested(
     ``process.envelope_cells`` at its quadrature nodes, or at the points of
     one chunk of its table, min(T, 8,192): 64
     at eps = 0.1 and 16 at eps = 0.2 at the default market, where ebar / gbar,
-    the proposals per acceptance, is about 1.04 (``path_envelope``, which
-    caps every env_c and ebar, gives about 1.57).  A value is a pure function of
-    (params, T, L, M0, M1, seed), whatever the grouping into runs and tables
-    of at most ``_GROUP_BYTES``.  A count past 10^6 M1 proposals raises
+    the proposals per acceptance, is about 1.011 and 1.02 (``path_envelope``,
+    which caps every env_c and ebar, gives about 1.57).  A value is a pure
+    function of (params, T, L, M0, M1, seed), whatever the grouping into runs
+    and tables of at most ``_GROUP_BYTES``.  A count past 10^6 M1 proposals raises
     ``process.RejectionStarvedError``.
 
     A draw evaluates its series at n + 2 points or at T <= max(n, T_EM), and
-    at the midpoints of at most max(64, n or min(T, 8,192)) cells, so its
+    at the edges of at most max(64, n or min(T, 8,192)) cells, so its
     cost is bounded by its own row, whatever T (up to 2^53, the most a
     53-bit uniform can index), sigma or M1 is; the series basis of each grid
-    is built once per request.  tracemalloc reads about 0.6 MiB at eps = 0.1,
+    is built once per request.  tracemalloc reads about 0.65 MiB at eps = 0.1,
     M0 = M1 = 400, T = 64.  Each of the M0 draws holds
     16 bytes, its inner mean and a.w, so ``process.GUARD_BYTES`` (1 GiB)
     rejects M0 past 2^26; the payoffs are summed in draw order over blocks of
@@ -672,7 +675,7 @@ def price_kl_nested(
 
     ``diagnostics`` counts ``clipped`` coefficients, ``series_points`` (in
     acceptance mode the points of the path and quadrature tables and the
-    cell midpoints; M0 min(T, M1) in uniform mode, which evaluates a draw on
+    cell edges; M0 min(T, M1) in uniform mode, which evaluates a draw on
     the T points when T <= M1) and ``normals_drawn``, M0 (L + 1); in
     acceptance mode also the drawn ``proposals``, ``accepted`` (M0 M1),
     ``tabulated_draws``, whose means are table sums, and ``envelope_cells``,
@@ -683,16 +686,16 @@ def price_kl_nested(
     what remains is the bias of clipping coefficients at ``klcore.CLIP``
     (E[X] ignores it), whose per-draw probability is below 1.3e-15, and the
     convexity bias of a nested estimator (the payoff is convex in the inner
-    mean): about 6/M1 to 9/M1 at the golden market (s0 = K = 100, mu = 0.05,
+    mean): about 2/M1 at the golden market (s0 = K = 100, mu = 0.05,
     sigma = 0.2, T = 64) against exact inner means, over 20,000 draws: at
-    eps = 0.1, 0.39 +- 0.02 at M1 = 16 and 0.022 +- 0.006 at M1 = 400
-    (``test_convexity_bias_falls_with_m1``); at eps = 0.2, 0.092 +- 0.012 at
+    eps = 0.1, 0.117 +- 0.012 at M1 = 16 and 0.006 +- 0.003 at M1 = 400
+    (``test_convexity_bias_falls_with_m1``); at eps = 0.2, 0.037 +- 0.008 at
     M1 = 100.
 
     Defaults: ``epsilon`` sets L, the truncation index for it, and
     M0 = M1 = ceil(4 / eps^2).  At the default market (s0 = K = 100,
-    mu = 0.05, sigma = 0.2, T = 64, seed 1) the SE is 0.182 at eps = 0.2 and
-    0.045 at eps = 0.1, about 0.9 eps and 0.45 eps (plain: 1.043 and 0.484).
+    mu = 0.05, sigma = 0.2, T = 64, seed 1) the SE is 0.127 at eps = 0.2 and
+    0.033 at eps = 0.1, about 0.64 eps and 0.33 eps (plain: 1.013 and 0.483).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")

@@ -9,12 +9,14 @@ widths.  ``path_envelope`` bounds one coefficient draw's path on all of
 
     env = s0 exp(sigma (|a0| + (sqrt(2)/pi) sum_k |a_k|/k) + max(drift, 0)),
 
-and ``cell_envelopes`` bounds it on each of J cells ((c - 1)/J, c/J] by the
-path at the cell's midpoint m_c plus a Lipschitz margin,
+and ``cell_envelopes`` bounds it on each of J cells [l, r] = [(c - 1)/J, c/J]
+by the log-path phi = sigma B_L + drift t at the higher of the cell's edges
+plus a curvature margin (the piecewise envelope of adaptive rejection
+sampling, Gilks & Wild 1992, with a curvature term in place of log-concavity),
 
-    env_c = min(env, s0 exp(sigma B_L(m_c) + drift m_c + (sigma Lip + |drift|)/(2J))),
+    env_c = min(env, s0 exp(max(phi(l), phi(r)) + sigma S2/(8 J^2))),
 
-with Lip = |a0| + sqrt(2) sum_k |a_k| >= |B_L'|.  ``envelope_cells`` picks J
+with S2 = sqrt(2) pi sum_k k |a_k| >= |B_L''|.  ``envelope_cells`` picks J
 from sigma, the drift and L, and ``cell_counts`` gives the monitoring points
 n_c in each cell.  The nested estimator's proposals per acceptance, the
 cells' mean T^-1 sum_c n_c env_c over the path's mean, stay near 1 where
@@ -88,7 +90,7 @@ TAG_NESTED = 3
 _MIN_BATCH = 64
 _MAX_BATCH = 1 << 20
 _STARVATION_FACTOR = 1_000_000
-_CELL_SLACK = 0.05  # the most log-margin (sigma E[Lip] + |drift|)/(2J) that J cells leave
+_CELL_SLACK = 0.05  # the most spread of phi over half a cell, at the mean |a_k|, that J cells leave
 
 GUARD_BYTES = 1 << 30  # the one resource guard: the most bytes a guarded structure may hold
 
@@ -286,11 +288,11 @@ def path_envelope(params: GbmParams, a: np.ndarray):
 def envelope_cells(params: GbmParams, L: int, points: int) -> int:
     """Cells J of a draw's ``cell_envelopes``: a power of two, a function of (sigma, drift, L, points).
 
-    J is the least power of two whose margin at the mean |a_k| = sqrt(2/pi),
-    (sigma sqrt(2/pi) (1 + sqrt(2) L) + |drift|)/(2J), is at most 0.05, but
-    no more than the largest power of two within max(64, points), for
-    ``points`` the draw's table points or quadrature nodes: so a draw
-    evaluates no more cell midpoints than that.
+    J is the least power of two whose spread of phi over half a cell at the
+    mean |a_k| = sqrt(2/pi), (sigma sqrt(2/pi) (1 + sqrt(2) L) + |drift|)/(2J),
+    is at most 0.05, but no more than the largest power of two within
+    max(64, points), for ``points`` the draw's table points or quadrature
+    nodes: so a draw evaluates no more than one cell edge past that.
     """
     slack = params.sigma * math.sqrt(2.0 / math.pi) * (1.0 + math.sqrt(2.0) * L)
     slack += abs(params.effective_drift)
@@ -313,22 +315,26 @@ def cell_counts(T: int, J: int) -> np.ndarray:
 
 
 def cell_envelopes(
-    params: GbmParams, a: np.ndarray, env: np.ndarray, J: int, cells: np.ndarray, b_mid: np.ndarray
+    params: GbmParams, a: np.ndarray, env: np.ndarray, J: int, cells: np.ndarray, edges: np.ndarray, b
 ) -> np.ndarray:
-    """Bounds env_c of each row's path on the J cells ((c - 1)/J, c/J], shape (rows, J).
+    """Bounds env_c of each row's path on its J cells, shape (rows, J).
 
     ``a`` holds the coefficient rows, ``env`` their ``path_envelope``,
-    ``cells`` the 0-based indices of the cells bounded (those holding a
-    monitoring point) and ``b_mid`` the rows' series at those cells'
-    midpoints m_c = (c + 1/2)/J.  There env_c is the formula of the module
-    docstring: |B_L'| <= Lip, so it dominates the path within 1/(2J) of
-    m_c, and the cap keeps it at most env.  The other cells hold env.
+    ``cells`` the 0-based indices c of the cells (c/J, (c + 1)/J] bounded
+    (those holding a monitoring point), ``edges`` the ascending union of c
+    and c + 1 over them (0..J when every cell is bounded), and ``b`` the
+    rows' series at the times edges/J.  There env_c is the formula of the
+    module docstring: |B_L''| <= S2, so on the cell phi lies below its
+    secant, itself at most max(phi(c/J), phi((c + 1)/J)), plus
+    (sigma S2/2)(t - c/J)((c + 1)/J - t) <= sigma S2/(8 J^2); the cap keeps
+    it at most env.  The other cells hold env.
     """
-    A = np.abs(a)
-    lip = A[:, 0] + np.sqrt(2.0) * np.einsum("ij->i", A[:, 1:])
-    bound = params.sigma * b_mid
-    bound += params.effective_drift * ((cells + 0.5) / J)
-    bound += ((params.sigma * lip + abs(params.effective_drift)) / (2 * J))[:, None]
+    s2 = np.sqrt(2.0) * np.pi * np.einsum("ij,j->i", np.abs(a[:, 1:]), np.arange(1.0, a.shape[1]))
+    phi = params.sigma * b
+    phi += params.effective_drift * (edges / J)
+    lo = slice(0, J) if cells.size == J else np.searchsorted(edges, cells)  # cell c's edges c, c + 1
+    bound = np.maximum(phi[:, lo], phi[:, 1:][:, lo])
+    bound += (params.sigma * s2 / (8 * J * J))[:, None]
     with np.errstate(over="ignore"):  # an overflowing bound is capped at env below
         np.exp(bound, out=bound)
     bound *= params.s0

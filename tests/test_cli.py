@@ -322,34 +322,37 @@ class TestPriceCommand:
         }
 
     def test_starved_sampler_exits_1(self, capsys):
-        # at sigma = 35 a T = 1 draw's cell bound, whose margin grows with
-        # sigma and the drift, is so loose that a proposal is accepted with
-        # probability 9.8e-7: 20 acceptances take more than the 2 * 10^7
-        # proposals of the starvation budget.  The request is valid, so it
-        # exits 1, and fast: the count is drawn from its law, not proposal
-        # by proposal.
+        # starved through the envelope, not through underflow: at sigma = 45
+        # and T = 2 the point 1/2 is the right edge of its cell (31/64, 1/2],
+        # whose bound holds the path at the left edge, about |drift|/64 = 15.8
+        # higher in log, so a proposal is accepted with probability 3.0e-8
+        # (the point 1 and its cell's bound underflow to 0 and add nothing;
+        # a rate of 0, as at sigma = 40 and T = 1, is the other mechanism):
+        # 20 acceptances take more than the 2 * 10^7 proposals of the
+        # starvation budget.  The request is valid, so it exits 1, and fast:
+        # the count is drawn from its law, not proposal by proposal.
         code, out, err = run_cli(
-            capsys, "price", "--method", "kl-nested", "--sigma", "35", "--T", "1",
+            capsys, "price", "--method", "kl-nested", "--sigma", "45", "--T", "2",
             "--epsilon", "0.2", "--m0", "20", "--m1", "20", "--seed", "1",
         )
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
         error = json.loads(err)
         assert error["code"] == 1
-        assert error["error"].startswith("rejection sampler starved: 20 acceptances at rate ")
+        assert error["error"].startswith("rejection sampler starved: 20 acceptances at rate 2.96e-08 ")
 
     def test_high_sigma_single_point_prices(self, capsys):
         # a request the per-path envelope alone would starve (acceptance
         # rate 5.7e-7): its one point lies in one of J = 64 cells, whose
-        # bound is the path at the cell's midpoint times
-        # exp((sigma Lip + |drift|)/128)
+        # bound is the larger of the path at the cell's edges 63/64 and 1
+        # times exp(sigma S2/(8 * 64^2))
         code, out, err = run_cli(
             capsys, "price", "--method", "kl-nested", "--sigma", "3", "--T", "1",
             "--epsilon", "0.2", "--m0", "20", "--m1", "20", "--seed", "1",
         )
         assert (code, err) == (0, "")
         data = price_fields(out)
-        assert (data["value"], data["diagnostics"]["proposals"]) == (91.71306656452975, 517)
+        assert (data["value"], data["diagnostics"]["proposals"]) == (91.97148167983173, 455)
         assert data["diagnostics"]["envelope_cells"] == 64
 
     def test_rate_too_small_to_draw_exits_1(self, capsys, monkeypatch):
@@ -380,7 +383,7 @@ class TestPriceCommand:
         assert nested(4, 3) != nested(64, 3)
         if inner == "acceptance":
             # the value test_snapped_price_pinned pins for the T = 7 average
-            assert nested(7, 2) == (7.176214368894899, 0.3009660076679615)
+            assert nested(7, 2) == (6.7373747317750805, 0.22740955321843515)
 
     def test_geometric_closed_form(self, capsys):
         code, out, _ = run_cli(capsys, "price", "--method", "geometric-cf", "--seed", "3")

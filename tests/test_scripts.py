@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -50,6 +52,7 @@ def test_bench_writes_finite_rows(monkeypatch, tmp_path):
     assert list(report["rows"]) == [
         "bulk", "sweep-1000", "sweep-2000", "sweep-4000", "sweep-8000", "sweep-16000",
         "subsample", "subsample-T1048576", "nested", "nested-T1048576",
+        "geometric-cf", "qsim-check",
     ]
     numbers = []
     for row in report["rows"].values():
@@ -64,3 +67,8 @@ def test_bench_writes_finite_rows(monkeypatch, tmp_path):
     assert report["rows"]["nested"]["diagnostics"]["tabulated_draws"] == 2
     assert report["rows"]["nested-T1048576"]["diagnostics"]["tabulated_draws"] == 0
     assert report["rows"]["subsample-T1048576"]["diagnostics"]["grid_points"] == 400
+    # the start-up rows, each call a fresh process: the closed form and the
+    # statevector check, which draw nothing
+    assert report["rows"]["geometric-cf"]["value"] == pytest.approx(5.9086002672545845, rel=1e-12)
+    assert [(row["std_error"], row["diagnostics"]) for name, row in report["rows"].items()
+            if name in ("geometric-cf", "qsim-check")] == [(0.0, {}), (0.0, {})]
