@@ -5,7 +5,7 @@ bound, stated in advance, and emits a machine-readable ``BoundReport``.
 All four compute in closed form the expectation their bound is stated for,
 and none draws: the truncation tail, the smoothness of the truncated
 series, the distance of the mapped process and the mean-square error of
-the sub-sampling estimator's grid.
+the sub-sampling estimator's grid, the first two from ``series_basis``.
 
 Grids must hold distinct values.  Each probe whose arrays grow with its
 input counts the bytes they hold at most and passes the count to
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import pricing, process
-from .klcore import sine_basis, truncation_index_bm
+from .klcore import series_basis, truncation_index_bm
 from .process import GbmParams
 
 __all__ = [
@@ -34,6 +34,10 @@ __all__ = [
     "smoothness_probe",
     "subsample_error_probe",
 ]
+
+# numpy buffers a broadcasting ufunc, as in series_basis, in 8,192 elements
+# of each of two operands: 128 KiB, within 136 KiB with its iterator
+_UFUNC_BUFFER = 136 << 10
 
 
 @dataclass
@@ -78,7 +82,7 @@ def truncation_error_sweep(L_values) -> BoundReport:
 
     For each L >= 1, ``measured`` is the sup over 64 interior times of
     E[(B(t) - B_L(t))^2] = t - t^2 - sum_{k<=L} phi_k(t)^2, with phi_k the
-    ``sine_basis`` modes: exact for the full series, since
+    mode rows of ``series_basis``: exact for the full series, since
     Var B(t) = t = t^2 + sum_{k>=1} phi_k(t)^2.
     """
     L_values = _distinct(sorted(int(L) for L in L_values), "L values")
@@ -89,9 +93,9 @@ def truncation_error_sweep(L_values) -> BoundReport:
     # Interior midpoints; at t = 0 and t = 1 the truncation error vanishes
     # identically, which would make the sup degenerate.
     t = (np.arange(64) + 0.5) / 64
-    # the mode matrix of the largest L with sine_basis's two temporaries
-    process.check_bytes("truncation probe", 8 * 3 * L_values[-1] * t.size)
-    head = sine_basis(np.arange(1, L_values[-1] + 1, dtype=float), t)
+    # the series basis of the largest L and its L mode indices, then squared and summed in place
+    process.check_bytes("truncation probe", 8 * ((L_values[-1] + 1) * t.size + L_values[-1]) + _UFUNC_BUFFER)
+    head = series_basis(L_values[-1], t)[1:]
     np.cumsum(np.square(head, out=head), axis=0, out=head)  # row L - 1: sum_{k<=L} phi_k^2
     measured = (t - t * t - head[np.array(L_values) - 1]).max(axis=1)
     bounds = [2.0 / (np.pi**2 * L) for L in L_values]
@@ -167,7 +171,7 @@ def smoothness_probe(epsilon: float) -> BoundReport:
     At the truncation index L for ``epsilon`` and every pair of
     ``_default_pair_grid``, ``measured`` is
     E[(B_L(t) - B_L(s))^2] = (t - s)^2 + sum_{k<=L} (phi_k(t) - phi_k(s))^2
-    exactly, with phi_k the ``sine_basis`` modes, and is checked against
+    exactly, with phi_k the mode rows of ``series_basis``, and is checked against
     3 C_M L (t - s)^2 + 6 eps^2 with C_M = 1; the C_M = 2 variant (what this
     basis actually satisfies) and the exact Brownian value |t - s| are
     reported alongside.
@@ -177,13 +181,13 @@ def smoothness_probe(epsilon: float) -> BoundReport:
     pairs = _default_pair_grid()
     L = truncation_index_bm(epsilon)
     times = np.unique(np.asarray(pairs, dtype=float).ravel())
-    # the mode matrix with sine_basis's two temporaries, and one pair's increments
-    process.check_bytes("smoothness probe", 8 * L * (3 * times.size + 1))
-    modes = sine_basis(np.arange(1, L + 1, dtype=float), times)
+    # the series basis and its L mode indices, then one pair's L increments
+    process.check_bytes("smoothness probe", 8 * ((L + 1) * times.size + L) + _UFUNC_BUFFER)
+    modes = series_basis(L, times)[1:]
     col = {t: i for i, t in enumerate(times)}
-    measured = []
+    measured, d = [], np.empty(L)
     for s, t in pairs:
-        d = modes[:, col[t]] - modes[:, col[s]]
+        np.subtract(modes[:, col[t]], modes[:, col[s]], out=d)
         measured.append((t - s) ** 2 + float(np.einsum("i,i->", d, d)))
     bounds_cm1 = [3.0 * 1.0 * L * (t - s) ** 2 + 6.0 * epsilon**2 for s, t in pairs]
     bounds_cm2 = [3.0 * 2.0 * L * (t - s) ** 2 + 6.0 * epsilon**2 for s, t in pairs]

@@ -6,18 +6,16 @@ built from the sine-series form
 
     B_L(t) = a0 t + (sqrt(2)/pi) * sum_{k=1..L} (a_k / k) sin(k pi t)
 
-with i.i.d. standard-normal coefficients a_k.  The one evaluator of the
-series is a contraction, ``_series(a, basis)``: one ``np.einsum`` of the
-coefficient rows against ``series_basis(L, t)``, the rows [t; sine_basis(1..L,
-t)] at a grid of points, which a caller builds once per grid.  It takes one
-coefficient row, or a 2-D array of rows, each at every point: the nested
-estimator's path and quadrature tables and cell edges, the sampler and
-the amplitude encodings in ``qsim`` all read paths through it.
-``wiener_eval_horner`` is its checked front for one ``WienerCoefficients``
-row at any points, and ``sine_basis`` builds the mode matrices
-(sqrt(2)/pi) sin(k pi t)/k for the probes in ``analysis``; ``series_basis``
-holds its rows bit for bit.  Everything here is stateless and safe to call
-concurrently.
+with i.i.d. standard-normal coefficients a_k.  ``series_basis(L, t)``, the
+one sine-basis builder, holds the rows t and (sqrt(2)/pi) sin(k pi t)/k at a
+grid of points; ``_series`` contracts coefficient rows against it in one
+``np.einsum``.  ``_grid_series`` is the one evaluator of coefficient rows at
+points, with a per-request basis cache and no basis part past
+``_BASIS_BYTES``: the nested estimator's tables, the cell edges of
+``process.cell_envelopes``, the encodings in ``qsim`` and
+``wiener_eval_horner`` (one checked ``WienerCoefficients`` row, for the
+rejection sampler) all read paths through it.  Everything here is stateless
+and safe to call concurrently.
 
 Two bases meet here.  The tail bounds and the truncation index use the KL
 eigenpairs (index k - 1/2), while synthesis uses the Wiener sine series
@@ -38,7 +36,6 @@ __all__ = [
     "CLIP",
     "WienerCoefficients",
     "series_basis",
-    "sine_basis",
     "truncation_index_bm",
     "wiener_eval_horner",
 ]
@@ -56,15 +53,6 @@ def _check_unit_interval(t) -> np.ndarray:
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("time argument must lie in [0, 1]")
     return t
-
-
-def sine_basis(k: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Mode functions (sqrt(2)/pi) sin(k pi t)/k, one row per mode index in k.
-
-    ``k`` is a float array of mode indices and ``t`` an array of times; the
-    result has shape (k.size, t.size).
-    """
-    return _SQRT2_OVER_PI * np.sin(np.pi * np.outer(k, t)) / k[:, None]
 
 
 @dataclass
@@ -144,7 +132,7 @@ def truncation_index_bm(epsilon: float) -> int:
 
 
 def series_basis(L: int, t: np.ndarray) -> np.ndarray:
-    """The (L + 1, t.size) matrix whose rows are t and ``sine_basis(1..L, t)``, bit for bit.
+    """The (L + 1, t.size) matrix whose rows are t and (sqrt(2)/pi) sin(k pi t)/k, k = 1..L.
 
     ``_series`` contracts coefficient rows against it.  It holds 8 (L + 1)
     bytes a point and is built in place, with no temporary as large, so
@@ -178,19 +166,35 @@ def _series(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("...k,kt->...t", a, np.ascontiguousarray(basis))
 
 
-def wiener_eval_horner(coeffs: WienerCoefficients, t):
-    """The series of one coefficient row at the times t in [0, 1], by ``_series``.
+def _grid_series(a: np.ndarray, t: np.ndarray, bases: dict, key) -> np.ndarray:
+    """The one series evaluator: each row of ``a`` at the points t, shape a.shape[:-1] + (t.size,).
 
-    The points are evaluated in chunks whose basis holds at most
-    ``_BASIS_BYTES``, or one point, 8 (L + 1) bytes (the nested estimator's
-    series guard bounds L).  Each point's value has the bits of the same
-    contraction at that point alone.  Agrees with the direct sum over
-    ``sine_basis`` (the tests' reference form) to ~1e-9 relative error for
-    |a_k| <= CLIP and L <= 512.
+    A grid's ``series_basis`` is kept in ``bases[key]``, the caller's
+    per-request cache, when it holds at most ``_BASIS_BYTES``; a larger one is
+    built that many bytes of points at a time, at each call, with the same
+    bits (``_series``).  No part can pass ``process.GUARD_BYTES``, which this
+    module cannot import: each holds at most max(``_BASIS_BYTES``, 8 (L + 1))
+    bytes, and ``pricing._series_order`` guards 40 (L + 1).
+    """
+    if key not in bases:
+        L = a.shape[-1] - 1
+        step = max(1, _BASIS_BYTES // (8 * (L + 1)))
+        if t.size > step:
+            out = np.empty(a.shape[:-1] + t.shape)
+            for lo in range(0, t.size, step):
+                out[..., lo : lo + step] = _series(a, series_basis(L, t[lo : lo + step]))
+            return out
+        bases[key] = series_basis(L, t)
+    return _series(a, bases[key])
+
+
+def wiener_eval_horner(coeffs: WienerCoefficients, t):
+    """The series of one coefficient row at the times t in [0, 1], by ``_grid_series``.
+
+    Each point's value has the bits of the same contraction at that point
+    alone.  Agrees with the direct sum over the sine modes (the tests'
+    reference form) to ~1e-9 relative error for |a_k| <= CLIP and L <= 512.
     """
     t = _check_unit_interval(t)
-    flat, out = t.ravel(), np.empty(t.size)
-    step = max(1, _BASIS_BYTES // (8 * coeffs.a.size))
-    for lo in range(0, flat.size, step):
-        out[lo : lo + step] = _series(coeffs.a, series_basis(coeffs.order, flat[lo : lo + step]))
+    out = _grid_series(coeffs.a, t.ravel(), {}, None)
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)

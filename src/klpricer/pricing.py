@@ -34,10 +34,12 @@ The nested estimator's acceptance mode draws each outer draw's rejection
 sampler count from its law, M1 + NegBin(M1, p), with p the draw's exact
 inner mean over its cell envelope's mean: a T-point table sum, or
 Gauss-Legendre quadrature with Euler-Maclaurin corrections within 1e-13
-relative.  A
-draw's cost is bounded by its own row, whatever T or sigma is, and values
-do not depend on how draws are grouped (``price_kl_nested``).  Its payoffs
-carry their geometric twins as a control variate, at one dot product a draw.
+relative.  The envelope and its mean come from one call,
+``process.cell_envelopes``, and every series value from one evaluator,
+``klcore._grid_series``.  A draw's cost is bounded by its own row, whatever
+T or sigma is, and values do not depend on how draws are grouped
+(``price_kl_nested``).  Its payoffs carry their geometric twins as a
+control variate, at one dot product a draw.
 
 No discounting is applied (riskless rate zero); callers that need a
 discount factor scale the final value.
@@ -54,9 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import process
-from .klcore import (
-    _BASIS_BYTES, _SQRT2_OVER_PI, _series, series_basis, truncation_index_bm, wiener_eval_horner,
-)
+from .klcore import _SQRT2_OVER_PI, _grid_series, truncation_index_bm, wiener_eval_horner
 from .process import GbmParams
 
 __all__ = [
@@ -71,7 +71,7 @@ __all__ = [
 _BLOCK_BYTES = 1 << 20  # one flat-kernel block buffer: about one core's L2 share
 _GROUP_BYTES = 1 << 16  # one path or quadrature table of kl-nested draws
 _RUN_DRAWS = 256  # most kl-nested draws of one run: their streams hold about 190 KB
-_TABLE_POINTS = 8192  # most monitoring points of one path-table row: 64 KiB
+_TABLE_POINTS = _GROUP_BYTES // 8  # most monitoring points of one path-table row: 8,192
 _SUM_BLOCK = 4096  # kl-nested draws whose payoffs are summed at a time
 _INNER_TOL = 1e-13  # relative error bound of a kl-nested inner mean by quadrature
 _MIN_NODES = 64  # fewest Gauss-Legendre nodes of a kl-nested inner mean
@@ -409,50 +409,6 @@ def _quadrature_nodes(a: np.ndarray, params: GbmParams, T: int) -> np.ndarray:
     return n
 
 
-def _grid_series(a: np.ndarray, t: np.ndarray, bases: dict, key) -> np.ndarray:
-    """Rows of the series at the points t of one grid of the request, whose basis is ``bases[key]``.
-
-    A grid's ``series_basis`` is sized in bytes by ``process.check_bytes``
-    and built once per request, kept in ``bases``, when it holds at most
-    ``klcore._BASIS_BYTES``; a larger one is built that many bytes of points
-    at a time, at each call, each part dropped once evaluated.  A value has
-    the same bits either way.
-    """
-    if key not in bases:
-        L = a.shape[1] - 1
-        step = max(1, _BASIS_BYTES // (8 * (L + 1)))
-        if t.size > step:
-            parts = (t[lo : lo + step] for lo in range(0, t.size, step))
-            return np.concatenate([_grid_series(a, part, {}, None) for part in parts], axis=1)
-        process.check_bytes(f"series basis of {L + 1} modes at {t.size} points", 8 * (L + 1) * t.size)
-        bases[key] = series_basis(L, t)
-    return _series(a, bases[key])
-
-
-def _cell_bounds(a: np.ndarray, env: np.ndarray, params: GbmParams, T: int, n: int, bases: dict):
-    """Each row's ``process.cell_envelopes``, their mean over the T points, and the edges evaluated.
-
-    J is ``process.envelope_cells`` at the draw's n quadrature nodes, or,
-    for a table (n = 0), at the points of one table chunk,
-    min(T, ``_TABLE_POINTS``), so that a row's bounds hold no more than its
-    table does.  The series is evaluated at the edges of the cells that hold
-    a point: all J + 1 when T >= J, else the union of their edges.  The
-    mean, T^-1 sum_c n_c env_c, is summed by row, so its bits do not depend
-    on which rows share the call, and is capped at env, which bounds every
-    cell, so that rounding cannot lift it past env.
-    """
-    J = process.envelope_cells(params, a.shape[1] - 1, n or min(T, _TABLE_POINTS))
-    counts = process.cell_counts(T, J)
-    cells = np.flatnonzero(counts)
-    edges = np.arange(J + 1) if cells.size == J else np.union1d(cells, cells + 1)
-    b = _grid_series(a, edges / J, bases, ("edges", J))
-    bound = process.cell_envelopes(params, a, env, J, cells, edges, b)
-    # C order, as every row of a full bound is: einsum then sums each row alike
-    occupied = bound if cells.size == J else np.ascontiguousarray(bound[:, cells])
-    mean = np.einsum("ij,j->i", occupied, counts[cells].astype(float)) / T
-    return bound, np.minimum(mean, env), edges.size
-
-
 def _path(a: np.ndarray, t: np.ndarray, bound: np.ndarray, params: GbmParams, bases: dict, key):
     """Rows of G_L at the times t, each checked against its row's bound on the cell that holds it."""
     g = process.gbm_from_bm(_grid_series(a, t, bases, key), t, params)
@@ -484,11 +440,11 @@ def _quadrature_means(a: np.ndarray, bound: np.ndarray, params: GbmParams, T: in
 def _inner_means(a: np.ndarray, env: np.ndarray, params: GbmParams, T: int, bases: dict | None = None):
     """Exact inner means T^-1 sum_i G_L(i/T) of the rows, their cell bounds' means, and counters.
 
-    ``bases`` keeps the request's grid bases (``_grid_series``).  Tables hold
-    at most ``_GROUP_BYTES``, or one row; a row's mean has the same bits
-    whichever rows share its table.  A T-point row is summed in chunks of
-    ``_TABLE_POINTS``: up to that, its mean is ``table.mean``'s.  Every point
-    is checked against its cell's bound.  The counters are the
+    ``bases`` keeps the request's grid bases (``klcore._grid_series``).
+    Tables hold at most ``_GROUP_BYTES``, or one row; a row's mean has the
+    same bits whichever rows share its table.  A T-point row is summed in
+    chunks of ``_TABLE_POINTS``: up to that, its mean is ``table.mean``'s.
+    Every point is checked against its cell's bound.  The counters are the
     ``series_points`` evaluated, cell edges included, the
     ``tabulated_draws`` and the most ``envelope_cells`` of a draw.
     """
@@ -503,7 +459,7 @@ def _inner_means(a: np.ndarray, env: np.ndarray, params: GbmParams, T: int, base
         for part in (rows[lo : lo + per] for lo in range(0, rows.size, per)):
             if part[-1] - part[0] + 1 == part.size:  # a run of rows: views, not copies
                 part = slice(part[0], part[-1] + 1)
-            bound, ebar[part], mids = _cell_bounds(a[part], env[part], params, T, size, bases)
+            bound, ebar[part], mids = process.cell_envelopes(params, a[part], env[part], T, size or width, bases)
             counts["series_points"] += len(bound) * ((size + 2 if size else T) + mids)
             counts["envelope_cells"] = max(counts["envelope_cells"], bound.shape[1])
             if size:
@@ -632,7 +588,8 @@ def price_kl_nested(
     ``geometric_asian_closed_form`` at L.  At coefficient 1 the estimand is
     unchanged, draw by draw; for an einsum per run it cuts the outer variance
     about 15x at the default market.  ``plain_value`` and ``plain_std_error``
-    in ``diagnostics`` average Y alone.
+    in ``diagnostics`` average Y alone.  When every draw's Y and X are 0 (no
+    inner mean and no twin reaches K), the estimate is E[X] with SE 0.
 
     How acceptance mode gets n_prop.  Outer draw i reads its L + 1
     coefficients from its own stream, (seed, ``process.TAG_NESTED``, i), then

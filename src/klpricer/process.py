@@ -16,12 +16,15 @@ sampling, Gilks & Wild 1992, with a curvature term in place of log-concavity),
 
     env_c = min(env, s0 exp(max(phi(l), phi(r)) + sigma S2/(8 J^2))),
 
-with S2 = sqrt(2) pi sum_k k |a_k| >= |B_L''|.  ``envelope_cells`` picks J
-from sigma, the drift and L, and ``cell_counts`` gives the monitoring points
-n_c in each cell.  The nested estimator's proposals per acceptance, the
-cells' mean T^-1 sum_c n_c env_c over the path's mean, stay near 1 where
-env's stay near the path's own sup/mean ratio.  Both work row-wise: a 2-D
-array of coefficient rows (a run of outer draws) gives one value per row.
+with S2 = sqrt(2) pi sum_k k |a_k| >= |B_L''|.  It is the one envelope call:
+it picks J by ``envelope_cells`` from sigma, the drift and L, finds the
+cells holding monitoring points by ``cell_counts`` (n_c in each), evaluates
+their edges by ``klcore._grid_series``, the one series evaluator, and
+returns the bounds with their mean.  The nested estimator's proposals per
+acceptance, the cells' mean T^-1 sum_c n_c env_c over the path's mean, stay
+near 1 where env's stay near the path's own sup/mean ratio.  Both work
+row-wise: a 2-D array of coefficient rows (a run of outer draws) gives one
+value per row.
 ``g_max_bound`` is the all-CLIP case of env, the bound on every path whose
 coefficients lie in [-CLIP, CLIP]: the single normalisation that the
 amplitude encodings in ``qsim`` need.
@@ -62,7 +65,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .klcore import _SQRT2_OVER_PI, CLIP, WienerCoefficients, _check_unit_interval, wiener_eval_horner
+from .klcore import (
+    _SQRT2_OVER_PI, CLIP, WienerCoefficients, _check_unit_interval, _grid_series, wiener_eval_horner,
+)
 
 __all__ = [
     "GUARD_BYTES",
@@ -314,36 +319,40 @@ def cell_counts(T: int, J: int) -> np.ndarray:
     return np.diff(c * q + c * r // J)
 
 
-def cell_envelopes(
-    params: GbmParams, a: np.ndarray, env: np.ndarray, J: int, cells: np.ndarray, edges: np.ndarray, b
-) -> np.ndarray:
-    """Bounds env_c of each row's path on its J cells, shape (rows, J).
+def cell_envelopes(params: GbmParams, a: np.ndarray, env: np.ndarray, T: int, points: int, bases: dict):
+    """Each row's bounds env_c on its J cells, their mean over the T points, and the edges evaluated.
 
-    ``a`` holds the coefficient rows, ``env`` their ``path_envelope``,
-    ``cells`` the 0-based indices c of the cells (c/J, (c + 1)/J] bounded
-    (those holding a monitoring point), ``edges`` the ascending union of c
-    and c + 1 over them (0..J when every cell is bounded), and ``b`` the
-    rows' series at the times edges/J.  There env_c is the formula of the
-    module docstring: |B_L''| <= S2, so on the cell phi lies below its
-    secant, itself at most max(phi(c/J), phi((c + 1)/J)), plus
-    (sigma S2/2)(t - c/J)((c + 1)/J - t) <= sigma S2/(8 J^2); the cap keeps
-    it at most env.  The other cells hold env.
+    ``a`` holds the coefficient rows and ``env`` their ``path_envelope``;
+    J is ``envelope_cells(params, L, points)``.  The series is evaluated, by
+    ``klcore._grid_series`` with the request's basis cache ``bases``, at the
+    edges of the cells that hold a monitoring point: all J + 1 when T >= J.
+    There env_c is the module docstring's: |B_L''| <= S2, so phi lies below
+    its secant, at most max(phi(c/J), phi((c + 1)/J)), plus
+    (sigma S2/2)(t - c/J)((c + 1)/J - t) <= sigma S2/(8 J^2), capped at env;
+    the other cells hold env.  The mean, T^-1 sum_c n_c env_c, is summed by
+    row over C-ordered bounds, so its bits do not depend on which rows share
+    the call, and is capped at env, so that rounding cannot lift it past env.
     """
+    J = envelope_cells(params, a.shape[1] - 1, points)
+    counts = cell_counts(T, J)
+    cells = np.flatnonzero(counts)
+    edges = np.arange(J + 1) if cells.size == J else np.union1d(cells, cells + 1)
     s2 = np.sqrt(2.0) * np.pi * np.einsum("ij,j->i", np.abs(a[:, 1:]), np.arange(1.0, a.shape[1]))
-    phi = params.sigma * b
+    phi = params.sigma * _grid_series(a, edges / J, bases, ("edges", J))
     phi += params.effective_drift * (edges / J)
     lo = slice(0, J) if cells.size == J else np.searchsorted(edges, cells)  # cell c's edges c, c + 1
-    bound = np.maximum(phi[:, lo], phi[:, 1:][:, lo])
+    bound = np.maximum(phi[:, lo], phi[:, 1:][:, lo], order="C")
     bound += (params.sigma * s2 / (8 * J * J))[:, None]
     with np.errstate(over="ignore"):  # an overflowing bound is capped at env below
         np.exp(bound, out=bound)
     bound *= params.s0
     np.minimum(bound, env[:, None], out=bound)
+    mean = np.minimum(np.einsum("ij,j->i", bound, counts[cells].astype(float)) / T, env)
     if cells.size == J:
-        return bound
+        return bound, mean, edges.size
     out = np.repeat(env[:, None], J, axis=1)
     out[:, cells] = bound
-    return out
+    return out, mean, edges.size
 
 
 def _coefficient_rows(rngs: list, L: int) -> tuple[np.ndarray, int]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from klpricer import process
-from klpricer.klcore import _check_unit_interval, sine_basis
+from klpricer.klcore import _check_unit_interval
 from klpricer.process import GbmParams
 from klpricer.pricing import AsianPayoffSpec
 
@@ -42,11 +42,30 @@ def draws(monkeypatch):
     return opened
 
 
+def scaled_cells(k, cells):
+    """``process.cell_envelopes`` with its bounds and their mean scaled by k: an injected envelope fault."""
+
+    def scaled(*args):
+        bound, mean, edges = cells(*args)
+        return k * bound, k * mean, edges
+
+    return scaled
+
+
+def sine_modes(k, t):
+    """Mode functions (sqrt(2)/pi) sin(k pi t)/k, one row per mode index in the float array k.
+
+    Written out here, not taken from the library, so that the reference
+    forms below do not rest on the code they check.
+    """
+    return np.sqrt(2.0) / np.pi * np.sin(np.pi * np.outer(k, t)) / k[:, None]
+
+
 def wiener_eval(a, t):
     """Direct sine-series evaluation of smoothed paths at t in [0, 1].
 
     This is the reference form a0 t + (sqrt(2)/pi) sum_k (a_k/k) sin(k pi t),
-    a matrix product on ``sine_basis`` (BLAS may split its sums), against
+    a matrix product on ``sine_modes`` (BLAS may split its sums), against
     which the library's contraction is checked.  ``a`` is one coefficient row (a_0, ..., a_L) or a
     2-D array of such rows; the result has shape a.shape[:-1] + t.shape.
     """
@@ -54,6 +73,6 @@ def wiener_eval(a, t):
     a = np.asarray(a, dtype=float)
     tt = t.ravel()
     k = np.arange(1, a.shape[-1], dtype=float)
-    out = np.multiply.outer(a[..., 0], tt) + a[..., 1:] @ sine_basis(k, tt)
+    out = np.multiply.outer(a[..., 0], tt) + a[..., 1:] @ sine_modes(k, tt)
     out = out.reshape(a.shape[:-1] + t.shape)
     return float(out) if out.ndim == 0 else out

@@ -51,6 +51,12 @@ class TestTruncationSweep:
             head = np.sum(2.0 * np.sin(k * np.pi * t) ** 2 / (np.pi * k) ** 2, axis=0)
             assert m == pytest.approx(np.max(t * (1.0 - t) - head), rel=0, abs=1e-16 * L)
 
+    def test_measured_pinned(self):
+        # the bits of the probe's sums over the series_basis modes
+        assert truncation_error_sweep([8, 32, 128]).measured == [
+            0.015992183497106446, 0.004111812635997032, 0.0007915556294589565,
+        ]
+
 
 class TestMappedBound:
     def test_zero_epsilon_is_zero(self):
@@ -135,6 +141,21 @@ class TestSmoothnessProbe:
             s, t = p["s"], p["t"]
             modes = 2.0 * (np.sin(k * np.pi * t) - np.sin(k * np.pi * s)) ** 2 / (np.pi * k) ** 2
             assert m == pytest.approx((t - s) ** 2 + np.sum(modes), rel=1e-13, abs=1e-15)
+
+    def test_measured_pinned(self):
+        # the bits of the probe's increments over the series_basis modes, pair by pair
+        assert smoothness_probe(0.1).measured == [
+            0.09503785516938812, 0.19510862287866185, 0.3453045714788991,
+            0.4953976543748543, 0.6952421959743315, 0.8950378551693882,
+            1.0, 0.09033858242548645, 0.24054223237810624,
+            0.39016836335290306, 0.5900555693617853, 0.7899892753196653,
+            0.8950378551693882, 0.14070781974155297, 0.2900098739906646,
+            0.4899259381492088, 0.6899824875771787, 0.7951086228786619,
+            0.14132601479062112, 0.3411765323402171, 0.5405885134890942,
+            0.6453045714788991, 0.1900066869573645, 0.39016836335290306,
+            0.4953976543748543, 0.19013851572517218, 0.29524219597433154,
+            0.09503785516938806, 0.0,
+        ]
 
     def test_fine_epsilon_runs(self):
         # L = 202,643 modes on the 8 distinct times: a 13 MB mode matrix
@@ -327,8 +348,8 @@ def test_probe_guard_counts_what_the_probe_holds(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run, need", [
-    (lambda: smoothness_probe(1e-4), 4_052_847_400),
-    (lambda: truncation_error_sweep([8, 32, 10**6]), 1_536_000_000),
+    (lambda: smoothness_probe(1e-4), 1_459_164_392),
+    (lambda: truncation_error_sweep([8, 32, 3 * 10**6]), 1_560_139_776),
     (lambda: subsample_error_probe([0.1, 0.05], T=40_000_000), 1_600_004_000),
 ], ids=["smoothness", "truncation", "subsample-error"])
 def test_probe_guard_runs_before_anything_is_allocated(draws, run, need):

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 
 import pytest
+from conftest import scaled_cells
 
 from klpricer import cli, pricing, process
 
@@ -311,7 +312,7 @@ class TestPriceCommand:
         # cell bounds below the path are a fault of the program, not of the
         # request, so they must not take the exit 2 of a ValueError
         cells = process.cell_envelopes
-        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 0.5 * cells(*args))
+        monkeypatch.setattr(process, "cell_envelopes", scaled_cells(0.5, cells))
         code, out, err = run_cli(
             capsys, "price", "--method", "kl-nested", "--epsilon", "0.2", "--m0", "10",
             "--m1", "10", "--seed", "1",
@@ -361,7 +362,7 @@ class TestPriceCommand:
         # bad input
         envelope, cells = process.path_envelope, process.cell_envelopes
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e20 * envelope(params, a))
-        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 1e20 * cells(*args))
+        monkeypatch.setattr(process, "cell_envelopes", scaled_cells(1e20, cells))
         code, out, err = run_cli(
             capsys, "price", "--method", "kl-nested", "--epsilon", "0.2", "--m0", "4",
             "--m1", "4", "--seed", "1",
@@ -582,9 +583,9 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("argv, error", [
         (["--probe", "smoothness", "--epsilon", "0.0001"],
-         "smoothness probe needs 4052847400 bytes, past the 1073741824-byte guard"),
-        (["--probe", "truncation", "--L", "8,32,1000000"],
-         "truncation probe needs 1536000000 bytes, past the 1073741824-byte guard"),
+         "smoothness probe needs 1459164392 bytes, past the 1073741824-byte guard"),
+        (["--probe", "truncation", "--L", "8,32,3000000"],
+         "truncation probe needs 1560139776 bytes, past the 1073741824-byte guard"),
         (["--probe", "subsample-error", "--T", "40000000"],
          "subsample-error probe needs 1600004000 bytes, past the 1073741824-byte guard"),
         (["--probe", "truncation", "--L", "8,8"], "L values must be distinct, got [8, 8]"),

@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import wiener_eval
+from conftest import sine_modes, wiener_eval
 from scipy.special import polygamma
 
 from klpricer import klcore
 from klpricer.klcore import (
     CLIP,
     WienerCoefficients,
-    sine_basis,
     truncation_index_bm,
     wiener_eval_horner,
 )
@@ -105,7 +104,7 @@ class TestTailBound:
         # tail; sum_{k>=1} 2 sin^2(k pi t)/(pi^2 k^2) = t(1 - t), the bridge
         # variance, gives the Wiener tail past L exactly
         t = np.linspace(0.0, 1.0, 1025)
-        head = sine_basis(np.arange(1, L + 1, dtype=float), t)
+        head = sine_modes(np.arange(1, L + 1, dtype=float), t)
         wiener_tail = t * (1.0 - t) - np.sum(head**2, axis=0)
         assert wiener_tail.min() > -1e-15
         assert wiener_tail.max() <= klcore._tail_exact(L)
@@ -214,17 +213,28 @@ class TestSeriesContraction:
         t = np.random.default_rng(3).random(50)
         basis = klcore.series_basis(L, t)
         assert np.array_equal(basis[0], t)
-        assert np.array_equal(basis[1:], sine_basis(np.arange(1.0, L + 1), t))
+        assert np.array_equal(basis[1:], sine_modes(np.arange(1.0, L + 1), t))
 
     def test_chunked_points_keep_their_bits(self, monkeypatch):
-        # wiener_eval_horner evaluates its points in chunks of _BASIS_BYTES
-        # of basis; each point keeps its bits whatever the chunk
+        # _grid_series builds a grid's basis once and caches it, or past
+        # _BASIS_BYTES evaluates it in chunks of that many bytes of basis
+        # (the last of 1 point at 8 * 22 * 333); each point keeps its bits
+        # whatever the path, for one row and for several, and
+        # wiener_eval_horner is its one-row front
         coeffs = WienerCoefficients(a=np.clip(np.random.default_rng(9).standard_normal(22), -CLIP, CLIP))
+        a = np.vstack([coeffs.a, np.clip(np.random.default_rng(11).standard_normal((4, 22)), -CLIP, CLIP)])
         t = np.random.default_rng(10).random((40, 25))
         ref = wiener_eval_horner(coeffs, t)
-        for budget in (1, 8 * 22 * 7, 1 << 40):
+        rows = klcore._series(a, klcore.series_basis(21, t.ravel()))
+        assert np.array_equal(rows[0], ref.ravel())
+        for budget in (1, 8 * 22 * 7, 8 * 22 * 333, 1 << 40):
             monkeypatch.setattr(klcore, "_BASIS_BYTES", budget)
             assert np.array_equal(wiener_eval_horner(coeffs, t), ref)
+            for x, want in ((coeffs.a, rows[0]), (a, rows)):
+                bases = {}
+                for _ in range(2):  # a first call, then a second that may find its basis cached
+                    assert np.array_equal(klcore._grid_series(x, t.ravel(), bases, "grid"), want)
+                assert list(bases) == (["grid"] if budget == 1 << 40 else [])
 
 
 class TestCoefficientValidation:

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import wiener_eval
+from conftest import scaled_cells, wiener_eval
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -557,7 +557,7 @@ class TestNested:
         mean, ebar, inner = pricing._inner_means(coeffs.a[None], env, MARKET, T)
         assert inner["tabulated_draws"] == (T < 1 << 20)
         nodes = pricing._quadrature_nodes(coeffs.a[None], MARKET, T)[0]
-        bound = pricing._cell_bounds(coeffs.a[None], env, MARKET, T, nodes, {})[0][0]
+        bound = process.cell_envelopes(MARKET, coeffs.a[None], env, T, nodes or T, {})[0][0]
         sampled = np.array([
             process.rejection_sample_times(process.stream(31, 3, i), coeffs, M1, bound, MARKET, T)[1]
             for i in range(n)
@@ -680,16 +680,17 @@ class TestNested:
         # row is summed in chunks of 8,192 points, the series of each chunk
         # 258 points (1 MiB of basis) at a time
         tables = []
+        contract = klcore._series
 
         def series(a, basis):
             tables.append((a.shape[0], basis.shape[1]))
-            return klcore._series(a, basis)
+            return contract(a, basis)
 
         def by_basis(rows, points):
             step = (1 << 20) // (8 * 508)
             return [(rows, min(step, points - lo)) for lo in range(0, points, step)]
 
-        monkeypatch.setattr(pricing, "_series", series)
+        monkeypatch.setattr(klcore, "_series", series)
         for sigma, T, kw, want in [
             (2.0, 500, dict(epsilon=0.2, M0=40, M1=50, seed=3),
              [(10, 257), (10, 500), (30, 65), (30, 66)]),
@@ -806,7 +807,8 @@ class TestNested:
         env = process.path_envelope(params, a)
         points = np.arange(1, T + 1) if T <= 200 else np.random.default_rng(seed).integers(1, T + 1, 4096)
         for row, n in enumerate(pricing._quadrature_nodes(a, params, T).tolist()):
-            bound, ebar, _ = pricing._cell_bounds(a[row : row + 1], env[row : row + 1], params, T, n, {})
+            size = n or min(T, pricing._TABLE_POINTS)
+            bound, ebar, _ = process.cell_envelopes(params, a[row : row + 1], env[row : row + 1], T, size, {})
             assert ebar[0] <= env[row]
             t = np.concatenate([points / T, [0.0, 1.0], pricing._gauss_legendre(max(n, 64))[0]])
             g = process.gbm_from_bm(wiener_eval(a[row], t), t, params)
@@ -909,7 +911,7 @@ class TestNested:
         # first draw's count, drawn from its quadrature's law, is past it.
         envelope, cells = process.path_envelope, process.cell_envelopes
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e9 * envelope(params, a))
-        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 1e9 * cells(*args))
+        monkeypatch.setattr(process, "cell_envelopes", scaled_cells(1e9, cells))
         monkeypatch.setattr(process, "_STARVATION_FACTOR", 1000)
         with pytest.raises(process.RejectionStarvedError,
                            match="10 acceptances at rate 9.85e-10 take 3.90932e[+]09 proposals, "
@@ -922,7 +924,7 @@ class TestNested:
         # its law, is past the budget
         envelope, cells = process.path_envelope, process.cell_envelopes
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e9 * envelope(params, a))
-        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 1e9 * cells(*args))
+        monkeypatch.setattr(process, "cell_envelopes", scaled_cells(1e9, cells))
         monkeypatch.setattr(process, "_STARVATION_FACTOR", 1000)
         with pytest.raises(process.RejectionStarvedError,
                            match="10 acceptances at rate 9.86e-10 take 3.90648e[+]09 proposals, "
@@ -935,7 +937,7 @@ class TestNested:
         # which the CLI would report as bad input; the draw is starved
         envelope, cells = process.path_envelope, process.cell_envelopes
         monkeypatch.setattr(process, "path_envelope", lambda params, a: 1e20 * envelope(params, a))
-        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 1e20 * cells(*args))
+        monkeypatch.setattr(process, "cell_envelopes", scaled_cells(1e20, cells))
         with pytest.raises(process.RejectionStarvedError, match=r"acceptances at rate \d\.\d+e-2\d take "):
             price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=3, M1=M1, seed=1)
 
@@ -948,7 +950,7 @@ class TestNested:
 
     def test_envelope_below_path_violates_contract(self, monkeypatch):
         cells = process.cell_envelopes
-        monkeypatch.setattr(process, "cell_envelopes", lambda *args: 0.5 * cells(*args))
+        monkeypatch.setattr(process, "cell_envelopes", scaled_cells(0.5, cells))
         with pytest.raises(RuntimeError, match="exceeded the envelope"):
             price_kl_nested(MARKET, SPEC64, epsilon=0.2, M0=10, M1=10, seed=1)
 
@@ -1015,7 +1017,7 @@ class TestNested:
                 process.stream(kw["seed"], process.TAG_NESTED, i), L)
             row = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, MARKET)
             env = np.array([process.path_envelope(MARKET, coeffs.a)])
-            ebar = pricing._cell_bounds(coeffs.a[None], env, MARKET, T, 0, {})[1][0]
+            ebar = process.cell_envelopes(MARKET, coeffs.a[None], env, T, min(T, pricing._TABLE_POINTS), {})[1][0]
             want.append(min(row.mean() / ebar, 1.0))
         assert drawn == want
 
@@ -1099,7 +1101,7 @@ def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
     Y - X + E[X], with X from its own row.  Returns (value, std_error,
     plain_value, plain_std_error, proposals through every draw's M1-th
     acceptance).  The envelope is the draw's cells' mean over the T points,
-    from ``pricing._cell_bounds`` on its row alone.
+    from ``process.cell_envelopes`` on its row alone.
     """
     L = truncation_index_bm(epsilon)
     T = spec.monitoring_count
@@ -1112,7 +1114,8 @@ def _per_draw_nested(params, spec, epsilon, M0, M1, seed):
         coeffs = process.sample_coefficients(rng, L)
         env = np.array([process.path_envelope(params, coeffs.a)])
         nodes = pricing._quadrature_nodes(coeffs.a[None], params, T)[0]
-        ebar = pricing._cell_bounds(coeffs.a[None], env, params, T, nodes, {})[1][0]
+        size = nodes or min(T, pricing._TABLE_POINTS)
+        ebar = process.cell_envelopes(params, coeffs.a[None], env, T, size, {})[1][0]
         if nodes == 0 and T <= 8192:
             grid = np.arange(1, T + 1) / T
             mean = process.gbm_from_bm(wiener_eval_horner(coeffs, grid), grid, params).mean()

@@ -69,8 +69,8 @@ class TestGuardBytes:
          "flat kernel buffer", 521_536),
         (lambda: pricing.price_subsample(MARKET, pricing.AsianPayoffSpec(100.0, 1000), 0.1, 1000,
                                          seed=1), "flat kernel buffer", 810_400),
-        (lambda: analysis.truncation_error_sweep([8, 32]), "truncation probe", 49_152),
-        (lambda: analysis.smoothness_probe(0.05), "smoothness probe", 16_400),
+        (lambda: analysis.truncation_error_sweep([8, 32]), "truncation probe", 156_416),
+        (lambda: analysis.smoothness_probe(0.05), "smoothness probe", 145_232),
         (lambda: analysis.subsample_error_probe([0.1], T=1024), "subsample-error probe", 44_960),
         (lambda: pricing.price_kl_nested(MARKET, SPEC64, 0.1, M0=2, M1=2, L=1000, seed=1),
          "a draw's series of 1001 coefficients", 40_040),
@@ -420,7 +420,7 @@ class TestRejectionSampler:
         L, n = 16, 50_000
         coeffs = sample_coefficients(stream(4, 3, 1), L)
         env = np.array([path_envelope(MARKET, coeffs.a)])
-        bound, ebar, _ = pricing._cell_bounds(coeffs.a[None], env, MARKET, T, 0, {})
+        bound, ebar, _ = process.cell_envelopes(MARKET, coeffs.a[None], env, T, T, {})
         assert bound.shape == (1, 64)
         times, n_prop = rejection_sample_times(stream(4, 3, 2), coeffs, n, bound[0], MARKET, T)
         pmf, mean = grid_pmf(coeffs, MARKET, T)

@@ -1,13 +1,18 @@
-"""The scripts in ``scripts/`` load against the current package."""
+"""The scripts in ``scripts/``, and the benchmark's layer probes, load against the current package."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+
+from klpricer import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -72,3 +77,33 @@ def test_bench_writes_finite_rows(monkeypatch, tmp_path):
     assert report["rows"]["geometric-cf"]["value"] == pytest.approx(5.9086002672545845, rel=1e-12)
     assert [(row["std_error"], row["diagnostics"]) for name, row in report["rows"].items()
             if name in ("geometric-cf", "qsim-check")] == [(0.0, {}), (0.0, {})]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--method", "baseline", "--T", "64", "--paths", "4096"),
+    ("--method", "baseline", "--paths", "1000"),
+    ("--method", "subsample", "--epsilon", "0.05", "--paths", "2048"),
+    ("--method", "kl-nested", "--epsilon", "0.1", "--m0", "40", "--m1", "40"),
+    ("--method", "kl-nested", "--epsilon", "0.2", "--m0", "20", "--m1", "20", "--inner", "uniform"),
+    ("--method", "kl-nested", "--epsilon", "0.1", "--m0", "40", "--m1", "40", "--T", str(1 << 20)),
+], ids=["bulk", "sweep", "subsample", "nested", "nested-uniform", "nested-T1048576"])
+def test_traced_requests_print_the_untraced_json(argv):
+    # the benchmark's --trace 1 mode runs small versions of its workloads
+    # through cli.main inside perfbench/tracing.py's traced(), loaded here
+    # as the benchmark loads it: its wrappers must change nothing a request
+    # prints but wall_time_ms, and the price wrapper must have run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def printed():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["price", *argv, "--seed", "7"]) == 0
+        return re.sub(r'"wall_time_ms": [^,}]+', "", out.getvalue())
+
+    plain = printed()
+    with tracing.traced(tracing.Tracer()) as tracer:
+        traced = printed()
+    assert traced == plain
+    assert tracer.ms["pricing.price"] > 0.0
